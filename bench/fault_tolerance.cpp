@@ -1,8 +1,8 @@
 // Fault-tolerance overhead and recovery-latency bench (BENCH_fault.json).
 //
-// (a) Checkpoint overhead: fault-free dist_tiled_potrf vs
-//     dist_tiled_potrf_ft at checkpoint intervals {4, 8, 16} — the FT
-//     acceptance bar is <= 10% median overhead at the default interval.
+// (a) Checkpoint overhead: fault-free plain dist_tiled_potrf vs the same
+//     driver checkpointing at intervals {4, 8, 16} — the FT acceptance
+//     bar is <= 10% median overhead at the default interval.
 // (b) Recovery latency: a rank killed at a fixed panel step, swept over
 //     the same intervals — tighter intervals re-execute fewer panel
 //     steps after the restore, at the price of more checkpoint traffic.
@@ -69,30 +69,21 @@ FtRun run_case(std::size_t n, std::size_t ts, int ranks, long interval,
           a.from_full(full);
           comm.barrier();
           Timer timer;
-          if (interval <= 0) {
-            dist::DistPotrfOptions options;
-            options.precision_map = &map;
-            dist::dist_tiled_potrf(rt, comm, a, options);
-            if (comm.rank() == 0) {
-              seconds[static_cast<std::size_t>(rep)] = timer.seconds();
-            }
-          } else {
-            dist::DistFtOptions options;
-            options.factor.precision_map = &map;
-            options.checkpoint_interval = interval;
-            dist::DistFtResult r = dist::dist_tiled_potrf_ft(rt, comm, a, options);
-            if (r.active_comm(comm).rank() == 0) {
-              std::lock_guard<std::mutex> lock(mutex);
-              seconds[static_cast<std::size_t>(rep)] = timer.seconds();
-              out.checkpoint_bytes = r.checkpoint_bytes;
-              out.checkpoint_tiles = r.checkpoint_tiles;
-              out.checkpoints = r.checkpoints;
-              out.restored_tiles = r.restored_tiles;
-              out.restored_bytes = r.restored_bytes;
-              out.rank_losses = r.rank_losses;
-              out.last_restore_cut = r.last_restore_cut;
-              out.final_ranks = r.final_ranks;
-            }
+          dist::DistPotrfOptions options;
+          options.precision_map = &map;
+          options.checkpoint_interval = std::max(interval, 0L);
+          dist::DistFtResult r = dist::dist_tiled_potrf(rt, comm, a, options);
+          if (r.active_comm(comm).rank() == 0) {
+            std::lock_guard<std::mutex> lock(mutex);
+            seconds[static_cast<std::size_t>(rep)] = timer.seconds();
+            out.checkpoint_bytes = r.checkpoint_bytes;
+            out.checkpoint_tiles = r.checkpoint_tiles;
+            out.checkpoints = r.checkpoints;
+            out.restored_tiles = r.restored_tiles;
+            out.restored_bytes = r.restored_bytes;
+            out.rank_losses = r.rank_losses;
+            out.last_restore_cut = r.last_restore_cut;
+            out.final_ranks = r.final_ranks;
           }
         });
     out.wire_bytes = wire.total_tile_bytes();
@@ -155,7 +146,7 @@ int main(int argc, char** argv) {
     records.push_back({"ft_interval_" + std::to_string(interval), n, ts,
                        ranks, r.median_seconds, r.checkpoint_bytes, pct});
   }
-  std::cout << "(a) fault-free overhead of dist_tiled_potrf_ft vs plain "
+  std::cout << "(a) fault-free overhead of checkpointed vs plain "
                "dist_tiled_potrf\n";
   overhead.print(std::cout);
   std::cout << "overhead at default interval (" << default_interval

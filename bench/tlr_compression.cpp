@@ -132,10 +132,10 @@ int main(int argc, char** argv) {
           a.from_full(full);
           comm.barrier();
           Timer timer;
-          dist::DistFtOptions options;
-          options.factor.precision_map = &map;
+          dist::DistPotrfOptions options;
+          options.precision_map = &map;
           options.checkpoint_interval = interval;
-          dist::DistFtResult r = dist::dist_tiled_potrf_ft(rt, comm, a, options);
+          dist::DistFtResult r = dist::dist_tiled_potrf(rt, comm, a, options);
           if (r.active_comm(comm).rank() == 0) {
             std::lock_guard<std::mutex> lock(mutex);
             secs = timer.seconds();

@@ -79,7 +79,8 @@ struct WireVolume {
   std::uint64_t payload_bytes = 0;  ///< bytes of every frame sent
   /// Tile payload bytes by storage precision (headers excluded) — the
   /// paper's "data moved at storage precision" metric, recorded by
-  /// send_tile.  Indexed by static_cast<size_t>(Precision).
+  /// send_slot / send_dense_slot and checkpoint replica sends.  Indexed
+  /// by static_cast<size_t>(Precision).
   std::array<std::uint64_t, kNumPrecisions> tile_payload_bytes{};
 
   std::uint64_t tile_bytes(Precision p) const {

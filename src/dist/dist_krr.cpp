@@ -23,10 +23,7 @@ namespace kgwas::dist {
 namespace {
 
 using detail::ExpectedMap;
-using detail::PendingRecv;
 using detail::drain_expected;
-using detail::rows_as_tile;
-using detail::tile_into_rows;
 
 }  // namespace
 
@@ -133,7 +130,8 @@ AssociateResult associate_prologue(Communicator& comm,
 AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
                                DistSymmetricTileMatrix& k,
                                const Matrix<float>& phenotypes,
-                               const AssociateConfig& config) {
+                               const AssociateConfig& config,
+                               DistFtResult* ft) {
   AssociateResult result = associate_prologue(comm, k, phenotypes, config);
 
   DistPotrfOptions options;
@@ -141,6 +139,8 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
   options.on_breakdown = config.on_breakdown;
   options.max_escalations = config.max_escalations;
   options.report = &result.report;
+  options.checkpoint_interval = ft ? configured_checkpoint_interval() : 0;
+  DistFtResult outcome;
   {
     // Under escalation keep the pre-demotion owned tiles as the rollback
     // source (same recovery semantics — and bitwise the same factor — as
@@ -154,41 +154,7 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
     }
     k.apply(result.map);
     result.factor_bytes = map_storage_bytes(result.map, k.n(), k.tile_size());
-    dist_tiled_potrf(runtime, comm, k, options);
-  }
-  if (result.report.recovered) {
-    result.map = result.report.final_map;
-    result.factor_bytes = map_storage_bytes(result.map, k.n(), k.tile_size());
-  }
-  result.weights = phenotypes;
-  dist_tiled_potrs(runtime, comm, k, result.weights);
-  return result;
-}
-
-AssociateResult dist_associate_ft(Runtime& runtime, Communicator& comm,
-                                  DistSymmetricTileMatrix& k,
-                                  const Matrix<float>& phenotypes,
-                                  const AssociateConfig& config,
-                                  DistFtResult& ft) {
-  AssociateResult result = associate_prologue(comm, k, phenotypes, config);
-
-  DistFtOptions options;
-  options.factor.precision_map = &result.map;
-  options.factor.on_breakdown = config.on_breakdown;
-  options.factor.max_escalations = config.max_escalations;
-  options.factor.report = &result.report;
-  {
-    // The FT driver copies the rollback source internally (it must be
-    // able to re-grid it after a rank loss), so the scoped snapshot here
-    // only needs to outlive the call.
-    std::optional<DistSymmetricTileMatrix> source;
-    if (config.on_breakdown == BreakdownAction::kEscalate) {
-      source.emplace(k);
-      options.factor.source = &*source;
-    }
-    k.apply(result.map);
-    result.factor_bytes = map_storage_bytes(result.map, k.n(), k.tile_size());
-    ft = dist_tiled_potrf_ft(runtime, comm, k, options);
+    outcome = dist_tiled_potrf(runtime, comm, k, options);
   }
   if (result.report.recovered) {
     result.map = result.report.final_map;
@@ -197,8 +163,9 @@ AssociateResult dist_associate_ft(Runtime& runtime, Communicator& comm,
   // On rank loss the factor lives in the re-gridded matrix and the solve
   // must run over the survivor communicator.
   result.weights = phenotypes;
-  dist_tiled_potrs(runtime, ft.active_comm(comm), ft.active_matrix(k),
-                   result.weights);
+  dist_tiled_potrs(runtime, outcome.active_comm(comm),
+                   outcome.active_matrix(k), result.weights);
+  if (ft != nullptr) *ft = std::move(outcome);
   return result;
 }
 
@@ -319,23 +286,12 @@ Matrix<float> dist_predict(Runtime& runtime, Communicator& comm,
 
   // Allgather the prediction row blocks so every rank returns the full
   // prediction matrix.
-  for (std::size_t ti = 0; ti < cross_kernel.tile_rows(); ++ti) {
-    if (cross_kernel.row_owner(ti) != me) continue;
-    const Tile block =
-        rows_as_tile(predictions, ti * ts, cross_kernel.tile_height(ti));
-    const std::uint64_t tag = make_tile_tag(Phase::kPredictGather, ti, 0);
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r != me) send_tile(comm, r, tag, block);
-    }
-  }
-  for (std::size_t ti = 0; ti < cross_kernel.tile_rows(); ++ti) {
-    if (cross_kernel.row_owner(ti) == me) continue;
-    const Message msg =
-        comm.recv(make_tile_tag(Phase::kPredictGather, ti, 0));
-    Tile block;
-    decode_tile(msg.payload, block);
-    tile_into_rows(block, predictions, ti * ts);
-  }
+  detail::allgather_row_blocks(
+      comm, predictions, cross_kernel.tile_rows(), ts, Phase::kPredictGather,
+      [&cross_kernel](std::size_t ti) { return cross_kernel.row_owner(ti); },
+      [&cross_kernel](std::size_t ti) {
+        return cross_kernel.tile_height(ti);
+      });
   comm.barrier();
   return predictions;
 }
@@ -376,11 +332,8 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     const bool ft_enabled = fault_tolerance_requested(comm);
     DistFtResult ft;
     AssociateResult assoc =
-        ft_enabled
-            ? dist_associate_ft(runtime, comm, kernel, train.phenotypes,
-                                cfg.associate, ft)
-            : dist_associate(runtime, comm, kernel, train.phenotypes,
-                             cfg.associate);
+        dist_associate(runtime, comm, kernel, train.phenotypes, cfg.associate,
+                       ft_enabled ? &ft : nullptr);
     // After a rank loss the remaining phases run over the survivor
     // communicator and a grid of the survivor count; a killed rank never
     // reaches this point (its RankKilled unwound to run_ranks).

@@ -45,26 +45,22 @@ PrecisionMap dist_plan_precision_map(Communicator& comm,
 /// apply tile precisions, factorize (dist_tiled_potrf), solve for the
 /// weights (dist_tiled_potrs).  `phenotypes` must be replicated; the
 /// returned weights are replicated.  Collective.
+///
+/// With a non-null `ft` the factorization is checkpointed every
+/// configured_checkpoint_interval() panel steps and recovers from rank
+/// loss; `*ft` receives the fault-tolerance outcome.  After a loss the
+/// solve runs over the survivor communicator and re-gridded factor, and
+/// the caller must run subsequent collective phases over
+/// `ft->active_comm(comm)` (and a grid of `ft->final_ranks.size()`
+/// ranks).  Only surviving ranks return.
 AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
                                DistSymmetricTileMatrix& k,
                                const Matrix<float>& phenotypes,
-                               const AssociateConfig& config);
+                               const AssociateConfig& config,
+                               DistFtResult* ft = nullptr);
 
-/// Fault-tolerant Associate: the factorization runs through
-/// dist_tiled_potrf_ft (checkpointed rounds + rank-loss recovery), and on
-/// rank loss the solve continues over the survivor communicator and
-/// re-gridded factor.  `ft` receives the fault-tolerance outcome; after a
-/// loss the caller must run subsequent collective phases over
-/// `ft.active_comm(comm)` (and a grid of `ft.final_ranks.size()` ranks).
-/// Only surviving ranks return.
-AssociateResult dist_associate_ft(Runtime& runtime, Communicator& comm,
-                                  DistSymmetricTileMatrix& k,
-                                  const Matrix<float>& phenotypes,
-                                  const AssociateConfig& config,
-                                  DistFtResult& ft);
-
-/// True when run_dist_krr should route Associate through the
-/// fault-tolerant path: a fault-injection plan is live on `comm`, or
+/// True when run_dist_krr should run Associate checkpointed (the `ft`
+/// argument of dist_associate): a fault-injection plan is live on `comm`, or
 /// KGWAS_FT is set to a non-zero value.
 bool fault_tolerance_requested(const Communicator& comm);
 

@@ -1,9 +1,10 @@
 // Internal helpers shared by the distributed algorithms: the expected-
 // receive bookkeeping that wires message arrival into the task graph, and
-// FP32 row-block <-> transport-tile conversion for replicated dense
-// operands (RHS blocks, prediction blocks).
+// the FP32 row-block transport of replicated dense operands (RHS blocks,
+// prediction blocks).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <unordered_map>
@@ -105,16 +106,23 @@ inline bool drain_expected(Runtime& runtime, Communicator& comm,
       expected.erase(it);
     }
   } catch (...) {
-    // Abort path (e.g. WorldAborted after a peer failure): signal every
-    // remaining event so the runtime can drain instead of waiting forever
-    // on receives that will never happen.  Tasks reading the unfilled
-    // (0 x 0) cache slots fail their own shape checks and surface as
-    // ordinary task errors, which wait()/~Runtime already swallow behind
-    // the exception rethrown here.
+    // Abort path (e.g. WorldAborted after a peer failure): quiesce the
+    // runtime before the exception leaves.  Workers may still be running
+    // tasks that read remote-tile cache slots, and the unwinding caller
+    // is about to destroy the matrix owning them.  Cancel what has not
+    // started, signal every remaining event so the graph can drain
+    // instead of waiting forever on receives that will never happen, and
+    // wait — tasks reading unfilled (0 x 0) cache slots fail their own
+    // shape checks, and those task errors are collateral of the abort.
+    runtime.cancel();
     for (auto& [tag, pending] : expected) {
       runtime.signal_external(pending.event);
     }
     expected.clear();
+    try {
+      runtime.wait();
+    } catch (...) {
+    }
     throw;
   }
   return false;
@@ -146,16 +154,34 @@ inline Tile rows_as_tile(const Matrix<float>& b, std::size_t r0,
   return t;
 }
 
-/// Copies a received FP32 block tile into rows [r0, r0 + tile.rows()) of
-/// a replicated dense matrix.
-inline void tile_into_rows(const Tile& tile, Matrix<float>& b,
-                           std::size_t r0) {
-  PooledF32 scratch(TilePool::global(), tile.elements());
-  tile.decode_to(scratch.data());
-  for (std::size_t j = 0; j < tile.cols(); ++j) {
-    const float* src = scratch.data() + j * tile.rows();
-    float* dst = &b(r0, j);
-    for (std::size_t i = 0; i < tile.rows(); ++i) dst[i] = src[i];
+/// Allgathers the row blocks of a replicated FP32 matrix: block t (rows
+/// [t * block_rows, t * block_rows + height(t))) is final on rank
+/// owner(t), which ships it to every other rank as a dense slot frame.
+/// Collective; callers fence it with barriers so no progress loop sees
+/// the frames.
+template <class Owner, class Height>
+void allgather_row_blocks(Communicator& comm, Matrix<float>& m,
+                          std::size_t blocks, std::size_t block_rows,
+                          Phase phase, Owner owner, Height height) {
+  const int me = comm.rank();
+  for (std::size_t t = 0; t < blocks; ++t) {
+    if (owner(t) != me) continue;
+    const Tile block = rows_as_tile(m, t * block_rows, height(t));
+    for (int r = 0; r < comm.size(); ++r) {
+      if (r != me) send_dense_slot(comm, r, make_tile_tag(phase, t, 0), block);
+    }
+  }
+  TileSlot slot;
+  for (std::size_t t = 0; t < blocks; ++t) {
+    if (owner(t) == me) continue;
+    decode_slot(comm.recv(make_tile_tag(phase, t, 0)).payload, slot);
+    const Tile& block = slot.dense();
+    PooledF32 scratch(TilePool::global(), block.elements());
+    block.decode_to(scratch.data());
+    for (std::size_t j = 0; j < block.cols(); ++j) {
+      std::copy_n(scratch.data() + j * block.rows(), block.rows(),
+                  &m(t * block_rows, j));
+    }
   }
 }
 

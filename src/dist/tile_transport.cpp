@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 #include "common/status.hpp"
 #include "telemetry/metrics.hpp"
@@ -55,18 +56,54 @@ std::uint32_t get_u32(const std::byte* src) {
   return v;
 }
 
-// Pointer-based decode cores: the slot frame embeds a dense/TLR frame at
-// offset 1, so the cores take (data, size) and the public vector overloads
-// delegate.
+/// rows * cols * bytes_per_element of untrusted u32 header fields (a
+/// TLR factor substitutes rank for cols).  Throws InvalidArgument when
+/// the product wraps: a wrapped size would let a tiny frame claim a huge
+/// tile with no storage behind it.
+std::size_t checked_payload(std::size_t rows, std::size_t cols,
+                            Precision precision) {
+  const std::size_t bpe = bytes_per_element(precision);
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  KGWAS_CHECK_ARG(cols == 0 || rows <= max / cols,
+                  "tile frame dimensions overflow");
+  KGWAS_CHECK_ARG(rows * cols <= max / bpe, "tile frame payload overflows");
+  return rows * cols * bpe;
+}
+
+Precision header_precision(std::byte tag) {
+  const auto precision = static_cast<Precision>(tag);
+  KGWAS_CHECK_ARG(static_cast<unsigned>(precision) < kNumPrecisions,
+                  "tile frame carries an unknown precision tag");
+  return precision;
+}
+
+// Inner frame writers/decoders: a slot frame is the kind byte followed by
+// one of these at offset 1, so they work on raw (data, size) spans.
+void write_tile_frame(std::byte* dst, const Tile& tile) {
+  put_u32(dst, static_cast<std::uint32_t>(tile.rows()));
+  put_u32(dst + 4, static_cast<std::uint32_t>(tile.cols()));
+  dst[8] = static_cast<std::byte>(tile.precision());
+  std::memcpy(dst + kHeaderBytes, tile.raw(), tile.storage_bytes());
+}
+
+void write_tlr_frame(std::byte* dst, const TlrTile& tile) {
+  KGWAS_CHECK_ARG(tile.active(), "cannot encode an inactive TLR tile");
+  put_u32(dst, static_cast<std::uint32_t>(tile.rows()));
+  put_u32(dst + 4, static_cast<std::uint32_t>(tile.cols()));
+  dst[8] = static_cast<std::byte>(tile.precision());
+  put_u32(dst + 9, static_cast<std::uint32_t>(tile.rank()));
+  std::memcpy(dst + kTlrHeaderBytes, tile.u().raw(), tile.u().storage_bytes());
+  std::memcpy(dst + kTlrHeaderBytes + tile.u().storage_bytes(), tile.v().raw(),
+              tile.v().storage_bytes());
+}
+
 void decode_tile_frame(const std::byte* data, std::size_t size, Tile& out) {
   KGWAS_CHECK_ARG(size >= kHeaderBytes, "tile frame too short");
   const std::size_t rows = get_u32(data);
   const std::size_t cols = get_u32(data + 4);
-  const auto precision = static_cast<Precision>(data[8]);
-  KGWAS_CHECK_ARG(static_cast<unsigned>(precision) < kNumPrecisions,
-                  "tile frame carries an unknown precision tag");
-  const std::size_t payload = rows * cols * bytes_per_element(precision);
-  KGWAS_CHECK_ARG(size == kHeaderBytes + payload,
+  const Precision precision = header_precision(data[8]);
+  const std::size_t payload = checked_payload(rows, cols, precision);
+  KGWAS_CHECK_ARG(size - kHeaderBytes == payload,
                   "tile frame payload size mismatch");
   out.from_wire(rows, cols, precision, data + kHeaderBytes);
 }
@@ -75,83 +112,36 @@ void decode_tlr_frame(const std::byte* data, std::size_t size, TlrTile& out) {
   KGWAS_CHECK_ARG(size >= kTlrHeaderBytes, "TLR frame too short");
   const std::size_t rows = get_u32(data);
   const std::size_t cols = get_u32(data + 4);
-  const auto precision = static_cast<Precision>(data[8]);
+  const Precision precision = header_precision(data[8]);
   const std::size_t rank = get_u32(data + 9);
-  KGWAS_CHECK_ARG(static_cast<unsigned>(precision) < kNumPrecisions,
-                  "TLR frame carries an unknown precision tag");
-  const std::size_t u_bytes = rows * rank * bytes_per_element(precision);
-  const std::size_t v_bytes = cols * rank * bytes_per_element(precision);
-  KGWAS_CHECK_ARG(size == kTlrHeaderBytes + u_bytes + v_bytes,
+  const std::size_t u_bytes = checked_payload(rows, rank, precision);
+  const std::size_t v_bytes = checked_payload(cols, rank, precision);
+  KGWAS_CHECK_ARG(u_bytes <= size - kTlrHeaderBytes &&
+                      size - kTlrHeaderBytes - u_bytes == v_bytes,
                   "TLR frame payload size mismatch");
   out.from_wire(rows, cols, rank, precision, data + kTlrHeaderBytes,
                 data + kTlrHeaderBytes + u_bytes);
 }
 
+std::vector<std::byte> dense_slot_frame(const Tile& tile) {
+  std::vector<std::byte> frame(1 + kHeaderBytes + tile.storage_bytes());
+  frame[0] = kSlotDense;
+  write_tile_frame(frame.data() + 1, tile);
+  return frame;
+}
+
 }  // namespace
 
-std::size_t tile_frame_bytes(const Tile& tile) {
-  return kHeaderBytes + tile.storage_bytes();
-}
-
-std::vector<std::byte> encode_tile(const Tile& tile) {
-  std::vector<std::byte> frame(tile_frame_bytes(tile));
-  put_u32(frame.data(), static_cast<std::uint32_t>(tile.rows()));
-  put_u32(frame.data() + 4, static_cast<std::uint32_t>(tile.cols()));
-  frame[8] = static_cast<std::byte>(tile.precision());
-  std::memcpy(frame.data() + kHeaderBytes, tile.raw(), tile.storage_bytes());
-  return frame;
-}
-
-void decode_tile(const std::vector<std::byte>& frame, Tile& out) {
-  decode_tile_frame(frame.data(), frame.size(), out);
-}
-
-void send_tile(Communicator& comm, int dest, std::uint64_t tag,
-               const Tile& tile) {
-  comm.record_tile_payload(tile.precision(), tile.storage_bytes());
-  send_frame_traced(comm, dest, tag, encode_tile(tile));
-}
-
-std::size_t tlr_frame_bytes(const TlrTile& tile) {
-  return kTlrHeaderBytes + tile.storage_bytes();
-}
-
-std::vector<std::byte> encode_tlr_tile(const TlrTile& tile) {
-  KGWAS_CHECK_ARG(tile.active(), "cannot encode an inactive TLR tile");
-  std::vector<std::byte> frame(tlr_frame_bytes(tile));
-  put_u32(frame.data(), static_cast<std::uint32_t>(tile.rows()));
-  put_u32(frame.data() + 4, static_cast<std::uint32_t>(tile.cols()));
-  frame[8] = static_cast<std::byte>(tile.precision());
-  put_u32(frame.data() + 9, static_cast<std::uint32_t>(tile.rank()));
-  std::memcpy(frame.data() + kTlrHeaderBytes, tile.u().raw(),
-              tile.u().storage_bytes());
-  std::memcpy(frame.data() + kTlrHeaderBytes + tile.u().storage_bytes(),
-              tile.v().raw(), tile.v().storage_bytes());
-  return frame;
-}
-
-void decode_tlr_tile(const std::vector<std::byte>& frame, TlrTile& out) {
-  decode_tlr_frame(frame.data(), frame.size(), out);
-}
-
-void send_tlr_tile(Communicator& comm, int dest, std::uint64_t tag,
-                   const TlrTile& tile) {
-  comm.record_tile_payload(tile.precision(), tile.storage_bytes());
-  send_frame_traced(comm, dest, tag, encode_tlr_tile(tile));
-}
-
 std::size_t slot_frame_bytes(const TileSlot& slot) {
-  return 1 + (slot.is_low_rank() ? tlr_frame_bytes(slot.low_rank())
-                                 : tile_frame_bytes(slot.dense()));
+  return 1 + (slot.is_low_rank() ? kTlrHeaderBytes : kHeaderBytes) +
+         slot.storage_bytes();
 }
 
 std::vector<std::byte> encode_slot(const TileSlot& slot) {
-  const std::vector<std::byte> inner = slot.is_low_rank()
-                                           ? encode_tlr_tile(slot.low_rank())
-                                           : encode_tile(slot.dense());
-  std::vector<std::byte> frame(inner.size() + 1);
-  frame[0] = slot.is_low_rank() ? kSlotTlr : kSlotDense;
-  std::memcpy(frame.data() + 1, inner.data(), inner.size());
+  if (!slot.is_low_rank()) return dense_slot_frame(slot.dense());
+  std::vector<std::byte> frame(slot_frame_bytes(slot));
+  frame[0] = kSlotTlr;
+  write_tlr_frame(frame.data() + 1, slot.low_rank());
   return frame;
 }
 
@@ -193,19 +183,12 @@ void send_slot(Communicator& comm, int dest, std::uint64_t tag,
 void send_dense_slot(Communicator& comm, int dest, std::uint64_t tag,
                      const Tile& tile) {
   comm.record_tile_payload(tile.precision(), tile.storage_bytes());
-  const std::vector<std::byte> inner = encode_tile(tile);
-  std::vector<std::byte> frame(inner.size() + 1);
-  frame[0] = kSlotDense;
-  std::memcpy(frame.data() + 1, inner.data(), inner.size());
-  send_frame_traced(comm, dest, tag, std::move(frame));
+  send_frame_traced(comm, dest, tag, dense_slot_frame(tile));
 }
 
 Precision slot_frame_precision(const std::vector<std::byte>& frame) {
   KGWAS_CHECK_ARG(frame.size() >= 1 + kHeaderBytes, "slot frame too short");
-  const auto precision = static_cast<Precision>(frame[9]);
-  KGWAS_CHECK_ARG(static_cast<unsigned>(precision) < kNumPrecisions,
-                  "slot frame carries an unknown precision tag");
-  return precision;
+  return header_precision(frame[9]);
 }
 
 std::size_t slot_frame_payload_bytes(const std::vector<std::byte>& frame) {

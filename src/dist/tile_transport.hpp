@@ -1,15 +1,25 @@
 // Precision-compressed tile transport: the wire format of the distributed
 // execution layer.
 //
-// A tile ships as a small fixed header (rows, cols, storage precision)
-// followed by its raw storage payload — fp8/fp16/bf16/fp32 bytes exactly
-// as the tile holds them.  Lowering a tile's storage precision therefore
-// shrinks the *real* bytes on the wire, not just the modelled bytes of
-// the DAG simulator: an fp16 off-diagonal panel tile costs half the
-// frames of its fp32 twin, which is the paper's data-motion argument made
-// measurable.  Decode adopts the payload bit-for-bit (Tile::from_wire),
-// so a received tile is indistinguishable from the sender's copy and
-// rank-count invariance stays bitwise.
+// Every tile ships as a slot frame: a one-byte representation kind
+// (0 = dense, 1 = TLR) followed by the representation's frame.
+//  * dense: u32 rows | u32 cols | u8 precision, then the raw storage
+//    payload — fp8/fp16/bf16/fp32 bytes exactly as the tile holds them.
+//    Lowering a tile's storage precision therefore shrinks the *real*
+//    bytes on the wire, not just the modelled bytes of the DAG simulator:
+//    an fp16 off-diagonal panel tile costs half the bytes of its fp32
+//    twin, which is the paper's data-motion argument made measurable.
+//  * TLR: u32 rows | u32 cols | u8 precision | u32 rank, then the raw
+//    storage bytes of U (rows x rank) and V (cols x rank) — a rank-r
+//    frame costs r * (rows + cols) elements instead of rows * cols, the
+//    TLR communication-volume argument.
+// Decode adopts the payloads bit-for-bit (Tile::from_wire /
+// TlrTile::from_wire), so a received tile is indistinguishable from the
+// sender's copy and rank-count invariance stays bitwise; the progress
+// loop adopts whatever representation the owner held without per-phase
+// knowledge of which tiles are compressed.  Header fields are untrusted:
+// a frame whose declared payload overflows, or disagrees with its byte
+// count, is rejected with InvalidArgument.
 //
 // Tags: make_tile_tag packs (phase, ti, tj) into the application tag
 // space.  Every protocol in this library sends one frame per
@@ -22,7 +32,6 @@
 #include "dist/communicator.hpp"
 #include "tile/tile.hpp"
 #include "tile/tile_slot.hpp"
-#include "tile/tlr_tile.hpp"
 
 namespace kgwas::dist {
 
@@ -63,60 +72,6 @@ constexpr std::uint64_t checkpoint_tag(Phase phase, long cut, std::size_t ti,
          (static_cast<std::uint64_t>(tj) & 0xFFFFF);
 }
 
-/// Serialized frame size of a tile (header + storage payload).
-std::size_t tile_frame_bytes(const Tile& tile);
-
-/// Serializes `tile` into a self-describing frame.
-std::vector<std::byte> encode_tile(const Tile& tile);
-
-/// Deserializes a frame produced by encode_tile into `out` (reshaping and
-/// re-precisioning it as needed).  Throws InvalidArgument on a malformed
-/// frame.
-void decode_tile(const std::vector<std::byte>& frame, Tile& out);
-
-/// Sends `tile` to `dest` and records its payload bytes in the
-/// communicator's per-precision wire ledger.
-void send_tile(Communicator& comm, int dest, std::uint64_t tag,
-               const Tile& tile);
-
-// --- TLR frames ----------------------------------------------------------
-//
-// A compressed tile ships as a separate frame type: u32 rows | u32 cols |
-// u8 precision | u32 rank, followed by the raw storage bytes of U
-// (rows x rank) then V (cols x rank).  The factor payloads adopt
-// bit-for-bit on receive (TlrTile::from_wire), so TLR transport keeps the
-// same bitwise reproducibility contract as dense transport — and a rank-r
-// frame costs r * (rows + cols) elements on the wire instead of
-// rows * cols, which is the TLR communication-volume argument.  The dense
-// frame format above is untouched: runs without compressed tiles put
-// exactly the same bytes on the wire as before.
-
-/// Serialized frame size of a TLR tile (header + both factor payloads).
-std::size_t tlr_frame_bytes(const TlrTile& tile);
-
-/// Serializes a TLR tile into a self-describing frame.
-std::vector<std::byte> encode_tlr_tile(const TlrTile& tile);
-
-/// Deserializes a frame produced by encode_tlr_tile.  Throws
-/// InvalidArgument on a malformed frame.
-void decode_tlr_tile(const std::vector<std::byte>& frame, TlrTile& out);
-
-/// Sends a TLR tile to `dest`, recording its factor payload bytes in the
-/// communicator's per-precision wire ledger.
-void send_tlr_tile(Communicator& comm, int dest, std::uint64_t tag,
-                   const TlrTile& tile);
-
-// --- Slot frames ---------------------------------------------------------
-//
-// A TileSlot ships as a one-byte representation kind (0 = dense, 1 = TLR)
-// followed by the matching frame above, so one wire protocol carries both
-// representations: the progress loop adopts whatever representation the
-// owner held, bit for bit, without per-phase knowledge of which tiles are
-// compressed.  All drained traffic (factor panels, solve operands,
-// checkpoint replicas) uses slot frames; the per-precision payload ledger
-// records storage_bytes() exactly as the dense/TLR sends do, so wire
-// accounting is representation-transparent.
-
 /// Serialized frame size of a slot (kind byte + inner frame).
 std::size_t slot_frame_bytes(const TileSlot& slot);
 
@@ -128,15 +83,15 @@ std::vector<std::byte> encode_slot(const TileSlot& slot);
 /// frame.
 void decode_slot(const std::vector<std::byte>& frame, TileSlot& out);
 
-/// Sends a slot to `dest`, recording its payload bytes in the
-/// communicator's per-precision wire ledger (and the tlr.wire.* counters
-/// when the slot ships in factored form).
+/// Sends a slot to `dest`, recording its payload bytes (storage_bytes(),
+/// headers excluded) in the communicator's per-precision wire ledger, and
+/// in the tlr.wire.* counters when the slot ships in factored form.
 void send_slot(Communicator& comm, int dest, std::uint64_t tag,
                const TileSlot& slot);
 
 /// Sends a dense tile wrapped in a slot frame, without constructing a
 /// TileSlot: the wrapper for replicated dense operands (RHS row blocks,
-/// predict tiles) whose receivers drain slot frames.
+/// predict tiles, allgathered row blocks).
 void send_dense_slot(Communicator& comm, int dest, std::uint64_t tag,
                      const Tile& tile);
 

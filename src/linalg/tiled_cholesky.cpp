@@ -1,18 +1,15 @@
 #include "linalg/tiled_cholesky.hpp"
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "common/status.hpp"
+#include "linalg/cholesky_dag.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/precision_policy.hpp"
-#include "linalg/tile_kernels.hpp"
 #include "linalg/tlr_kernels.hpp"
-#include "mpblas/batch.hpp"
-#include "mpblas/mixed.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace kgwas {
@@ -43,184 +40,59 @@ class TileHandles {
   std::vector<DataHandle> handles_;
 };
 
-// Shorthands over the shared potrf_task_priority helper (header), which
-// encodes (panels-remaining << 2) | kind so the orderings nest without
-// collisions.
-constexpr PotrfKernel kGemmPrio = PotrfKernel::kGemm;
-constexpr PotrfKernel kSyrkPrio = PotrfKernel::kSyrk;
-constexpr PotrfKernel kTrsmPrio = PotrfKernel::kTrsm;
-constexpr PotrfKernel kPotrfPrio = PotrfKernel::kPotrf;
+/// Shared-memory factorization policy (see linalg/cholesky_dag.hpp): one
+/// executor owns every tile, so panel tiles need no transport.
+class LocalPotrf {
+ public:
+  LocalPotrf(Runtime& runtime, SymmetricTileMatrix& a)
+      : a_(a), handles_(runtime, a.tile_count()) {}
 
-inline int panel_priority(int base, std::size_t nt, std::size_t k,
-                          PotrfKernel kind) {
-  return potrf_task_priority(base, nt, k, kind);
-}
-
-/// One factorization attempt: the plain right-looking submission loop.
-/// Throws NumericalError out of runtime.wait() when a pivot fails (the
-/// runtime cancels the rest of the DAG first).
-void tiled_potrf_attempt(Runtime& runtime, SymmetricTileMatrix& a,
-                         const TiledPotrfOptions& options) {
-  const std::size_t nt = a.tile_count();
-  if (nt == 0) return;
-  const int base_priority = options.base_priority;
-  TileHandles h(runtime, nt);
-  runtime.account_data_motion(tiled_potrf_data_motion_bytes(a));
-
-  // TLR mode: kernels dispatch per slot at execution time (a tile's
-  // representation can change mid-factorization when an update densifies
-  // it).  Trailing updates still coalesce, keyed by rank bucket.  The
-  // keys come from a snapshot of every slot's representation taken here,
-  // before any task runs: workers mutate slots concurrently with the
-  // submission loop, so submit-time slot reads would race.  A slot whose
-  // representation drifts after the snapshot only lands in a stale group
-  // — each task body re-dispatches on the live slot, so grouping is a
-  // throughput hint, never a correctness input.
-  const bool tlr = a.has_low_rank();
-  const bool batch = options.batch_trailing_update;
-  struct SlotKeyInfo {
-    std::uint64_t bucket;
-    Precision prec;
-  };
-  std::vector<SlotKeyInfo> key_snap;
-  if (tlr && batch) {
-    key_snap.resize(nt * (nt + 1) / 2);
-    for (std::size_t tj = 0; tj < nt; ++tj) {
-      for (std::size_t ti = tj; ti < nt; ++ti) {
-        const TileSlot& s = a.slot(ti, tj);
-        key_snap[tj * nt - tj * (tj - 1) / 2 + (ti - tj)] = SlotKeyInfo{
-            s.is_low_rank()
-                ? mpblas::batch::tlr_rank_bucket(s.low_rank().rank())
-                : mpblas::batch::kTlrDenseBucket,
-            s.precision()};
-      }
-    }
+  SymmetricTileMatrix& matrix() { return a_; }
+  bool owns(std::size_t, std::size_t) const { return true; }
+  DataHandle handle(std::size_t ti, std::size_t tj) const {
+    return handles_(ti, tj);
   }
-  auto snap = [&key_snap, nt](std::size_t ti, std::size_t tj) {
-    return key_snap[tj * nt - tj * (tj - 1) / 2 + (ti - tj)];
-  };
-
-  const std::size_t ts = a.tile_size();
-  for (std::size_t k = 0; k < nt; ++k) {
-    runtime.submit(TaskDesc{"potrf",
-                            {{h(k, k), Access::kReadWrite}},
-                            panel_priority(base_priority, nt, k, kPotrfPrio),
-                            potrf_op_count(a.tile_dim(k))},
-                   [&a, k, ts] { tile_potrf(a.tile(k, k), k * ts); });
-    for (std::size_t i = k + 1; i < nt; ++i) {
-      TaskDesc trsm_desc{"trsm",
-                         {{h(k, k), Access::kRead},
-                          {h(i, k), Access::kReadWrite}},
-                         panel_priority(base_priority, nt, k, kTrsmPrio),
-                         trsm_op_count(a.tile_dim(k), a.tile_dim(i))};
-      if (tlr) {
-        runtime.submit(std::move(trsm_desc), [&a, i, k] { tlr_trsm(a, i, k); });
-      } else {
-        runtime.submit(std::move(trsm_desc),
-                       [&a, i, k] { tile_trsm(a.tile(k, k), a.tile(i, k)); });
-      }
-    }
-    for (std::size_t j = k + 1; j < nt; ++j) {
-      // tile_syrk runs a full-tile GEMM update, so account GEMM flops.
-      TaskDesc syrk_desc{"syrk",
-                         {{h(j, k), Access::kRead},
-                          {h(j, j), Access::kReadWrite}},
-                         panel_priority(base_priority, nt, k, kSyrkPrio),
-                         gemm_op_count(a.tile_dim(j), a.tile_dim(j),
-                                       a.tile_dim(k))};
-      if (tlr && batch) {
-        runtime.submit_batchable(
-            std::move(syrk_desc),
-            BatchKey{mpblas::batch::make_tlr_key(
-                mpblas::batch::BatchOp::kTlrSyrk, a.tile_dim(j), a.tile_dim(j),
-                snap(j, k).bucket, snap(j, k).bucket, snap(j, j).prec)},
-            [&a, j, k] { tlr_syrk(a, j, k); });
-      } else if (tlr) {
-        runtime.submit(std::move(syrk_desc),
-                       [&a, j, k] { tlr_syrk(a, j, k); });
-      } else if (batch) {
-        runtime.submit_batchable(
-            std::move(syrk_desc),
-            BatchKey{mpblas::batch::syrk_key(a.tile(j, k), a.tile(j, j))},
-            [&a, j, k] { tile_syrk(a.tile(j, k), a.tile(j, j)); });
-      } else {
-        runtime.submit(std::move(syrk_desc),
-                       [&a, j, k] { tile_syrk(a.tile(j, k), a.tile(j, j)); });
-      }
-      for (std::size_t i = j + 1; i < nt; ++i) {
-        TaskDesc gemm_desc{"gemm",
-                           {{h(i, k), Access::kRead},
-                            {h(j, k), Access::kRead},
-                            {h(i, j), Access::kReadWrite}},
-                           panel_priority(base_priority, nt, k, kGemmPrio),
-                           gemm_op_count(a.tile_dim(i), a.tile_dim(j),
-                                         a.tile_dim(k))};
-        if (tlr && batch) {
-          runtime.submit_batchable(
-              std::move(gemm_desc),
-              BatchKey{mpblas::batch::make_tlr_key(
-                  mpblas::batch::BatchOp::kTlrGemm, a.tile_dim(i),
-                  a.tile_dim(j), snap(i, k).bucket, snap(j, k).bucket,
-                  snap(i, j).prec)},
-              [&a, i, j, k] { tlr_gemm(a, i, j, k); });
-        } else if (tlr) {
-          runtime.submit(std::move(gemm_desc),
-                         [&a, i, j, k] { tlr_gemm(a, i, j, k); });
-        } else if (batch) {
-          runtime.submit_batchable(
-              std::move(gemm_desc),
-              BatchKey{mpblas::batch::gemm_key(a.tile(i, k), a.tile(j, k),
-                                               a.tile(i, j))},
-              [&a, i, j, k] {
-                tile_gemm(a.tile(i, k), a.tile(j, k), a.tile(i, j));
-              });
-        } else {
-          runtime.submit(std::move(gemm_desc), [&a, i, j, k] {
-            tile_gemm(a.tile(i, k), a.tile(j, k), a.tile(i, j));
-          });
-        }
-      }
-    }
+  void panel_done(std::size_t, std::size_t) {}
+  bool low_rank() const { return a_.has_low_rank(); }
+  SlotKeyInfo key_info(std::size_t ti, std::size_t tj) const {
+    return slot_key_info(a_.slot(ti, tj));
   }
-  runtime.wait();
-}
-
-/// Per-lower-slot representation plan captured at factorization entry:
-/// the restore target of every retry, immune to mid-attempt
-/// densifications (a slot the plan holds low-rank is re-compressed on
-/// rollback even if the failed attempt densified it).
-std::vector<bool> capture_lr_plan(const SymmetricTileMatrix& a) {
-  const std::size_t nt = a.tile_count();
-  std::vector<bool> plan(nt * (nt + 1) / 2, false);
-  std::size_t idx = 0;
-  for (std::size_t tj = 0; tj < nt; ++tj) {
-    for (std::size_t ti = tj; ti < nt; ++ti, ++idx) {
-      plan[idx] = a.slot(ti, tj).is_low_rank();
-    }
+  static const TileSlot& operand(const SymmetricTileMatrix& a, std::size_t ti,
+                                 std::size_t tj) {
+    return a.slot(ti, tj);
   }
-  return plan;
-}
 
-/// Restores every slot from the pre-factorization rollback source,
-/// re-encoded at the (possibly escalated) precisions of `map`.  When the
-/// source holds pre-demotion values, a promoted tile is a genuinely
-/// higher-fidelity quantization of the original matrix; when it is the
-/// storage-precision snapshot fallback, promotion only stops the
-/// factorization from re-quantizing intermediate writes.  Slots the plan
-/// holds low-rank restore in factored form (restore_slot).
-void restore_from_source(SymmetricTileMatrix& a,
-                         const SymmetricTileMatrix& source,
-                         const PrecisionMap& map,
-                         const std::vector<bool>& plan) {
-  const std::size_t nt = a.tile_count();
-  std::size_t idx = 0;
-  for (std::size_t tj = 0; tj < nt; ++tj) {
-    for (std::size_t ti = tj; ti < nt; ++ti, ++idx) {
-      restore_slot(a.slot(ti, tj), source.slot(ti, tj), map.get(ti, tj),
-                   plan[idx], a.tlr_tol(), a.tlr_max_rank_fraction());
-    }
+ private:
+  SymmetricTileMatrix& a_;
+  TileHandles handles_;
+};
+
+/// Shared-memory solve policy: every RHS row block is local.
+class LocalSolve {
+ public:
+  LocalSolve(Runtime& runtime, const SymmetricTileMatrix& l, Matrix<float>& b)
+      : l_(l), b_(b), handles_(l.tile_count()) {
+    for (DataHandle& h : handles_) h = runtime.register_data();
   }
-}
+
+  const SymmetricTileMatrix& matrix() const { return l_; }
+  Matrix<float>& rhs() { return b_; }
+  bool owns_rhs(std::size_t) const { return true; }
+  DataHandle rhs_handle(std::size_t t, bool) const { return handles_[t]; }
+  void rhs_done(std::size_t, bool, int) {}
+  void factor_deps(std::size_t, std::size_t, std::vector<Dep>&) {}
+  static void gemm_rhs(const SymmetricTileMatrix& l, Matrix<float>& b,
+                       std::size_t i, std::size_t k, bool backward) {
+    const std::size_t ts = l.tile_size();
+    tlr_gemm_rhs(backward ? l.slot(k, i) : l.slot(i, k), backward,
+                 &b(k * ts, 0), b.ld(), &b(i * ts, 0), b.ld(), b.cols());
+  }
+
+ private:
+  const SymmetricTileMatrix& l_;
+  Matrix<float>& b_;
+  std::vector<DataHandle> handles_;
+};
 
 }  // namespace
 
@@ -269,79 +141,84 @@ void restore_slot(TileSlot& dst, const TileSlot& source, Precision target,
   dst.set_dense(std::move(t));
 }
 
+void escalate_or_throw(Runtime& runtime, FactorizationReport& report,
+                       PrecisionMap* map, int max_escalations,
+                       long failing_index, std::size_t tile_size,
+                       std::size_t tile_count) {
+  const std::size_t t =
+      potrf_breakdown_tile(failing_index, tile_size, tile_count);
+  const std::size_t promoted =
+      map != nullptr && report.escalations() < max_escalations
+          ? escalate_step(*map, t, map->get(0, 0))
+          : 0;
+  if (promoted != 0) {
+    report.events.push_back(EscalationRecord{t, failing_index, promoted});
+    report.tiles_promoted += promoted;
+    return;
+  }
+  // Failed factorizations count too: RecoveryStats tracks breakdown
+  // frequency.
+  runtime.profiler().record_recovery(report.attempts, report.events.size(),
+                                     report.tiles_promoted);
+  throw NumericalError(
+      "tiled Cholesky: leading minor of order " +
+          std::to_string(failing_index) +
+          " is not positive definite (consider a larger regularization "
+          "alpha or higher tile precision)",
+      failing_index);
+}
+
 void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
                  const TiledPotrfOptions& options) {
   FactorizationReport scratch;
   FactorizationReport& report = options.report ? *options.report : scratch;
   report = FactorizationReport{};
-
-  if (options.on_breakdown == BreakdownAction::kThrow ||
-      a.tile_count() == 0) {
-    report.attempts = 1;
-    try {
-      tiled_potrf_attempt(runtime, a, options);
-    } catch (...) {
-      // Failed factorizations count too: RecoveryStats exists to track
-      // breakdown frequency, matching the dist path's accounting.
-      runtime.profiler().record_recovery(1, 0, 0);
-      throw;
-    }
-    report.final_map = current_precision_map(a);
-    runtime.profiler().record_recovery(1, 0, 0);
-    return;
-  }
+  const std::size_t nt = a.tile_count();
+  PrecisionMap current = current_precision_map(a);
 
   // Escalation mode: roll back from the caller's pre-demotion source when
   // provided, else retain one precision-compressed copy of the matrix
   // (tile payloads copy at their storage precision, pool-backed).
+  const bool escalate = options.on_breakdown == BreakdownAction::kEscalate;
+  const auto owns_all = [](std::size_t, std::size_t) { return true; };
   std::optional<SymmetricTileMatrix> snapshot;
   const SymmetricTileMatrix* rollback = options.source;
-  if (rollback != nullptr) {
-    KGWAS_CHECK_ARG(rollback->n() == a.n() &&
-                        rollback->tile_size() == a.tile_size(),
-                    "escalation source geometry mismatch");
-  } else {
-    snapshot.emplace(a);
-    rollback = &*snapshot;
+  std::vector<bool> plan;
+  if (escalate) {
+    if (rollback != nullptr) {
+      KGWAS_CHECK_ARG(rollback->n() == a.n() &&
+                          rollback->tile_size() == a.tile_size(),
+                      "escalation source geometry mismatch");
+    } else {
+      rollback = &snapshot.emplace(a);
+    }
+    plan = capture_lr_plan(a, owns_all);
   }
-  PrecisionMap current = current_precision_map(a);
-  const std::vector<bool> plan = capture_lr_plan(a);
-  // The ladder caps at the working precision the diagonal carries (the
-  // precision policies always keep pivot tiles at working precision).
-  const Precision working = current.get(0, 0);
 
-  for (int attempt = 0;; ++attempt) {
+  for (;;) {
+    report.attempts = report.escalations() + 1;
     try {
-      tiled_potrf_attempt(runtime, a, options);
-      report.attempts = attempt + 1;
-      report.recovered = attempt > 0;
-      report.final_map = current;
-      runtime.profiler().record_recovery(report.attempts,
-                                         report.events.size(),
-                                         report.tiles_promoted);
-      return;
-    } catch (const NumericalError& e) {
-      report.attempts = attempt + 1;
-      const std::size_t t =
-          potrf_breakdown_tile(e.index(), a.tile_size(), a.tile_count());
-      const std::size_t promoted =
-          attempt < options.max_escalations
-              ? escalate_step(current, t, working)
-              : 0;
-      if (promoted == 0) {
-        // Retries exhausted, or the failing band is already at working
-        // precision — escalation cannot help; the matrix is genuinely
-        // not positive definite at the caller's working precision.
-        runtime.profiler().record_recovery(report.attempts,
-                                           report.events.size(),
-                                           report.tiles_promoted);
-        throw;
+      if (nt != 0) {
+        LocalPotrf x(runtime, a);
+        runtime.account_data_motion(tiled_potrf_data_motion_bytes(a));
+        submit_potrf_steps(runtime, x, 0, nt, options.base_priority,
+                           options.batch_trailing_update);
+        // Throws the NumericalError of a failed pivot (the runtime
+        // cancels the rest of the DAG first).
+        runtime.wait();
       }
-      report.events.push_back(EscalationRecord{t, e.index(), promoted});
-      report.tiles_promoted += promoted;
-      restore_from_source(a, *rollback, current, plan);
+      break;
+    } catch (const NumericalError& e) {
+      escalate_or_throw(runtime, report, escalate ? &current : nullptr,
+                        options.max_escalations, e.index(), a.tile_size(),
+                        nt);
+      restore_from_source(a, *rollback, current, plan, owns_all);
     }
   }
+  report.recovered = report.escalations() > 0;
+  report.final_map = std::move(current);
+  runtime.profiler().record_recovery(report.attempts, report.events.size(),
+                                     report.tiles_promoted);
 }
 
 void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a, int base_priority) {
@@ -350,70 +227,10 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a, int base_priority) {
 
 void tiled_potrs(Runtime& runtime, const SymmetricTileMatrix& l,
                  Matrix<float>& b, int base_priority) {
-  const std::size_t nt = l.tile_count();
   KGWAS_CHECK_ARG(b.rows() == l.n(), "solve RHS row count mismatch");
-  if (nt == 0 || b.cols() == 0) return;
-  const std::size_t ts = l.tile_size();
-  const std::size_t nrhs = b.cols();
-
-  // One handle per RHS row block.
-  std::vector<DataHandle> xh(nt);
-  for (std::size_t t = 0; t < nt; ++t) xh[t] = runtime.register_data();
-  auto block = [&](std::size_t t) { return b.data() + t * ts; };
-  const std::size_t ldb = b.ld();
-
-  // The diagonal TRSM at step k unblocks the whole remaining sweep, so it
-  // outranks that step's update GEMMs; earlier steps outrank later ones
-  // (forward sweep) and vice versa for the backward sweep.
-  // Forward sweep: L * Y = B.
-  for (std::size_t k = 0; k < nt; ++k) {
-    runtime.submit(TaskDesc{"trsm_fwd",
-                            {{xh[k], Access::kReadWrite}},
-                            base_priority +
-                                (static_cast<int>(nt - k) << 1) + 1,
-                            trsm_op_count(l.tile(k, k).rows(), nrhs)},
-                   [&l, &block, k, ldb, nrhs] {
-                     tile_trsm_rhs(l.tile(k, k), /*transpose=*/false, block(k),
-                                   ldb, nrhs);
-                   });
-    for (std::size_t i = k + 1; i < nt; ++i) {
-      runtime.submit(TaskDesc{"gemm_fwd",
-                              {{xh[k], Access::kRead},
-                               {xh[i], Access::kReadWrite}},
-                              base_priority +
-                                  (static_cast<int>(nt - k) << 1),
-                              gemm_op_count(l.tile_dim(i), nrhs,
-                                            l.tile_dim(k))},
-                     [&l, &block, i, k, ldb, nrhs] {
-                       tlr_gemm_rhs(l, i, k, /*transpose=*/false, block(k),
-                                    ldb, block(i), ldb, nrhs);
-                     });
-    }
-  }
-  // Backward sweep: L^T * X = Y.
-  for (std::size_t k = nt; k-- > 0;) {
-    runtime.submit(TaskDesc{"trsm_bwd",
-                            {{xh[k], Access::kReadWrite}},
-                            base_priority + (static_cast<int>(k + 1) << 1) + 1,
-                            trsm_op_count(l.tile(k, k).rows(), nrhs)},
-                   [&l, &block, k, ldb, nrhs] {
-                     tile_trsm_rhs(l.tile(k, k), /*transpose=*/true, block(k),
-                                   ldb, nrhs);
-                   });
-    for (std::size_t i = k; i-- > 0;) {
-      // X_i -= L(k,i)^T X_k  (lower storage: tile (k, i) with k > i).
-      runtime.submit(TaskDesc{"gemm_bwd",
-                              {{xh[k], Access::kRead},
-                               {xh[i], Access::kReadWrite}},
-                              base_priority + (static_cast<int>(k + 1) << 1),
-                              gemm_op_count(l.tile_dim(i), nrhs,
-                                            l.tile_dim(k))},
-                     [&l, &block, i, k, ldb, nrhs] {
-                       tlr_gemm_rhs(l, k, i, /*transpose=*/true, block(k),
-                                    ldb, block(i), ldb, nrhs);
-                     });
-    }
-  }
+  if (l.tile_count() == 0 || b.cols() == 0) return;
+  LocalSolve x(runtime, l, b);
+  submit_potrs_sweeps(runtime, x, base_priority);
   runtime.wait();
 }
 

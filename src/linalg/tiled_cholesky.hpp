@@ -3,7 +3,10 @@
 //
 // The factorization is the classical right-looking tiled algorithm
 // (POTRF / TRSM / SYRK / GEMM per tile), submitted as dataflow tasks whose
-// dependencies the runtime infers from tile access modes.  Each tile keeps
+// dependencies the runtime infers from tile access modes.  The submission
+// loops live in linalg/cholesky_dag.hpp, shared with the distributed
+// driver (dist/dist_cholesky.hpp); this file holds the shared-memory
+// policy and the breakdown-recovery loop around it.  Each tile keeps
 // its assigned storage precision throughout: writing a low-precision tile
 // re-quantizes it, which is exactly how the four-precision GPU solver
 // behaves when a tile lives in FP16/FP8 device memory.
@@ -21,8 +24,8 @@
 // back-to-back under one decode scope.  Escalation recovery works on
 // compressed matrices too: the rollback re-truncates each planned-low-
 // rank slot from the rollback source at the escalated precision
-// (restore_slot below).  With no compressed tiles the dense pipeline
-// runs bit for bit.
+// (restore_slot in linalg/cholesky_dag.hpp).  With no compressed tiles
+// the dense pipeline runs bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -33,19 +36,6 @@
 #include "tile/tile_matrix.hpp"
 
 namespace kgwas {
-
-/// Kernel kinds of the right-looking factorization, ordered by
-/// within-panel priority (POTRF > TRSM > SYRK > GEMM).
-enum class PotrfKernel : int { kGemm = 0, kSyrk = 1, kTrsm = 2, kPotrf = 3 };
-
-/// DPLASMA-style critical-path priority of a step-k kernel: panel k
-/// outranks panel k+1 and, within a panel, POTRF > TRSM > SYRK > GEMM.
-/// Shared by the shared-memory and distributed factorizations so both
-/// schedule the critical path identically.
-inline int potrf_task_priority(int base, std::size_t nt, std::size_t k,
-                               PotrfKernel kind) {
-  return base + (static_cast<int>(nt - k) << 2) + static_cast<int>(kind);
-}
 
 struct TiledPotrfOptions {
   /// Lifts every task of this factorization above concurrent work.
@@ -91,35 +81,6 @@ struct TiledPotrfOptions {
   /// final map); always filled when non-null, in both breakdown modes.
   FactorizationReport* report = nullptr;
 };
-
-/// Rollback re-encode of one tile: copy the pre-factorization source
-/// payload and convert it to the (possibly escalated) target precision.
-/// The shared-memory and distributed recovery loops both restore through
-/// this helper, so the re-encode semantics — and with them the bitwise
-/// identity of the recovered shared-memory and distributed factors —
-/// are pinned in one place.
-inline void restore_tile(Tile& dst, const Tile& source, Precision target) {
-  dst = source;
-  if (dst.precision() != target) dst.convert_to(target);
-}
-
-/// Slot-level rollback re-encode, the TLR-aware generalization of
-/// restore_tile.  `plan_low_rank` is the slot's representation in the
-/// compression plan captured at factorization entry (ownership of the
-/// decision stays with the plan, not the possibly-densified current
-/// state):
-///  * planned dense           — dense restore_tile semantics;
-///  * planned LR, LR source   — copy the factor snapshot, re-encoded at
-///                              `target` (exact when widening);
-///  * planned LR, dense source — re-truncate the pre-demotion values at
-///                              the escalated precision (compress_block at
-///                              `tol`); an inadmissible result falls back
-///                              to a dense restore, logged and counted
-///                              under `tlr.fallbacks`.
-/// Shared by the shared-memory and distributed recovery loops so the
-/// re-encode semantics stay pinned in one place.
-void restore_slot(TileSlot& dst, const TileSlot& source, Precision target,
-                  bool plan_low_rank, double tol, double max_rank_fraction);
 
 /// Diagonal tile holding the failing leading minor a NumericalError
 /// reports (`failing_index` is the error's 1-based global column).

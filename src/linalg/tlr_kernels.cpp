@@ -66,8 +66,6 @@ bool tlr_rank_admissible(std::size_t rank, std::size_t m, std::size_t n,
          max_rank_fraction * static_cast<double>(m) * static_cast<double>(n);
 }
 
-// --- Slot cores ---------------------------------------------------------
-
 void tlr_trsm(const Tile& lkk, TileSlot& b) {
   if (!b.is_low_rank()) {
     tile_trsm(lkk, b.dense());
@@ -200,28 +198,6 @@ void tlr_gemm_rhs(const TileSlot& l, bool transpose, const float* xk,
        inner.data(), inner.ld(), xk, ldxk, 0.0f, tmp.data(), tmp.ld());
   gemm(Trans::kNoTrans, Trans::kNoTrans, outer.rows(), ncols, t.rank(), -1.0f,
        outer.data(), outer.ld(), tmp.data(), tmp.ld(), 1.0f, xi, ldxi);
-}
-
-// --- Matrix wrappers ----------------------------------------------------
-
-void tlr_trsm(SymmetricTileMatrix& a, std::size_t i, std::size_t k) {
-  tlr_trsm(a.tile(k, k), a.slot(i, k));
-}
-
-void tlr_syrk(SymmetricTileMatrix& a, std::size_t j, std::size_t k) {
-  tlr_syrk(a.slot(j, k), a.tile(j, j));
-}
-
-void tlr_gemm(SymmetricTileMatrix& a, std::size_t i, std::size_t j,
-              std::size_t k) {
-  tlr_gemm(a.slot(i, k), a.slot(j, k), a.slot(i, j), a.tlr_tol(),
-           a.tlr_max_rank_fraction());
-}
-
-void tlr_gemm_rhs(const SymmetricTileMatrix& l, std::size_t ti, std::size_t tj,
-                  bool transpose, const float* xk, std::size_t ldxk, float* xi,
-                  std::size_t ldxi, std::size_t ncols) {
-  tlr_gemm_rhs(l.slot(ti, tj), transpose, xk, ldxk, xi, ldxi, ncols);
 }
 
 }  // namespace kgwas

@@ -40,7 +40,6 @@
 
 #include <cstddef>
 
-#include "tile/tile_matrix.hpp"
 #include "tile/tile_slot.hpp"
 
 namespace kgwas {
@@ -49,8 +48,6 @@ namespace kgwas {
 /// rank * (m + n) <= max_rank_fraction * m * n.
 bool tlr_rank_admissible(std::size_t rank, std::size_t m, std::size_t n,
                          double max_rank_fraction);
-
-// --- Slot cores (shared by the shared-memory and distributed paths) -----
 
 /// TRSM of slot `b` against the dense diagonal factor `lkk`.
 void tlr_trsm(const Tile& lkk, TileSlot& b);
@@ -69,23 +66,5 @@ void tlr_gemm(const TileSlot& aik, const TileSlot& ajk, TileSlot& cij,
 void tlr_gemm_rhs(const TileSlot& l, bool transpose, const float* xk,
                   std::size_t ldxk, float* xi, std::size_t ldxi,
                   std::size_t ncols);
-
-// --- Matrix wrappers (shared-memory tiled Cholesky) ---------------------
-
-/// TRSM of tile (i, k) against the dense diagonal tile (k, k).
-void tlr_trsm(SymmetricTileMatrix& a, std::size_t i, std::size_t k);
-
-/// SYRK update of diagonal tile (j, j) by tile (j, k).
-void tlr_syrk(SymmetricTileMatrix& a, std::size_t j, std::size_t k);
-
-/// GEMM update of tile (i, j) by tiles (i, k) and (j, k), accumulating at
-/// the matrix's TLR tolerance.
-void tlr_gemm(SymmetricTileMatrix& a, std::size_t i, std::size_t j,
-              std::size_t k);
-
-/// RHS GEMM update for the tiled solve: X_i <- X_i - op(L(ti, tj)) * X_k.
-void tlr_gemm_rhs(const SymmetricTileMatrix& l, std::size_t ti, std::size_t tj,
-                  bool transpose, const float* xk, std::size_t ldxk, float* xi,
-                  std::size_t ldxi, std::size_t ncols);
 
 }  // namespace kgwas

@@ -15,16 +15,6 @@ namespace {
 thread_local BatchScope* t_current_scope = nullptr;
 }  // namespace
 
-std::uint64_t gemm_key(const Tile& a, const Tile& b, const Tile& c) {
-  return make_key(BatchOp::kGemm, c.rows(), c.cols(), a.cols(), a.precision(),
-                  b.precision(), c.precision());
-}
-
-std::uint64_t syrk_key(const Tile& a, const Tile& c) {
-  return make_key(BatchOp::kSyrk, c.rows(), c.cols(), a.cols(), a.precision(),
-                  a.precision(), c.precision());
-}
-
 BatchScope::BatchScope(TilePool& pool) : pool_(pool), prev_(t_current_scope) {
   t_current_scope = this;
 }

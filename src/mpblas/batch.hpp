@@ -68,11 +68,6 @@ constexpr std::uint64_t make_key(BatchOp op, std::size_t m, std::size_t n,
          static_cast<std::uint64_t>(pc);
 }
 
-/// Key of the tiled-Cholesky trailing-update GEMM C -= A * B^T.
-std::uint64_t gemm_key(const Tile& a, const Tile& b, const Tile& c);
-/// Key of the trailing-update SYRK C -= A * A^T.
-std::uint64_t syrk_key(const Tile& a, const Tile& c);
-
 // --- TLR (rank-bucketed) keys -------------------------------------------
 //
 // A TLR trailing update's cost is governed by its operands' factor ranks,

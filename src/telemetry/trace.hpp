@@ -3,8 +3,8 @@
 //
 // Each in-process rank captures a `TraceStream`: its profiler's task
 // spans, scheduler counters, recovery counters, and the communication
-// events its transport recorded (sends from `send_tile`/`send_tlr_tile`,
-// receives from the progress loop).  `write_merged_trace` emits all
+// events its transport recorded (slot-frame sends from `send_slot` /
+// `send_dense_slot`, receives from the progress loop).  `write_merged_trace` emits all
 // streams into one file with pid = rank (one process lane per rank in the
 // viewer, one thread track per worker, plus a dedicated "comm" track),
 // and ties each tile send to its matching tagged receive with chrome

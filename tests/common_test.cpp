@@ -17,6 +17,7 @@
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "dist/dist_cholesky.hpp"
 #include "mpblas/autotune.hpp"
 #include "mpblas/kernels.hpp"
 
@@ -214,6 +215,24 @@ TEST(Env, MaxRepresentableValueParses) {
   ScopedEnv guard("KGWAS_TEST_KNOB", "18446744073709551615");  // 2^64 - 1
   EXPECT_EQ(env_size_t("KGWAS_TEST_KNOB", 7),
             std::numeric_limits<std::size_t>::max());
+}
+
+TEST(Env, CheckpointIntervalParsesStrictly) {
+  {
+    ScopedEnv guard("KGWAS_CKPT_INTERVAL", nullptr);
+    EXPECT_EQ(dist::configured_checkpoint_interval(), 4);
+  }
+  {
+    ScopedEnv guard("KGWAS_CKPT_INTERVAL", " 7 ");
+    EXPECT_EQ(dist::configured_checkpoint_interval(), 7);
+  }
+  // Malformed values and 0 warn and keep the default instead of becoming
+  // a surprising interval ("abc" used to parse as 1, "4x" as 4).
+  for (const char* bad : {"abc", "4x", "0", "-2", "+3", "1.5"}) {
+    ScopedEnv guard("KGWAS_CKPT_INTERVAL", bad);
+    EXPECT_EQ(dist::configured_checkpoint_interval(), 4) << "value: '" << bad
+                                                          << "'";
+  }
 }
 
 /// Pins the tuner off (so the tuned baseline is the documented default

@@ -347,8 +347,9 @@ struct FtOutcome {
   std::vector<int> final_ranks;
 };
 
-/// Runs dist_tiled_potrf_ft on `ranks` ranks under `plan` and gathers the
-/// recovered factor over whatever communicator/matrix survived.
+/// Runs the checkpointed dist_tiled_potrf on `ranks` ranks under `plan`
+/// and gathers the recovered factor over whatever communicator/matrix
+/// survived.
 FtOutcome ft_factor(std::size_t n, std::size_t ts, int ranks,
                     const PrecisionMap& map, const FaultPlan& plan,
                     long interval) {
@@ -362,10 +363,10 @@ FtOutcome ft_factor(std::size_t n, std::size_t ts, int ranks,
     const ProcessGrid grid(ranks);
     dist::DistSymmetricTileMatrix a(n, ts, grid, comm.rank());
     a.from_full(full);
-    dist::DistFtOptions options;
-    options.factor.precision_map = &map;
+    dist::DistPotrfOptions options;
+    options.precision_map = &map;
     options.checkpoint_interval = interval;
-    dist::DistFtResult result = dist::dist_tiled_potrf_ft(rt, comm, a, options);
+    dist::DistFtResult result = dist::dist_tiled_potrf(rt, comm, a, options);
     Communicator& active = result.active_comm(comm);
     SymmetricTileMatrix out = result.active_matrix(a).gather_full(active);
     if (active.rank() == 0) {
@@ -558,8 +559,8 @@ bool slots_bitwise_equal(const SymmetricTileMatrix& a,
   return true;
 }
 
-/// dist_tiled_potrf_ft over a compressed input, gathered on the active
-/// world's rank 0 (the TLR twin of ft_factor).
+/// Checkpointed dist_tiled_potrf over a compressed input, gathered on the
+/// active world's rank 0 (the TLR twin of ft_factor).
 FtOutcome tlr_ft_factor(const SymmetricTileMatrix& full, int ranks,
                         const PrecisionMap& map, const FaultPlan& plan,
                         long interval) {
@@ -571,10 +572,10 @@ FtOutcome tlr_ft_factor(const SymmetricTileMatrix& full, int ranks,
     const ProcessGrid grid(ranks);
     dist::DistSymmetricTileMatrix a(n, ts, grid, comm.rank());
     a.from_full(full);
-    dist::DistFtOptions options;
-    options.factor.precision_map = &map;
+    dist::DistPotrfOptions options;
+    options.precision_map = &map;
     options.checkpoint_interval = interval;
-    dist::DistFtResult result = dist::dist_tiled_potrf_ft(rt, comm, a, options);
+    dist::DistFtResult result = dist::dist_tiled_potrf(rt, comm, a, options);
     Communicator& active = result.active_comm(comm);
     SymmetricTileMatrix out = result.active_matrix(a).gather_full(active);
     if (active.rank() == 0) {

@@ -11,7 +11,10 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <map>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -151,13 +154,15 @@ TEST(TileTransport, RoundTripsEveryStoragePrecision) {
         Precision::kFp8E4M3}) {
     Tile tile(7, 5, p);
     tile.from_fp32(values);
-    Tile back;
-    dist::decode_tile(dist::encode_tile(tile), back);
+    TileSlot back;
+    dist::decode_slot(dist::encode_slot(TileSlot{Tile(tile)}), back);
+    ASSERT_FALSE(back.is_low_rank());
     EXPECT_EQ(back.rows(), 7u);
     EXPECT_EQ(back.cols(), 5u);
     EXPECT_EQ(back.precision(), p);
     ASSERT_EQ(back.storage_bytes(), tile.storage_bytes());
-    EXPECT_EQ(std::memcmp(back.raw(), tile.raw(), tile.storage_bytes()), 0);
+    EXPECT_EQ(
+        std::memcmp(back.dense().raw(), tile.raw(), tile.storage_bytes()), 0);
   }
 }
 
@@ -167,14 +172,15 @@ TEST(TileTransport, WireLedgerCountsPayloadByPrecision) {
       Tile t(8, 8, Precision::kFp16);
       Matrix<float> v(8, 8, 0.25f);
       t.from_fp32(v);
-      dist::send_tile(comm, 1, make_tile_tag(Phase::kGatherFull, 0, 0), t);
+      dist::send_dense_slot(comm, 1, make_tile_tag(Phase::kGatherFull, 0, 0),
+                            t);
       EXPECT_EQ(comm.wire_volume().tile_bytes(Precision::kFp16),
                 8u * 8u * 2u);
       EXPECT_EQ(comm.wire_volume().tile_bytes(Precision::kFp32), 0u);
     } else {
       const Message m = comm.recv(make_tile_tag(Phase::kGatherFull, 0, 0));
-      Tile t;
-      dist::decode_tile(m.payload, t);
+      TileSlot t;
+      dist::decode_slot(m.payload, t);
       EXPECT_EQ(t.precision(), Precision::kFp16);
       EXPECT_FLOAT_EQ(t.to_fp32()(3, 3), 0.25f);
     }
@@ -194,23 +200,23 @@ TEST(TileTransport, TlrFrameRoundTripsBitwise) {
   }
   for (const Precision p :
        {Precision::kFp32, Precision::kFp16, Precision::kFp8E4M3}) {
-    const TlrTile lr(u, v, p);
-    TlrTile back;
-    dist::decode_tlr_tile(dist::encode_tlr_tile(lr), back);
+    const TileSlot lr{TlrTile(u, v, p)};
+    TileSlot back;
+    dist::decode_slot(dist::encode_slot(lr), back);
+    ASSERT_TRUE(back.is_low_rank());
     EXPECT_EQ(back.rows(), 9u);
     EXPECT_EQ(back.cols(), 6u);
-    EXPECT_EQ(back.rank(), 3u);
+    EXPECT_EQ(back.low_rank().rank(), 3u);
     EXPECT_EQ(back.precision(), p);
     ASSERT_EQ(back.storage_bytes(), lr.storage_bytes());
-    EXPECT_EQ(std::memcmp(back.u().raw(), lr.u().raw(),
-                          lr.u().storage_bytes()),
+    EXPECT_EQ(std::memcmp(back.low_rank().u().raw(), lr.low_rank().u().raw(),
+                          lr.low_rank().u().storage_bytes()),
               0);
-    EXPECT_EQ(std::memcmp(back.v().raw(), lr.v().raw(),
-                          lr.v().storage_bytes()),
+    EXPECT_EQ(std::memcmp(back.low_rank().v().raw(), lr.low_rank().v().raw(),
+                          lr.low_rank().v().storage_bytes()),
               0);
     // Rank-r frame beats the dense frame whenever r * (m+n) < m * n.
-    EXPECT_LT(dist::tlr_frame_bytes(lr),
-              9u * 6u * bytes_per_element(p) + 9u);
+    EXPECT_LT(dist::slot_frame_bytes(lr), 9u * 6u * bytes_per_element(p) + 10u);
   }
 }
 
@@ -218,16 +224,17 @@ TEST(TileTransport, TlrSendRecordsFactorBytesInLedger) {
   run_ranks(2, [](Communicator& comm) {
     Matrix<float> u(8, 2, 0.5f), v(8, 2, 0.25f);
     if (comm.rank() == 0) {
-      const TlrTile lr(u, v, Precision::kFp16);
-      dist::send_tlr_tile(comm, 1, make_tile_tag(Phase::kGatherFull, 1, 0),
-                          lr);
+      const TileSlot lr{TlrTile(u, v, Precision::kFp16)};
+      dist::send_slot(comm, 1, make_tile_tag(Phase::kGatherFull, 1, 0), lr);
       // Ledger counts factor payload bytes: 2 * 8 * 2 halves per factor.
       EXPECT_EQ(comm.wire_volume().tile_bytes(Precision::kFp16),
                 2u * (8u * 2u * 2u));
     } else {
       const Message m = comm.recv(make_tile_tag(Phase::kGatherFull, 1, 0));
-      TlrTile lr;
-      dist::decode_tlr_tile(m.payload, lr);
+      TileSlot slot;
+      dist::decode_slot(m.payload, slot);
+      ASSERT_TRUE(slot.is_low_rank());
+      const TlrTile& lr = slot.low_rank();
       EXPECT_EQ(lr.rank(), 2u);
       EXPECT_FLOAT_EQ(lr.u_fp32()(3, 1), 0.5f);
       // U * V^T of the constant factors: rank * 0.5 * 0.25 everywhere.
@@ -282,6 +289,32 @@ TEST(TileTransport, SlotFrameRoundTripsBothRepresentations) {
   // And back to dense again.
   dist::decode_slot(dist::encode_slot(dense_slot), back);
   EXPECT_FALSE(back.is_low_rank());
+
+  // Regression inputs: header sizes whose payload product wraps to 0 must
+  // be rejected, not adopted as a 2^31 x 2^31 tile with no storage.
+  const auto frame = [](std::byte kind,
+                        std::initializer_list<std::uint32_t> dims,
+                        std::optional<std::uint32_t> rank) {
+    std::vector<std::byte> f{kind};
+    const auto put = [&f](std::uint32_t x) {
+      const auto* p = reinterpret_cast<const std::byte*>(&x);
+      f.insert(f.end(), p, p + sizeof(x));
+    };
+    for (const std::uint32_t d : dims) put(d);
+    f.push_back(static_cast<std::byte>(Precision::kFp32));
+    if (rank) put(*rank);
+    return f;
+  };
+  const std::uint32_t huge = 1u << 31;
+  const std::vector<std::byte> dense_wrap =
+      frame(std::byte{0}, {huge, huge}, std::nullopt);
+  ASSERT_EQ(dense_wrap.size(), 10u);
+  EXPECT_THROW(dist::decode_slot(dense_wrap, back), InvalidArgument);
+  const std::vector<std::byte> tlr_wrap =
+      frame(std::byte{1}, {huge, huge}, huge);
+  EXPECT_THROW(dist::decode_slot(tlr_wrap, back), InvalidArgument);
+  EXPECT_FALSE(back.is_low_rank());
+  EXPECT_EQ(back.rows(), 12u);  // a rejected frame leaves the slot intact
 }
 
 TEST(Runtime, ExternalEventGatesSuccessors) {
@@ -495,6 +528,46 @@ TEST(DistCholesky, WireBytesMatchSimulatorAccountingExactly) {
       modelled_total += bytes;
     }
     EXPECT_EQ(wire.total_tile_bytes(), modelled_total) << "ranks=" << ranks;
+  }
+}
+
+TEST(DistCholesky, TaskFlopsSumToSharedMemoryCounts) {
+  // Dist tasks carry the shared submission loop's FLOP counts: on a
+  // 4-rank grid every factorization kernel class reports FLOPs, and the
+  // per-class sums over ranks equal the shared-memory factorization's.
+  const std::size_t n = 192, ts = 32;
+  const PrecisionMap map =
+      band_precision_map(n / ts, 0.34, Precision::kFp16, Precision::kFp32);
+  SymmetricTileMatrix full(n, ts);
+  full.from_dense(bench_spd(n));
+  map.apply(full);
+  std::map<std::string, TaskStats> shared;
+  {
+    SymmetricTileMatrix a = full;
+    Runtime rt(2, /*enable_profiling=*/true);
+    tiled_potrf(rt, a);
+    shared = rt.profiler().stats();
+  }
+  std::mutex mutex;
+  std::map<std::string, double> dist_flops;
+  run_ranks(4, [&](Communicator& comm) {
+    Runtime rt(1, /*enable_profiling=*/true);
+    dist::DistSymmetricTileMatrix a(n, ts, ProcessGrid(4), comm.rank());
+    a.from_full(full);
+    dist::DistPotrfOptions options;
+    options.precision_map = &map;
+    dist::dist_tiled_potrf(rt, comm, a, options);
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const auto& [name, stats] : rt.profiler().stats()) {
+      dist_flops[name] += stats.flops;
+    }
+  });
+  for (const char* cls : {"potrf", "trsm", "syrk", "gemm"}) {
+    ASSERT_EQ(shared.count(cls), 1u) << cls;
+    EXPECT_GT(dist_flops[cls], 0.0) << cls;
+    EXPECT_NEAR(dist_flops[cls], shared.at(cls).flops,
+                1e-12 * shared.at(cls).flops)
+        << cls;
   }
 }
 

@@ -78,6 +78,15 @@ TEST(FloatFormat, SignedZeroPreserved) {
   EXPECT_FALSE(std::signbit(round_to_format(kFp16Format, 0.0)));
 }
 
+}  // namespace
+
+// GoogleTest prints each parameter into the test's listed name
+// ("# GetParam() = ..."). Print the format's name, not its address, so the
+// names are the same from run to run. Declared in kgwas so ADL finds it.
+static void PrintTo(const FloatFormat* fmt, std::ostream* os) { *os << fmt->name; }
+
+namespace {
+
 /// Exhaustive encode/decode round-trip over every code of a format.
 class Format8RoundTrip : public ::testing::TestWithParam<const FloatFormat*> {};
 
