@@ -18,7 +18,6 @@
 #include "linalg/tile_kernels.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "precision/convert.hpp"
-#include "mpblas/autotune.hpp"
 #include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/kernels.hpp"
@@ -54,11 +53,11 @@ void BM_GemmFp32(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmFp32)->Arg(64)->Arg(128)->Arg(256);
 
-// Packed cache-blocked engine vs the reference triple loops, swept over
-// tile size x operand storage precision.  The packed rows for fp16/fp8
-// storage pack (and decode) straight from storage bytes; the reference
-// rows first decode the full operands into FP32 scratch, which is what
-// the old mixed-precision path always did.  CI runs this as
+// Packed cache-blocked engine vs the kgwas::reference triple loops,
+// swept over tile size x operand storage precision.  The packed rows for
+// fp16/fp8 storage pack (and decode) straight from storage bytes; the
+// reference rows first decode the full operands into FP32 scratch, which
+// is what the old mixed-precision path always did.  CI runs this as
 // BENCH_gemm.json (an uploaded artifact) so the kernel-level perf
 // trajectory is tracked per commit.
 void BM_GemmPackedVsReference(benchmark::State& state) {
@@ -66,8 +65,6 @@ void BM_GemmPackedVsReference(benchmark::State& state) {
   const auto precision = static_cast<Precision>(state.range(1));
   const bool packed = state.range(2) != 0;
   namespace kernels = mpblas::kernels;
-  kernels::set_gemm_backend(packed ? kernels::GemmBackend::kPacked
-                                   : kernels::GemmBackend::kReference);
 
   const Matrix<float> af = random_matrix(ts, ts, 41);
   const Matrix<float> bf = random_matrix(ts, ts, 42);
@@ -80,9 +77,12 @@ void BM_GemmPackedVsReference(benchmark::State& state) {
   std::vector<float> a_scratch(ts * ts), b_scratch(ts * ts);
 
   for (auto _ : state) {
-    if (precision == Precision::kFp32) {
+    if (precision == Precision::kFp32 && packed) {
       gemm(Trans::kNoTrans, Trans::kTrans, ts, ts, ts, 1.0f, af.data(), ts,
            bf.data(), ts, 0.0f, c.data(), ts);
+    } else if (precision == Precision::kFp32) {
+      reference::gemm(Trans::kNoTrans, Trans::kTrans, ts, ts, ts, 1.0f,
+                      af.data(), ts, bf.data(), ts, 0.0f, c.data(), ts);
     } else if (packed) {
       // Decode-on-pack: no FP32 operand scratch.
       kernels::gemm_view(
@@ -96,12 +96,12 @@ void BM_GemmPackedVsReference(benchmark::State& state) {
                         ts * ts);
       dequantize_buffer(precision, b_storage.data(), b_scratch.data(),
                         ts * ts);
-      gemm(Trans::kNoTrans, Trans::kTrans, ts, ts, ts, 1.0f,
-           a_scratch.data(), ts, b_scratch.data(), ts, 0.0f, c.data(), ts);
+      reference::gemm(Trans::kNoTrans, Trans::kTrans, ts, ts, ts, 1.0f,
+                      a_scratch.data(), ts, b_scratch.data(), ts, 0.0f,
+                      c.data(), ts);
     }
     benchmark::DoNotOptimize(c.data());
   }
-  kernels::set_gemm_backend(std::nullopt);
   state.SetLabel(std::string(packed ? "packed/" : "reference/") +
                  to_string(precision));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -198,7 +198,9 @@ void BM_KernelBuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(np * np * 256 / 2));
 }
-BENCHMARK(BM_KernelBuild)->Arg(256)->Arg(512);
+// Real time: the build fans out over the runtime's workers, so the main
+// thread's CPU time would undercount the wall time.
+BENCHMARK(BM_KernelBuild)->Arg(256)->Arg(512)->UseRealTime();
 
 // Scheduler comparison: the full tiled POTRF DAG through the dataflow
 // runtime under the priority work-stealing scheduler vs the old global
@@ -459,8 +461,8 @@ BENCHMARK(BM_GemmBatchKernel)
 
 // Whole-operand packing, serial vs parallel: PackedA::pack fans the
 // jc/pc block grid out over the engine's pack scheduler when the
-// operand is large enough.  The serial row pins KGWAS_GEMM_PACK_THREADS
-// to 1; the parallel row uses the host default (logical cores).  On a
+// operand is large enough.  The serial row pins pack_threads() to 1; the
+// parallel row uses the host default (logical cores).  On a
 // single-core host both rows should coincide — the parallel path must
 // not regress the serial one.
 void BM_PackParallel(benchmark::State& state) {
@@ -490,14 +492,14 @@ BENCHMARK(BM_PackParallel)
     ->Args({1024, 1})
     ->ArgNames({"ts", "parallel"});
 
-// Per-variant and tuned-vs-default-blocking rows, registered at startup
-// for whatever variants this host can actually run.  The names share the
-// BM_GemmPackedVsReference prefix so the CI BENCH_gemm.json filter picks
-// them up alongside the packed-vs-reference sweep.
+// Per-variant rows, registered at startup for whatever variants this host
+// can actually run, plus one row recording the engine's blocking.  The
+// names share the BM_GemmPackedVsReference prefix so the CI
+// BENCH_gemm.json filter picks them up alongside the packed-vs-reference
+// sweep.
 void run_variant_row(benchmark::State& state, mpblas::kernels::Arch arch,
                      std::size_t ts) {
   namespace kernels = mpblas::kernels;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   kernels::set_gemm_arch(arch);
   const Matrix<float> a = random_matrix(ts, ts, 61);
   const Matrix<float> b = random_matrix(ts, ts, 62);
@@ -509,19 +511,13 @@ void run_variant_row(benchmark::State& state, mpblas::kernels::Arch arch,
     benchmark::DoNotOptimize(c.data());
   }
   kernels::set_gemm_arch(std::nullopt);
-  kernels::set_gemm_backend(std::nullopt);
   state.SetLabel(std::string("variant/") + to_string(arch));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(2 * ts * ts * ts));
 }
 
-void run_blocking_row(benchmark::State& state, bool tuned, std::size_t ts) {
+void run_blocking_row(benchmark::State& state, std::size_t ts) {
   namespace kernels = mpblas::kernels;
-  namespace autotune = mpblas::kernels::autotune;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
-  autotune::set_tune_mode(tuned ? autotune::TuneMode::kAnalytic
-                                : autotune::TuneMode::kOff);
-  kernels::set_gemm_blocking(std::nullopt);  // re-resolve under the mode
   const Matrix<float> a = random_matrix(ts, ts, 63);
   const Matrix<float> b = random_matrix(ts, ts, 64);
   Matrix<float> c(ts, ts, 0.0f);
@@ -532,10 +528,7 @@ void run_blocking_row(benchmark::State& state, bool tuned, std::size_t ts) {
     kernels::gemm_view(ts, ts, ts, 1.0f, av, bv, 0.0f, c.data(), ts);
     benchmark::DoNotOptimize(c.data());
   }
-  autotune::set_tune_mode(std::nullopt);
-  kernels::set_gemm_blocking(std::nullopt);
-  kernels::set_gemm_backend(std::nullopt);
-  state.SetLabel(tuned ? "blocking/tuned" : "blocking/default");
+  state.SetLabel("blocking/tuned");
   state.counters["mc"] = static_cast<double>(blk.mc);
   state.counters["kc"] = static_cast<double>(blk.kc);
   state.counters["nc"] = static_cast<double>(blk.nc);
@@ -556,15 +549,9 @@ int register_engine_rows() {
           });
     }
   }
-  for (const bool tuned : {false, true}) {
-    const std::string name =
-        std::string("BM_GemmPackedVsReference_blocking_") +
-        (tuned ? "tuned" : "default") + "/256";
-    benchmark::RegisterBenchmark(
-        name.c_str(), [tuned](benchmark::State& state) {
-          run_blocking_row(state, tuned, 256);
-        });
-  }
+  benchmark::RegisterBenchmark(
+      "BM_GemmPackedVsReference_blocking_tuned/256",
+      [](benchmark::State& state) { run_blocking_row(state, 256); });
   return 0;
 }
 const int g_engine_rows_registered = register_engine_rows();

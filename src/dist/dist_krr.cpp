@@ -16,6 +16,7 @@
 #include "linalg/precision_policy.hpp"
 #include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
+#include "mpblas/mixed.hpp"
 #include "tile/tile_pool.hpp"
 
 namespace kgwas::dist {
@@ -54,7 +55,11 @@ DistSymmetricTileMatrix dist_build_kernel_matrix(
           mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 0,
           out.precision(), out.precision(), out.precision())};
       runtime.submit_batchable(
-          TaskDesc{"build_k", {{h, Access::kWrite}}, priority}, key,
+          TaskDesc{"build_k",
+                   {{h, Access::kWrite}},
+                   priority,
+                   generator.tile_op_count(out.rows(), out.cols())},
+          key,
           [&generator, &k, ti, tj, ts] {
             generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
           });
@@ -201,7 +206,9 @@ DistTileMatrix dist_build_cross_kernel(
           out.precision(), out.precision(), out.precision())};
       runtime.submit_batchable(TaskDesc{"build_kx",
                                         {{h, Access::kWrite}},
-                                        static_cast<int>(k.tile_cols() - tj)},
+                                        static_cast<int>(k.tile_cols() - tj),
+                                        generator.tile_op_count(out.rows(),
+                                                                out.cols())},
                                key, [&generator, &k, ti, tj, ts] {
                                  generator.compute(ti * ts, tj * ts,
                                                    k.tile(ti, tj));
@@ -255,13 +262,15 @@ Matrix<float> dist_predict(Runtime& runtime, Communicator& comm,
       const bool local = cross_kernel.is_local(ti, tj);
       std::vector<Dep> deps{{row_handle, Access::kReadWrite}};
       if (!local) deps.push_back({cache_handles.at(tag), Access::kRead});
+      const std::size_t rows = cross_kernel.tile_height(ti);
+      const std::size_t cols = cross_kernel.tile_width(tj);
       const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kPredict, cross_kernel.tile_height(ti),
-          nrhs, cross_kernel.tile_width(tj), Precision::kFp32,
-          Precision::kFp32, Precision::kFp32)};
+          mpblas::batch::BatchOp::kPredict, rows, nrhs, cols,
+          Precision::kFp32, Precision::kFp32, Precision::kFp32)};
       runtime.submit_batchable(
           TaskDesc{"predict_gemm", std::move(deps),
-                   static_cast<int>(tile_cols - tj)},
+                   static_cast<int>(tile_cols - tj),
+                   gemm_op_count(rows, nrhs, cols)},
           key,
           [&cross_kernel, &weights, &predictions, ti, tj, tag, local, ts,
            nrhs] {

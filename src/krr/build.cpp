@@ -178,6 +178,12 @@ void KernelTileGenerator::compute(std::size_t r0, std::size_t c0,
   out.from_fp32(k);
 }
 
+double KernelTileGenerator::tile_op_count(std::size_t rows,
+                                          std::size_t cols) const {
+  return 2.0 * static_cast<double>(rows) * static_cast<double>(cols) *
+         static_cast<double>(inputs_->genotypes_rows->snps());
+}
+
 SymmetricTileMatrix build_kernel_matrix(Runtime& runtime,
                                         const GenotypeMatrix& genotypes,
                                         const Matrix<float>& confounders,
@@ -207,15 +213,11 @@ SymmetricTileMatrix build_kernel_matrix(Runtime& runtime,
       const BatchKey key{mpblas::batch::make_key(
           mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 0,
           out.precision(), out.precision(), out.precision())};
-      // Distance SYRK dominates the tile build: ~2 * rows * cols * snps
-      // ops (INT8 products accumulated in INT32, reported as FLOPs).
       runtime.submit_batchable(
           TaskDesc{"build_k",
                    {{h, Access::kWrite}},
                    priority,
-                   2.0 * static_cast<double>(out.rows()) *
-                       static_cast<double>(out.cols()) *
-                       static_cast<double>(genotypes.snps())},
+                   generator.tile_op_count(out.rows(), out.cols())},
           key,
           [&generator, &k, ti, tj, ts = config.tile_size] {
             generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
@@ -250,19 +252,14 @@ TileMatrix build_cross_kernel(Runtime& runtime,
           mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 1,
           out.precision(), out.precision(), out.precision())};
       // Earlier tile columns feed the prediction row chains first.
-      runtime.submit_batchable(TaskDesc{"build_kx",
-                                        {{h, Access::kWrite}},
-                                        static_cast<int>(k.tile_cols() - tj),
-                                        2.0 *
-                                            static_cast<double>(out.rows()) *
-                                            static_cast<double>(out.cols()) *
-                                            static_cast<double>(
-                                                train_genotypes.snps())},
-                               key,
-                               [&generator, &k, ti, tj, ts = config.tile_size] {
-                                 generator.compute(ti * ts, tj * ts,
-                                                   k.tile(ti, tj));
-                               });
+      runtime.submit_batchable(
+          TaskDesc{"build_kx",
+                   {{h, Access::kWrite}},
+                   static_cast<int>(k.tile_cols() - tj),
+                   generator.tile_op_count(out.rows(), out.cols())},
+          key, [&generator, &k, ti, tj, ts = config.tile_size] {
+            generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
+          });
     }
   }
   runtime.wait();

@@ -62,6 +62,11 @@ class KernelTileGenerator {
   /// precision.  Thread-safe (all shared state is read-only).
   void compute(std::size_t r0, std::size_t c0, Tile& out) const;
 
+  /// Ops charged to one rows x cols kernel-tile task: the dosage GEMM
+  /// dominates at 2 * rows * cols * snps (INT8 products accumulated in
+  /// INT32, reported as FLOPs).
+  double tile_op_count(std::size_t rows, std::size_t cols) const;
+
   const BuildConfig& config() const noexcept { return config_; }
 
  private:

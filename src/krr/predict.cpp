@@ -6,10 +6,8 @@
 #include "common/status.hpp"
 #include "linalg/tile_kernels.hpp"
 #include "mpblas/batch.hpp"
-#include "mpblas/blas.hpp"
 #include "mpblas/kernels.hpp"
 #include "mpblas/mixed.hpp"
-#include "tile/tile_pool.hpp"
 
 namespace kgwas {
 
@@ -46,37 +44,26 @@ Matrix<float> predict_from_cross_kernel(Runtime& runtime,
                    gemm_op_count(tile.rows(), nrhs, tile.cols())},
           key, [&cross_kernel, &weights, &predictions, ti, tj, ts, nrhs] {
             const Tile& tile = cross_kernel.tile(ti, tj);
-            if (mpblas::kernels::use_packed()) {
-              // Decode-on-pack: the engine reads tile storage directly.
-              // Bitwise identical to decoding first (the packed panels
-              // carry the same decoded values either way).  Inside a
-              // coalesced batch, links of different row chains share a
-              // weights block — the scope packs it once per group.
-              const auto wview = mpblas::kernels::fp32_view(
-                  &weights(tj * ts, 0), weights.ld(), Trans::kNoTrans);
-              const mpblas::kernels::PackedB* shared_w = nullptr;
-              if (auto* scope = mpblas::batch::BatchScope::current()) {
-                shared_w = scope->packed_view_b(wview, tile.cols(), nrhs);
-              }
-              if (shared_w != nullptr) {
-                mpblas::kernels::gemm_prepacked_b(
-                    tile.rows(), nrhs, tile.cols(), 1.0f,
-                    tile_operand_view(tile, Trans::kNoTrans), *shared_w,
-                    1.0f, &predictions(ti * ts, 0), predictions.ld());
-              } else {
-                mpblas::kernels::gemm_view(
-                    tile.rows(), nrhs, tile.cols(), 1.0f,
-                    tile_operand_view(tile, Trans::kNoTrans), wview, 1.0f,
-                    &predictions(ti * ts, 0), predictions.ld());
-              }
-              return;
+            // Decode-on-pack: the engine reads tile storage directly.
+            // Inside a coalesced batch, links of different row chains
+            // share a weights block — the scope packs it once per group.
+            const auto wview = mpblas::kernels::fp32_view(
+                &weights(tj * ts, 0), weights.ld(), Trans::kNoTrans);
+            const mpblas::kernels::PackedB* shared_w = nullptr;
+            if (auto* scope = mpblas::batch::BatchScope::current()) {
+              shared_w = scope->packed_view_b(wview, tile.cols(), nrhs);
             }
-            PooledF32 scratch;
-            const float* values = mpblas::batch::decode_read(tile, scratch);
-            gemm(Trans::kNoTrans, Trans::kNoTrans, tile.rows(), nrhs,
-                 tile.cols(), 1.0f, values, tile.rows(),
-                 &weights(tj * ts, 0), weights.ld(), 1.0f,
-                 &predictions(ti * ts, 0), predictions.ld());
+            if (shared_w != nullptr) {
+              mpblas::kernels::gemm_prepacked_b(
+                  tile.rows(), nrhs, tile.cols(), 1.0f,
+                  tile_operand_view(tile, Trans::kNoTrans), *shared_w, 1.0f,
+                  &predictions(ti * ts, 0), predictions.ld());
+            } else {
+              mpblas::kernels::gemm_view(
+                  tile.rows(), nrhs, tile.cols(), 1.0f,
+                  tile_operand_view(tile, Trans::kNoTrans), wview, 1.0f,
+                  &predictions(ti * ts, 0), predictions.ld());
+            }
           });
     }
   }

@@ -62,18 +62,11 @@ void tile_syrk(const Tile& a, Tile& c) {
   c.decode_to(cv.data());
   // Full-tile update (gemm) keeps the tile consistent for later full reads;
   // numerically identical to the triangular update on the referenced part.
-  if (kernels::use_packed()) {
-    // Decode-on-pack: both operand roles read straight from tile storage.
-    kernels::gemm_view(c.rows(), c.cols(), a.cols(), -1.0f,
-                       tile_operand_view(a, Trans::kNoTrans),
-                       tile_operand_view(a, Trans::kTrans), 1.0f, cv.data(),
-                       c.rows());
-  } else {
-    PooledF32 a_scratch;
-    const float* av = decode_read(a, a_scratch);
-    gemm(Trans::kNoTrans, Trans::kTrans, c.rows(), c.cols(), a.cols(), -1.0f,
-         av, a.rows(), av, a.rows(), 1.0f, cv.data(), c.rows());
-  }
+  // Decode-on-pack: both operand roles read straight from tile storage.
+  kernels::gemm_view(c.rows(), c.cols(), a.cols(), -1.0f,
+                     tile_operand_view(a, Trans::kNoTrans),
+                     tile_operand_view(a, Trans::kTrans), 1.0f, cv.data(),
+                     c.rows());
   encode_write(c, cv.data());
 }
 
@@ -83,40 +76,31 @@ void tile_gemm(const Tile& a, const Tile& b, Tile& c) {
                   "GEMM tile shape mismatch");
   PooledF32 cv(TilePool::global(), c.elements());
   c.decode_to(cv.data());
-  if (kernels::use_packed()) {
-    // Inside a coalesced batch the scope shares the packed (decoded)
-    // images of both panel operands across the group — in the Cholesky
-    // trailing update consecutive group members share their B tile (the
-    // panel column), in other groups the A tile.  Prepacked and plain
-    // packing are bitwise identical.
-    const kernels::PackedA* shared_a = nullptr;
-    const kernels::PackedB* shared_b = nullptr;
-    // INT8 x INT8 pairs take gemm_view's integer-accumulate path; the
-    // prepacked images are FP32 panels, so sharing them here would make
-    // batched execution diverge bitwise from solo execution.
-    const bool int8_pair =
-        a.precision() == Precision::kInt8 && b.precision() == Precision::kInt8;
-    if (auto* scope = mpblas::batch::BatchScope::current();
-        scope != nullptr && !int8_pair) {
-      shared_a = scope->packed_a(a);
-      shared_b = scope->packed_b(b);
-    }
-    if (shared_a != nullptr && shared_b != nullptr) {
-      kernels::gemm_prepacked_ab(c.rows(), c.cols(), a.cols(), -1.0f,
-                                 *shared_a, *shared_b, 1.0f, cv.data(),
-                                 c.rows());
-    } else {
-      kernels::gemm_view(c.rows(), c.cols(), a.cols(), -1.0f,
-                         tile_operand_view(a, Trans::kNoTrans),
-                         tile_operand_view(b, Trans::kTrans), 1.0f, cv.data(),
-                         c.rows());
-    }
+  // Inside a coalesced batch the scope shares the packed (decoded) images
+  // of both panel operands across the group — in the Cholesky trailing
+  // update consecutive group members share their B tile (the panel
+  // column), in other groups the A tile.  Prepacked and plain packing are
+  // bitwise identical.
+  const kernels::PackedA* shared_a = nullptr;
+  const kernels::PackedB* shared_b = nullptr;
+  // INT8 x INT8 pairs take gemm_view's integer-accumulate path; the
+  // prepacked images are FP32 panels, so sharing them here would make
+  // batched execution diverge bitwise from solo execution.
+  const bool int8_pair =
+      a.precision() == Precision::kInt8 && b.precision() == Precision::kInt8;
+  if (auto* scope = mpblas::batch::BatchScope::current();
+      scope != nullptr && !int8_pair) {
+    shared_a = scope->packed_a(a);
+    shared_b = scope->packed_b(b);
+  }
+  if (shared_a != nullptr && shared_b != nullptr) {
+    kernels::gemm_prepacked_ab(c.rows(), c.cols(), a.cols(), -1.0f, *shared_a,
+                               *shared_b, 1.0f, cv.data(), c.rows());
   } else {
-    PooledF32 a_scratch, b_scratch;
-    const float* av = decode_read(a, a_scratch);
-    const float* bv = decode_read(b, b_scratch);
-    gemm(Trans::kNoTrans, Trans::kTrans, c.rows(), c.cols(), a.cols(), -1.0f,
-         av, a.rows(), bv, b.rows(), 1.0f, cv.data(), c.rows());
+    kernels::gemm_view(c.rows(), c.cols(), a.cols(), -1.0f,
+                       tile_operand_view(a, Trans::kNoTrans),
+                       tile_operand_view(b, Trans::kTrans), 1.0f, cv.data(),
+                       c.rows());
   }
   encode_write(c, cv.data());
 }

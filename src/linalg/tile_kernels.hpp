@@ -6,14 +6,11 @@
 //  * every kernel computes in FP32 (tensor-core accumulate width);
 //  * results are re-encoded into the output tile's storage precision.
 //
-// Under the packed backend (KGWAS_GEMM_KERNEL, default "packed") the
-// GEMM/SYRK read operands are never decoded into full-tile FP32 scratch:
-// the engine packs straight from tile storage bytes (decode-on-pack).
-// Only the read-modify-write C tile still needs one FP32 decode.  Under
-// the reference backend each kernel decodes its operands, runs the FP32
-// reference kernel from mpblas, and encodes the result.  Either way the
-// encode step is where narrowing rounding error enters — exactly once
-// per tile write, as on hardware.
+// The GEMM/SYRK read operands are never decoded into full-tile FP32
+// scratch: the packed engine packs straight from tile storage bytes
+// (decode-on-pack).  Only the read-modify-write C tile still needs one
+// FP32 decode.  The encode step is where narrowing rounding error
+// enters — exactly once per tile write, as on hardware.
 #pragma once
 
 #include "mpblas/kernels.hpp"

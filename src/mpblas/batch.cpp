@@ -131,10 +131,10 @@ void encode_write(Tile& t, const float* values) {
 
 void gemm_batch(std::span<const GemmWork> work, TilePool& pool) {
   // Chunked so arbitrarily large spans never exceed the scope's
-  // fixed-capacity decode cache.  Under the packed backend the scope
-  // instead shares the *packed* operand panels: a run of tasks reading
-  // the same A or B tile packs (and decodes) it once — see BatchScope::
-  // packed_a / packed_b, which tile_gemm consults.
+  // fixed-capacity decode cache.  For GEMMs the scope shares the
+  // *packed* operand panels: a run of tasks reading the same A or B tile
+  // packs (and decodes) it once — see BatchScope::packed_a / packed_b,
+  // which tile_gemm consults.
   for (std::size_t begin = 0; begin < work.size(); begin += kMaxGroupTasks) {
     const std::size_t end = std::min(work.size(), begin + kMaxGroupTasks);
     BatchScope scope(pool);

@@ -50,20 +50,13 @@ int potf2_lower(std::size_t n, T* a, std::size_t lda) {
 
 }  // namespace
 
+namespace reference {
+
 template <typename T>
 void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
           std::size_t k, T alpha, const T* a, std::size_t lda, const T* b,
           std::size_t ldb, T beta, T* c, std::size_t ldc) {
   if (m == 0 || n == 0) return;
-  if constexpr (std::is_same_v<T, float>) {
-    if (mpblas::kernels::use_packed()) {
-      mpblas::kernels::gemm_view(m, n, k, alpha,
-                                 mpblas::kernels::fp32_view(a, lda, trans_a),
-                                 mpblas::kernels::fp32_view(b, ldb, trans_b),
-                                 beta, c, ldc);
-      return;
-    }
-  }
   // Scale C by beta first so the accumulation loops are uniform.
   for (std::size_t j = 0; j < n; ++j) {
     T* cj = c + j * ldc;
@@ -124,14 +117,6 @@ template <typename T>
 void syrk(Uplo uplo, Trans trans, std::size_t n, std::size_t k, T alpha,
           const T* a, std::size_t lda, T beta, T* c, std::size_t ldc) {
   if (n == 0) return;
-  if constexpr (std::is_same_v<T, float>) {
-    if (mpblas::kernels::use_packed()) {
-      mpblas::kernels::syrk_view(uplo, n, k, alpha,
-                                 mpblas::kernels::fp32_view(a, lda, trans),
-                                 beta, c, ldc);
-      return;
-    }
-  }
   auto scale_triangle = [&](auto in_triangle) {
     for (std::size_t j = 0; j < n; ++j) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -176,6 +161,35 @@ void syrk(Uplo uplo, Trans trans, std::size_t n, std::size_t k, T alpha,
         c[i + j * ldc] += alpha * sum;
       }
     }
+  }
+}
+
+}  // namespace reference
+
+template <typename T>
+void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+          std::size_t k, T alpha, const T* a, std::size_t lda, const T* b,
+          std::size_t ldb, T beta, T* c, std::size_t ldc) {
+  if constexpr (std::is_same_v<T, float>) {
+    mpblas::kernels::gemm_view(m, n, k, alpha,
+                               mpblas::kernels::fp32_view(a, lda, trans_a),
+                               mpblas::kernels::fp32_view(b, ldb, trans_b),
+                               beta, c, ldc);
+  } else {
+    reference::gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                    ldc);
+  }
+}
+
+template <typename T>
+void syrk(Uplo uplo, Trans trans, std::size_t n, std::size_t k, T alpha,
+          const T* a, std::size_t lda, T beta, T* c, std::size_t ldc) {
+  if constexpr (std::is_same_v<T, float>) {
+    mpblas::kernels::syrk_view(uplo, n, k, alpha,
+                               mpblas::kernels::fp32_view(a, lda, trans), beta,
+                               c, ldc);
+  } else {
+    reference::syrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc);
   }
 }
 
@@ -224,7 +238,7 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, std::size_t m,
     // solved columns — runs as one engine GEMM per block; only the
     // small in-block dependence chain stays column-at-a-time.
     if constexpr (std::is_same_v<T, float>) {
-      if (mpblas::kernels::use_packed() && n > kTrsmBlock) {
+      if (n > kTrsmBlock) {
         for (std::size_t j0 = 0; j0 < n; j0 += kTrsmBlock) {
           const std::size_t nb = std::min(kTrsmBlock, n - j0);
           if (j0 > 0) {
@@ -386,6 +400,20 @@ void symmetrize_from_lower(Matrix<T>& a) {
   }
 }
 
+template void reference::gemm<float>(Trans, Trans, std::size_t, std::size_t,
+                                     std::size_t, float, const float*,
+                                     std::size_t, const float*, std::size_t,
+                                     float, float*, std::size_t);
+template void reference::gemm<double>(Trans, Trans, std::size_t, std::size_t,
+                                      std::size_t, double, const double*,
+                                      std::size_t, const double*, std::size_t,
+                                      double, double*, std::size_t);
+template void reference::syrk<float>(Uplo, Trans, std::size_t, std::size_t,
+                                     float, const float*, std::size_t, float,
+                                     float*, std::size_t);
+template void reference::syrk<double>(Uplo, Trans, std::size_t, std::size_t,
+                                      double, const double*, std::size_t,
+                                      double, double*, std::size_t);
 template void gemm<float>(Trans, Trans, std::size_t, std::size_t, std::size_t,
                           float, const float*, std::size_t, const float*,
                           std::size_t, float, float*, std::size_t);

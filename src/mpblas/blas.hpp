@@ -1,4 +1,9 @@
-// Reference dense Level-3 BLAS / LAPACK kernels (FP32 and FP64).
+// Dense Level-3 BLAS / LAPACK kernels (FP32 and FP64).
+//
+// FP32 gemm/syrk and the rank-k updates of the blocked right-transposed
+// trsm run on the packed engine (mpblas/kernels.hpp).  FP64 runs the
+// scalar loops, which `reference::gemm` / `reference::syrk` also expose
+// directly as the oracle for tests and benches.
 //
 // All kernels use column-major storage with explicit leading dimensions,
 // matching the netlib interfaces they reproduce (GEMM, SYRK, TRSM, POTRF,
@@ -30,6 +35,22 @@ void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
 template <typename T>
 void syrk(Uplo uplo, Trans trans, std::size_t n, std::size_t k, T alpha,
           const T* a, std::size_t lda, T beta, T* c, std::size_t ldc);
+
+namespace reference {
+
+/// The scalar triple loops behind gemm<double>: no blocking, no packing.
+/// Same contract as gemm; the oracle the FP32 engine is tested against.
+template <typename T>
+void gemm(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+          std::size_t k, T alpha, const T* a, std::size_t lda, const T* b,
+          std::size_t ldb, T beta, T* c, std::size_t ldc);
+
+/// The scalar loops behind syrk<double>; same contract as syrk.
+template <typename T>
+void syrk(Uplo uplo, Trans trans, std::size_t n, std::size_t k, T alpha,
+          const T* a, std::size_t lda, T beta, T* c, std::size_t ldc);
+
+}  // namespace reference
 
 /// B <- alpha * op(A)^-1 * B (Left) or alpha * B * op(A)^-1 (Right),
 /// with A lower triangular n x n (Left: B is m x n with m = rows of B...
@@ -76,6 +97,24 @@ Matrix<T> matmul(const Matrix<T>& a, const Matrix<T>& b,
 template <typename T>
 void symmetrize_from_lower(Matrix<T>& a);
 
+extern template void reference::gemm<float>(Trans, Trans, std::size_t,
+                                            std::size_t, std::size_t, float,
+                                            const float*, std::size_t,
+                                            const float*, std::size_t, float,
+                                            float*, std::size_t);
+extern template void reference::gemm<double>(Trans, Trans, std::size_t,
+                                             std::size_t, std::size_t, double,
+                                             const double*, std::size_t,
+                                             const double*, std::size_t,
+                                             double, double*, std::size_t);
+extern template void reference::syrk<float>(Uplo, Trans, std::size_t,
+                                            std::size_t, float, const float*,
+                                            std::size_t, float, float*,
+                                            std::size_t);
+extern template void reference::syrk<double>(Uplo, Trans, std::size_t,
+                                             std::size_t, double,
+                                             const double*, std::size_t,
+                                             double, double*, std::size_t);
 extern template void gemm<float>(Trans, Trans, std::size_t, std::size_t,
                                  std::size_t, float, const float*, std::size_t,
                                  const float*, std::size_t, float, float*,

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -99,11 +98,11 @@ CpuFeatures probe() {
   f.neon = true;
 #endif
 
-  f.caches_probed = probe_sysconf_caches(f) || probe_sysfs_caches(f);
+  if (!probe_sysconf_caches(f)) probe_sysfs_caches(f);
   if (f.l1d_bytes == 0) f.l1d_bytes = kFallbackL1d;
   if (f.l2_bytes == 0) f.l2_bytes = kFallbackL2;
   // Some VMs report no L3 at all; treat the L2 as last-level then, but
-  // never let the autotuner see a "L3" smaller than L2.
+  // never let the blocking model see a "L3" smaller than L2.
   if (f.l3_bytes < f.l2_bytes) f.l3_bytes = std::max(kFallbackL3, f.l2_bytes);
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -116,26 +115,6 @@ CpuFeatures probe() {
 const CpuFeatures& cpu_features() {
   static const CpuFeatures features = probe();
   return features;
-}
-
-std::string to_string(const CpuFeatures& features) {
-  std::ostringstream os;
-  bool any = false;
-  const auto flag = [&](bool on, const char* name) {
-    if (!on) return;
-    if (any) os << '+';
-    os << name;
-    any = true;
-  };
-  flag(features.avx2, "avx2");
-  flag(features.fma, "fma");
-  flag(features.avx512f, "avx512f");
-  flag(features.neon, "neon");
-  if (!any) os << "baseline";
-  os << " l1d=" << features.l1d_bytes << " l2=" << features.l2_bytes
-     << " l3=" << features.l3_bytes << " cores=" << features.logical_cores;
-  if (!features.caches_probed) os << " (cache sizes assumed)";
-  return os.str();
 }
 
 }  // namespace kgwas::mpblas

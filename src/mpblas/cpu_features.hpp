@@ -4,15 +4,14 @@
 // per-ISA into their own translation units and selected at startup from
 // what the *running* CPU actually supports — a binary built on an AVX2
 // box must pick the AVX-512 kernel when it lands on an AVX-512 host and
-// fall back to the portable kernel on anything older.  The cache-aware
-// blocking autotuner (mpblas/autotune.hpp) additionally needs the cache
-// hierarchy of the host to size MC/KC/NC analytically.
+// fall back to the portable kernel on anything older.  The engine's
+// analytic blocking (kernels::analytic_blocking) additionally needs the
+// cache hierarchy of the host to size MC/KC/NC.
 //
 // The probe runs once per process (first call) and is then immutable.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace kgwas::mpblas {
 
@@ -31,21 +30,11 @@ struct CpuFeatures {
   std::size_t l3_bytes = 0;  ///< shared LLC (0 never happens; see fallback)
 
   std::size_t logical_cores = 1;
-
-  /// True when the cache sizes came from the OS rather than the fallback
-  /// constants — the autotuner records this so a persisted tune entry
-  /// from a fully-probed host is never confused with a guessed one.
-  bool caches_probed = false;
 };
 
 /// The host's capabilities, probed on first call and cached for the
 /// process lifetime.  Never throws; missing information degrades to the
 /// documented fallbacks.
 const CpuFeatures& cpu_features();
-
-/// "avx2+fma avx512f l1d=32768 l2=1048576 l3=33554432 cores=8" — the
-/// form logged at dispatch time and embedded in profiler traces and the
-/// autotuner's per-host cache key.
-std::string to_string(const CpuFeatures& features);
 
 }  // namespace kgwas::mpblas

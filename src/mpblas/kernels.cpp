@@ -8,11 +8,9 @@
 #include <optional>
 #include <string_view>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/scheduler.hpp"
 #include "common/status.hpp"
-#include "mpblas/autotune.hpp"
 #include "mpblas/cpu_features.hpp"
 #include "mpblas/microkernel.hpp"
 #include "precision/convert.hpp"
@@ -35,20 +33,6 @@ using detail::MicroKernel;
 /// checks each variant against them at dispatch time.
 constexpr std::size_t kMaxMR = 16;
 constexpr std::size_t kMaxNR = 8;
-
-// ------------------------------------------------------------- selection
-
-GemmBackend backend_from_env() {
-  const char* value = std::getenv("KGWAS_GEMM_KERNEL");
-  if (value != nullptr && std::string_view(value) == "reference") {
-    return GemmBackend::kReference;
-  }
-  // Unset, "packed", or anything unrecognized: the fast default.
-  return GemmBackend::kPacked;
-}
-
-std::atomic<int> g_backend_override{-1};
-std::atomic<int> g_backend_env_cache{-1};  // -1 = env not read yet
 
 // ------------------------------------------------------- variant dispatch
 
@@ -157,28 +141,24 @@ const MicroKernel& selected_kernel() {
 
 std::mutex g_blocking_mutex;
 std::optional<Blocking> g_blocking_override;
-std::optional<Blocking> g_blocking_resolved;
 
-/// One KGWAS_GEMM_MC/KC/NC value on top of its tuned default: unset keeps
-/// the tuned value; set-but-invalid (unparsable, zero, or not a multiple
-/// of kKR) warns and keeps the tuned value.
-std::size_t env_blocking_value(const char* name, std::size_t tuned) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return tuned;
-  const std::size_t parsed = env_size_t(name, 0);
-  if (parsed == 0 || parsed % kKR != 0) {
-    KGWAS_LOG_WARN("ignoring " << name << "=\"" << raw
-                               << "\": must be a positive multiple of " << kKR
-                               << "; using tuned value " << tuned);
-    return tuned;
-  }
-  return parsed;
+// Half-occupancy: panels share each cache level with the other operand's
+// traffic, the C tile, and whatever else the caller keeps hot.
+constexpr std::size_t kOccupancyDivisor = 2;
+// The nc cap bounds the footprint-keyed per-thread B pack buffer (nc * kc
+// floats); 2048 * kc<=1024 stays under 8 MiB even on huge-L3 hosts.
+constexpr std::size_t kMaxNc = 2048;
+constexpr std::size_t kMaxMc = 1024;
+constexpr std::size_t kMaxKc = 1024;
+
+std::size_t round_down(std::size_t x, std::size_t unit) {
+  const std::size_t r = x / unit * unit;
+  return r == 0 ? unit : r;
 }
 
 // ------------------------------------------------------- parallel packing
 
 std::atomic<std::size_t> g_pack_threads_override{0};  // 0 = unset
-std::atomic<std::size_t> g_pack_threads_env{0};       // 0 = env not read
 
 /// Dedicated pool for whole-operand packing.  Leaked (like
 /// TilePool::global) so worker-thread statics never outlive it; sized by
@@ -346,8 +326,8 @@ void pack_b_block_impl(const Reader& read, Trans trans, std::size_t ld,
 }
 
 /// Tensor-core operand rounding, fused into the pack: the same
-/// per-element quantize_inplace the reference path applies to its
-/// materialized copy, so values match exactly (padding zeros round to 0).
+/// per-element quantize_inplace as rounding a materialized copy, so values
+/// match exactly (padding zeros round to 0).
 void round_packed(Precision round_to, float* data, std::size_t n) {
   if (round_to == Precision::kFp32 || round_to == Precision::kFp64) return;
   quantize_inplace(round_to, data, n);
@@ -781,11 +761,6 @@ const MicroKernel* generic_microkernel() {
   return &kernel;
 }
 
-void invalidate_resolved_blocking() {
-  std::lock_guard<std::mutex> lock(g_blocking_mutex);
-  g_blocking_resolved.reset();
-}
-
 }  // namespace detail
 
 // --------------------------------------------------------- configuration
@@ -823,54 +798,43 @@ std::vector<Arch> available_archs() {
 Arch selected_arch() { return selected_kernel().arch; }
 
 void set_gemm_arch(std::optional<Arch> arch) {
-  {
-    std::lock_guard<std::mutex> lock(g_arch_mutex);
-    g_arch_override = arch;
-    g_selected.store(nullptr, std::memory_order_release);
-  }
-  // Tuned blockings are per-variant; force a re-resolve under the new one.
-  detail::invalidate_resolved_blocking();
+  std::lock_guard<std::mutex> lock(g_arch_mutex);
+  g_arch_override = arch;
+  g_selected.store(nullptr, std::memory_order_release);
 }
 
 std::size_t gemm_mr() { return selected_kernel().mr; }
 std::size_t gemm_nr() { return selected_kernel().nr; }
 
-GemmBackend gemm_backend() {
-  const int override = g_backend_override.load(std::memory_order_relaxed);
-  if (override >= 0) return static_cast<GemmBackend>(override);
-  int cached = g_backend_env_cache.load(std::memory_order_relaxed);
-  if (cached < 0) {
-    cached = static_cast<int>(backend_from_env());
-    g_backend_env_cache.store(cached, std::memory_order_relaxed);
-  }
-  return static_cast<GemmBackend>(cached);
-}
-
-void set_gemm_backend(std::optional<GemmBackend> backend) {
-  g_backend_override.store(backend ? static_cast<int>(*backend) : -1,
-                           std::memory_order_relaxed);
-  // Clearing the override drops the cached env read too, so the next
-  // query re-reads KGWAS_GEMM_KERNEL (the documented contract).
-  if (!backend) g_backend_env_cache.store(-1, std::memory_order_relaxed);
+Blocking analytic_blocking(std::size_t mr, std::size_t nr) {
+  const CpuFeatures& f = cpu_features();
+  constexpr std::size_t kElem = sizeof(float);
+  Blocking b;
+  // kc: one mr x kc A micro-panel plus one kc x nr B micro-panel live in
+  // L1d together with the C micro-tile; target half occupancy.
+  b.kc = std::clamp(
+      round_down(f.l1d_bytes / (kOccupancyDivisor * kElem * (mr + nr)), kKR),
+      kKR, kMaxKc);
+  // mc: the packed mc x kc A block is the L2 resident.  Caps are rounded
+  // to the micro-tile multiple so the blocking always tiles cleanly, even
+  // when it saturates.
+  b.mc = std::clamp(round_down(f.l2_bytes / (kOccupancyDivisor * kElem * b.kc),
+                               mr),
+                    mr, round_down(kMaxMc, mr));
+  // nc: the packed kc x nc B block is the L3 resident.
+  b.nc = std::clamp(round_down(f.l3_bytes / (kOccupancyDivisor * kElem * b.kc),
+                               nr),
+                    nr, round_down(kMaxNc, nr));
+  return b;
 }
 
 Blocking gemm_blocking() {
   {
     std::lock_guard<std::mutex> lock(g_blocking_mutex);
     if (g_blocking_override) return *g_blocking_override;
-    if (g_blocking_resolved) return *g_blocking_resolved;
   }
-  // Resolve outside the lock: the tuner may run timed probe GEMMs, which
-  // themselves use the engine (via gemm_probe's explicit blocking).
   const MicroKernel& uk = selected_kernel();
-  Blocking blk = autotune::tuned_blocking(uk.name, uk.mr, uk.nr);
-  blk.mc = env_blocking_value("KGWAS_GEMM_MC", blk.mc);
-  blk.kc = env_blocking_value("KGWAS_GEMM_KC", blk.kc);
-  blk.nc = env_blocking_value("KGWAS_GEMM_NC", blk.nc);
-  std::lock_guard<std::mutex> lock(g_blocking_mutex);
-  if (g_blocking_override) return *g_blocking_override;
-  if (!g_blocking_resolved) g_blocking_resolved = blk;
-  return *g_blocking_resolved;
+  return analytic_blocking(uk.mr, uk.nr);
 }
 
 void set_gemm_blocking(std::optional<Blocking> blocking) {
@@ -880,9 +844,7 @@ void set_gemm_blocking(std::optional<Blocking> blocking) {
                                    std::max<std::size_t>(1, blocking->kc),
                                    std::max<std::size_t>(1, blocking->nc)};
   } else {
-    // Next query re-resolves tuner + KGWAS_GEMM_MC/KC/NC.
     g_blocking_override.reset();
-    g_blocking_resolved.reset();
   }
 }
 
@@ -890,20 +852,13 @@ std::size_t pack_threads() {
   const std::size_t override =
       g_pack_threads_override.load(std::memory_order_relaxed);
   if (override != 0) return override;
-  std::size_t cached = g_pack_threads_env.load(std::memory_order_relaxed);
-  if (cached == 0) {
-    cached = std::max<std::size_t>(
-        1, env_size_t("KGWAS_GEMM_PACK_THREADS", cpu_features().logical_cores));
-    g_pack_threads_env.store(cached, std::memory_order_relaxed);
-  }
-  return cached;
+  return std::max<std::size_t>(1, cpu_features().logical_cores);
 }
 
 void set_pack_threads(std::optional<std::size_t> threads) {
   g_pack_threads_override.store(
       threads ? std::max<std::size_t>(1, *threads) : 0,
       std::memory_order_relaxed);
-  if (!threads) g_pack_threads_env.store(0, std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------- entrypoints
@@ -963,35 +918,6 @@ void syrk_view(Uplo uplo, std::size_t n, std::size_t k, float alpha,
       }
     }
   }
-}
-
-void gemm_probe(std::size_t m, std::size_t n, std::size_t k, const float* a,
-                const float* b, float* c, const Blocking& blocking) {
-  if (m == 0 || n == 0) return;
-  scale_c_full(0.0f, m, n, c, m);
-  if (k == 0) return;
-  const Blocking blk{std::max<std::size_t>(1, blocking.mc),
-                     std::max<std::size_t>(1, blocking.kc),
-                     std::max<std::size_t>(1, blocking.nc)};
-  const MicroKernel& uk = selected_kernel();
-  const OperandView av = fp32_view(a, m, Trans::kNoTrans);
-  const OperandView bv = fp32_view(b, k, Trans::kNoTrans);
-  // Private scratch: probe blockings vary call to call and must not
-  // churn the footprint-keyed thread-local buffers (or the pool stats
-  // the tests assert on).
-  AlignedVector<float> a_buffer(a_block_capacity(m, k, blk, uk.mr));
-  AlignedVector<float> b_buffer(b_block_capacity(n, k, blk, uk.nr));
-  gemm_driver(
-      uk, m, n, k, 1.0f,
-      [&](std::size_t ic, std::size_t pc, std::size_t mb, std::size_t kb) {
-        pack_a_block(av, ic, pc, mb, kb, uk.mr, a_buffer.data());
-        return static_cast<const float*>(a_buffer.data());
-      },
-      [&](std::size_t jc, std::size_t pc, std::size_t nb, std::size_t kb) {
-        pack_b_block(bv, pc, jc, kb, nb, uk.nr, b_buffer.data());
-        return static_cast<const float*>(b_buffer.data());
-      },
-      c, m, blk);
 }
 
 // --------------------------------------------------------------- PackedA

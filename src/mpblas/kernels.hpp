@@ -1,10 +1,10 @@
 // Packed cache-blocked GEMM/SYRK engine (BLIS-style) with
 // decode-on-pack mixed-precision panels.
 //
-// The reference kernels in mpblas/blas.cpp are scalar triple loops: no
-// cache blocking, no packing, and every mixed-precision operand is first
-// decoded into a full-tile FP32 scratch copy.  This engine supplies the
-// compute core the paper's speedup story assumes:
+// Every FP32 GEMM-class call runs here.  The scalar triple loops in
+// mpblas/blas.cpp (kgwas::reference: no cache blocking, no packing)
+// remain only as the FP64 path and the test oracle.  This engine
+// supplies the compute core the paper's speedup story assumes:
 //
 //  * mc/kc/nc cache blocking (jc -> pc -> ic loop nest) with A packed
 //    into MR-row micro-panels and B into NR-column micro-panels, both in
@@ -26,21 +26,18 @@
 //    group — the trailing-update GEMMs of one coalesced batch share a
 //    panel tile, which is packed (and therefore decoded) exactly once.
 //
-// Backend selection: KGWAS_GEMM_KERNEL=reference|packed (default
-// packed).  Within the packed engine a second axis selects the
-// *microkernel variant*: hand-tiled AVX-512 / AVX2+FMA / NEON kernels
+// The engine has one configuration, derived from the host: the
+// *microkernel variant* (hand-tiled AVX-512 / AVX2+FMA / NEON kernels
 // compiled into their own translation units, dispatched at runtime from
-// the host's probed CPU features (KGWAS_GEMM_ARCH overrides).  Blocking
-// comes from the cache-aware autotuner (KGWAS_GEMM_TUNE, see
-// mpblas/autotune.hpp) with validated KGWAS_GEMM_MC/KC/NC overrides.
-// Results are deterministic for a fixed variant + blocking, so the
-// shared-memory and distributed paths stay bitwise identical to each
-// other under any fixed configuration; different variants may differ
-// from each other within normal FP32 contraction tolerance.  The engine
-// accumulates in FP32 and is float-only; FP64 callers keep the reference
-// loops.  INT8-storage GEMMs take an integer-accumulate path (i16
-// operand panels, i32 accumulators, FP32 scaling at the epilogue) that
-// is exact while |op(A)·op(B)| stays within i32 range.
+// the host's probed CPU features; KGWAS_GEMM_ARCH pins one) and the
+// analytic BLIS cache blocking for that variant's micro-tile.  Results
+// are deterministic for a fixed variant + blocking, so the shared-memory
+// and distributed paths stay bitwise identical to each other; different
+// variants may differ from each other within normal FP32 contraction
+// tolerance.  The engine accumulates in FP32 and is float-only.
+// INT8-storage GEMMs take an integer-accumulate path (i16 operand
+// panels, i32 accumulators, FP32 scaling at the epilogue) that is exact
+// while |op(A)·op(B)| stays within i32 range.
 #pragma once
 
 #include <cstddef>
@@ -57,18 +54,6 @@ namespace detail {
 struct MicroKernel;
 }  // namespace detail
 
-enum class GemmBackend { kReference, kPacked };
-
-/// The process-wide backend: the KGWAS_GEMM_KERNEL override when set
-/// ("reference" or "packed"), else kPacked.  Read once and cached.
-GemmBackend gemm_backend();
-
-/// Test/bench override; nullopt re-reads the environment on next query.
-void set_gemm_backend(std::optional<GemmBackend> backend);
-
-/// True when float GEMM-class work should go through the packed engine.
-inline bool use_packed() { return gemm_backend() == GemmBackend::kPacked; }
-
 /// Register micro-tile shape of the *generic* (portable GNU-vector)
 /// variant.  MR rows stream unit-stride from the packed A panel (vector
 /// loads); NR columns broadcast from the packed B panel.  8 x 6 keeps the
@@ -78,11 +63,8 @@ inline bool use_packed() { return gemm_backend() == GemmBackend::kPacked; }
 inline constexpr std::size_t kMR = 8;
 inline constexpr std::size_t kNR = 6;
 
-/// Granularity required of KGWAS_GEMM_MC/KC/NC environment overrides:
-/// values must be positive multiples of kKR or they are rejected (with a
-/// logged warning) in favor of the tuned defaults.  Keeps env-supplied
-/// blockings compatible with every variant's panel geometry without the
-/// caller knowing which variant dispatch will pick.  Programmatic
+/// Granularity of the analytic kc: a multiple of kKR streams cleanly
+/// through every variant's packed panels.  Programmatic
 /// set_gemm_blocking() values are exempt (tests exercise odd blockings).
 inline constexpr std::size_t kKR = 8;
 
@@ -108,42 +90,42 @@ std::vector<Arch> available_archs();
 Arch selected_arch();
 
 /// Test/bench override; nullopt re-reads KGWAS_GEMM_ARCH on next query.
-/// Changing the variant invalidates the resolved (autotuned) blocking,
-/// since tuned blockings are per-variant.
+/// The blocking follows the new variant's micro-tile shape.
 void set_gemm_arch(std::optional<Arch> arch);
 
 /// Micro-tile shape of the currently selected variant.
 std::size_t gemm_mr();
 std::size_t gemm_nr();
 
-/// Cache blocking parameters (elements).  The member defaults (mc=128,
-/// kc=256, nc=1024: A panel ~128 KiB L2-resident, B micro-panel ~6 KiB
-/// L1-resident) are the pre-autotuner constants, kept as the fallback
-/// when tuning is off.
+/// Cache blocking parameters (elements): the packed mc x kc A block is
+/// the L2 resident, the kc x nc B block the L3 resident, and one A plus
+/// one B micro-panel of length kc share L1d.
 struct Blocking {
-  std::size_t mc = 128;
-  std::size_t kc = 256;
-  std::size_t nc = 1024;
+  std::size_t mc = 0;
+  std::size_t kc = 0;
+  std::size_t nc = 0;
 };
 
-/// The process-wide blocking, resolved once and cached: the
-/// set_gemm_blocking() override when set; otherwise the autotuner's
-/// per-variant blocking (mpblas/autotune.hpp — analytic from the probed
-/// cache sizes by default, KGWAS_GEMM_TUNE selects off/analytic/probe)
-/// with KGWAS_GEMM_MC/KC/NC applied on top.  Env values that are zero,
-/// unparsable, or not multiples of kKR are rejected with a logged
-/// warning and the tuned value stands.
+/// The BLIS occupancy model for an mr x nr micro-tile on this host
+/// (Low et al., "Analytical Modeling Is Enough for High-Performance
+/// BLIS", ACM TOMS 43(2), 2016): kc so one A and one B micro-panel fill
+/// about half of L1d, mc so the A block fills about half of L2, nc so the
+/// B block fills about half of L3.  kc is a multiple of kKR, mc of mr, nc
+/// of nr; mc and nc are capped so pack buffers stay bounded on huge LLCs.
+Blocking analytic_blocking(std::size_t mr, std::size_t nr);
+
+/// The engine's blocking: the set_gemm_blocking() override when set,
+/// else analytic_blocking() of the selected variant's micro-tile.
 Blocking gemm_blocking();
 
 /// Test override (clamped to >= 1 per member, otherwise taken verbatim —
-/// no kKR rounding); nullopt re-resolves tuner + environment on next
-/// query.
+/// no kKR rounding); nullopt restores the analytic blocking.
 void set_gemm_blocking(std::optional<Blocking> blocking);
 
 /// Worker threads used to parallelize PackedA/PackedB whole-operand
-/// packing (the `ic`/`jc` block loop).  Default: the host's logical
-/// cores, overridable via KGWAS_GEMM_PACK_THREADS (1 disables the
-/// parallel path).  set_pack_threads(nullopt) re-reads the environment.
+/// packing (the `ic`/`jc` block loop): the host's logical cores unless
+/// set_pack_threads() overrides it (1 disables the parallel path;
+/// nullopt restores the default).
 std::size_t pack_threads();
 void set_pack_threads(std::optional<std::size_t> threads);
 
@@ -170,15 +152,6 @@ inline OperandView fp32_view(const float* data, std::size_t ld, Trans trans,
 void gemm_view(std::size_t m, std::size_t n, std::size_t k, float alpha,
                const OperandView& a, const OperandView& b, float beta,
                float* c, std::size_t ldc);
-
-/// Autotuner hook: C <- A * B (FP32, no-trans, ld = rows, beta = 0) run
-/// through the packed engine under an *explicit* blocking, bypassing
-/// gemm_blocking() entirely — the blocking resolver calls the autotuner,
-/// so the micro-probe timing loop must not re-enter it.  Uses private
-/// scratch, never the per-thread pack buffers (probe blockings vary and
-/// would churn the footprint-keyed cache).
-void gemm_probe(std::size_t m, std::size_t n, std::size_t k, const float* a,
-                const float* b, float* c, const Blocking& blocking);
 
 /// C <- alpha * op(A) * op(A)^T + beta * C on the `uplo` triangle only,
 /// with op(A) n x k described by `a` (trans inside the view: kNoTrans

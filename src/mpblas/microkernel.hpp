@@ -45,9 +45,4 @@ const MicroKernel* avx2_microkernel();    // 8x6, FMA intrinsics
 const MicroKernel* avx512_microkernel();  // 16x6, zmm accumulators
 const MicroKernel* neon_microkernel();    // 8x6, vfmaq
 
-/// Drops the cached tuner+env blocking so the next gemm_blocking()
-/// re-resolves (autotune::set_tune_mode calls this; set_gemm_arch does
-/// the equivalent internally).  Defined in kernels.cpp.
-void invalidate_resolved_blocking();
-
 }  // namespace kgwas::mpblas::kernels::detail

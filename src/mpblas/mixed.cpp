@@ -128,22 +128,13 @@ void gemm_tc(Precision operand_precision, Trans trans_a, Trans trans_b,
   }
   KGWAS_CHECK_ARG(operand_precision != Precision::kInt8,
                   "use gemm_i8_i32 for INT8 operands");
-  if (mpblas::kernels::use_packed()) {
-    // Decode-on-pack: operand rounding happens on the packed panels, so
-    // no full-operand rounded FP32 copy is ever materialized.
-    mpblas::kernels::gemm_view(
-        m, n, k, alpha,
-        mpblas::kernels::fp32_view(a, lda, trans_a, operand_precision),
-        mpblas::kernels::fp32_view(b, ldb, trans_b, operand_precision), beta,
-        c, ldc);
-    return;
-  }
-  const auto a_rounded =
-      rounded_operand(operand_precision, trans_a, m, k, a, lda);
-  const auto b_rounded =
-      rounded_operand(operand_precision, trans_b, k, n, b, ldb);
-  gemm(Trans::kNoTrans, Trans::kNoTrans, m, n, k, alpha, a_rounded.data(), m,
-       b_rounded.data(), k, beta, c, ldc);
+  // Decode-on-pack: operand rounding happens on the packed panels, so no
+  // full-operand rounded FP32 copy is ever materialized.
+  mpblas::kernels::gemm_view(
+      m, n, k, alpha,
+      mpblas::kernels::fp32_view(a, lda, trans_a, operand_precision),
+      mpblas::kernels::fp32_view(b, ldb, trans_b, operand_precision), beta, c,
+      ldc);
 }
 
 void syrk_tc(Precision operand_precision, Uplo uplo, Trans trans,
@@ -156,16 +147,10 @@ void syrk_tc(Precision operand_precision, Uplo uplo, Trans trans,
   }
   KGWAS_CHECK_ARG(operand_precision != Precision::kInt8,
                   "use syrk_i8_i32 for INT8 operands");
-  if (mpblas::kernels::use_packed()) {
-    mpblas::kernels::syrk_view(
-        uplo, n, k, alpha,
-        mpblas::kernels::fp32_view(a, lda, trans, operand_precision), beta, c,
-        ldc);
-    return;
-  }
-  const auto a_rounded =
-      rounded_operand(operand_precision, trans, n, k, a, lda);
-  syrk(uplo, Trans::kNoTrans, n, k, alpha, a_rounded.data(), n, beta, c, ldc);
+  mpblas::kernels::syrk_view(
+      uplo, n, k, alpha,
+      mpblas::kernels::fp32_view(a, lda, trans, operand_precision), beta, c,
+      ldc);
 }
 
 void trsm_tc(Precision operand_precision, Side side, Uplo uplo, Trans trans,

@@ -81,6 +81,8 @@ void dequantize_small_float(const FloatFormat& fmt, const void* src, float* dst,
 
 void quantize_buffer(Precision precision, const float* src, void* dst,
                      std::size_t n) {
+  // Empty buffers may be null; memcpy requires valid pointers even for 0.
+  if (n == 0) return;
   switch (precision) {
     case Precision::kFp64: {
       auto* out = static_cast<double*>(dst);
@@ -106,6 +108,7 @@ void quantize_buffer(Precision precision, const float* src, void* dst,
 
 void dequantize_buffer(Precision precision, const void* src, float* dst,
                        std::size_t n) {
+  if (n == 0) return;
   switch (precision) {
     case Precision::kFp64: {
       const auto* in = static_cast<const double*>(src);
@@ -163,6 +166,7 @@ const float* decode_table(Precision precision) {
 
 void convert_buffer(Precision from, const void* src, Precision to, void* dst,
                     std::size_t n) {
+  if (n == 0) return;
   if (from == to) {
     std::memcpy(dst, src, n * bytes_per_element(from));
     return;

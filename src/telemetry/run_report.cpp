@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/status.hpp"
-#include "mpblas/autotune.hpp"
 #include "mpblas/kernels.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -122,7 +121,6 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
   // comparable rows, so the report records which one produced it.
   {
     namespace kernels = mpblas::kernels;
-    namespace autotune = mpblas::kernels::autotune;
     const kernels::Blocking blk = kernels::gemm_blocking();
     w.key("engine");
     w.begin_object();
@@ -132,7 +130,6 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
     w.kv("mc", blk.mc);
     w.kv("kc", blk.kc);
     w.kv("nc", blk.nc);
-    w.kv("tune", autotune::to_string(autotune::tune_mode()));
     w.kv("pack_threads", kernels::pack_threads());
     w.end_object();
   }

@@ -1,19 +1,12 @@
-// Unit tests for the cache-aware blocking autotuner
-// (mpblas/autotune.hpp): analytic occupancy bounds against the probed
-// cache hierarchy, KGWAS_GEMM_TUNE mode parsing, and probe-mode
-// persistence through the per-host tune cache (exercised in a temporary
-// XDG_CACHE_HOME so a developer's real cache is never touched).
+// Unit tests for the packed engine's analytic cache blocking
+// (kernels::analytic_blocking): occupancy bounds against the probed
+// cache hierarchy, and that the engine runs exactly that blocking.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "mpblas/autotune.hpp"
 #include "mpblas/cpu_features.hpp"
 #include "mpblas/kernels.hpp"
 
@@ -21,58 +14,12 @@ namespace kgwas {
 namespace {
 
 namespace kernels = mpblas::kernels;
-namespace autotune = mpblas::kernels::autotune;
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_value_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-/// Clears the tune-mode override and the engine's resolved blocking on
-/// scope exit so autotune tests never leak configuration.
-struct ScopedTuneReset {
-  ~ScopedTuneReset() {
-    autotune::set_tune_mode(std::nullopt);
-    kernels::set_gemm_blocking(std::nullopt);
-  }
-};
-
-TEST(Autotune, OffModeReturnsFixedDefaults) {
-  ScopedTuneReset reset;
-  autotune::set_tune_mode(autotune::TuneMode::kOff);
-  const kernels::Blocking blk = autotune::tuned_blocking("generic", 8, 6);
-  const kernels::Blocking defaults{};
-  EXPECT_EQ(blk.mc, defaults.mc);
-  EXPECT_EQ(blk.kc, defaults.kc);
-  EXPECT_EQ(blk.nc, defaults.nc);
-}
 
 TEST(Autotune, AnalyticBlockingRespectsOccupancyBounds) {
   const auto& f = mpblas::cpu_features();
   for (const auto [mr, nr] :
        {std::pair<std::size_t, std::size_t>{8, 6}, {16, 6}}) {
-    const kernels::Blocking blk = autotune::analytic_blocking(mr, nr);
+    const kernels::Blocking blk = kernels::analytic_blocking(mr, nr);
     SCOPED_TRACE("mr=" + std::to_string(mr) + " nr=" + std::to_string(nr));
     ASSERT_GT(blk.kc, 0u);
     ASSERT_GT(blk.mc, 0u);
@@ -91,94 +38,13 @@ TEST(Autotune, AnalyticBlockingRespectsOccupancyBounds) {
 }
 
 TEST(Autotune, AnalyticModeFeedsEngineBlocking) {
-  ScopedTuneReset reset;
-  autotune::set_tune_mode(autotune::TuneMode::kAnalytic);
-  ScopedEnv mc("KGWAS_GEMM_MC", nullptr);
-  ScopedEnv kc("KGWAS_GEMM_KC", nullptr);
-  ScopedEnv nc("KGWAS_GEMM_NC", nullptr);
-  kernels::set_gemm_blocking(std::nullopt);  // force re-resolution
+  kernels::set_gemm_blocking(std::nullopt);  // no test override in force
   const kernels::Blocking want =
-      autotune::analytic_blocking(kernels::gemm_mr(), kernels::gemm_nr());
+      kernels::analytic_blocking(kernels::gemm_mr(), kernels::gemm_nr());
   const kernels::Blocking got = kernels::gemm_blocking();
   EXPECT_EQ(got.mc, want.mc);
   EXPECT_EQ(got.kc, want.kc);
   EXPECT_EQ(got.nc, want.nc);
-}
-
-TEST(Autotune, ModeParsesFromEnvironmentWithWarnFallback) {
-  ScopedTuneReset reset;
-  {
-    ScopedEnv env("KGWAS_GEMM_TUNE", "off");
-    autotune::set_tune_mode(std::nullopt);
-    EXPECT_EQ(autotune::tune_mode(), autotune::TuneMode::kOff);
-  }
-  {
-    ScopedEnv env("KGWAS_GEMM_TUNE", "probe");
-    autotune::set_tune_mode(std::nullopt);
-    EXPECT_EQ(autotune::tune_mode(), autotune::TuneMode::kProbe);
-  }
-  {
-    ScopedEnv env("KGWAS_GEMM_TUNE", "turbo");  // unknown -> analytic
-    autotune::set_tune_mode(std::nullopt);
-    EXPECT_EQ(autotune::tune_mode(), autotune::TuneMode::kAnalytic);
-  }
-  {
-    ScopedEnv env("KGWAS_GEMM_TUNE", nullptr);
-    autotune::set_tune_mode(std::nullopt);
-    EXPECT_EQ(autotune::tune_mode(), autotune::TuneMode::kAnalytic);
-  }
-}
-
-TEST(Autotune, ToStringRoundTripsTheEnvSpellings) {
-  EXPECT_STREQ(autotune::to_string(autotune::TuneMode::kOff), "off");
-  EXPECT_STREQ(autotune::to_string(autotune::TuneMode::kAnalytic),
-               "analytic");
-  EXPECT_STREQ(autotune::to_string(autotune::TuneMode::kProbe), "probe");
-}
-
-TEST(Autotune, TuneCachePathHonorsXdgCacheHome) {
-  ScopedEnv env("XDG_CACHE_HOME", "/tmp/kgwas-test-xdg");
-  const std::string path = autotune::tune_cache_path();
-  EXPECT_EQ(path, "/tmp/kgwas-test-xdg/kgwas/gemm_tune.json");
-}
-
-TEST(Autotune, ProbePersistsToTuneCacheAndSkipsReprobe) {
-  ScopedTuneReset reset;
-  // Fresh, private cache directory: the first probe-mode tuning for a
-  // variant must measure and persist; the second must hit the cache and
-  // run zero additional probes.
-  char dir_template[] = "/tmp/kgwas_tune_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir_template), nullptr);
-  const std::string dir = dir_template;
-  ScopedEnv xdg("XDG_CACHE_HOME", dir.c_str());
-  autotune::set_tune_mode(autotune::TuneMode::kProbe);
-
-  const std::size_t before = autotune::probes_run();
-  const kernels::Blocking first = autotune::tuned_blocking("generic", 8, 6);
-  const std::size_t after_first = autotune::probes_run();
-  EXPECT_GT(after_first, before) << "first probe-mode tuning must measure";
-  ASSERT_GT(first.mc, 0u);
-  ASSERT_GT(first.kc, 0u);
-  ASSERT_GT(first.nc, 0u);
-
-  // The result landed in the private cache file.
-  const std::string path = autotune::tune_cache_path();
-  ASSERT_EQ(path, dir + "/kgwas/gemm_tune.json");
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "tune cache not written to " << path;
-  const std::string contents((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  EXPECT_NE(contents.find("generic"), std::string::npos);
-
-  // Cache hit: identical blocking, zero new probes.
-  const kernels::Blocking second = autotune::tuned_blocking("generic", 8, 6);
-  EXPECT_EQ(autotune::probes_run(), after_first)
-      << "cache hit must not re-probe";
-  EXPECT_EQ(second.mc, first.mc);
-  EXPECT_EQ(second.kc, first.kc);
-  EXPECT_EQ(second.nc, first.nc);
-
-  std::remove(path.c_str());
 }
 
 }  // namespace

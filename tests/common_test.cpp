@@ -18,7 +18,6 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "dist/dist_cholesky.hpp"
-#include "mpblas/autotune.hpp"
 #include "mpblas/kernels.hpp"
 
 namespace kgwas {
@@ -235,77 +234,14 @@ TEST(Env, CheckpointIntervalParsesStrictly) {
   }
 }
 
-/// Pins the tuner off (so the tuned baseline is the documented default
-/// Blocking{}) and clears the resolved-blocking cache on both entry and
-/// exit so these tests neither see nor leak engine state.
-struct ScopedBlockingReset {
-  ScopedBlockingReset() {
-    mpblas::kernels::autotune::set_tune_mode(mpblas::kernels::autotune::TuneMode::kOff);
-    mpblas::kernels::set_gemm_blocking(std::nullopt);
-  }
-  ~ScopedBlockingReset() {
-    mpblas::kernels::autotune::set_tune_mode(std::nullopt);
-    mpblas::kernels::set_gemm_blocking(std::nullopt);
-  }
-};
-
-TEST(Env, GemmBlockingAcceptsKrMultiples) {
-  ScopedEnv mc("KGWAS_GEMM_MC", "64");
-  ScopedEnv kc("KGWAS_GEMM_KC", "96");
-  ScopedEnv nc("KGWAS_GEMM_NC", "512");
-  ScopedBlockingReset reset;
-  const auto blk = mpblas::kernels::gemm_blocking();
-  EXPECT_EQ(blk.mc, 64u);
-  EXPECT_EQ(blk.kc, 96u);
-  EXPECT_EQ(blk.nc, 512u);
-}
-
-TEST(Env, GemmBlockingRejectsZero) {
-  ScopedEnv mc("KGWAS_GEMM_MC", "0");
-  ScopedEnv kc("KGWAS_GEMM_KC", "0");
-  ScopedEnv nc("KGWAS_GEMM_NC", "0");
-  ScopedBlockingReset reset;
-  const auto blk = mpblas::kernels::gemm_blocking();
-  const mpblas::kernels::Blocking tuned{};  // tuner off -> defaults stand
-  EXPECT_EQ(blk.mc, tuned.mc);
-  EXPECT_EQ(blk.kc, tuned.kc);
-  EXPECT_EQ(blk.nc, tuned.nc);
-}
-
-TEST(Env, GemmBlockingRejectsNonKrMultiples) {
-  // 100 % kKR(=8) != 0: each rejected member falls back to the tuned
-  // value independently; the valid member is still applied.
-  ScopedEnv mc("KGWAS_GEMM_MC", "100");
-  ScopedEnv kc("KGWAS_GEMM_KC", "64");
-  ScopedEnv nc("KGWAS_GEMM_NC", "1002");
-  ScopedBlockingReset reset;
-  const auto blk = mpblas::kernels::gemm_blocking();
-  const mpblas::kernels::Blocking tuned{};
-  EXPECT_EQ(blk.mc, tuned.mc);
-  EXPECT_EQ(blk.kc, 64u);
-  EXPECT_EQ(blk.nc, tuned.nc);
-}
-
-TEST(Env, GemmBlockingRejectsGarbageValues) {
-  ScopedEnv mc("KGWAS_GEMM_MC", "fast");
-  ScopedEnv kc("KGWAS_GEMM_KC", "-8");
-  ScopedEnv nc("KGWAS_GEMM_NC", "64k");
-  ScopedBlockingReset reset;
-  const auto blk = mpblas::kernels::gemm_blocking();
-  const mpblas::kernels::Blocking tuned{};
-  EXPECT_EQ(blk.mc, tuned.mc);
-  EXPECT_EQ(blk.kc, tuned.kc);
-  EXPECT_EQ(blk.nc, tuned.nc);
-}
-
 TEST(Env, GemmBlockingProgrammaticOverrideBeatsEnv) {
-  // set_gemm_blocking() is exempt from the kKR granularity rule and
-  // wins over env knobs (tests exercise deliberately odd blockings).
+  // The engine reads no blocking knobs from the environment: a stale
+  // KGWAS_GEMM_MC is ignored and the set_gemm_blocking() value, exempt
+  // from the kKR granularity rule, is returned verbatim.
   ScopedEnv mc("KGWAS_GEMM_MC", "64");
-  ScopedBlockingReset reset;
-  mpblas::kernels::set_gemm_blocking(
-      mpblas::kernels::Blocking{12, 18, 30});
+  mpblas::kernels::set_gemm_blocking(mpblas::kernels::Blocking{12, 18, 30});
   const auto blk = mpblas::kernels::gemm_blocking();
+  mpblas::kernels::set_gemm_blocking(std::nullopt);
   EXPECT_EQ(blk.mc, 12u);
   EXPECT_EQ(blk.kc, 18u);
   EXPECT_EQ(blk.nc, 30u);

@@ -30,7 +30,9 @@
 #include "gwas/cohort_simulator.hpp"
 #include "gwas/dataset.hpp"
 #include "gwas/phenotype.hpp"
+#include "krr/build.hpp"
 #include "krr/model.hpp"
+#include "krr/predict.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "mpblas/kernels.hpp"
@@ -563,6 +565,50 @@ TEST(DistCholesky, TaskFlopsSumToSharedMemoryCounts) {
     }
   });
   for (const char* cls : {"potrf", "trsm", "syrk", "gemm"}) {
+    ASSERT_EQ(shared.count(cls), 1u) << cls;
+    EXPECT_GT(dist_flops[cls], 0.0) << cls;
+    EXPECT_NEAR(dist_flops[cls], shared.at(cls).flops,
+                1e-12 * shared.at(cls).flops)
+        << cls;
+  }
+}
+
+TEST(DistKrr, BuildAndPredictTaskFlopsSumToSharedMemoryCounts) {
+  // Dist Build and Predict tasks are charged their shared-memory twins'
+  // FLOPs: per class, the sums over a 4-rank grid equal the shared-memory
+  // run's (kernel tiles, cross-kernel tiles, predict GEMM links).
+  const GenotypeMatrix train = simulate_random_genotypes(96, 40, 5);
+  const GenotypeMatrix test = simulate_random_genotypes(70, 40, 6);
+  const Matrix<float> train_conf(train.patients(), 0);
+  const Matrix<float> test_conf(test.patients(), 0);
+  BuildConfig config;
+  config.tile_size = 32;
+  config.gamma = 0.02;
+  const Matrix<float> weights(train.patients(), 2, 0.5f);
+  std::map<std::string, TaskStats> shared;
+  {
+    Runtime rt(2, /*enable_profiling=*/true);
+    build_kernel_matrix(rt, train, train_conf, config);
+    const TileMatrix cross =
+        build_cross_kernel(rt, test, test_conf, train, train_conf, config);
+    predict_from_cross_kernel(rt, cross, weights);
+    shared = rt.profiler().stats();
+  }
+  std::mutex mutex;
+  std::map<std::string, double> dist_flops;
+  run_ranks(4, [&](Communicator& comm) {
+    Runtime rt(1, /*enable_profiling=*/true);
+    const ProcessGrid grid(4);
+    dist::dist_build_kernel_matrix(rt, comm, grid, train, train_conf, config);
+    dist::DistTileMatrix cross = dist::dist_build_cross_kernel(
+        rt, comm, grid, test, test_conf, train, train_conf, config);
+    dist::dist_predict(rt, comm, cross, weights);
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const auto& [name, stats] : rt.profiler().stats()) {
+      dist_flops[name] += stats.flops;
+    }
+  });
+  for (const char* cls : {"build_k", "build_kx", "predict_gemm"}) {
     ASSERT_EQ(shared.count(cls), 1u) << cls;
     EXPECT_GT(dist_flops[cls], 0.0) << cls;
     EXPECT_NEAR(dist_flops[cls], shared.at(cls).flops,

@@ -1,10 +1,10 @@
-// Property-based packed-vs-reference comparison for the cache-blocked
-// SIMD GEMM/SYRK engine (mpblas/kernels.hpp): random shapes and strides
-// (m, n, k not multiples of MR/NR, lda > m), all Trans combinations,
-// alpha/beta in {0, 1, -1, 0.5}, per-precision tolerances, kc-remainder
-// panels, prepacked bitwise identity, and the TilePool-stats assertion
-// that narrow-storage tile GEMMs no longer materialize full-tile FP32
-// operand scratch.
+// Property-based comparison of the cache-blocked SIMD GEMM/SYRK engine
+// (mpblas/kernels.hpp) against the scalar kgwas::reference loops: random
+// shapes and strides (m, n, k not multiples of MR/NR, lda > m), all Trans
+// combinations, alpha/beta in {0, 1, -1, 0.5}, per-precision tolerances,
+// kc-remainder panels, prepacked bitwise identity, and the TilePool-stats
+// assertion that narrow-storage tile GEMMs never materialize full-tile
+// FP32 operand scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,11 +29,10 @@ namespace {
 
 namespace kernels = mpblas::kernels;
 
-/// Restores the backend/arch/blocking overrides on scope exit so test
+/// Restores the arch/blocking/pack-thread overrides on scope exit so test
 /// order never leaks engine configuration.
 struct ScopedEngineConfig {
   ~ScopedEngineConfig() {
-    kernels::set_gemm_backend(std::nullopt);
     kernels::set_gemm_arch(std::nullopt);
     kernels::set_gemm_blocking(std::nullopt);
     kernels::set_pack_threads(std::nullopt);
@@ -81,12 +80,10 @@ void run_gemm_case(const GemmCase& gc, Rng& rng) {
   const std::vector<float> c0 = random_buffer(ldc * gc.n, rng);
 
   std::vector<float> c_ref = c0;
-  kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-  gemm(gc.ta, gc.tb, gc.m, gc.n, gc.k, gc.alpha, a.data(), lda, b.data(), ldb,
-       gc.beta, c_ref.data(), ldc);
+  reference::gemm(gc.ta, gc.tb, gc.m, gc.n, gc.k, gc.alpha, a.data(), lda,
+                  b.data(), ldb, gc.beta, c_ref.data(), ldc);
 
   std::vector<float> c_packed = c0;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   gemm(gc.ta, gc.tb, gc.m, gc.n, gc.k, gc.alpha, a.data(), lda, b.data(), ldb,
        gc.beta, c_packed.data(), ldc);
 
@@ -131,6 +128,11 @@ TEST(GemmEngineTest, KcRemainderPanels) {
   // exercises full kc panels, a remainder panel, or both — and mc/nc
   // remainders land on partial micro-tiles.
   kernels::set_gemm_blocking(kernels::Blocking{12, 16, 18});
+  // The override is taken verbatim: no kKR or micro-tile rounding.
+  const kernels::Blocking blk = kernels::gemm_blocking();
+  EXPECT_EQ(blk.mc, 12u);
+  EXPECT_EQ(blk.kc, 16u);
+  EXPECT_EQ(blk.nc, 18u);
   for (std::size_t k : {std::size_t{1}, std::size_t{15}, std::size_t{16},
                         std::size_t{17}, std::size_t{32}, std::size_t{33},
                         std::size_t{47}}) {
@@ -163,11 +165,10 @@ TEST(GemmEngineTest, SyrkPackedMatchesReferenceAndMasksTriangle) {
     const std::vector<float> c0 = random_buffer(ldc * n, rng);
 
     std::vector<float> c_ref = c0;
-    kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-    syrk(uplo, trans, n, k, alpha, a.data(), lda, beta, c_ref.data(), ldc);
+    reference::syrk(uplo, trans, n, k, alpha, a.data(), lda, beta,
+                    c_ref.data(), ldc);
 
     std::vector<float> c_packed = c0;
-    kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
     syrk(uplo, trans, n, k, alpha, a.data(), lda, beta, c_packed.data(), ldc);
 
     // Only the uplo triangle may be referenced; everything else must be
@@ -200,13 +201,14 @@ TEST(GemmEngineTest, BlockedTrsmMatchesReference) {
     }
     const std::vector<float> b0 = random_buffer(m * n, rng);
 
-    std::vector<float> b_ref = b0;
-    kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-    trsm(Side::kRight, Uplo::kLower, Trans::kTrans, Diag::kNonUnit, m, n,
-         1.0f, l.data(), n, b_ref.data(), m);
+    // Oracle: the unblocked column loop, run in FP64 on the same inputs.
+    const std::vector<double> l64(l.begin(), l.end());
+    std::vector<double> b64(b0.begin(), b0.end());
+    trsm(Side::kRight, Uplo::kLower, Trans::kTrans, Diag::kNonUnit, m, n, 1.0,
+         l64.data(), n, b64.data(), m);
+    const std::vector<float> b_ref(b64.begin(), b64.end());
 
     std::vector<float> b_packed = b0;
-    kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
     trsm(Side::kRight, Uplo::kLower, Trans::kTrans, Diag::kNonUnit, m, n,
          1.0f, l.data(), n, b_packed.data(), m);
 
@@ -227,10 +229,22 @@ Tile random_tile(std::size_t rows, std::size_t cols, Precision precision,
   return t;
 }
 
+/// Oracle for tile_gemm (C -= A * B^T): decode all three tiles into
+/// full-tile FP32 copies, run the scalar loops, re-encode C.
+void reference_tile_gemm(const Tile& a, const Tile& b, Tile& c) {
+  const Matrix<float> av = a.to_fp32();
+  const Matrix<float> bv = b.to_fp32();
+  Matrix<float> cv = c.to_fp32();
+  reference::gemm(Trans::kNoTrans, Trans::kTrans, c.rows(), c.cols(),
+                  a.cols(), -1.0f, av.data(), a.rows(), bv.data(), b.rows(),
+                  1.0f, cv.data(), c.rows());
+  c.from_fp32(cv);
+}
+
 TEST(GemmEngineTest, TileGemmPackedMatchesReferencePerPrecision) {
   ScopedEngineConfig restore;
   Rng rng(17);
-  // Same decoded operand values feed both backends, so the FP32 results
+  // Same decoded operand values feed both paths, so the FP32 results
   // differ only by summation order — but both are then re-encoded into
   // the C tile's storage precision, where a sub-ULP FP32 difference can
   // cross a rounding boundary.  The per-precision tolerance therefore
@@ -243,11 +257,9 @@ TEST(GemmEngineTest, TileGemmPackedMatchesReferencePerPrecision) {
       const Tile c0 = random_tile(ts, ts, precision, rng);
 
       Tile c_ref = c0;
-      kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-      tile_gemm(a, b, c_ref);
+      reference_tile_gemm(a, b, c_ref);
 
       Tile c_packed = c0;
-      kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
       tile_gemm(a, b, c_packed);
 
       const Matrix<float> ref = c_ref.to_fp32();
@@ -269,7 +281,6 @@ TEST(GemmEngineTest, TileGemmPackedMatchesReferencePerPrecision) {
 
 TEST(GemmEngineTest, PrepackedABitwiseIdenticalToPlainPacked) {
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(19);
   for (Precision precision : {Precision::kFp32, Precision::kFp16}) {
     const std::size_t ts = 48;
@@ -298,7 +309,6 @@ TEST(GemmEngineTest, PrepackedABitwiseIdenticalToPlainPacked) {
 
 TEST(GemmEngineTest, BatchScopeSharedPackingBitwiseIdentical) {
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(23);
   const std::size_t ts = 40;
   const Tile a = random_tile(ts, ts, Precision::kFp16, rng);
@@ -330,7 +340,6 @@ TEST(GemmEngineTest, PrepackedWeightsBlockBitwiseIdentical) {
   // The predict-chain shape: each task streams its own kernel tile as A,
   // the group shares a packed FP32 weights block as B (packed_view_b).
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(41);
   const std::size_t ts = 48, nrhs = 5;
   const std::vector<float> weights = random_buffer(ts * nrhs, rng);
@@ -362,7 +371,6 @@ TEST(GemmEngineTest, BatchScopeSharedBPackingBitwiseIdentical) {
   // The Cholesky trailing-update shape: one panel-column tile b shared as
   // the (transposed) right operand by GEMMs with distinct left tiles.
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(37);
   const std::size_t ts = 40;
   const Tile b = random_tile(ts, ts, Precision::kFp8E4M3, rng);
@@ -407,12 +415,11 @@ TEST(GemmEngineTest, NarrowTileGemmAllocatesNoOperandScratch) {
     const Tile b = random_tile(ts, ts, precision, rng);
     Tile c = random_tile(ts, ts, precision, rng);
 
-    // Packed backend: after a warm-up (thread-local pack buffers sized,
-    // pool size classes primed), each tile GEMM acquires exactly one
-    // pooled buffer — the FP32 decode of the read-modify-write C tile.
-    // A and B are packed straight from storage (decode-on-pack): no
-    // full-tile FP32 operand scratch is allocated or filled.
-    kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
+    // After a warm-up (thread-local pack buffers sized, pool size classes
+    // primed), each tile GEMM acquires exactly one pooled buffer — the
+    // FP32 decode of the read-modify-write C tile.  A and B are packed
+    // straight from storage (decode-on-pack): no full-tile FP32 operand
+    // scratch is allocated or filled.
     tile_gemm(a, b, c);  // warm-up
     const std::uint64_t before_packed = acquires();
     for (int i = 0; i < kOps; ++i) tile_gemm(a, b, c);
@@ -421,17 +428,6 @@ TEST(GemmEngineTest, NarrowTileGemmAllocatesNoOperandScratch) {
     EXPECT_EQ(packed_per_op, 1u)
         << to_string(precision)
         << ": packed tile GEMM should acquire only the C scratch";
-
-    // Reference backend: the same op decodes A, B and C into pooled
-    // full-tile scratch — three acquires per op.
-    kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-    tile_gemm(a, b, c);  // warm-up
-    const std::uint64_t before_ref = acquires();
-    for (int i = 0; i < kOps; ++i) tile_gemm(a, b, c);
-    const std::uint64_t ref_per_op = (acquires() - before_ref) / kOps;
-    EXPECT_EQ(ref_per_op, 3u)
-        << to_string(precision)
-        << ": reference tile GEMM decodes all three tiles";
   }
 }
 
@@ -512,12 +508,10 @@ TEST(GemmVariantParityTest, EveryVariantMatchesReferenceSyrk) {
       const std::vector<float> c0 = random_buffer(ldc * n, rng);
 
       std::vector<float> c_ref = c0;
-      kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-      syrk(uplo, Trans::kNoTrans, n, k, -1.0f, a.data(), lda, 1.0f,
-           c_ref.data(), ldc);
+      reference::syrk(uplo, Trans::kNoTrans, n, k, -1.0f, a.data(), lda, 1.0f,
+                      c_ref.data(), ldc);
 
       std::vector<float> c_packed = c0;
-      kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
       syrk(uplo, Trans::kNoTrans, n, k, -1.0f, a.data(), lda, 1.0f,
            c_packed.data(), ldc);
 
@@ -540,11 +534,9 @@ TEST(GemmVariantParityTest, EveryVariantMatchesReferencePerStoragePrecision) {
       const Tile c0 = random_tile(ts, ts, precision, rng);
 
       Tile c_ref = c0;
-      kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-      tile_gemm(a, b, c_ref);
+      reference_tile_gemm(a, b, c_ref);
 
       Tile c_packed = c0;
-      kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
       tile_gemm(a, b, c_packed);
 
       const Matrix<float> ref = c_ref.to_fp32();
@@ -564,7 +556,6 @@ TEST(GemmVariantParityTest, EveryVariantMatchesReferencePerStoragePrecision) {
 
 TEST(GemmVariantParityTest, EveryVariantIsBitwiseDeterministic) {
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   for (const kernels::Arch arch : kernels::available_archs()) {
     kernels::set_gemm_arch(arch);
     Rng rng(20260810);
@@ -594,7 +585,6 @@ TEST(GemmVariantParityTest, EveryVariantIsBitwiseDeterministic) {
 
 TEST(GemmVariantParityTest, Int8AccumulatePathIsExactAndVariantInvariant) {
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(20260811);
   const std::size_t m = 37, n = 29, k = 61;
   std::vector<std::int8_t> a(m * k), b(k * n);
@@ -644,7 +634,6 @@ TEST(GemmVariantParityTest, Int8TileGemmBatchMatchesSoloBitwise) {
   // integer-accumulate path has no packed image), so batched and solo
   // execution must still agree bitwise.
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(20260812);
   const std::size_t ts = 40;
   const Tile a = random_tile(ts, ts, Precision::kInt8, rng);
@@ -672,7 +661,6 @@ TEST(GemmVariantParityTest, Int8TileGemmBatchMatchesSoloBitwise) {
 
 TEST(GemmVariantParityTest, ParallelPackingBitwiseMatchesSerial) {
   ScopedEngineConfig restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   Rng rng(20260813);
   // Large enough that the parallel path engages (several ic/pc blocks,
   // above the fan-out grain) with the default blocking.
@@ -713,13 +701,17 @@ TEST(GemmEngineTest, MixedTcGemmMatchesReferenceRounding) {
     const std::vector<float> b = random_buffer(n * k, rng);  // used as B^T
     const std::vector<float> c0 = random_buffer(m * n, rng);
 
+    // Oracle: round full operand copies to the tensor-core operand
+    // precision, then run the scalar loops in FP32.
+    std::vector<float> a_rounded = a, b_rounded = b;
+    quantize_inplace(precision, a_rounded.data(), a_rounded.size());
+    quantize_inplace(precision, b_rounded.data(), b_rounded.size());
     std::vector<float> c_ref = c0;
-    kernels::set_gemm_backend(kernels::GemmBackend::kReference);
-    gemm_tc(precision, Trans::kNoTrans, Trans::kTrans, m, n, k, 1.0f,
-            a.data(), m, b.data(), n, 0.5f, c_ref.data(), m);
+    reference::gemm(Trans::kNoTrans, Trans::kTrans, m, n, k, 1.0f,
+                    a_rounded.data(), m, b_rounded.data(), n, 0.5f,
+                    c_ref.data(), m);
 
     std::vector<float> c_packed = c0;
-    kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
     gemm_tc(precision, Trans::kNoTrans, Trans::kTrans, m, n, k, 1.0f,
             a.data(), m, b.data(), n, 0.5f, c_packed.data(), m);
 

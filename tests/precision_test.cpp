@@ -180,6 +180,14 @@ TEST(Convert, BufferRoundTripExactForRepresentables) {
     dequantize_buffer(p, storage.data(), back.data(), values.size());
     EXPECT_EQ(values, back) << to_string(p);
   }
+  // Zero-length buffers (rank-0 low-rank factors) may be null in every
+  // format, including the memcpy-backed FP32 and same-format paths.
+  for (const Precision p : {Precision::kFp32, Precision::kFp16}) {
+    quantize_buffer(p, nullptr, nullptr, 0);
+    dequantize_buffer(p, nullptr, nullptr, 0);
+    convert_buffer(p, nullptr, p, nullptr, 0);
+    convert_buffer(p, nullptr, Precision::kFp8E4M3, nullptr, 0);
+  }
 }
 
 TEST(Convert, QuantizeInplaceMatchesScalar) {

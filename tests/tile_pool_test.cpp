@@ -181,12 +181,10 @@ TEST(TilePool, PackBuffersAreFootprintKeyedAcrossShapes) {
   namespace kernels = mpblas::kernels;
   struct Restore {
     ~Restore() {
-      kernels::set_gemm_backend(std::nullopt);
       kernels::set_gemm_blocking(std::nullopt);
       kernels::set_pack_threads(std::nullopt);
     }
   } restore;
-  kernels::set_gemm_backend(kernels::GemmBackend::kPacked);
   kernels::set_pack_threads(1);  // keep all pool traffic on this thread
 
   Rng rng(29);
