@@ -147,24 +147,62 @@ BENCHMARK(BM_GemmTensorCoreEmulated)
     ->Args({128, static_cast<long>(Precision::kFp8E4M3)})
     ->Args({128, static_cast<long>(Precision::kBf16)});
 
-void BM_SyrkInt8(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto k = static_cast<std::size_t>(state.range(1));
+// INT8 dosage SYRK (lower triangle of G G^T, the Build Gram): one
+// engine row per variant the host can run (the avx512 row runs the
+// AVX512-VNNI kernel where the CPU has it, the label names the INT8
+// kernel) plus the kgwas::reference scalar loops.  items_per_second is
+// MAC/s over the lower triangle, n (n + 1) / 2 * k MACs per call.  CI
+// runs these rows into BENCH_gemm.json and BENCH_gemm_native.json.
+void run_syrk_int8_row(benchmark::State& state,
+                       std::optional<mpblas::kernels::Arch> arch,
+                       std::size_t n, std::size_t k) {
+  namespace kernels = mpblas::kernels;
   Rng rng(5);
   Matrix<std::int8_t> a(n, k);
   for (std::size_t i = 0; i < a.size(); ++i) {
     a.data()[i] = static_cast<std::int8_t>(rng.uniform_index(3));
   }
   Matrix<std::int32_t> c(n, n, 0);
+  if (arch) kernels::set_gemm_arch(*arch);
   for (auto _ : state) {
-    syrk_i8_i32(Uplo::kLower, Trans::kNoTrans, n, k, 1, a.data(), n, 0,
-                c.data(), n);
+    if (arch) {
+      syrk_i8_i32(Uplo::kLower, Trans::kNoTrans, n, k, 1, a.data(), n, 0,
+                  c.data(), n);
+    } else {
+      reference::syrk_i8_i32(Uplo::kLower, Trans::kNoTrans, n, k, 1,
+                             a.data(), n, 0, c.data(), n);
+    }
     benchmark::DoNotOptimize(c.data());
   }
+  state.SetLabel(arch ? std::string("variant/") + to_string(*arch) +
+                            " int8/" + kernels::int8_kernel()
+                      : std::string("reference"));
+  if (arch) kernels::set_gemm_arch(std::nullopt);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n * k));
+                          static_cast<std::int64_t>(n * (n + 1) / 2 * k));
 }
-BENCHMARK(BM_SyrkInt8)->Args({128, 512})->Args({256, 512});
+
+int register_syrk_int8_rows() {
+  namespace kernels = mpblas::kernels;
+  std::vector<std::pair<std::string, std::optional<kernels::Arch>>> rows{
+      {"reference", std::nullopt}};
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    rows.emplace_back(to_string(arch), arch);
+  }
+  for (const auto& [name, arch] : rows) {
+    for (const std::size_t n : {std::size_t{128}, std::size_t{256}}) {
+      const std::size_t k = 512;
+      const std::string row = "BM_SyrkInt8_" + name + "/" +
+                              std::to_string(n) + "/" + std::to_string(k);
+      benchmark::RegisterBenchmark(
+          row.c_str(), [arch = arch, n, k](benchmark::State& state) {
+            run_syrk_int8_row(state, arch, n, k);
+          });
+    }
+  }
+  return 0;
+}
+const int g_syrk_int8_rows_registered = register_syrk_int8_rows();
 
 void BM_PotrfFp32(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

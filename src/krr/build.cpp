@@ -1,16 +1,63 @@
 #include "krr/build.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "common/status.hpp"
 #include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/mixed.hpp"
+#include "tile/tile_pool.hpp"
 
 namespace kgwas {
 
 namespace {
+
+/// Throws InvalidArgument naming the first patient/SNP whose dosage is
+/// outside {0, 1, 2}: the IBS identity and the INT32 overflow guard both
+/// assume that range, and any other value would silently give a wrong
+/// kernel.  The per-SNP max is a vectorizable scan; the search for the
+/// offending patient runs only on failure.
+void check_dosages(const GenotypeMatrix& genotypes, const char* side) {
+  const Matrix<std::int8_t>& g = genotypes.matrix();
+  for (std::size_t s = 0; s < genotypes.snps(); ++s) {
+    const std::int8_t* column = &g(0, s);
+    std::uint8_t worst = 0;
+    for (std::size_t p = 0; p < genotypes.patients(); ++p) {
+      worst = std::max(worst, static_cast<std::uint8_t>(column[p]));
+    }
+    if (worst <= 2) continue;
+    for (std::size_t p = 0; p < genotypes.patients(); ++p) {
+      if (static_cast<std::uint8_t>(column[p]) > 2) {
+        std::ostringstream msg;
+        msg << side << " genotypes: dosage " << static_cast<int>(column[p])
+            << " of patient " << p << " at SNP " << s
+            << " is outside {0, 1, 2}";
+        throw InvalidArgument(msg.str());
+      }
+    }
+  }
+}
+
+/// i32 scratch for one tile's integer Gram, drawn from the global
+/// TilePool's byte classes and returned on scope exit.
+class PooledI32 {
+ public:
+  explicit PooledI32(std::size_t elements)
+      : bytes_(TilePool::global().acquire(elements * sizeof(std::int32_t))) {}
+  ~PooledI32() { TilePool::global().release(std::move(bytes_)); }
+  PooledI32(const PooledI32&) = delete;
+  PooledI32& operator=(const PooledI32&) = delete;
+
+  std::int32_t* data() noexcept {
+    return reinterpret_cast<std::int32_t*>(bytes_.data());
+  }
+
+ private:
+  AlignedVector<std::byte> bytes_;
+};
 
 /// Indicator matrices u = [g == 0], v = [g == 2] for the IBS identity.
 struct IbsIndicators {
@@ -76,6 +123,10 @@ KernelTileGenerator::KernelTileGenerator(const GenotypeMatrix& genotypes_rows,
   // INT32 overflow guard: max entry of the dosage Gram is 4 * NS.
   KGWAS_CHECK_ARG(genotypes_rows.snps() < (1u << 28),
                   "SNP count would overflow INT32 accumulation");
+  check_dosages(genotypes_rows, "row-side");
+  if (&genotypes_cols != &genotypes_rows) {
+    check_dosages(genotypes_cols, "column-side");
+  }
   auto inputs = std::make_shared<Inputs>();
   inputs->genotypes_rows = &genotypes_rows;
   inputs->genotypes_cols = &genotypes_cols;
@@ -117,65 +168,66 @@ void KernelTileGenerator::compute(std::size_t r0, std::size_t c0,
   const std::size_t ldr = in.genotypes_rows->patients();
   const std::size_t ldc = in.genotypes_cols->patients();
 
-  // INT8 tensor-core GEMM: G_r * G_c^T, exact INT32 accumulation.
-  Matrix<std::int32_t> dot(mb, nb);
+  // INT8 GEMM on the packed engine: G_r * G_c^T, exact INT32 accumulation.
+  PooledI32 dot(mb * nb);
   gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
               &in.genotypes_rows->matrix()(r0, 0), ldr,
-              &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot.data(),
-              dot.ld());
+              &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot.data(), mb);
 
-  Matrix<float> k(mb, nb);
+  // The epilogue writes straight into the FP32 tile.
+  float* k = out.fp32_payload();
 
   if (!in.ibs) {
     // Fused: d = n_i + n_j - 2 dot (+ confounder distances), k = exp(-g d).
-    Matrix<float> conf_dist(mb, nb);
     const std::size_t nc = in.conf_rows->cols();
     if (nc > 0) {
-      // -2 * C_r C_c^T accumulated in FP32, plus the folded norms.
+      // -2 * C_r C_c^T accumulated in FP32, staged in the output: each
+      // element is read once below before its kernel value replaces it.
       gemm(Trans::kNoTrans, Trans::kTrans, mb, nb, nc, -2.0f,
            &(*in.conf_rows)(r0, 0), in.conf_rows->ld(), &(*in.conf_cols)(c0, 0),
-           in.conf_cols->ld(), 0.0f, conf_dist.data(), conf_dist.ld());
+           in.conf_cols->ld(), 0.0f, k, mb);
     }
     for (std::size_t j = 0; j < nb; ++j) {
       for (std::size_t i = 0; i < mb; ++i) {
+        const std::size_t x = i + j * mb;
         double d = static_cast<double>(in.snp_norms_rows[r0 + i]) +
                    static_cast<double>((*in.snp_norms_cols)[c0 + j]) -
-                   2.0 * static_cast<double>(dot(i, j));
+                   2.0 * static_cast<double>(dot.data()[x]);
         if (nc > 0) {
           d += static_cast<double>(in.conf_norms_rows[r0 + i]) +
                static_cast<double>((*in.conf_norms_cols)[c0 + j]) +
-               static_cast<double>(conf_dist(i, j));
+               static_cast<double>(k[x]);
         }
         // Quantized inputs guarantee d >= 0 up to FP32 rounding of the
         // confounder part; clamp to keep the kernel in (0, 1].
         if (d < 0.0) d = 0.0;
-        k(i, j) = static_cast<float>(std::exp(-config_.gamma * d));
+        k[x] = static_cast<float>(std::exp(-config_.gamma * d));
       }
     }
   } else {
     // IBS: shared = 2*NS - sum|gi-gj|; sum|gi-gj| = d - 2 * count2 where
     // count2 = u_r . v_c + v_r . u_c.
-    Matrix<std::int32_t> count2(mb, nb);
+    PooledI32 count2(mb * nb);
     gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
                 &in.ind_rows.zero(r0, 0), ldr, &in.ind_cols->two(c0, 0), ldc,
-                0, count2.data(), count2.ld());
+                0, count2.data(), mb);
     gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
                 &in.ind_rows.two(r0, 0), ldr, &in.ind_cols->zero(c0, 0), ldc,
-                1, count2.data(), count2.ld());
+                1, count2.data(), mb);
     const double denom = 2.0 * static_cast<double>(ns);
     for (std::size_t j = 0; j < nb; ++j) {
       for (std::size_t i = 0; i < mb; ++i) {
+        const std::size_t x = i + j * mb;
         const std::int64_t d = static_cast<std::int64_t>(
                                    in.snp_norms_rows[r0 + i]) +
                                (*in.snp_norms_cols)[c0 + j] -
-                               2 * static_cast<std::int64_t>(dot(i, j));
-        const std::int64_t abs_sum = d - 2 * count2(i, j);
-        k(i, j) = static_cast<float>(
+                               2 * static_cast<std::int64_t>(dot.data()[x]);
+        const std::int64_t abs_sum = d - 2 * count2.data()[x];
+        k[x] = static_cast<float>(
             (denom - static_cast<double>(abs_sum)) / denom);
       }
     }
   }
-  out.from_fp32(k);
 }
 
 double KernelTileGenerator::tile_op_count(std::size_t rows,
@@ -269,8 +321,9 @@ TileMatrix build_cross_kernel(Runtime& runtime,
 double build_op_count(std::size_t n_train, std::size_t n_snps,
                       std::size_t n_confounders) {
   const double np = static_cast<double>(n_train);
-  // Dosage SYRK (INT8): np^2 * ns MACs = 2 np^2 ns ops; confounder SYRK in
-  // FP32; plus the O(np^2) fused exponentiation (counted once).
+  // The symmetric half of the dosage Gram (INT8): np^2 / 2 * ns MACs =
+  // np^2 ns ops; the confounder half in FP32 likewise; plus the O(np^2)
+  // fused exponentiation (counted once).
   return np * np * static_cast<double>(n_snps) +
          np * np * static_cast<double>(n_confounders) + np * np;
 }

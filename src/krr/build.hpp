@@ -48,7 +48,11 @@ struct BuildConfig {
 ///
 /// The referenced genotype/confounder matrices must outlive the
 /// generator.  For the symmetric train kernel pass the same cohort for
-/// both sides.
+/// both sides.  The constructor throws InvalidArgument naming the patient
+/// and SNP of any dosage outside {0, 1, 2} on either side.  Each tile's
+/// integer Grams run on the packed engine's INT8 path (gemm_i8_i32) into
+/// pooled i32 scratch, and the FP64 epilogue writes the kernel values
+/// straight into the tile.
 class KernelTileGenerator {
  public:
   KernelTileGenerator(const GenotypeMatrix& genotypes_rows,
@@ -58,8 +62,9 @@ class KernelTileGenerator {
                       const BuildConfig& config);
 
   /// Computes the kernel tile covering patient row block [r0, r0 + rows)
-  /// x column block [c0, c0 + cols) of `out` and stores it at the tile's
-  /// precision.  Thread-safe (all shared state is read-only).
+  /// x column block [c0, c0 + cols) of `out`, an FP32 tile (kernel
+  /// matrices are generated at working precision; the precision map
+  /// lowers tiles later).  Thread-safe (all shared state is read-only).
   void compute(std::size_t r0, std::size_t c0, Tile& out) const;
 
   /// Ops charged to one rows x cols kernel-tile task: the dosage GEMM

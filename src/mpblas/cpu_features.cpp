@@ -93,6 +93,8 @@ CpuFeatures probe() {
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
   f.fma = __builtin_cpu_supports("fma") != 0;
   f.avx512f = __builtin_cpu_supports("avx512f") != 0;
+  f.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
+  f.avx512vnni = __builtin_cpu_supports("avx512vnni") != 0;
 #endif
 #if defined(__aarch64__) || defined(__ARM_NEON)
   f.neon = true;

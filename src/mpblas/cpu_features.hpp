@@ -17,10 +17,13 @@ namespace kgwas::mpblas {
 
 struct CpuFeatures {
   // Vector ISA levels relevant to the compiled-in microkernel variants.
-  bool avx2 = false;     ///< AVX2 (x86-64)
-  bool fma = false;      ///< FMA3 (x86-64; the AVX2 kernel requires both)
-  bool avx512f = false;  ///< AVX-512 Foundation (x86-64)
-  bool neon = false;     ///< NEON/ASIMD (aarch64: always true)
+  bool avx2 = false;        ///< AVX2 (x86-64)
+  bool fma = false;         ///< FMA3 (x86-64; the AVX2 kernel requires both)
+  bool avx512f = false;     ///< AVX-512 Foundation (x86-64)
+  bool avx512bw = false;    ///< AVX-512 Byte/Word (x86-64)
+  bool avx512vnni = false;  ///< AVX-512 VNNI, vpdpbusd (x86-64; the VNNI
+                            ///< INT8 kernel requires it and avx512bw)
+  bool neon = false;        ///< NEON/ASIMD (aarch64: always true)
 
   // Per-core data cache sizes in bytes.  When the OS exposes nothing the
   // probe falls back to conservative defaults (32 KiB / 512 KiB / 8 MiB)

@@ -7,12 +7,14 @@
 #include <mutex>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 
 #include "common/logging.hpp"
 #include "common/scheduler.hpp"
 #include "common/status.hpp"
 #include "mpblas/cpu_features.hpp"
 #include "mpblas/microkernel.hpp"
+#include "mpblas/mixed.hpp"
 #include "precision/convert.hpp"
 #include "tile/tile_pool.hpp"
 
@@ -530,29 +532,38 @@ void macro_syrk(const MicroKernel& uk, Uplo uplo, std::size_t gi0,
 
 // ---------------------------------------------------------------- driver
 
-void scale_c_full(float beta, std::size_t m, std::size_t n, float* c,
+/// beta * x; the i32 product wraps, like all of the integer path.
+float scaled(float x, float beta) { return x * beta; }
+std::int32_t scaled(std::int32_t x, std::int32_t beta) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(x) *
+                                   static_cast<std::uint32_t>(beta));
+}
+
+template <typename T>
+void scale_c_full(T beta, std::size_t m, std::size_t n, T* c,
                   std::size_t ldc) {
-  if (beta == 1.0f) return;
+  if (beta == T{1}) return;
   for (std::size_t j = 0; j < n; ++j) {
-    float* cj = c + j * ldc;
-    if (beta == 0.0f) {
-      std::fill(cj, cj + m, 0.0f);
+    T* cj = c + j * ldc;
+    if (beta == T{0}) {
+      std::fill(cj, cj + m, T{0});
     } else {
-      for (std::size_t i = 0; i < m; ++i) cj[i] *= beta;
+      for (std::size_t i = 0; i < m; ++i) cj[i] = scaled(cj[i], beta);
     }
   }
 }
 
-void scale_c_triangle(Uplo uplo, float beta, std::size_t n, float* c,
+template <typename T>
+void scale_c_triangle(Uplo uplo, T beta, std::size_t n, T* c,
                       std::size_t ldc) {
-  if (beta == 1.0f) return;
+  if (beta == T{1}) return;
   const bool lower = uplo == Uplo::kLower;
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t i_begin = lower ? j : 0;
     const std::size_t i_end = lower ? n : j + 1;
-    float* cj = c + j * ldc;
+    T* cj = c + j * ldc;
     for (std::size_t i = i_begin; i < i_end; ++i) {
-      cj[i] = beta == 0.0f ? 0.0f : cj[i] * beta;
+      cj[i] = beta == T{0} ? T{0} : scaled(cj[i], beta);
     }
   }
 }
@@ -581,128 +592,227 @@ void gemm_driver(const MicroKernel& uk, std::size_t m, std::size_t n,
   }
 }
 
-// --------------------------------------------------- int8-accumulate path
+// ------------------------------------------------------------- INT8 path
 //
 // When both operands are stored as INT8 (and request no tensor-core
-// operand rounding — it would be a no-op on integers anyway, but the
-// semantics say values pass through quantize_inplace), the engine skips
-// the float pipeline entirely: operands pack into i16 micro-panels, the
-// microkernel accumulates exact i32 dot products, and only the epilogue
-// converts to FP32 (scaled by alpha).  Exact while every |dot product|
-// stays below 2^31 — worst case k * 127 * 127 < 2^31, i.e. any k below
-// ~133k — which beats FP32 accumulation (exact only to 2^24) on the
-// integer genotype data this path exists for.  The tile is a fixed
-// 8 x 6 regardless of the dispatched float variant, so INT8 results are
-// identical across KGWAS_GEMM_ARCH settings.
+// operand rounding — a no-op on integers anyway, but the semantics say
+// values pass through quantize_inplace), the engine skips the float
+// pipeline.  One packing writes 4-byte k-group panels (layout in
+// microkernel.hpp: A as unsigned a + 128, B signed), one microkernel
+// computes the offset products (the AVX512-VNNI vpdpbusd kernel under the
+// avx512 variant on hosts with AVX512-BW and AVX512-VNNI, the portable
+// kernel below everywhere else), and one jc -> pc -> ic nest feeds two
+// stores: the exact i32 store behind gemm_i8_i32/syrk_i8_i32 and
+// gemm_view's alpha-scaled FP32 store.  The store subtracts 128 *
+// colsum(B).  All integer arithmetic wraps modulo 2^32, so the i32 result
+// is exact for any INT8 input whose true result fits in i32, and both
+// kernels produce identical integers under every variant.
 
-constexpr std::size_t kI8Mr = 8;
-constexpr std::size_t kI8Nr = 6;
+using detail::kI8Group;
+using detail::kI8Mr;
+using detail::kI8Nr;
+using detail::MicroKernelI8Fn;
 
-void pack_a_block_i8(const OperandView& a, std::size_t i0, std::size_t p0,
-                     std::size_t mb, std::size_t kb,
-                     std::int16_t* KGWAS_RESTRICT dst) {
-  const auto* src = static_cast<const std::int8_t*>(a.data);
-  const std::size_t ld = a.ld;
-  const std::size_t panels = (mb + kI8Mr - 1) / kI8Mr;
+/// Portable INT8 kernel on the shared panels.  The 4 products of one
+/// k-group sum exactly in int (|sum| <= 4 * 255 * 128); the u32
+/// accumulators then wrap like vpdpbusd's lanes.
+void micro_kernel_i8(std::size_t groups, const std::uint8_t* KGWAS_RESTRICT a,
+                     const std::int8_t* KGWAS_RESTRICT b,
+                     std::int32_t* KGWAS_RESTRICT acc) {
+  std::uint32_t local[kI8Mr * kI8Nr] = {};
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint8_t* KGWAS_RESTRICT ag = a + g * kI8Mr * kI8Group;
+    const std::int8_t* KGWAS_RESTRICT bg = b + g * kI8Nr * kI8Group;
+    for (std::size_t j = 0; j < kI8Nr; ++j) {
+      const int b0 = bg[j * kI8Group];
+      const int b1 = bg[j * kI8Group + 1];
+      const int b2 = bg[j * kI8Group + 2];
+      const int b3 = bg[j * kI8Group + 3];
+      std::uint32_t* KGWAS_RESTRICT accj = local + j * kI8Mr;
+      for (std::size_t i = 0; i < kI8Mr; ++i) {
+        const std::uint8_t* ai = ag + i * kI8Group;
+        accj[i] += static_cast<std::uint32_t>(ai[0] * b0 + ai[1] * b1 +
+                                              ai[2] * b2 + ai[3] * b3);
+      }
+    }
+  }
+  for (std::size_t x = 0; x < kI8Mr * kI8Nr; ++x) {
+    acc[x] = static_cast<std::int32_t>(local[x]);
+  }
+}
+
+bool vnni_selected() {
+  const CpuFeatures& f = cpu_features();
+  return selected_kernel().arch == Arch::kAvx512 && f.avx512bw &&
+         f.avx512vnni && detail::avx512_vnni_i8_microkernel() != nullptr;
+}
+
+MicroKernelI8Fn int8_microkernel() {
+  return vnni_selected() ? detail::avx512_vnni_i8_microkernel()
+                         : micro_kernel_i8;
+}
+
+/// The set_gemm_blocking() override when set, else the analytic blocking
+/// of the INT8 micro-tile with one-byte elements.
+Blocking int8_blocking() {
+  {
+    std::lock_guard<std::mutex> lock(g_blocking_mutex);
+    if (g_blocking_override) return *g_blocking_override;
+  }
+  return analytic_blocking(kI8Mr, kI8Nr, sizeof(std::int8_t));
+}
+
+std::size_t k_groups(std::size_t kb) { return (kb + kI8Group - 1) / kI8Group; }
+
+/// Packs lines [x0, x0 + xb) x depth [p0, p0 + kb) of an INT8 operand
+/// into `width`-line micro-panels of 4-byte k-groups.  A line is a row of
+/// op(A) or a column of op(B); element (x, l) sits at
+/// src[x * x_stride + l * l_stride].  Every byte is XORed with `flip`
+/// (0x80 turns A's signed bytes into a + 128); padding lines and the k
+/// remainder hold `flip`, a stored zero.
+void pack_i8_block(const std::int8_t* src, std::size_t x_stride,
+                   std::size_t l_stride, std::size_t x0, std::size_t xb,
+                   std::size_t p0, std::size_t kb, std::size_t width,
+                   std::uint8_t flip, std::uint8_t* KGWAS_RESTRICT dst) {
+  const std::size_t groups = k_groups(kb);
+  const std::size_t panels = (xb + width - 1) / width;
   for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t row0 = i0 + p * kI8Mr;
-    const std::size_t rows = std::min(kI8Mr, mb - p * kI8Mr);
-    std::int16_t* KGWAS_RESTRICT panel = dst + p * kI8Mr * kb;
-    for (std::size_t l = 0; l < kb; ++l) {
-      std::int16_t* KGWAS_RESTRICT out = panel + l * kI8Mr;
-      if (a.trans == Trans::kNoTrans) {
-        const std::size_t base = row0 + (p0 + l) * ld;
-        for (std::size_t r = 0; r < rows; ++r) out[r] = src[base + r];
+    const std::size_t lines = std::min(width, xb - p * width);
+    for (std::size_t g = 0; g < groups; ++g) {
+      std::uint8_t* KGWAS_RESTRICT out =
+          dst + (p * groups + g) * width * kI8Group;
+      const std::int8_t* in =
+          src + (x0 + p * width) * x_stride + (p0 + g * kI8Group) * l_stride;
+      const std::size_t depth = std::min(kI8Group, kb - g * kI8Group);
+      if (x_stride == 1 && depth == kI8Group) {
+        // Four contiguous k slices interleave into the groups.
+        const std::int8_t* in1 = in + l_stride;
+        const std::int8_t* in2 = in1 + l_stride;
+        const std::int8_t* in3 = in2 + l_stride;
+        for (std::size_t x = 0; x < lines; ++x) {
+          out[x * kI8Group] = static_cast<std::uint8_t>(in[x]) ^ flip;
+          out[x * kI8Group + 1] = static_cast<std::uint8_t>(in1[x]) ^ flip;
+          out[x * kI8Group + 2] = static_cast<std::uint8_t>(in2[x]) ^ flip;
+          out[x * kI8Group + 3] = static_cast<std::uint8_t>(in3[x]) ^ flip;
+        }
       } else {
-        const std::size_t col = p0 + l;
-        for (std::size_t r = 0; r < rows; ++r) {
-          out[r] = src[col + (row0 + r) * ld];
+        for (std::size_t x = 0; x < lines; ++x) {
+          for (std::size_t q = 0; q < kI8Group; ++q) {
+            const auto v = static_cast<std::uint8_t>(
+                q < depth ? in[x * x_stride + q * l_stride] : 0);
+            out[x * kI8Group + q] = v ^ flip;
+          }
         }
       }
-      for (std::size_t r = rows; r < kI8Mr; ++r) out[r] = 0;
+      std::fill(out + lines * kI8Group, out + width * kI8Group, flip);
     }
   }
 }
 
-void pack_b_block_i8(const OperandView& b, std::size_t p0, std::size_t j0,
-                     std::size_t kb, std::size_t nb,
-                     std::int16_t* KGWAS_RESTRICT dst) {
-  const auto* src = static_cast<const std::int8_t*>(b.data);
-  const std::size_t ld = b.ld;
+/// 128 * colsum(op(B)) per packed column, modulo 2^32: what the a + 128
+/// encoding of A adds to every dot product of that column.
+void column_offsets(const std::uint8_t* packed_b, std::size_t nb,
+                    std::size_t groups, std::uint32_t* KGWAS_RESTRICT out) {
   const std::size_t panels = (nb + kI8Nr - 1) / kI8Nr;
   for (std::size_t q = 0; q < panels; ++q) {
-    const std::size_t col0 = j0 + q * kI8Nr;
-    const std::size_t cols = std::min(kI8Nr, nb - q * kI8Nr);
-    std::int16_t* KGWAS_RESTRICT panel = dst + q * kI8Nr * kb;
-    for (std::size_t l = 0; l < kb; ++l) {
-      std::int16_t* KGWAS_RESTRICT out = panel + l * kI8Nr;
-      if (b.trans == Trans::kNoTrans) {
-        const std::size_t base = p0 + l;
-        for (std::size_t c = 0; c < cols; ++c) {
-          out[c] = src[base + (col0 + c) * ld];
-        }
+    const auto* panel = reinterpret_cast<const std::int8_t*>(
+        packed_b + q * groups * kI8Nr * kI8Group);
+    // One sum per byte position of a k-group (a plain vector add), folded
+    // into the column sums at the end.
+    std::uint32_t lane[kI8Nr * kI8Group] = {};
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (std::size_t x = 0; x < kI8Nr * kI8Group; ++x) {
+        lane[x] += static_cast<std::uint32_t>(panel[g * kI8Nr * kI8Group + x]);
+      }
+    }
+    for (std::size_t c = 0; c < kI8Nr; ++c) {
+      const std::uint32_t* l = lane + c * kI8Group;
+      out[q * kI8Nr + c] = 128u * (l[0] + l[1] + l[2] + l[3]);
+    }
+  }
+}
+
+/// The two stores: each adds alpha * dot to `count` rows of column j of
+/// C from row i, where dot = acc - offset is the exact product modulo
+/// 2^32.  The i32 store (T = std::int32_t) wraps as well; the FP32 store
+/// rounds alpha * float(dot).
+template <typename T>
+struct Int8Store {
+  T alpha;
+  T* c;
+  std::size_t ldc;
+  void operator()(std::size_t i, std::size_t j, std::size_t count,
+                  const std::int32_t* KGWAS_RESTRICT acc,
+                  std::uint32_t offset) const {
+    T* KGWAS_RESTRICT cj = c + i + j * ldc;
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::uint32_t dot = static_cast<std::uint32_t>(acc[r]) - offset;
+      if constexpr (std::is_same_v<T, float>) {
+        cj[r] += alpha * static_cast<float>(static_cast<std::int32_t>(dot));
       } else {
-        const std::size_t base = col0 + (p0 + l) * ld;
-        for (std::size_t c = 0; c < cols; ++c) out[c] = src[base + c];
-      }
-      for (std::size_t c = cols; c < kI8Nr; ++c) out[c] = 0;
-    }
-  }
-}
-
-/// 8 x 6 i16 x i16 -> i32 register tile.  The i16 widening happens at
-/// pack time, so the inner loop is pure multiply-accumulate the compiler
-/// can vectorize (pmaddwd-class codegen under x86).
-void micro_kernel_i8(std::size_t kb, const std::int16_t* KGWAS_RESTRICT a,
-                     const std::int16_t* KGWAS_RESTRICT b,
-                     std::int32_t* KGWAS_RESTRICT acc) {
-  std::int32_t local[kI8Mr * kI8Nr] = {};
-  for (std::size_t l = 0; l < kb; ++l) {
-    const std::int16_t* KGWAS_RESTRICT ap = a + l * kI8Mr;
-    const std::int16_t* KGWAS_RESTRICT bp = b + l * kI8Nr;
-    for (std::size_t j = 0; j < kI8Nr; ++j) {
-      const std::int32_t blj = bp[j];
-      std::int32_t* KGWAS_RESTRICT accj = local + j * kI8Mr;
-      for (std::size_t i = 0; i < kI8Mr; ++i) {
-        accj[i] += static_cast<std::int32_t>(ap[i]) * blj;
+        cj[r] = static_cast<std::int32_t>(static_cast<std::uint32_t>(cj[r]) +
+                                          static_cast<std::uint32_t>(alpha) *
+                                              dot);
       }
     }
   }
-  for (std::size_t x = 0; x < kI8Mr * kI8Nr; ++x) acc[x] = local[x];
-}
+};
 
-void macro_gemm_i8(std::size_t mb, std::size_t nb, std::size_t kb, float alpha,
-                   const std::int16_t* packed_a, const std::int16_t* packed_b,
-                   float* c, std::size_t ldc) {
+/// One (mb x nb) INT8 macro-tile at C coordinates (ic, jc).  With a
+/// triangle, micro tiles entirely outside it are skipped and crossing
+/// tiles store only its rows of each column, as in macro_syrk.
+template <typename Store>
+void macro_i8(MicroKernelI8Fn uk, std::optional<Uplo> tri, std::size_t ic,
+              std::size_t jc, std::size_t mb, std::size_t nb,
+              std::size_t groups, const std::uint8_t* packed_a,
+              const std::uint8_t* packed_b, const std::uint32_t* offsets,
+              const Store& store) {
   const std::size_t m_panels = (mb + kI8Mr - 1) / kI8Mr;
   const std::size_t n_panels = (nb + kI8Nr - 1) / kI8Nr;
   for (std::size_t q = 0; q < n_panels; ++q) {
     const std::size_t j0 = q * kI8Nr;
     const std::size_t cols = std::min(kI8Nr, nb - j0);
-    const std::int16_t* bp = packed_b + q * kI8Nr * kb;
+    const auto* bp = reinterpret_cast<const std::int8_t*>(
+        packed_b + q * groups * kI8Nr * kI8Group);
     for (std::size_t p = 0; p < m_panels; ++p) {
       const std::size_t i0 = p * kI8Mr;
       const std::size_t rows = std::min(kI8Mr, mb - i0);
+      const std::size_t gi = ic + i0;
+      const std::size_t gj = jc + j0;
+      if (tri && (*tri == Uplo::kLower ? gi + rows - 1 < gj
+                                       : gi > gj + cols - 1)) {
+        continue;  // micro tile entirely outside the triangle
+      }
       alignas(kDefaultAlignment) std::int32_t acc[kI8Mr * kI8Nr];
-      micro_kernel_i8(kb, packed_a + p * kI8Mr * kb, bp, acc);
+      uk(groups, packed_a + p * groups * kI8Mr * kI8Group, bp, acc);
       for (std::size_t j = 0; j < cols; ++j) {
-        float* KGWAS_RESTRICT cj = c + i0 + (j0 + j) * ldc;
-        const std::int32_t* KGWAS_RESTRICT accj = acc + j * kI8Mr;
-        for (std::size_t i = 0; i < rows; ++i) {
-          cj[i] += alpha * static_cast<float>(accj[i]);
+        // Rows [lo, hi) of this column lie inside the triangle.
+        std::size_t lo = 0;
+        std::size_t hi = rows;
+        if (tri == Uplo::kLower && gj + j > gi) {
+          lo = std::min(rows, gj + j - gi);
+        } else if (tri == Uplo::kUpper) {
+          hi = gj + j < gi ? 0 : std::min(rows, gj + j - gi + 1);
+        }
+        if (lo < hi) {
+          store(gi + lo, gj + j, hi - lo, acc + j * kI8Mr + lo,
+                offsets[j0 + j]);
         }
       }
     }
   }
 }
 
-/// Byte-pool-backed per-thread buffers for the i16 panels (same reuse
-/// contract as ThreadPackBuffer).
+/// Byte-pool-backed per-thread buffers for the INT8 panels.  Unlike the
+/// FP32 buffers they are not sized to the blocking footprint but grow to
+/// the largest block the thread has packed: INT8 products are tile-sized,
+/// and a pool buffer is zero-filled, so every byte of it is resident.
+/// Steady state touches the pool as little as ThreadPackBuffer does.
 struct ThreadPackBytes {
   AlignedVector<std::byte> buffer;
 
   void* ensure(std::size_t bytes) {
-    if (buffer.size() != bytes) {
+    if (buffer.size() < bytes) {
       if (!buffer.empty()) TilePool::global().release(std::move(buffer));
       buffer = TilePool::global().acquire(bytes);
     }
@@ -725,25 +835,43 @@ bool int8_fast_path(const OperandView& a, const OperandView& b) {
          passthrough(a.round_to) && passthrough(b.round_to);
 }
 
-/// The int8-accumulate jc -> pc -> ic nest (beta already applied).
-void gemm_view_i8(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                  const OperandView& a, const OperandView& b, float* c,
-                  std::size_t ldc) {
-  const Blocking blk = gemm_blocking();
-  auto* a_buffer = static_cast<std::int16_t*>(t_pack_a_i8.ensure(
-      round_up(blk.mc, kI8Mr) * blk.kc * sizeof(std::int16_t)));
-  auto* b_buffer = static_cast<std::int16_t*>(t_pack_b_i8.ensure(
-      round_up(blk.nc, kI8Nr) * blk.kc * sizeof(std::int16_t)));
+/// The INT8 jc -> pc -> ic nest over op(A) m x k and op(B) k x n (beta
+/// already applied); with `tri`, macro blocks outside the triangle are
+/// skipped.  The per-thread buffers hold the largest A block, and the
+/// largest B block followed by its column offsets.
+template <typename Store>
+void gemm_i8_driver(std::size_t m, std::size_t n, std::size_t k,
+                    const OperandView& a, const OperandView& b,
+                    std::optional<Uplo> tri, const Store& store) {
+  const MicroKernelI8Fn uk = int8_microkernel();
+  const Blocking blk = int8_blocking();
+  const std::size_t kc_bytes = k_groups(std::min(blk.kc, k)) * kI8Group;
+  const std::size_t nc_lines = round_up(std::min(blk.nc, n), kI8Nr);
+  auto* a_buffer = static_cast<std::uint8_t*>(t_pack_a_i8.ensure(
+      round_up(std::min(blk.mc, m), kI8Mr) * kc_bytes));
+  const std::size_t b_panel_bytes = nc_lines * kc_bytes;
+  auto* b_buffer = static_cast<std::uint8_t*>(t_pack_b_i8.ensure(
+      b_panel_bytes + nc_lines * sizeof(std::uint32_t)));
+  auto* offsets = reinterpret_cast<std::uint32_t*>(b_buffer + b_panel_bytes);
+  const auto* a_src = static_cast<const std::int8_t*>(a.data);
+  const auto* b_src = static_cast<const std::int8_t*>(b.data);
+  const bool a_trans = a.trans == Trans::kTrans;
+  const bool b_trans = b.trans == Trans::kTrans;
+  const bool lower = tri == Uplo::kLower;
   for (std::size_t jc = 0; jc < n; jc += blk.nc) {
     const std::size_t nb = std::min(blk.nc, n - jc);
     for (std::size_t pc = 0; pc < k; pc += blk.kc) {
       const std::size_t kb = std::min(blk.kc, k - pc);
-      pack_b_block_i8(b, pc, jc, kb, nb, b_buffer);
+      pack_i8_block(b_src, b_trans ? 1 : b.ld, b_trans ? b.ld : 1, jc, nb,
+                    pc, kb, kI8Nr, 0, b_buffer);
+      column_offsets(b_buffer, nb, k_groups(kb), offsets);
       for (std::size_t ic = 0; ic < m; ic += blk.mc) {
         const std::size_t mb = std::min(blk.mc, m - ic);
-        pack_a_block_i8(a, ic, pc, mb, kb, a_buffer);
-        macro_gemm_i8(mb, nb, kb, alpha, a_buffer, b_buffer,
-                      c + ic + jc * ldc, ldc);
+        if (tri && (lower ? ic + mb - 1 < jc : ic > jc + nb - 1)) continue;
+        pack_i8_block(a_src, a_trans ? a.ld : 1, a_trans ? 1 : a.ld, ic, mb,
+                      pc, kb, kI8Mr, 0x80, a_buffer);
+        macro_i8(uk, tri, ic, jc, mb, nb, k_groups(kb), a_buffer, b_buffer,
+                 offsets, store);
       }
     }
   }
@@ -806,9 +934,12 @@ void set_gemm_arch(std::optional<Arch> arch) {
 std::size_t gemm_mr() { return selected_kernel().mr; }
 std::size_t gemm_nr() { return selected_kernel().nr; }
 
-Blocking analytic_blocking(std::size_t mr, std::size_t nr) {
+const char* int8_kernel() { return vnni_selected() ? "avx512_vnni" : "generic"; }
+
+Blocking analytic_blocking(std::size_t mr, std::size_t nr,
+                           std::size_t elem_bytes) {
   const CpuFeatures& f = cpu_features();
-  constexpr std::size_t kElem = sizeof(float);
+  const std::size_t kElem = elem_bytes;
   Blocking b;
   // kc: one mr x kc A micro-panel plus one kc x nr B micro-panel live in
   // L1d together with the C micro-tile; target half occupancy.
@@ -870,7 +1001,8 @@ void gemm_view(std::size_t m, std::size_t n, std::size_t k, float alpha,
   scale_c_full(beta, m, n, c, ldc);
   if (k == 0 || alpha == 0.0f) return;
   if (int8_fast_path(a, b)) {
-    gemm_view_i8(m, n, k, alpha, a, b, c, ldc);
+    gemm_i8_driver(m, n, k, a, b, std::nullopt,
+                   Int8Store<float>{alpha, c, ldc});
     return;
   }
   const MicroKernel& uk = selected_kernel();
@@ -1060,3 +1192,39 @@ void gemm_prepacked_ab(std::size_t m, std::size_t n, std::size_t k,
 }
 
 }  // namespace kgwas::mpblas::kernels
+
+// ------------------------------------------------- INT8 i32 entry points
+
+namespace kgwas {
+
+void gemm_i8_i32(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+                 std::size_t k, std::int32_t alpha, const std::int8_t* a,
+                 std::size_t lda, const std::int8_t* b, std::size_t ldb,
+                 std::int32_t beta, std::int32_t* c, std::size_t ldc) {
+  namespace kernels = mpblas::kernels;
+  if (m == 0 || n == 0) return;
+  kernels::scale_c_full(beta, m, n, c, ldc);
+  if (k == 0 || alpha == 0) return;
+  kernels::gemm_i8_driver(
+      m, n, k, {a, lda, trans_a, Precision::kInt8},
+      {b, ldb, trans_b, Precision::kInt8}, std::nullopt,
+      kernels::Int8Store<std::int32_t>{alpha, c, ldc});
+}
+
+void syrk_i8_i32(Uplo uplo, Trans trans, std::size_t n, std::size_t k,
+                 std::int32_t alpha, const std::int8_t* a, std::size_t lda,
+                 std::int32_t beta, std::int32_t* c, std::size_t ldc) {
+  namespace kernels = mpblas::kernels;
+  if (n == 0) return;
+  kernels::scale_c_triangle(uplo, beta, n, c, ldc);
+  if (k == 0 || alpha == 0) return;
+  // The right operand is op(A)^T: the same storage with flipped trans.
+  const Trans flipped = trans == Trans::kNoTrans ? Trans::kTrans
+                                                 : Trans::kNoTrans;
+  kernels::gemm_i8_driver(
+      n, n, k, {a, lda, trans, Precision::kInt8},
+      {a, lda, flipped, Precision::kInt8}, uplo,
+      kernels::Int8Store<std::int32_t>{alpha, c, ldc});
+}
+
+}  // namespace kgwas

@@ -34,10 +34,12 @@
 // are deterministic for a fixed variant + blocking, so the shared-memory
 // and distributed paths stay bitwise identical to each other; different
 // variants may differ from each other within normal FP32 contraction
-// tolerance.  The engine accumulates in FP32 and is float-only.
-// INT8-storage GEMMs take an integer-accumulate path (i16 operand
-// panels, i32 accumulators, FP32 scaling at the epilogue) that is exact
-// while |op(A)·op(B)| stays within i32 range.
+// tolerance.  The float engine accumulates in FP32.  INT8 x INT8 products
+// take one integer path instead: 4-byte k-group panels, an AVX512-VNNI
+// vpdpbusd microkernel (or a portable one on the same panels), and two
+// stores — the i32 store of gemm_i8_i32/syrk_i8_i32 (mpblas/mixed.hpp)
+// and gemm_view's alpha-scaled FP32 store.  It is exact whenever the true
+// result fits in i32, so its integers are identical under every variant.
 #pragma once
 
 #include <cstddef>
@@ -97,6 +99,12 @@ void set_gemm_arch(std::optional<Arch> arch);
 std::size_t gemm_mr();
 std::size_t gemm_nr();
 
+/// The INT8 microkernel the engine runs: "avx512_vnni" when the avx512
+/// variant is selected and the host reports AVX512-BW and AVX512-VNNI,
+/// else "generic", the portable kernel.  Both compute on the same panels
+/// and produce identical integers.
+const char* int8_kernel();
+
 /// Cache blocking parameters (elements): the packed mc x kc A block is
 /// the L2 resident, the kc x nc B block the L3 resident, and one A plus
 /// one B micro-panel of length kc share L1d.
@@ -106,16 +114,19 @@ struct Blocking {
   std::size_t nc = 0;
 };
 
-/// The BLIS occupancy model for an mr x nr micro-tile on this host
-/// (Low et al., "Analytical Modeling Is Enough for High-Performance
-/// BLIS", ACM TOMS 43(2), 2016): kc so one A and one B micro-panel fill
-/// about half of L1d, mc so the A block fills about half of L2, nc so the
-/// B block fills about half of L3.  kc is a multiple of kKR, mc of mr, nc
-/// of nr; mc and nc are capped so pack buffers stay bounded on huge LLCs.
-Blocking analytic_blocking(std::size_t mr, std::size_t nr);
+/// The BLIS occupancy model for an mr x nr micro-tile of `elem_bytes`
+/// elements on this host (Low et al., "Analytical Modeling Is Enough for
+/// High-Performance BLIS", ACM TOMS 43(2), 2016): kc so one A and one B
+/// micro-panel fill about half of L1d, mc so the A block fills about half
+/// of L2, nc so the B block fills about half of L3.  kc is a multiple of
+/// kKR, mc of mr, nc of nr; mc and nc are capped so pack buffers stay
+/// bounded on huge LLCs.  The INT8 path uses its 32 x 8 tile at one byte.
+Blocking analytic_blocking(std::size_t mr, std::size_t nr,
+                           std::size_t elem_bytes = sizeof(float));
 
-/// The engine's blocking: the set_gemm_blocking() override when set,
-/// else analytic_blocking() of the selected variant's micro-tile.
+/// The engine's FP32 blocking: the set_gemm_blocking() override when
+/// set, else analytic_blocking() of the selected variant's micro-tile.
+/// The INT8 path follows the same override.
 Blocking gemm_blocking();
 
 /// Test override (clamped to >= 1 per member, otherwise taken verbatim —

@@ -2,7 +2,8 @@
 //
 // Each ISA variant lives in its own translation unit compiled with that
 // ISA's flags (see CMakeLists: kernels_avx2.cpp gets -mavx2 -mfma,
-// kernels_avx512.cpp gets -mavx512f; the NEON variant needs no extra
+// kernels_avx512.cpp gets -mavx512f, kernels_avx512_vnni.cpp gets
+// -mavx512f -mavx512bw -mavx512vnni; the NEON variant needs no extra
 // flags on aarch64) so the rest of the library keeps its baseline ISA.
 // A variant TU exports exactly one accessor returning its descriptor, or
 // nullptr when the variant is not compiled into this binary — runtime
@@ -44,5 +45,32 @@ const MicroKernel* generic_microkernel();
 const MicroKernel* avx2_microkernel();    // 8x6, FMA intrinsics
 const MicroKernel* avx512_microkernel();  // 16x6, zmm accumulators
 const MicroKernel* neon_microkernel();    // 8x6, vfmaq
+
+// ------------------------------------------------------------ INT8 panels
+//
+// Every INT8 kernel runs on the same kI8Mr x kI8Nr panel geometry, so the
+// INT8 path packs once and its integers are identical across kernels.
+// Operands are packed in 4-byte k-groups (the vpdpbusd operand shape):
+// k-group g of an A micro-panel holds, for each of its kI8Mr rows, the 4
+// bytes of op(A)(row, 4g .. 4g+3) at a + (g * kI8Mr + row) * 4, stored as
+// unsigned bytes a + 128; k-group g of a B micro-panel holds, for each of
+// its kI8Nr columns, the 4 signed bytes of op(B)(4g .. 4g+3, col) at
+// b + (g * kI8Nr + col) * 4.  The k remainder is zero-padded (B bytes 0),
+// so padding contributes nothing.  A micro-panels are 64-byte aligned.
+//
+// An INT8 microkernel writes acc[row + col * kI8Mr] = sum over the
+// `groups` k-groups of (a + 128) * b, wrapping modulo 2^32; the driver
+// subtracts 128 * colsum(B) in the same modular arithmetic, which leaves
+// the exact product whenever it fits in i32.
+inline constexpr std::size_t kI8Mr = 32;
+inline constexpr std::size_t kI8Nr = 8;
+inline constexpr std::size_t kI8Group = 4;
+
+using MicroKernelI8Fn = void (*)(std::size_t groups, const std::uint8_t* a,
+                                 const std::int8_t* b, std::int32_t* acc);
+
+/// The AVX512-VNNI vpdpbusd kernel, nullptr when not compiled for this
+/// target.  The portable INT8 kernel lives in kernels.cpp.
+MicroKernelI8Fn avx512_vnni_i8_microkernel();
 
 }  // namespace kgwas::mpblas::kernels::detail

@@ -37,6 +37,8 @@ std::vector<float> rounded_operand(Precision precision, Trans trans,
 
 }  // namespace
 
+namespace reference {
+
 void syrk_i8_i32(Uplo uplo, Trans trans, std::size_t n, std::size_t k,
                  std::int32_t alpha, const std::int8_t* a, std::size_t lda,
                  std::int32_t beta, std::int32_t* c, std::size_t ldc) {
@@ -116,6 +118,8 @@ void gemm_i8_i32(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
     }
   }
 }
+
+}  // namespace reference
 
 void gemm_tc(Precision operand_precision, Trans trans_a, Trans trans_b,
              std::size_t m, std::size_t n, std::size_t k, float alpha,

@@ -2,10 +2,12 @@
 // paper relies on:
 //
 //  * `syrk_i8_i32` / `gemm_i8_i32` — the cublasGemmEx AB8I_C32I_OP32I
-//    variant: INT8 operands, INT32 accumulation.  For SNP dosage data
-//    (values in {0,1,2}) every product and partial sum is exactly
-//    representable, so the Euclidean-distance SYRK trick is *bit-exact* —
-//    the key reason the paper's Build phase preserves accuracy at INT8.
+//    variant: INT8 operands, INT32 accumulation, run on the packed
+//    engine's INT8 path (AVX512-VNNI where the host has it).  Results are
+//    exact whenever the true result fits in i32, so for SNP dosage data
+//    (values in {0,1,2}) the Euclidean-distance SYRK trick is *bit-exact*
+//    — the key reason the paper's Build phase preserves accuracy at INT8.
+//    The scalar loops survive as the test oracle `kgwas::reference::`.
 //
 //  * `gemm_tc` / `syrk_tc` — cublasLtMatmul with FP16/BF16/FP8/FP4
 //    operands and FP32 compute type: operands are rounded to the storage
@@ -24,18 +26,35 @@ namespace kgwas {
 
 /// C(int32, n x n) <- alpha * A * A^T + beta * C with A int8 n x k
 /// (trans = NoTrans) or alpha * A^T * A with A int8 k x n (trans = Trans).
-/// Only the `uplo` triangle of C is referenced.  Accumulation is exact in
-/// INT32; the caller is responsible for k being small enough to avoid
-/// overflow (k * 127^2 < 2^31; SNP data gives k * 4 < 2^31).
+/// Only the `uplo` triangle of C is referenced; micro tiles outside it
+/// are skipped.  All arithmetic wraps modulo 2^32, so each element is
+/// exact whenever its true value fits in i32 (any k < 2^31 / 128^2 with
+/// arbitrary int8 data; SNP dosages give 4 * k).
 void syrk_i8_i32(Uplo uplo, Trans trans, std::size_t n, std::size_t k,
                  std::int32_t alpha, const std::int8_t* a, std::size_t lda,
                  std::int32_t beta, std::int32_t* c, std::size_t ldc);
 
-/// C(int32, m x n) <- alpha * op(A) * op(B) + beta * C, INT8 operands.
+/// C(int32, m x n) <- alpha * op(A) * op(B) + beta * C, INT8 operands;
+/// exact under the same bound as syrk_i8_i32.
 void gemm_i8_i32(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
                  std::size_t k, std::int32_t alpha, const std::int8_t* a,
                  std::size_t lda, const std::int8_t* b, std::size_t ldb,
                  std::int32_t beta, std::int32_t* c, std::size_t ldc);
+
+namespace reference {
+
+/// The scalar loops: same contracts as the engine entry points above
+/// (the callers keep every partial sum inside i32).  The oracle the
+/// INT8 path is tested and benchmarked against.
+void syrk_i8_i32(Uplo uplo, Trans trans, std::size_t n, std::size_t k,
+                 std::int32_t alpha, const std::int8_t* a, std::size_t lda,
+                 std::int32_t beta, std::int32_t* c, std::size_t ldc);
+void gemm_i8_i32(Trans trans_a, Trans trans_b, std::size_t m, std::size_t n,
+                 std::size_t k, std::int32_t alpha, const std::int8_t* a,
+                 std::size_t lda, const std::int8_t* b, std::size_t ldb,
+                 std::int32_t beta, std::int32_t* c, std::size_t ldc);
+
+}  // namespace reference
 
 /// Tensor-core GEMM emulation: operands of op(A) (m x k) and op(B) (k x n)
 /// are rounded to `operand_precision` storage, products and accumulation

@@ -125,6 +125,7 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
     w.key("engine");
     w.begin_object();
     w.kv("variant", kernels::to_string(kernels::selected_arch()));
+    w.kv("int8_kernel", kernels::int8_kernel());
     w.kv("mr", kernels::gemm_mr());
     w.kv("nr", kernels::gemm_nr());
     w.kv("mc", blk.mc);

@@ -110,6 +110,13 @@ void Tile::encode_from(const float* src, std::size_t ld) {
   quantize_buffer(precision_, packed.data(), storage_.data(), elements());
 }
 
+float* Tile::fp32_payload() {
+  KGWAS_CHECK_ARG(precision_ == Precision::kFp32,
+                  "fp32_payload requires an FP32 tile");
+  invalidate_scope_cache(*this);
+  return reinterpret_cast<float*>(storage_.data());
+}
+
 void Tile::from_wire(std::size_t rows, std::size_t cols, Precision precision,
                      const void* payload) {
   invalidate_scope_cache(*this);

@@ -61,6 +61,11 @@ class Tile {
   void from_fp32(const Matrix<float>& values);
   /// Quantizes from a raw column-major buffer with leading dimension ld.
   void encode_from(const float* src, std::size_t ld);
+  /// Write access to an FP32 tile's payload (column-major, ld = rows())
+  /// for generators that overwrite every element in place.  Like every
+  /// payload write it drops any batch-scope decode of the tile.  Requires
+  /// precision() == kFp32.
+  float* fp32_payload();
 
   /// Adopts a wire payload: reshapes to rows x cols in `precision` and
   /// copies rows * cols * bytes_per_element(precision) raw storage bytes
@@ -78,8 +83,8 @@ class Tile {
 
   /// Read-only storage access (tests compare payloads bit for bit).
   /// Deliberately no mutable overload: every payload write must go
-  /// through encode_from/from_fp32/convert_to, which keep any active
-  /// batch decode scope coherent (see mpblas/batch.hpp).
+  /// through encode_from/from_fp32/convert_to/fp32_payload, which keep
+  /// any active batch decode scope coherent (see mpblas/batch.hpp).
   const void* raw() const noexcept { return storage_.data(); }
 
  private:

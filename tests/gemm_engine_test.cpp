@@ -584,47 +584,60 @@ TEST(GemmVariantParityTest, EveryVariantIsBitwiseDeterministic) {
 }
 
 TEST(GemmVariantParityTest, Int8AccumulatePathIsExactAndVariantInvariant) {
+  // The FP32 store of the INT8 path: full-range operands (offset
+  // compensation on every element) and every k remainder mod 4 (zero
+  // padded k-groups).
   ScopedEngineConfig restore;
   Rng rng(20260811);
-  const std::size_t m = 37, n = 29, k = 61;
-  std::vector<std::int8_t> a(m * k), b(k * n);
-  for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_index(9)) - 4;
-  for (auto& v : b) v = static_cast<std::int8_t>(rng.uniform_index(9)) - 4;
-  const std::vector<float> c0 = random_buffer(m * n, rng);
-  const kernels::OperandView av{a.data(), m, Trans::kNoTrans,
-                                Precision::kInt8, Precision::kFp32};
-  const kernels::OperandView bv{b.data(), k, Trans::kNoTrans,
-                                Precision::kInt8, Precision::kFp32};
+  const std::size_t m = 37, n = 29;
+  for (const std::size_t k : {61u, 62u, 63u, 64u}) {
+    std::vector<std::int8_t> a(m * k), b(k * n);
+    for (auto& v : a) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) -
+                                   128);
+    }
+    for (auto& v : b) {
+      v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) -
+                                   128);
+    }
+    const std::vector<float> c0 = random_buffer(m * n, rng);
+    const kernels::OperandView av{a.data(), m, Trans::kNoTrans,
+                                  Precision::kInt8, Precision::kFp32};
+    const kernels::OperandView bv{b.data(), k, Trans::kNoTrans,
+                                  Precision::kInt8, Precision::kFp32};
 
-  // Exact oracle: integer dot products, scaled in FP32 exactly like the
-  // engine's epilogue (c += alpha * float(acc)).
-  std::vector<float> want = c0;
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < m; ++i) {
-      std::int64_t acc = 0;
-      for (std::size_t l = 0; l < k; ++l) {
-        acc += static_cast<std::int64_t>(a[i + l * m]) *
-               static_cast<std::int64_t>(b[l + j * k]);
+    // Exact oracle: integer dot products (|dot| <= 64 * 128^2 < 2^24, so
+    // float(dot) is exact), scaled in FP32 exactly like the engine's
+    // store (c += alpha * float(dot)).
+    std::vector<float> want = c0;
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) {
+        std::int64_t acc = 0;
+        for (std::size_t l = 0; l < k; ++l) {
+          acc += static_cast<std::int64_t>(a[i + l * m]) *
+                 static_cast<std::int64_t>(b[l + j * k]);
+        }
+        want[i + j * m] += 0.5f * static_cast<float>(acc);
       }
-      want[i + j * m] += 0.5f * static_cast<float>(acc);
     }
-  }
 
-  std::vector<float> first;
-  for (const kernels::Arch arch : kernels::available_archs()) {
-    kernels::set_gemm_arch(arch);
-    std::vector<float> c = c0;
-    kernels::gemm_view(m, n, k, 0.5f, av, bv, 1.0f, c.data(), m);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_EQ(c[i], want[i])
-          << "variant " << to_string(arch) << " int8 element " << i;
-    }
-    if (first.empty()) {
-      first = c;
-    } else {
-      EXPECT_EQ(
-          std::memcmp(first.data(), c.data(), c.size() * sizeof(float)), 0)
-          << "int8 path differs across variants (" << to_string(arch) << ")";
+    std::vector<float> first;
+    for (const kernels::Arch arch : kernels::available_archs()) {
+      kernels::set_gemm_arch(arch);
+      std::vector<float> c = c0;
+      kernels::gemm_view(m, n, k, 0.5f, av, bv, 1.0f, c.data(), m);
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        ASSERT_EQ(c[i], want[i]) << "variant " << to_string(arch) << " k "
+                                 << k << " int8 element " << i;
+      }
+      if (first.empty()) {
+        first = c;
+      } else {
+        EXPECT_EQ(
+            std::memcmp(first.data(), c.data(), c.size() * sizeof(float)), 0)
+            << "int8 path differs across variants (" << to_string(arch)
+            << ")";
+      }
     }
   }
 }

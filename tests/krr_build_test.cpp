@@ -1,19 +1,27 @@
 // Tests for the Build phase: the INT8 matrix identities must reproduce
-// the scalar kernel definitions bit-for-bit (Gaussian) / exactly (IBS).
+// the scalar kernel definitions bit for bit — every kernel value equals
+// float(gaussian_kernel(...)) / float(ibs_kernel(...)) exactly — under
+// every microkernel variant the host can execute.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <string>
 
+#include "common/status.hpp"
 #include "gwas/cohort_simulator.hpp"
 #include "krr/build.hpp"
 #include "krr/kernels.hpp"
 #include "mpblas/blas.hpp"
+#include "mpblas/kernels.hpp"
 #include "runtime/runtime.hpp"
 
 namespace kgwas {
 namespace {
+
+namespace kernels = mpblas::kernels;
 
 std::span<const std::int8_t> patient_row(const GenotypeMatrix& g,
                                          std::vector<std::int8_t>& scratch,
@@ -21,6 +29,33 @@ std::span<const std::int8_t> patient_row(const GenotypeMatrix& g,
   scratch.resize(g.snps());
   for (std::size_t s = 0; s < g.snps(); ++s) scratch[s] = g(p, s);
   return scratch;
+}
+
+/// Runs `body(arch)` with each runnable variant selected, then restores
+/// the default selection.
+template <typename Body>
+void for_each_variant(const Body& body) {
+  struct Restore {
+    ~Restore() { kernels::set_gemm_arch(std::nullopt); }
+  } restore;
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    kernels::set_gemm_arch(arch);
+    body(arch);
+  }
+}
+
+/// The scalar definition of kernel entry (i, j), rounded to FP32 storage.
+float scalar_kernel(const BuildConfig& config, const GenotypeMatrix& rows,
+                    std::size_t i, const GenotypeMatrix& cols,
+                    std::size_t j) {
+  std::vector<std::int8_t> si, sj;
+  const auto pi = patient_row(rows, si, i);
+  const auto pj = patient_row(cols, sj, j);
+  if (config.kernel == KernelType::kGaussian) {
+    return static_cast<float>(gaussian_kernel(
+        config.gamma, static_cast<double>(squared_distance(pi, pj))));
+  }
+  return static_cast<float>(ibs_kernel(pi, pj));
 }
 
 class BuildKernelParam : public ::testing::TestWithParam<KernelType> {};
@@ -36,29 +71,23 @@ TEST_P(BuildKernelParam, MatchesScalarReference) {
   BuildConfig config;
   config.kernel = kernel;
   config.gamma = 0.01;
-  config.tile_size = 32;  // forces edge tiles (90 = 2*32 + 26)
-  Runtime rt(4);
+  // Edge tiles (90 = 2*32 + 26) and a k remainder (150 = 4*37 + 2).
+  config.tile_size = 32;
   const Matrix<float> empty_conf(90, 0);
-  const SymmetricTileMatrix k =
-      build_kernel_matrix(rt, cohort.genotypes, empty_conf, config);
-  const Matrix<float> dense = k.to_dense();
-
-  std::vector<std::int8_t> si, sj;
-  for (std::size_t i = 0; i < 90; i += 7) {
-    for (std::size_t j = 0; j <= i; j += 5) {
-      const auto pi = patient_row(cohort.genotypes, si, i);
-      const auto pj = patient_row(cohort.genotypes, sj, j);
-      double expected;
-      if (kernel == KernelType::kGaussian) {
-        expected = gaussian_kernel(
-            config.gamma, static_cast<double>(squared_distance(pi, pj)));
-      } else {
-        expected = ibs_kernel(pi, pj);
+  for_each_variant([&](kernels::Arch arch) {
+    Runtime rt(4);
+    const Matrix<float> dense =
+        build_kernel_matrix(rt, cohort.genotypes, empty_conf, config)
+            .to_dense();
+    for (std::size_t j = 0; j < 90; ++j) {
+      for (std::size_t i = 0; i < 90; ++i) {
+        ASSERT_EQ(dense(i, j), scalar_kernel(config, cohort.genotypes, i,
+                                             cohort.genotypes, j))
+            << to_string(kernel) << " " << to_string(arch) << " (" << i
+            << "," << j << ")";
       }
-      ASSERT_NEAR(dense(i, j), expected, 1e-6)
-          << to_string(kernel) << " (" << i << "," << j << ")";
     }
-  }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKernels, BuildKernelParam,
@@ -137,34 +166,72 @@ TEST(Build, ConfoundersEnterGaussianExponent) {
 
 TEST(Build, CrossKernelMatchesScalar) {
   CohortConfig cc;
-  cc.n_patients = 70;
-  cc.n_snps = 80;
+  cc.n_patients = 90;
+  cc.n_snps = 150;
+  cc.seed = 37;
   const Cohort cohort = simulate_cohort(cc);
-  // Split rows 0..49 train, 50..69 test.
-  std::vector<std::size_t> train_rows(50), test_rows(20);
+  // Split rows 0..59 train, 60..89 test: edge tiles on both sides.
+  std::vector<std::size_t> train_rows(60), test_rows(30);
   std::iota(train_rows.begin(), train_rows.end(), 0);
-  std::iota(test_rows.begin(), test_rows.end(), 50);
+  std::iota(test_rows.begin(), test_rows.end(), 60);
   const GenotypeMatrix train = cohort.genotypes.subset_rows(train_rows);
   const GenotypeMatrix test = cohort.genotypes.subset_rows(test_rows);
 
-  BuildConfig config;
-  config.gamma = 0.03;
-  config.tile_size = 16;
-  Runtime rt(2);
-  const TileMatrix kx = build_cross_kernel(rt, test, Matrix<float>(20, 0),
-                                           train, Matrix<float>(50, 0), config);
-  EXPECT_EQ(kx.rows(), 20u);
-  EXPECT_EQ(kx.cols(), 50u);
-  const Matrix<float> dense = kx.to_dense();
-  std::vector<std::int8_t> si, sj;
-  for (std::size_t i = 0; i < 20; i += 3) {
-    for (std::size_t j = 0; j < 50; j += 7) {
-      const auto pi = patient_row(test, si, i);
-      const auto pj = patient_row(train, sj, j);
-      ASSERT_NEAR(dense(i, j),
-                  gaussian_kernel(config.gamma, static_cast<double>(
-                                                    squared_distance(pi, pj))),
-                  1e-6);
+  for (const KernelType kernel : {KernelType::kGaussian, KernelType::kIbs}) {
+    BuildConfig config;
+    config.kernel = kernel;
+    config.gamma = 0.03;
+    config.tile_size = 32;
+    for_each_variant([&](kernels::Arch arch) {
+      Runtime rt(2);
+      const TileMatrix kx = build_cross_kernel(
+          rt, test, Matrix<float>(30, 0), train, Matrix<float>(60, 0), config);
+      ASSERT_EQ(kx.rows(), 30u);
+      ASSERT_EQ(kx.cols(), 60u);
+      const Matrix<float> dense = kx.to_dense();
+      for (std::size_t j = 0; j < 60; ++j) {
+        for (std::size_t i = 0; i < 30; ++i) {
+          ASSERT_EQ(dense(i, j), scalar_kernel(config, test, i, train, j))
+              << to_string(kernel) << " " << to_string(arch) << " (" << i
+              << "," << j << ")";
+        }
+      }
+    });
+  }
+}
+
+TEST(Build, RejectsOutOfRangeDosage) {
+  // The IBS identity and the INT32 overflow guard assume dosages in
+  // {0, 1, 2}; anything else must fail loudly, naming the entry, on the
+  // row side or the column side, for both kernels and both Build entry
+  // points.
+  const GenotypeMatrix good = simulate_random_genotypes(20, 30, 5);
+  const Matrix<float> conf(20, 0);
+  for (const std::int8_t bad : {std::int8_t{-1}, std::int8_t{3}}) {
+    GenotypeMatrix broken = good;
+    broken(5, 7) = bad;
+    for (const KernelType kernel : {KernelType::kGaussian, KernelType::kIbs}) {
+      BuildConfig config;
+      config.kernel = kernel;
+      config.tile_size = 8;
+      Runtime rt(2);
+      const auto expect_rejected = [&](const auto& build) {
+        try {
+          build();
+          ADD_FAILURE() << "dosage " << int{bad} << " accepted ("
+                        << to_string(kernel) << ")";
+        } catch (const InvalidArgument& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("patient 5"), std::string::npos) << what;
+          EXPECT_NE(what.find("SNP 7"), std::string::npos) << what;
+        }
+      };
+      expect_rejected(
+          [&] { build_kernel_matrix(rt, broken, conf, config); });
+      expect_rejected(
+          [&] { build_cross_kernel(rt, broken, conf, good, conf, config); });
+      expect_rejected(
+          [&] { build_cross_kernel(rt, good, conf, broken, conf, config); });
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -24,6 +25,8 @@
 #include "krr/associate.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/tiled_cholesky.hpp"
+#include "mpblas/cpu_features.hpp"
+#include "mpblas/kernels.hpp"
 #include "runtime/runtime.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -414,6 +417,29 @@ TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
   ASSERT_NE(depth, nullptr);
   EXPECT_EQ(depth->at("type").string, "histogram");
   EXPECT_GE(depth->at("count").number, 4.0);
+}
+
+TEST(RunReport, EngineBlockRecordsInt8Kernel) {
+  // The report names the INT8 microkernel behind the Build numbers: the
+  // VNNI kernel exactly when the avx512 variant runs on a host with
+  // AVX512-BW and AVX512-VNNI, the portable kernel under every other.
+  namespace kernels = mpblas::kernels;
+  struct Restore {
+    ~Restore() { kernels::set_gemm_arch(std::nullopt); }
+  } restore;
+  const mpblas::CpuFeatures& f = mpblas::cpu_features();
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    kernels::set_gemm_arch(arch);
+    tel::RunReportInputs inputs;
+    inputs.phase = "unit";
+    inputs.ranks = 1;
+    const tel::JsonValue doc = tel::parse_json(tel::run_report_json(inputs));
+    const std::string& got = doc.at("engine").at("int8_kernel").string;
+    const bool vnni =
+        arch == kernels::Arch::kAvx512 && f.avx512bw && f.avx512vnni;
+    EXPECT_EQ(got, vnni ? "avx512_vnni" : "generic") << to_string(arch);
+    EXPECT_EQ(got, kernels::int8_kernel());
+  }
 }
 
 // ------------------------------------------------------------- logging
