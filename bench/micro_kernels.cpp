@@ -594,11 +594,16 @@ int register_engine_rows() {
 }
 const int g_engine_rows_registered = register_engine_rows();
 
-void BM_QuantizeRoundTrip(benchmark::State& state) {
-  const auto precision = static_cast<Precision>(state.range(0));
+std::vector<float> quantize_input() {
   std::vector<float> data(65536);
   Rng rng(8);
   for (auto& v : data) v = static_cast<float>(rng.normal());
+  return data;
+}
+
+void BM_QuantizeRoundTrip(benchmark::State& state) {
+  const auto precision = static_cast<Precision>(state.range(0));
+  const std::vector<float> data = quantize_input();
   std::vector<std::uint8_t> storage(data.size() * bytes_per_element(precision));
   std::vector<float> back(data.size());
   for (auto _ : state) {
@@ -612,6 +617,26 @@ void BM_QuantizeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeRoundTrip)
     ->Arg(static_cast<long>(Precision::kFp16))
+    ->Arg(static_cast<long>(Precision::kFp8E4M3));
+
+/// Encode only: the FP32 -> storage store every narrow tile write-back
+/// pays (items = elements encoded).
+void BM_Quantize(benchmark::State& state) {
+  const auto precision = static_cast<Precision>(state.range(0));
+  const std::vector<float> data = quantize_input();
+  std::vector<std::uint8_t> storage(data.size() * bytes_per_element(precision));
+  for (auto _ : state) {
+    quantize_buffer(precision, data.data(), storage.data(), data.size());
+    benchmark::DoNotOptimize(storage.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(to_string(precision));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Quantize)
+    ->Arg(static_cast<long>(Precision::kFp16))
+    ->Arg(static_cast<long>(Precision::kBf16))
     ->Arg(static_cast<long>(Precision::kFp8E4M3));
 
 }  // namespace

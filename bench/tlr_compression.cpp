@@ -3,12 +3,14 @@
 // across a truncation-tolerance sweep, on the smooth synthetic kernel the
 // TLR admissibility argument targets.
 //
-// Each row factors K + alpha*I once densely (tol = 0, the baseline) and
-// once per tolerance with plan_tlr_compression routed through the
-// TLR-aware tiled Cholesky, reporting off-diagonal compressed vs dense
-// bytes, the data-motion model's byte count, and wall times for
-// compress + factorize + solve.  `--json BENCH_tlr.json` emits the CI
-// artifact row.
+// Each row factors K + alpha*I densely (tol = 0, the baseline) and per
+// tolerance with plan_tlr_compression routed through the TLR-aware tiled
+// Cholesky, reporting off-diagonal compressed vs dense bytes, the
+// data-motion model's byte count, and median wall times over kReps runs
+// for compress + factorize + solve.  The dist rows time the plain and the
+// checkpointed 4-rank factorization separately, kReps runs each.
+// `--json BENCH_tlr.json` emits the CI artifact rows.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <mutex>
@@ -29,6 +31,14 @@
 using namespace kgwas;
 
 namespace {
+
+/// Repetitions behind every median_seconds in the output.
+constexpr int kReps = 5;
+
+double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
 
 Matrix<float> smooth_kernel(std::size_t n, float alpha) {
   const double width = static_cast<double>(n) * n / 10.0;
@@ -64,42 +74,52 @@ int main(int argc, char** argv) {
                "compress s", "potrf s", "solve s"});
   std::vector<bench::BenchRecord> records;
   for (const double tol : {0.0, 1e-2, 1e-4, 1e-6}) {
-    SymmetricTileMatrix tiles(n, ts);
-    tiles.from_dense(k);
     TlrPolicy policy;
     policy.tol = tol;
-    const PrecisionMap map(tiles.tile_count(), Precision::kFp32);
+    std::vector<double> compress_s, potrf_s, solve_s;
+    TlrCompressionStats stats;
+    std::uint64_t storage_bytes = 0;
+    std::uint64_t motion_bytes = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      SymmetricTileMatrix tiles(n, ts);
+      tiles.from_dense(k);
+      const PrecisionMap map(tiles.tile_count(), Precision::kFp32);
 
-    const std::uint64_t t0 = Timer::now_ns();
-    const TlrCompressionStats stats = plan_tlr_compression(tiles, map, policy);
-    const std::uint64_t t1 = Timer::now_ns();
-    tiled_potrf(runtime, tiles);
-    const std::uint64_t t2 = Timer::now_ns();
-    Matrix<float> x = b;
-    tiled_potrs(runtime, tiles, x);
-    const std::uint64_t t3 = Timer::now_ns();
+      const std::uint64_t t0 = Timer::now_ns();
+      stats = plan_tlr_compression(tiles, map, policy);
+      const std::uint64_t t1 = Timer::now_ns();
+      tiled_potrf(runtime, tiles);
+      const std::uint64_t t2 = Timer::now_ns();
+      Matrix<float> x = b;
+      tiled_potrs(runtime, tiles, x);
+      const std::uint64_t t3 = Timer::now_ns();
+      compress_s.push_back(static_cast<double>(t1 - t0) * 1e-9);
+      potrf_s.push_back(static_cast<double>(t2 - t1) * 1e-9);
+      solve_s.push_back(static_cast<double>(t3 - t2) * 1e-9);
+      storage_bytes = tiles.storage_bytes();
+      motion_bytes = tiled_potrf_data_motion_bytes(tiles);
+    }
 
     // Dense baseline bytes of the tiles that compressed; tol = 0 rows
     // report the all-dense footprint for reference.
     const std::uint64_t off_bytes =
-        tol > 0.0 ? stats.compressed_bytes : tiles.storage_bytes();
+        tol > 0.0 ? stats.compressed_bytes : storage_bytes;
     const std::uint64_t dense_bytes =
-        tol > 0.0 ? stats.dense_bytes : tiles.storage_bytes();
+        tol > 0.0 ? stats.dense_bytes : storage_bytes;
     const double ratio =
         off_bytes > 0 ? static_cast<double>(dense_bytes) /
                             static_cast<double>(off_bytes)
                       : 0.0;
-    const double potrf_s = static_cast<double>(t2 - t1) * 1e-9;
+    const double potrf_median = median(potrf_s);
     table.add_row({tol > 0.0 ? Table::num(tol, 6) : "dense",
                    Table::num(static_cast<double>(off_bytes) / 1048576.0, 3),
                    Table::num(static_cast<double>(dense_bytes) / 1048576.0, 3),
                    Table::num(ratio, 2), Table::num(stats.mean_rank, 1),
-                   Table::num(static_cast<double>(t1 - t0) * 1e-9, 3),
-                   Table::num(potrf_s, 3),
-                   Table::num(static_cast<double>(t3 - t2) * 1e-9, 3)});
+                   Table::num(median(compress_s), 3),
+                   Table::num(potrf_median, 3),
+                   Table::num(median(solve_s), 3)});
     records.push_back({tol > 0.0 ? "tlr_tol_" + Table::num(tol, 6) : "dense",
-                       n, ts, 1, potrf_s,
-                       tiled_potrf_data_motion_bytes(tiles), 0.0});
+                       n, ts, 1, potrf_median, motion_bytes, 0.0, {}});
   }
   table.print(std::cout);
   std::cout << "rank truncation shrinks the off-diagonal footprint (and the "
@@ -109,20 +129,19 @@ int main(int argc, char** argv) {
   // Distributed section: the same compressed-vs-dense comparison for the
   // bytes that actually cross ranks — panel-broadcast wire traffic and
   // consistent-cut checkpoint captures, both shipped as slot frames so a
-  // compressed tile travels at factor-byte cost.
+  // compressed tile travels at factor-byte cost.  The plain factorization
+  // (checkpoint_interval 0) and the checkpointed one are timed
+  // separately, alternating run by run.
   const int dist_ranks = static_cast<int>(args.get_long("ranks", 4));
   const long interval = args.get_long("interval", 2);
-  Table dist_table(
-      {"row", "ranks", "wire MiB", "checkpoint MiB", "potrf_ft s"});
-  for (const double tol : {0.0, 1e-4}) {
-    SymmetricTileMatrix full(n, ts);
-    full.from_dense(k);
-    TlrPolicy policy;
-    policy.tol = tol;
-    const PrecisionMap map(full.tile_count(), Precision::kFp32);
-    plan_tlr_compression(full, map, policy);
-    std::uint64_t ckpt_bytes = 0;
-    double secs = 0.0;
+  struct DistRun {
+    double seconds = 0.0;
+    std::uint64_t wire_bytes = 0;
+    std::uint64_t checkpoint_bytes = 0;
+  };
+  const auto run_dist = [&](const SymmetricTileMatrix& full,
+                            const PrecisionMap& map, long ckpt_interval) {
+    DistRun run;
     std::mutex mutex;
     const dist::WireVolume wire = dist::run_ranks(
         dist_ranks, [&](dist::Communicator& comm) {
@@ -134,25 +153,48 @@ int main(int argc, char** argv) {
           Timer timer;
           dist::DistPotrfOptions options;
           options.precision_map = &map;
-          options.checkpoint_interval = interval;
+          options.checkpoint_interval = ckpt_interval;
           dist::DistFtResult r = dist::dist_tiled_potrf(rt, comm, a, options);
           if (r.active_comm(comm).rank() == 0) {
             std::lock_guard<std::mutex> lock(mutex);
-            secs = timer.seconds();
-            ckpt_bytes = r.checkpoint_bytes;
+            run.seconds = timer.seconds();
+            run.checkpoint_bytes = r.checkpoint_bytes;
           }
         });
+    run.wire_bytes = wire.total_tile_bytes();
+    return run;
+  };
+  Table dist_table({"row", "ranks", "wire MiB", "checkpoint MiB", "potrf s",
+                    "potrf_ft s"});
+  for (const double tol : {0.0, 1e-4}) {
+    SymmetricTileMatrix full(n, ts);
+    full.from_dense(k);
+    TlrPolicy policy;
+    policy.tol = tol;
+    const PrecisionMap map(full.tile_count(), Precision::kFp32);
+    plan_tlr_compression(full, map, policy);
+    DistRun plain;
+    DistRun checkpointed;
+    std::vector<double> plain_s, checkpointed_s;
+    for (int rep = 0; rep < kReps; ++rep) {
+      plain = run_dist(full, map, 0);
+      checkpointed = run_dist(full, map, interval);
+      plain_s.push_back(plain.seconds);
+      checkpointed_s.push_back(checkpointed.seconds);
+    }
     const std::string row = tol > 0.0 ? "tlr" : "dense";
     dist_table.add_row(
         {row, std::to_string(dist_ranks),
-         Table::num(static_cast<double>(wire.total_tile_bytes()) / 1048576.0,
-                    3),
-         Table::num(static_cast<double>(ckpt_bytes) / 1048576.0, 3),
-         Table::num(secs, 3)});
-    records.push_back({"dist_" + row, n, ts, dist_ranks, secs,
-                       wire.total_tile_bytes(), 0.0});
-    records.push_back({"dist_" + row + "_checkpoint", n, ts, dist_ranks, secs,
-                       ckpt_bytes, 0.0});
+         Table::num(static_cast<double>(plain.wire_bytes) / 1048576.0, 3),
+         Table::num(
+             static_cast<double>(checkpointed.checkpoint_bytes) / 1048576.0,
+             3),
+         Table::num(median(plain_s), 3), Table::num(median(checkpointed_s), 3)});
+    records.push_back({"dist_" + row, n, ts, dist_ranks, median(plain_s),
+                       plain.wire_bytes, 0.0, {}});
+    records.push_back({"dist_" + row + "_checkpoint", n, ts, dist_ranks,
+                       median(checkpointed_s), checkpointed.checkpoint_bytes,
+                       0.0, {}});
   }
   dist_table.print(std::cout);
   std::cout << "compressed off-diagonal tiles cross the wire (and land in "

@@ -1,6 +1,8 @@
 #include "precision/convert.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -47,19 +49,59 @@ const std::vector<float>& decode_table16(const FloatFormat& fmt) {
   return bf16;
 }
 
-void quantize_small_float(const FloatFormat& fmt, const float* src, void* dst,
-                          std::size_t n, std::size_t elem_bytes) {
-  if (elem_bytes == 1) {
-    auto* out = static_cast<std::uint8_t*>(dst);
+// Exact FP32 -> FP16 / BF16 encoders.  Each returns quantize_bits(fmt, x)
+// for every FP32 bit pattern `w` (every NaN becomes encode_bits'
+// canonical 0x7FFF, whatever its sign or payload), and both are written
+// branch-free over uint32_t lanes so quantize_16bit's loops auto-vectorize.
+
+/// binary16.  Normal range: rebias the exponent (127 -> 15) and round to
+/// nearest even on bit 13, with |x| clamped to [2^-14, 65520]; 65520 and
+/// up round to the infinity code 0x7C00.  Subnormal range: adding 0.5f,
+/// whose ulp is the binary16 quantum 2^-24, rounds |x| to a multiple of
+/// 2^-24 (the FPU's ties-to-even), and the sum's low bits count the
+/// quanta.  Each path sees its input clamped at 2^-14, where it yields
+/// exactly 0x400, so `normal + subnormal - 0x400` picks the live one.
+inline std::uint32_t encode_fp16(std::uint32_t w) {
+  const std::uint32_t a = w & 0x7FFFFFFFu;
+  const std::uint32_t nan = 0u - ((0x7F800000u - a) >> 31);  // ~0 iff NaN
+  const std::uint32_t an = std::min(std::max(a, 0x38800000u), 0x477FF000u);
+  const std::uint32_t normal =
+      (an - 0x38000000u + 0x0FFFu + ((an >> 13) & 1u)) >> 13;
+  const float as = std::bit_cast<float>(std::min(a, 0x38800000u));
+  const std::uint32_t subnormal =
+      std::bit_cast<std::uint32_t>(as + 0.5f) - 0x3F000000u;
+  return (normal + subnormal - 0x400u) | (nan & 0x3FFu) |
+         ((w >> 16) & 0x8000u & ~nan);
+}
+
+/// bfloat16: round to nearest even on bit 16.  The carry turns the
+/// largest finite values into infinity, as the reference rounding does.
+inline std::uint32_t encode_bf16(std::uint32_t w) {
+  const std::uint32_t rounded = (w + 0x7FFFu + ((w >> 16) & 1u)) >> 16;
+  return (w & 0x7FFFFFFFu) > 0x7F800000u ? 0x7FFFu : rounded;
+}
+
+void quantize_16bit(Precision precision, const float* src, std::uint16_t* out,
+                    std::size_t n) {
+  if (precision == Precision::kFp16) {
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<std::uint8_t>(quantize_bits(fmt, src[i]));
+      out[i] = static_cast<std::uint16_t>(
+          encode_fp16(std::bit_cast<std::uint32_t>(src[i])));
     }
   } else {
-    KGWAS_ASSERT(elem_bytes == 2);
-    auto* out = static_cast<std::uint16_t*>(dst);
+    KGWAS_ASSERT(precision == Precision::kBf16);
     for (std::size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<std::uint16_t>(quantize_bits(fmt, src[i]));
+      out[i] = static_cast<std::uint16_t>(
+          encode_bf16(std::bit_cast<std::uint32_t>(src[i])));
     }
+  }
+}
+
+/// The generic path for the 1-byte formats (FP8 variants, FP4).
+void quantize_small_float(const FloatFormat& fmt, const float* src,
+                          std::uint8_t* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(quantize_bits(fmt, src[i]));
   }
 }
 
@@ -100,9 +142,13 @@ void quantize_buffer(Precision precision, const float* src, void* dst,
       }
       return;
     }
+    case Precision::kFp16:
+    case Precision::kBf16:
+      quantize_16bit(precision, src, static_cast<std::uint16_t*>(dst), n);
+      return;
     default:
-      quantize_small_float(float_format(precision), src, dst, n,
-                           bytes_per_element(precision));
+      quantize_small_float(float_format(precision), src,
+                           static_cast<std::uint8_t*>(dst), n);
   }
 }
 
@@ -140,6 +186,19 @@ void quantize_inplace(Precision precision, float* data, std::size_t n) {
             quantize(Precision::kInt8, static_cast<double>(data[i])));
       }
       return;
+    case Precision::kFp16:
+    case Precision::kBf16: {
+      // Encode, then decode through the table: bit-identical to
+      // round_to_format, NaN included (both give the quiet NaN).
+      const float* table = decode_table16(float_format(precision)).data();
+      std::uint16_t codes[256];
+      for (std::size_t i = 0; i < n; i += 256) {
+        const std::size_t m = std::min<std::size_t>(256, n - i);
+        quantize_16bit(precision, data + i, codes, m);
+        for (std::size_t j = 0; j < m; ++j) data[i + j] = table[codes[j]];
+      }
+      return;
+    }
     default: {
       const FloatFormat& fmt = float_format(precision);
       for (std::size_t i = 0; i < n; ++i) {
@@ -169,6 +228,14 @@ void convert_buffer(Precision from, const void* src, Precision to, void* dst,
   if (n == 0) return;
   if (from == to) {
     std::memcpy(dst, src, n * bytes_per_element(from));
+    return;
+  }
+  if (from == Precision::kFp32) {
+    quantize_buffer(to, static_cast<const float*>(src), dst, n);
+    return;
+  }
+  if (to == Precision::kFp32) {
+    dequantize_buffer(from, src, static_cast<float*>(dst), n);
     return;
   }
   std::vector<float> staging(n);

@@ -14,7 +14,9 @@ namespace kgwas {
 
 /// Encodes `n` FP32 values into the storage format of `precision`.
 /// `dst` must provide n * bytes_per_element(precision) bytes.
-/// INT8 saturates to [-128, 127] with round-to-nearest-even.
+/// INT8 saturates to [-128, 127] with round-to-nearest-even.  Every
+/// narrow float code equals quantize_bits(fmt, x); FP16 and BF16 get it
+/// from a vectorized integer encoder, FP8/FP4 per element.
 void quantize_buffer(Precision precision, const float* src, void* dst, std::size_t n);
 
 /// Decodes `n` stored values back into FP32.

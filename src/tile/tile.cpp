@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include "common/status.hpp"
 #include "mpblas/batch.hpp"
@@ -102,12 +101,11 @@ void Tile::encode_from(const float* src, std::size_t ld) {
     quantize_buffer(precision_, src, storage_.data(), elements());
     return;
   }
-  std::vector<float> packed(elements());
+  const std::size_t col_bytes = rows_ * bytes_per_element(precision_);
   for (std::size_t j = 0; j < cols_; ++j) {
-    const float* col = src + j * ld;
-    for (std::size_t i = 0; i < rows_; ++i) packed[i + j * rows_] = col[i];
+    quantize_buffer(precision_, src + j * ld, storage_.data() + j * col_bytes,
+                    rows_);
   }
-  quantize_buffer(precision_, packed.data(), storage_.data(), elements());
 }
 
 float* Tile::fp32_payload() {

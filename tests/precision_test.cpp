@@ -2,7 +2,9 @@
 // round-to-nearest-even semantics, saturation rules, bulk conversion.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "precision/convert.hpp"
 #include "precision/float_format.hpp"
 #include "precision/precision.hpp"
+#include "tile/tile.hpp"
 
 namespace kgwas {
 namespace {
@@ -193,11 +196,144 @@ TEST(Convert, BufferRoundTripExactForRepresentables) {
 TEST(Convert, QuantizeInplaceMatchesScalar) {
   std::vector<float> data;
   for (int i = 0; i < 1000; ++i) data.push_back(0.001f * i - 0.37f);
-  std::vector<float> copy = data;
-  quantize_inplace(Precision::kFp8E4M3, data.data(), data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(data[i],
-              static_cast<float>(quantize(Precision::kFp8E4M3, copy[i])));
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float special :
+       {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::denorm_min(), 1.0e-6f, -3.0e-8f, 65519.0f,
+        65520.0f, 1.0e30f}) {
+    data.push_back(special);
+  }
+  for (const Precision p :
+       {Precision::kFp8E4M3, Precision::kFp16, Precision::kBf16}) {
+    std::vector<float> rounded = data;
+    quantize_inplace(p, rounded.data(), rounded.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      // Bit patterns, so NaN and signed zero count too.
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(rounded[i]),
+                std::bit_cast<std::uint32_t>(
+                    static_cast<float>(quantize(p, data[i]))))
+          << to_string(p) << " at " << data[i];
+    }
+  }
+}
+
+/// Every FP32 input a 16-bit encoder can get wrong: each code's value,
+/// the midpoint to its successor and the floats either side of that tie,
+/// the special values, the FP16 overflow edge and a fixed-stride sweep of
+/// bit patterns.
+std::vector<float> sixteen_bit_boundary_inputs(const FloatFormat& fmt) {
+  std::vector<float> inputs;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::uint32_t code = 0; code < 65536; ++code) {
+    const double value = decode_bits(fmt, code);
+    inputs.push_back(static_cast<float>(value));
+    if (!std::isfinite(value)) continue;
+    // Half the spacing above |value| (the subnormal spacing below the
+    // normal range).  Every such midpoint is exact in FP32.
+    const int exponent = value == 0.0 ? fmt.min_normal_exponent()
+                                      : std::ilogb(value);
+    const double half_ulp =
+        std::ldexp(1.0, std::max(exponent, fmt.min_normal_exponent()) -
+                            fmt.mantissa_bits - 1);
+    const float mid =
+        static_cast<float>(value + std::copysign(half_ulp, value));
+    inputs.push_back(mid);
+    inputs.push_back(std::nextafter(mid, inf));
+    inputs.push_back(std::nextafter(mid, -inf));
+  }
+  for (const std::uint32_t bits :
+       {0x00000000u, 0x80000000u, 0x7F800000u, 0xFF800000u,  // zeros, infs
+        0x7FC00000u, 0xFFC00000u, 0x7FFFFFFFu, 0xFFFFFFFFu,  // quiet NaNs
+        0x7F800001u, 0xFF800001u, 0x7FBFFFFFu, 0xFFA00000u,  // signalling
+        0x00000001u, 0x80000001u, 0x00400000u, 0x007FFFFFu,  // subnormals
+        0x807FFFFFu, 0x7F7FFFFFu, 0xFF7FFFFFu, 0x7F7F8000u}) {
+    inputs.push_back(std::bit_cast<float>(bits));
+  }
+  for (const float edge : {65504.0f, 65519.996f, 65520.0f}) {
+    inputs.push_back(edge);
+    inputs.push_back(-edge);
+  }
+  constexpr std::uint32_t kStride = 4099;  // odd: every low-bit pattern
+  for (std::uint64_t bits = 0; bits < (1ull << 32); bits += kStride) {
+    inputs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  return inputs;
+}
+
+TEST(Convert, SixteenBitEncodeMatchesOracleAtEveryRoundingBoundary) {
+  for (const Precision p : {Precision::kFp16, Precision::kBf16}) {
+    const FloatFormat& fmt = float_format(p);
+    const std::vector<float> inputs = sixteen_bit_boundary_inputs(fmt);
+    ASSERT_GT(inputs.size(), 1000000u);
+    std::vector<std::uint16_t> oracle(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      oracle[i] = static_cast<std::uint16_t>(quantize_bits(fmt, inputs[i]));
+    }
+
+    std::vector<std::uint16_t> codes(inputs.size());
+    quantize_buffer(p, inputs.data(), codes.data(), inputs.size());
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (codes[i] == oracle[i]) continue;
+      if (++mismatches <= 10) {
+        ADD_FAILURE() << to_string(p) << " input bits 0x" << std::hex
+                      << std::bit_cast<std::uint32_t>(inputs[i]) << ": got 0x"
+                      << codes[i] << ", oracle 0x" << oracle[i];
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << to_string(p);
+
+    // Odd lengths and a source one float off the vector alignment.
+    for (const std::size_t n : {1u, 3u, 7u, 17u, 255u, 1001u}) {
+      for (const std::size_t offset : {0u, 1u}) {
+        std::vector<std::uint16_t> part(n + 1, 0xABCD);
+        quantize_buffer(p, inputs.data() + offset, part.data(), n);
+        EXPECT_EQ(0, std::memcmp(part.data(), oracle.data() + offset,
+                                 n * sizeof(std::uint16_t)))
+            << to_string(p) << " n=" << n << " offset=" << offset;
+        EXPECT_EQ(part[n], 0xABCD) << "wrote past the end";
+      }
+    }
+
+    // convert_buffer and Tile::convert_to take the same encoder, and
+    // their decode is dequantize_buffer's, byte for byte.
+    std::vector<std::uint16_t> converted(inputs.size());
+    convert_buffer(Precision::kFp32, inputs.data(), p, converted.data(),
+                   inputs.size());
+    EXPECT_EQ(converted, oracle) << to_string(p);
+    std::vector<float> decoded(inputs.size());
+    std::vector<float> back(inputs.size());
+    dequantize_buffer(p, oracle.data(), decoded.data(), inputs.size());
+    convert_buffer(p, oracle.data(), Precision::kFp32, back.data(),
+                   inputs.size());
+    EXPECT_EQ(0, std::memcmp(back.data(), decoded.data(),
+                             inputs.size() * sizeof(float)))
+        << to_string(p);
+
+    constexpr std::size_t kRows = 61;  // odd, so columns are misaligned
+    const std::size_t cols = 97;
+    Tile tile(kRows, cols, Precision::kFp32);
+    tile.encode_from(inputs.data(), kRows);
+    tile.convert_to(p);
+    EXPECT_EQ(0, std::memcmp(tile.raw(), oracle.data(),
+                             kRows * cols * sizeof(std::uint16_t)))
+        << to_string(p);
+    tile.convert_to(Precision::kFp32);
+    EXPECT_EQ(0, std::memcmp(tile.raw(), decoded.data(),
+                             kRows * cols * sizeof(float)))
+        << to_string(p);
+
+    // A strided source encodes column by column into the same bytes.
+    Tile strided(kRows, cols, p);
+    strided.encode_from(inputs.data(), kRows + 2);
+    for (std::size_t j = 0; j < cols; ++j) {
+      ASSERT_EQ(0, std::memcmp(static_cast<const std::uint16_t*>(
+                                   strided.raw()) + j * kRows,
+                               oracle.data() + j * (kRows + 2),
+                               kRows * sizeof(std::uint16_t)))
+          << to_string(p) << " column " << j;
+    }
   }
 }
 
