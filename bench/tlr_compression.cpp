@@ -7,9 +7,14 @@
 // tolerance with plan_tlr_compression routed through the TLR-aware tiled
 // Cholesky, reporting off-diagonal compressed vs dense bytes, the
 // data-motion model's byte count, and median wall times over kReps runs
-// for compress + factorize + solve.  The dist rows time the plain and the
-// checkpointed 4-rank factorization separately, kReps runs each.
-// `--json BENCH_tlr.json` emits the CI artifact rows.
+// for compress + factorize + solve.  Beside the serial compress time,
+// `associate s` is the median of kReps associate() runs on the same
+// kernel, runtime and tolerance (alpha applied once, by associate): the
+// whole phase with its tile preparation spread over the runtime's
+// workers.  The dist rows time the plain and the checkpointed 4-rank
+// factorization separately, kReps runs each.  `--json BENCH_tlr.json`
+// emits the CI artifact rows (compress_* and associate_* rows carry those
+// two medians).
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -22,6 +27,7 @@
 #include "dist/dist_cholesky.hpp"
 #include "dist/dist_tile_matrix.hpp"
 #include "dist/process_grid.hpp"
+#include "krr/associate.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/tiled_cholesky.hpp"
@@ -67,16 +73,17 @@ int main(int argc, char** argv) {
   const float alpha = static_cast<float>(args.get_double("alpha", 2.0));
 
   const Matrix<float> k = smooth_kernel(n, alpha);
+  const Matrix<float> unregularized = smooth_kernel(n, 0.0f);
   const Matrix<float> b(n, 4, 1.0f);
   Runtime runtime(workers);
 
   Table table({"tol", "off-diag MiB", "dense MiB", "ratio", "mean rank",
-               "compress s", "potrf s", "solve s"});
+               "compress s", "associate s", "potrf s", "solve s"});
   std::vector<bench::BenchRecord> records;
   for (const double tol : {0.0, 1e-2, 1e-4, 1e-6}) {
     TlrPolicy policy;
     policy.tol = tol;
-    std::vector<double> compress_s, potrf_s, solve_s;
+    std::vector<double> compress_s, associate_s, potrf_s, solve_s;
     TlrCompressionStats stats;
     std::uint64_t storage_bytes = 0;
     std::uint64_t motion_bytes = 0;
@@ -99,6 +106,18 @@ int main(int argc, char** argv) {
       storage_bytes = tiles.storage_bytes();
       motion_bytes = tiled_potrf_data_motion_bytes(tiles);
     }
+    AssociateConfig config;
+    config.alpha = alpha;
+    config.mode = PrecisionMode::kFixed;
+    config.tlr = policy;
+    for (int rep = 0; rep < kReps; ++rep) {
+      SymmetricTileMatrix tiles(n, ts);
+      tiles.from_dense(unregularized);
+      const std::uint64_t t0 = Timer::now_ns();
+      associate(runtime, tiles, b, config);
+      associate_s.push_back(static_cast<double>(Timer::now_ns() - t0) *
+                            1e-9);
+    }
 
     // Dense baseline bytes of the tiles that compressed; tol = 0 rows
     // report the all-dense footprint for reference.
@@ -111,15 +130,23 @@ int main(int argc, char** argv) {
                             static_cast<double>(off_bytes)
                       : 0.0;
     const double potrf_median = median(potrf_s);
+    const double compress_median = median(compress_s);
+    const double associate_median = median(associate_s);
     table.add_row({tol > 0.0 ? Table::num(tol, 6) : "dense",
                    Table::num(static_cast<double>(off_bytes) / 1048576.0, 3),
                    Table::num(static_cast<double>(dense_bytes) / 1048576.0, 3),
                    Table::num(ratio, 2), Table::num(stats.mean_rank, 1),
-                   Table::num(median(compress_s), 3),
+                   Table::num(compress_median, 3),
+                   Table::num(associate_median, 3),
                    Table::num(potrf_median, 3),
                    Table::num(median(solve_s), 3)});
-    records.push_back({tol > 0.0 ? "tlr_tol_" + Table::num(tol, 6) : "dense",
-                       n, ts, 1, potrf_median, motion_bytes, 0.0, {}});
+    const std::string row =
+        tol > 0.0 ? "tlr_tol_" + Table::num(tol, 6) : "dense";
+    records.push_back({row, n, ts, 1, potrf_median, motion_bytes, 0.0, {}});
+    records.push_back(
+        {"compress_" + row, n, ts, 1, compress_median, 0, 0.0, {}});
+    records.push_back(
+        {"associate_" + row, n, ts, 1, associate_median, 0, 0.0, {}});
   }
   table.print(std::cout);
   std::cout << "rank truncation shrinks the off-diagonal footprint (and the "

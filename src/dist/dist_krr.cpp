@@ -70,75 +70,16 @@ DistSymmetricTileMatrix dist_build_kernel_matrix(
   return k;
 }
 
-PrecisionMap dist_plan_precision_map(Communicator& comm,
-                                     const DistSymmetricTileMatrix& k,
-                                     const AssociateConfig& config) {
-  const std::size_t nt = k.tile_count();
-  switch (config.mode) {
-    case PrecisionMode::kFixed:
-      return PrecisionMap(nt, config.adaptive.working);
-    case PrecisionMode::kBand:
-      return band_precision_map(nt, config.band_fp32_fraction,
-                                config.low_precision, config.adaptive.working);
-    case PrecisionMode::kAdaptive: {
-      // Per-tile Frobenius norms, owned entries filled locally and summed
-      // against zeros elsewhere — exact in FP, so every rank derives the
-      // map the shared-memory policy would compute on the full matrix.
-      std::vector<double> norms(nt * (nt + 1) / 2, 0.0);
-      for (std::size_t tj = 0; tj < nt; ++tj) {
-        for (std::size_t ti = tj; ti < nt; ++ti) {
-          if (k.is_local(ti, tj)) {
-            norms[lower_tile_index(nt, ti, tj)] =
-                k.tile(ti, tj).frobenius_norm();
-          }
-        }
-      }
-      comm.allreduce_sum(norms.data(), norms.size());
-      return adaptive_precision_map_from_norms(norms, nt, config.adaptive);
-    }
-  }
-  KGWAS_ASSERT(false);
-  return {};
-}
-
-namespace {
-
-/// Shared Associate prologue: regularize (the precision decision must see
-/// K + alpha*I, exactly like the shared-memory associate), record the
-/// FP32 baseline, and plan the precision map.
-AssociateResult associate_prologue(Communicator& comm,
-                                   DistSymmetricTileMatrix& k,
-                                   const Matrix<float>& phenotypes,
-                                   const AssociateConfig& config) {
-  KGWAS_CHECK_ARG(phenotypes.rows() == k.n(),
-                  "phenotype row count must equal kernel dimension");
-  KGWAS_CHECK_ARG(config.alpha > 0.0, "alpha must be positive");
-  for (std::size_t t = 0; t < k.tile_count(); ++t) {
-    if (!k.is_local(t, t)) continue;
-    Tile& tile = k.tile(t, t);
-    Matrix<float> values = tile.to_fp32();
-    for (std::size_t i = 0; i < values.rows(); ++i) {
-      values(i, i) += static_cast<float>(config.alpha);
-    }
-    tile.from_fp32(values);
-  }
-  AssociateResult result;
-  result.fp32_bytes =
-      map_storage_bytes(PrecisionMap(k.tile_count(), Precision::kFp32), k.n(),
-                        k.tile_size());
-  result.map = dist_plan_precision_map(comm, k, config);
-  return result;
-}
-
-}  // namespace
-
 AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
                                DistSymmetricTileMatrix& k,
                                const Matrix<float>& phenotypes,
                                const AssociateConfig& config,
                                DistFtResult* ft) {
-  AssociateResult result = associate_prologue(comm, k, phenotypes, config);
+  KGWAS_CHECK_ARG(phenotypes.rows() == k.n(),
+                  "phenotype row count must equal kernel dimension");
+  KGWAS_CHECK_ARG(config.alpha > 0.0, "alpha must be positive");
 
+  AssociateResult result;
   DistPotrfOptions options;
   options.precision_map = &result.map;
   options.on_breakdown = config.on_breakdown;
@@ -147,29 +88,41 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
   options.checkpoint_interval = ft ? configured_checkpoint_interval() : 0;
   DistFtResult outcome;
   {
-    // Under escalation keep the pre-demotion owned tiles as the rollback
-    // source (same recovery semantics — and bitwise the same factor — as
-    // the shared-memory associate): a promoted tile is re-encoded from
-    // the original regularized values, and the demoted working set is
-    // the one extra copy of the matrix at storage precision.
+    // The shared-memory preparation on the owned tiles; per-tile norms
+    // and TLR tallies are allreduced, so every rank plans the map — and
+    // reports the stats and footprint — the shared-memory associate
+    // computes on the full matrix.  Under escalation the regularized
+    // pre-demotion owned tiles are the rollback source (same recovery
+    // semantics, and bitwise the same factor, as shared memory).
     std::optional<DistSymmetricTileMatrix> source;
-    if (config.on_breakdown == BreakdownAction::kEscalate) {
-      source.emplace(k);
-      options.source = &*source;
-    }
-    k.apply(result.map);
-    result.factor_bytes = map_storage_bytes(result.map, k.n(), k.tile_size());
+    prepare_associate(
+        runtime, k,
+        [&k](std::size_t ti, std::size_t tj) { return k.is_local(ti, tj); },
+        config,
+        [&comm](std::vector<double>& v) {
+          comm.allreduce_sum(v.data(), v.size());
+        },
+        [&] {
+          if (config.on_breakdown == BreakdownAction::kEscalate) {
+            options.source = &source.emplace(k);
+          }
+        },
+        result);
     outcome = dist_tiled_potrf(runtime, comm, k, options);
-  }
-  if (result.report.recovered) {
-    result.map = result.report.final_map;
-    result.factor_bytes = map_storage_bytes(result.map, k.n(), k.tile_size());
   }
   // On rank loss the factor lives in the re-gridded matrix and the solve
   // must run over the survivor communicator.
+  Communicator& active = outcome.active_comm(comm);
+  DistSymmetricTileMatrix& factor = outcome.active_matrix(k);
+  if (result.report.recovered) {
+    // Report the map and footprint that were actually factored.
+    result.map = result.report.final_map;
+    auto bytes = static_cast<double>(factor.local_storage_bytes());
+    active.allreduce_sum(&bytes, 1);
+    result.factor_bytes = static_cast<std::size_t>(bytes);
+  }
   result.weights = phenotypes;
-  dist_tiled_potrs(runtime, outcome.active_comm(comm),
-                   outcome.active_matrix(k), result.weights);
+  dist_tiled_potrs(runtime, active, factor, result.weights);
   if (ft != nullptr) *ft = std::move(outcome);
   return result;
 }

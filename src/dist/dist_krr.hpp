@@ -33,18 +33,14 @@ DistSymmetricTileMatrix dist_build_kernel_matrix(
     const GenotypeMatrix& genotypes, const Matrix<float>& confounders,
     const BuildConfig& config);
 
-/// Computes (without applying) the precision map the distributed
-/// Associate uses — identical on every rank, and bitwise identical to
-/// plan_precision_map on the assembled matrix (adaptive mode allreduces
-/// per-tile Frobenius norms).  Collective in adaptive mode.
-PrecisionMap dist_plan_precision_map(Communicator& comm,
-                                     const DistSymmetricTileMatrix& k,
-                                     const AssociateConfig& config);
-
-/// Associate phase over a distributed kernel: regularize, choose and
-/// apply tile precisions, factorize (dist_tiled_potrf), solve for the
-/// weights (dist_tiled_potrs).  `phenotypes` must be replicated; the
-/// returned weights are replicated.  Collective.
+/// Associate phase over a distributed kernel: the shared-memory
+/// preparation (prepare_associate) on the owned tiles — regularize,
+/// choose tile precisions from allreduced per-tile norms, TLR-compress
+/// when config.tlr.tol > 0, apply the map — then factorize
+/// (dist_tiled_potrf) and solve for the weights (dist_tiled_potrs).
+/// `phenotypes` must be replicated; the returned weights, map, TLR stats
+/// and global factor_bytes are replicated and bitwise those of
+/// associate() on the assembled matrix.  Collective.
 ///
 /// With a non-null `ft` the factorization is checkpointed every
 /// configured_checkpoint_interval() panel steps and recovers from rank

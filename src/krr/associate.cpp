@@ -1,5 +1,7 @@
 #include "krr/associate.hpp"
 
+#include <optional>
+
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "linalg/tiled_cholesky.hpp"
@@ -11,27 +13,34 @@ namespace kgwas {
 
 void add_diagonal(SymmetricTileMatrix& k, float alpha) {
   for (std::size_t t = 0; t < k.tile_count(); ++t) {
-    Tile& tile = k.tile(t, t);
-    Matrix<float> values = tile.to_fp32();
-    for (std::size_t i = 0; i < values.rows(); ++i) values(i, i) += alpha;
-    tile.from_fp32(values);
+    tile_add_diagonal(k.tile(t, t), alpha);
   }
+}
+
+PrecisionMap precision_map_from_norms(
+    const AssociateConfig& config, std::size_t nt,
+    const std::vector<double>& lower_tile_norms) {
+  switch (config.mode) {
+    case PrecisionMode::kFixed:
+      return PrecisionMap(nt, config.adaptive.working);
+    case PrecisionMode::kBand:
+      return band_precision_map(nt, config.band_fp32_fraction,
+                                config.low_precision,
+                                config.adaptive.working);
+    case PrecisionMode::kAdaptive:
+      return adaptive_precision_map_from_norms(lower_tile_norms, nt,
+                                               config.adaptive);
+  }
+  KGWAS_ASSERT(false);
+  return {};
 }
 
 PrecisionMap plan_precision_map(const SymmetricTileMatrix& k,
                                 const AssociateConfig& config) {
-  switch (config.mode) {
-    case PrecisionMode::kFixed:
-      return PrecisionMap(k.tile_count(), config.adaptive.working);
-    case PrecisionMode::kBand:
-      return band_precision_map(k.tile_count(), config.band_fp32_fraction,
-                                config.low_precision,
-                                config.adaptive.working);
-    case PrecisionMode::kAdaptive:
-      return adaptive_precision_map(k, config.adaptive);
+  if (config.mode == PrecisionMode::kAdaptive) {
+    return adaptive_precision_map(k, config.adaptive);
   }
-  KGWAS_ASSERT(false);
-  return {};
+  return precision_map_from_norms(config, k.tile_count(), {});
 }
 
 AssociateResult associate(Runtime& runtime, SymmetricTileMatrix& k,
@@ -41,51 +50,36 @@ AssociateResult associate(Runtime& runtime, SymmetricTileMatrix& k,
                   "phenotype row count must equal kernel dimension");
   KGWAS_CHECK_ARG(config.alpha > 0.0, "alpha must be positive");
 
-  // Regularize first: the precision decision must see K + alpha*I, whose
-  // diagonal tiles dominate, exactly as the paper applies the adaptive
-  // technique "at the beginning of the Associate phase".
-  add_diagonal(k, static_cast<float>(config.alpha));
-
   AssociateResult result;
-  result.fp32_bytes =
-      map_storage_bytes(PrecisionMap(k.tile_count(), Precision::kFp32), k.n(),
-                        k.tile_size());
-  result.map = plan_precision_map(k, config);
-
   TiledPotrfOptions options;
   options.on_breakdown = config.on_breakdown;
   options.max_escalations = config.max_escalations;
   options.report = &result.report;
-  if (config.on_breakdown == BreakdownAction::kEscalate) {
-    // Factor a demoted copy and keep the regularized original as the
-    // escalation rollback source: a promoted tile is re-encoded from the
-    // *pre-demotion* values, so escalation can repair a wrong adaptive
-    // guess whose quantization broke positive definiteness.  The copy is
-    // the recovery's memory cost — one matrix at storage precision.
-    // TLR composes: the copy is compressed from the full-fidelity values
-    // before demotion, and on rollback each planned-low-rank slot is
-    // re-truncated from the dense source at the escalated precision
-    // (restore_slot).
-    SymmetricTileMatrix demoted = k;
-    if (config.tlr.tol > 0.0) {
-      result.tlr = plan_tlr_compression(demoted, result.map, config.tlr);
-    }
-    result.map.apply(demoted);
-    result.factor_bytes = demoted.storage_bytes();
-    options.source = &k;
-    tiled_potrf(runtime, demoted, options);
-    k = std::move(demoted);
-  } else {
-    // Compress BEFORE applying the map: factors are then computed from
-    // the full-fidelity tile values and quantized exactly once, the same
-    // single-rounding contract dense tiles get.
-    if (config.tlr.tol > 0.0) {
-      result.tlr = plan_tlr_compression(k, result.map, config.tlr);
-    }
-    result.map.apply(k);
-    result.factor_bytes = k.storage_bytes();
-    tiled_potrf(runtime, k, options);
-  }
+  // Regularize first: the precision decision must see K + alpha*I, whose
+  // diagonal tiles dominate, exactly as the paper applies the adaptive
+  // technique "at the beginning of the Associate phase".  Compression
+  // runs before the map applies, so factors are computed from the
+  // full-fidelity values and quantized exactly once, the same
+  // single-rounding contract dense tiles get.
+  //
+  // Under kEscalate the regularized, still-dense matrix is copied between
+  // the passes and kept as the rollback source: a promoted tile is
+  // re-encoded from the *pre-demotion* values, so escalation can repair a
+  // wrong adaptive guess whose quantization broke positive definiteness,
+  // and each planned-low-rank slot is re-truncated from it at the
+  // escalated precision (restore_slot).  The copy is the recovery's
+  // memory cost — one matrix at working precision.
+  std::optional<SymmetricTileMatrix> source;
+  prepare_associate(
+      runtime, k, [](std::size_t, std::size_t) { return true; }, config,
+      [](std::vector<double>&) {},
+      [&] {
+        if (config.on_breakdown == BreakdownAction::kEscalate) {
+          options.source = &source.emplace(k);
+        }
+      },
+      result);
+  tiled_potrf(runtime, k, options);
   if (result.report.recovered) {
     // Escalation widened some tiles: report the map and footprint that
     // were actually factored, not the plan that broke down.

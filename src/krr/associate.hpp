@@ -3,8 +3,12 @@
 // (paper Algorithm 3 + §V-B2).
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "linalg/factorization_report.hpp"
 #include "linalg/precision_policy.hpp"
+#include "linalg/tile_prepare.hpp"
 #include "mpblas/matrix.hpp"
 #include "runtime/runtime.hpp"
 #include "tile/precision_map.hpp"
@@ -35,12 +39,15 @@ struct AssociateConfig {
   BreakdownAction on_breakdown = BreakdownAction::kThrow;
   /// Retry bound for kEscalate.
   int max_escalations = 8;
-  /// TLR tile compression (paper Section VIII), applied after the
-  /// precision map is planned and before it is applied: admissible
-  /// off-diagonal tiles become U * V^T factor pairs stored at their
-  /// mapped precision.  tol = 0 (the default, and the fallback of
-  /// KGWAS_TLR_TOL) disables compression — the pipeline is then bitwise
-  /// the dense one.  Incompatible with kEscalate.
+  /// TLR tile compression (paper Section VIII): admissible off-diagonal
+  /// tiles become U * V^T factor pairs, truncated from the regularized
+  /// full-fidelity values and stored at their mapped precision.  tol = 0
+  /// (the default, and the fallback of KGWAS_TLR_TOL) disables
+  /// compression — the pipeline is then bitwise the dense one.  Composes
+  /// with kEscalate: the rollback source is the pre-demotion dense
+  /// matrix, and on each retry every planned-low-rank slot is
+  /// re-truncated from it at the escalated precision (restore_slot in
+  /// linalg/cholesky_dag.hpp).
   TlrPolicy tlr = tlr_policy_from_env();
 };
 
@@ -58,7 +65,9 @@ struct AssociateResult {
 };
 
 /// Runs the Associate phase in place on K (it becomes the Cholesky
-/// factor).  `phenotypes` is the N_P1 x N_Ph right-hand side Ph.
+/// factor).  `phenotypes` is the N_P1 x N_Ph right-hand side Ph.  The
+/// preparation before the factorization runs as per-tile tasks on
+/// `runtime` (prepare_associate).
 AssociateResult associate(Runtime& runtime, SymmetricTileMatrix& k,
                           const Matrix<float>& phenotypes,
                           const AssociateConfig& config);
@@ -70,5 +79,45 @@ void add_diagonal(SymmetricTileMatrix& k, float alpha);
 /// Computes (without applying) the precision map `associate` would use.
 PrecisionMap plan_precision_map(const SymmetricTileMatrix& k,
                                 const AssociateConfig& config);
+
+/// The precision map of `config` for an nt-tile matrix.  Adaptive mode
+/// reads `lower_tile_norms` (lower_tile_index order); the band and fixed
+/// maps ignore it.
+PrecisionMap precision_map_from_norms(
+    const AssociateConfig& config, std::size_t nt,
+    const std::vector<double>& lower_tile_norms);
+
+/// The Associate preparation both drivers run on the tiles `owns`
+/// selects (see linalg/tile_prepare.hpp): pass 1 (alpha, norms, TLR side
+/// slots), the precision map, `between_passes()`, pass 2, and the
+/// result's map, fp32_bytes, factor_bytes and tlr fields.
+/// `between_passes` is where kEscalate takes its pre-demotion rollback
+/// copy.  `sum(v)` makes a per-tile vector global: a no-op in shared
+/// memory, an allreduce on a rank (each tile has one owner, so summing
+/// against zeros is exact and every rank then reports the totals shared
+/// memory reports).
+template <class Tiles, class Owns, class Sum, class BetweenPasses>
+void prepare_associate(Runtime& runtime, Tiles& k, Owns owns,
+                       const AssociateConfig& config, Sum sum,
+                       BetweenPasses between_passes, AssociateResult& result) {
+  const bool adaptive = config.mode == PrecisionMode::kAdaptive;
+  PreparedTiles prep =
+      prepare_tiles(runtime, k, owns,
+                    TilePrepareOptions{static_cast<float>(config.alpha),
+                                       adaptive, config.tlr});
+  if (adaptive) sum(prep.norms);
+  const std::size_t nt = k.tile_count();
+  result.fp32_bytes = map_storage_bytes(PrecisionMap(nt, Precision::kFp32),
+                                        k.n(), k.tile_size());
+  result.map = precision_map_from_norms(config, nt, prep.norms);
+  between_passes();
+  install_prepared(runtime, k, owns, result.map, prep);
+  sum(prep.tally.bytes);
+  result.factor_bytes = prep.tally.storage_bytes();
+  if (config.tlr.tol > 0.0) {
+    sum(prep.tally.ranks);
+    result.tlr = prep.tally.stats(result.map, k.n(), k.tile_size());
+  }
+}
 
 }  // namespace kgwas

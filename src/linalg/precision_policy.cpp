@@ -180,53 +180,63 @@ TlrPolicy tlr_policy_from_env() {
   return policy;
 }
 
-TlrCompressionStats plan_tlr_compression(SymmetricTileMatrix& matrix,
-                                         const PrecisionMap& map,
-                                         const TlrPolicy& policy) {
-  TlrCompressionStats stats;
-  const std::size_t nt = matrix.tile_count();
-  KGWAS_CHECK_ARG(map.tile_count() == nt,
-                  "precision map size does not match tile matrix");
-  if (policy.tol <= 0.0) return stats;
-  matrix.set_tlr_options(policy.tol, policy.max_rank_fraction);
+std::optional<LowRankFactor> compress_tile(const Tile& tile,
+                                           const TlrPolicy& policy) {
+  const std::size_t m = tile.rows(), n = tile.cols();
+  if (std::min(m, n) < policy.min_dim) return std::nullopt;
+  LowRankFactor factor = compress_block(tile.to_fp32(), policy.tol);
+  if (!tlr_rank_admissible(factor.rank(), m, n, policy.max_rank_fraction)) {
+    return std::nullopt;
+  }
+  return factor;
+}
 
+void TlrTally::install(std::size_t idx, TileSlot& slot,
+                       std::optional<LowRankFactor> factor,
+                       Precision precision) {
   static telemetry::Counter& compressed_count =
       telemetry::MetricRegistry::global().counter("tlr.tiles_compressed");
   static telemetry::Counter& dense_count =
       telemetry::MetricRegistry::global().counter("tlr.tiles_dense");
   static telemetry::Histogram& rank_hist =
       telemetry::MetricRegistry::global().histogram("tlr.tile_rank");
+  if (factor) {
+    const std::size_t rank = factor->rank();
+    slot.set_low_rank(TlrTile(factor->u, factor->v, precision));
+    ranks[idx] = static_cast<double>(rank + 1);
+    compressed_count.add(1);
+    rank_hist.record(rank);
+  } else {
+    ranks[idx] = 0.0;
+    dense_count.add(1);
+  }
+  bytes[idx] = static_cast<double>(slot.storage_bytes());
+}
 
+TlrCompressionStats TlrTally::stats(const PrecisionMap& map, std::size_t n,
+                                    std::size_t tile_size) const {
+  const std::size_t nt = map.tile_count();
+  KGWAS_CHECK_ARG(ranks.size() == nt * (nt + 1) / 2,
+                  "TLR tally size does not match the precision map");
+  const auto dim = [&](std::size_t t) {
+    return std::min(tile_size, n - t * tile_size);
+  };
+  TlrCompressionStats stats;
   std::size_t rank_sum = 0;
   for (std::size_t tj = 0; tj < nt; ++tj) {
     for (std::size_t ti = tj + 1; ti < nt; ++ti) {
-      const Tile& t = matrix.tile(ti, tj);
-      const std::size_t m = t.rows(), n = t.cols();
-      if (std::min(m, n) < policy.min_dim) {
+      const std::size_t idx = lower_tile_index(nt, ti, tj);
+      if (ranks[idx] == 0.0) {
         ++stats.tiles_dense;
-        dense_count.add(1);
         continue;
       }
-      const LowRankFactor factor =
-          compress_block(t.to_fp32(), policy.tol);
-      if (!tlr_rank_admissible(factor.rank(), m, n,
-                               policy.max_rank_fraction)) {
-        ++stats.tiles_dense;
-        dense_count.add(1);
-        continue;
-      }
-      // Joint rank + precision choice: the factors store at the precision
-      // the dense tile was mapped to — rank removes the smooth redundancy,
-      // the narrow format cheapens what remains.
-      TlrTile lr(factor.u, factor.v, map.get(ti, tj));
-      stats.dense_bytes += m * n * bytes_per_element(map.get(ti, tj));
-      stats.compressed_bytes += lr.storage_bytes();
-      stats.max_rank = std::max(stats.max_rank, factor.rank());
-      rank_sum += factor.rank();
+      const auto rank = static_cast<std::size_t>(ranks[idx]) - 1;
+      stats.dense_bytes +=
+          dim(ti) * dim(tj) * bytes_per_element(map.get(ti, tj));
+      stats.compressed_bytes += static_cast<std::size_t>(bytes[idx]);
+      stats.max_rank = std::max(stats.max_rank, rank);
+      rank_sum += rank;
       ++stats.tiles_compressed;
-      compressed_count.add(1);
-      rank_hist.record(factor.rank());
-      matrix.set_low_rank(ti, tj, std::move(lr));
     }
   }
   if (stats.tiles_compressed > 0) {
@@ -234,6 +244,31 @@ TlrCompressionStats plan_tlr_compression(SymmetricTileMatrix& matrix,
                       static_cast<double>(stats.tiles_compressed);
   }
   return stats;
+}
+
+std::size_t TlrTally::storage_bytes() const {
+  std::size_t total = 0;
+  for (const double b : bytes) total += static_cast<std::size_t>(b);
+  return total;
+}
+
+TlrCompressionStats plan_tlr_compression(SymmetricTileMatrix& matrix,
+                                         const PrecisionMap& map,
+                                         const TlrPolicy& policy) {
+  const std::size_t nt = matrix.tile_count();
+  KGWAS_CHECK_ARG(map.tile_count() == nt,
+                  "precision map size does not match tile matrix");
+  if (policy.tol <= 0.0) return {};
+  matrix.set_tlr_options(policy.tol, policy.max_rank_fraction);
+  TlrTally tally(nt);
+  for (std::size_t tj = 0; tj < nt; ++tj) {
+    for (std::size_t ti = tj + 1; ti < nt; ++ti) {
+      tally.install(lower_tile_index(nt, ti, tj), matrix.slot(ti, tj),
+                    compress_tile(matrix.tile(ti, tj), policy),
+                    map.get(ti, tj));
+    }
+  }
+  return tally.stats(map, matrix.n(), matrix.tile_size());
 }
 
 }  // namespace kgwas

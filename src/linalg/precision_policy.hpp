@@ -16,10 +16,13 @@
 // the fraction of off-diagonal tile *diagonals* kept in FP32.
 #pragma once
 
+#include <optional>
 #include <vector>
 
+#include "linalg/low_rank.hpp"
 #include "tile/precision_map.hpp"
 #include "tile/tile_matrix.hpp"
+#include "tile/tile_slot.hpp"
 
 namespace kgwas {
 
@@ -143,6 +146,48 @@ struct TlrCompressionStats {
   double mean_rank = 0.0;             ///< over compressed tiles
 };
 
+/// Compression of one off-diagonal tile, independent of any precision
+/// map: the truncated factor at `policy.tol`, or nothing when the tile is
+/// below `policy.min_dim` on a side or its rank fails the crossover rule
+/// (the tile then stays dense).
+std::optional<LowRankFactor> compress_tile(const Tile& tile,
+                                           const TlrPolicy& policy);
+
+/// Per-lower-tile TLR outcome and footprint, in lower_tile_index order.
+/// Each tile's entries are written by whoever installs that tile (one
+/// task per tile) and totalled afterwards, so the stats never depend on
+/// installation order.  Entries of tiles another rank owns stay 0, so a
+/// distributed caller sums the vectors across ranks exactly.
+struct TlrTally {
+  TlrTally() = default;
+  explicit TlrTally(std::size_t tile_count)
+      : ranks(tile_count * (tile_count + 1) / 2, 0.0),
+        bytes(ranks.size(), 0.0) {}
+
+  /// rank + 1 of a tile installed low-rank; 0 for a dense tile.
+  std::vector<double> ranks;
+  /// Slot storage bytes once the tile's outcome is installed.
+  std::vector<double> bytes;
+
+  /// Installs off-diagonal tile `idx`'s compression outcome into `slot`:
+  /// an admissible `factor` becomes a TlrTile stored at `precision` (the
+  /// precision the dense tile is mapped to — rank removes the smooth
+  /// redundancy, the narrow format cheapens what remains); none leaves
+  /// the slot dense.  Records the tile's entries and bumps the
+  /// tlr.tiles_compressed / tlr.tiles_dense counters and the
+  /// tlr.tile_rank histogram.  Safe to call concurrently for distinct
+  /// tiles.
+  void install(std::size_t idx, TileSlot& slot,
+               std::optional<LowRankFactor> factor, Precision precision);
+
+  /// Totals over the off-diagonal tiles of an n x n matrix of
+  /// `tile_size` tiles; a tile not installed low-rank counts as dense.
+  TlrCompressionStats stats(const PrecisionMap& map, std::size_t n,
+                            std::size_t tile_size) const;
+  /// Sum of `bytes`: the matrix footprint once every tile is installed.
+  std::size_t storage_bytes() const;
+};
+
 /// Compresses every admissible off-diagonal tile of `matrix` in place:
 /// rank from `policy.tol` (relative truncation), factor storage precision
 /// from `map` (the precision the dense tile would have had), keeping the
@@ -150,7 +195,9 @@ struct TlrCompressionStats {
 /// stamps the matrix's TLR options so the factorization kernels
 /// re-compress at the same tolerance.  Call BEFORE PrecisionMap::apply so
 /// factors quantize once, from full-fidelity values.  A zero `policy.tol`
-/// is a no-op returning all-dense stats.
+/// is a no-op returning all-dense stats.  The serial loop over
+/// compress_tile and TlrTally::install that associate() runs as per-tile
+/// tasks (linalg/tile_prepare.hpp).
 TlrCompressionStats plan_tlr_compression(SymmetricTileMatrix& matrix,
                                          const PrecisionMap& map,
                                          const TlrPolicy& policy);

@@ -21,6 +21,15 @@ mpblas::kernels::OperandView tile_operand_view(const Tile& t, Trans trans) {
   return {t.raw(), t.rows(), trans, t.precision(), Precision::kFp32};
 }
 
+void tile_add_diagonal(Tile& a, float alpha) {
+  PooledF32 values(TilePool::global(), a.elements());
+  a.decode_to(values.data());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    values.data()[i + i * a.rows()] += alpha;
+  }
+  a.encode_from(values.data(), a.rows());
+}
+
 void tile_potrf(Tile& a, std::size_t global_offset) {
   KGWAS_CHECK_ARG(a.rows() == a.cols(), "POTRF tile must be square");
   const std::size_t n = a.rows();

@@ -31,6 +31,10 @@ void pack_tile_a(mpblas::kernels::PackedA& packed, const Tile& a);
 /// of one panel column actually share.
 void pack_tile_b(mpblas::kernels::PackedB& packed, const Tile& b);
 
+/// Ridge shift of a diagonal tile: A <- A + alpha * I (decode, add,
+/// re-encode at the tile's storage precision).
+void tile_add_diagonal(Tile& a, float alpha);
+
 /// POTRF on a diagonal tile: A <- chol(A), lower.  Throws NumericalError
 /// (with the failing global column if `global_offset` is given) when the
 /// tile is not positive definite.

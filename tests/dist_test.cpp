@@ -6,6 +6,7 @@
 // calibration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -869,6 +870,44 @@ const GwasDataset& small_dataset() {
   return dataset;
 }
 
+/// Rank-count list of the KRR pipeline tests: `base` plus KGWAS_RANKS
+/// when the CI job sets a world size not already in it.
+std::vector<int> krr_rank_counts(std::vector<int> base) {
+  const int env_ranks = dist::configured_ranks();
+  if (env_ranks > 1 &&
+      std::find(base.begin(), base.end(), env_ranks) == base.end()) {
+    base.push_back(env_ranks);
+  }
+  return base;
+}
+
+/// The dist pipeline result must be the shared-memory KrrModel's, bit
+/// for bit: weights, predictions, precision map and footprint.
+void expect_matches_model(const dist::DistKrrResult& result,
+                          const KrrModel& model,
+                          const Matrix<float>& ref_predictions, int ranks) {
+  ASSERT_EQ(result.weights.rows(), model.weights().rows());
+  ASSERT_EQ(result.weights.cols(), model.weights().cols());
+  EXPECT_EQ(std::memcmp(result.weights.data(), model.weights().data(),
+                        result.weights.size() * sizeof(float)),
+            0)
+      << "weights diverge at ranks=" << ranks;
+  ASSERT_EQ(result.predictions.rows(), ref_predictions.rows());
+  EXPECT_EQ(std::memcmp(result.predictions.data(), ref_predictions.data(),
+                        result.predictions.size() * sizeof(float)),
+            0)
+      << "predictions diverge at ranks=" << ranks;
+  // The adaptive precision decision replicates too.
+  EXPECT_EQ(result.map.tile_count(), model.precision_map().tile_count());
+  for (std::size_t tj = 0; tj < result.map.tile_count(); ++tj) {
+    for (std::size_t ti = tj; ti < result.map.tile_count(); ++ti) {
+      EXPECT_EQ(result.map.get(ti, tj), model.precision_map().get(ti, tj));
+    }
+  }
+  EXPECT_EQ(result.factor_bytes, model.factor_bytes()) << "ranks=" << ranks;
+  EXPECT_EQ(result.fp32_bytes, model.fp32_bytes());
+}
+
 TEST(DistKrr, PipelineIsBitwiseRankCountInvariant) {
   const TrainTestSplit split = split_dataset(small_dataset(), 0.75, 17);
   KrrConfig config;
@@ -883,34 +922,58 @@ TEST(DistKrr, PipelineIsBitwiseRankCountInvariant) {
   model.fit(rt, split.train, config);
   const Matrix<float> ref_predictions = model.predict(rt, split.test);
 
-  std::vector<int> rank_counts{1, 2, 4, 7};
-  const int env_ranks = dist::configured_ranks();
-  if (env_ranks > 1 && env_ranks != 2 && env_ranks != 4 && env_ranks != 7) {
-    rank_counts.push_back(env_ranks);
-  }
-  for (const int ranks : rank_counts) {
+  for (const int ranks : krr_rank_counts({1, 2, 4, 7})) {
     const dist::DistKrrResult result =
         dist::run_dist_krr(ranks, split.train, split.test, config);
-    ASSERT_EQ(result.weights.rows(), model.weights().rows());
-    ASSERT_EQ(result.weights.cols(), model.weights().cols());
-    EXPECT_EQ(std::memcmp(result.weights.data(), model.weights().data(),
-                          result.weights.size() * sizeof(float)),
-              0)
-        << "weights diverge at ranks=" << ranks;
-    ASSERT_EQ(result.predictions.rows(), ref_predictions.rows());
-    EXPECT_EQ(std::memcmp(result.predictions.data(), ref_predictions.data(),
-                          result.predictions.size() * sizeof(float)),
-              0)
-        << "predictions diverge at ranks=" << ranks;
-    // The adaptive precision decision replicates too.
-    EXPECT_EQ(result.map.tile_count(), model.precision_map().tile_count());
-    for (std::size_t tj = 0; tj < result.map.tile_count(); ++tj) {
-      for (std::size_t ti = tj; ti < result.map.tile_count(); ++ti) {
-        EXPECT_EQ(result.map.get(ti, tj), model.precision_map().get(ti, tj));
-      }
-    }
-    EXPECT_EQ(result.factor_bytes, model.factor_bytes());
-    EXPECT_EQ(result.fp32_bytes, model.fp32_bytes());
+    expect_matches_model(result, model, ref_predictions, ranks);
+  }
+}
+
+TEST(DistKrr, TlrPipelineMatchesSharedMemoryBitwise) {
+  // config.associate.tlr on the dist path: every rank compresses the
+  // tiles it owns exactly as shared memory compresses them, so the dist
+  // pipeline factors the same compressed matrix and reports the same
+  // global footprint.  64-wide tiles of a smoothed kernel compress at
+  // tol 1e-2 (32-wide ones never pass the crossover rule).
+  CohortConfig cc;
+  cc.n_patients = 480;
+  cc.n_snps = 64;
+  cc.n_populations = 3;
+  cc.seed = 99;
+  Cohort cohort = simulate_cohort(cc);
+  PhenotypeConfig pc;
+  pc.name = "trait";
+  pc.n_causal = 16;
+  pc.n_pairs = 12;
+  pc.h2_additive = 0.3;
+  pc.h2_epistatic = 0.4;
+  pc.prevalence = 0.0;
+  pc.seed = 3;
+  PhenotypePanel panel = simulate_panel(cohort, {pc});
+  const TrainTestSplit split = split_dataset(
+      make_dataset(std::move(cohort), std::move(panel)), 0.75, 17);
+  KrrConfig config;
+  config.build.tile_size = 64;
+  config.auto_gamma_scale = 0.5;
+  config.associate.alpha = 2.0;
+  config.associate.mode = PrecisionMode::kAdaptive;
+  config.associate.tlr = TlrPolicy{};  // explicit, env knob or not
+  config.associate.tlr.tol = 1e-2;
+
+  Runtime rt(2);
+  KrrModel model;
+  model.fit(rt, split.train, config);
+  const Matrix<float> ref_predictions = model.predict(rt, split.test);
+  const std::size_t all_dense =
+      map_storage_bytes(model.precision_map(), split.train.patients(),
+                        config.build.tile_size);
+  ASSERT_LT(model.factor_bytes(), all_dense);  // fixture: tiles compress
+
+  for (const int ranks : krr_rank_counts({1, 2, 4})) {
+    const dist::DistKrrResult result =
+        dist::run_dist_krr(ranks, split.train, split.test, config);
+    expect_matches_model(result, model, ref_predictions, ranks);
+    EXPECT_LT(result.factor_bytes, all_dense) << "ranks=" << ranks;
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "gwas/cohort_simulator.hpp"
@@ -12,12 +14,16 @@
 #include "gwas/phenotype.hpp"
 #include "krr/associate.hpp"
 #include "krr/build.hpp"
+#include "krr/kernels.hpp"
 #include "krr/model.hpp"
 #include "krr/predict.hpp"
 #include "krr/ridge.hpp"
+#include "linalg/precision_policy.hpp"
+#include "linalg/tiled_cholesky.hpp"
 #include "mpblas/blas.hpp"
 #include "runtime/runtime.hpp"
 #include "stats/metrics.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace kgwas {
 namespace {
@@ -121,6 +127,112 @@ TEST(Associate, AdaptiveMapShrinksFootprint) {
   const AssociateResult result = associate(rt, k, ph, ac);
   EXPECT_LT(result.factor_bytes, result.fp32_bytes);
   EXPECT_GT(result.map.off_diagonal_fraction(Precision::kFp16), 0.5);
+}
+
+TEST(Associate, PrepareTasksMatchSerialLayerCalls) {
+  // associate() prepares the tiles as per-tile runtime tasks; pipebench's
+  // traced reps replay the serial layer calls instead.  Both must factor
+  // the same matrix — bitwise weights, the same map, footprint, TLR stats
+  // and tlr.* counter deltas — for any worker count and breakdown mode.
+  CohortConfig cc;
+  cc.n_patients = 360;
+  cc.n_snps = 64;
+  cc.n_populations = 3;
+  cc.seed = 5;
+  const Cohort cohort = simulate_cohort(cc);
+  const auto& g = cohort.genotypes.matrix();
+  BuildConfig bc;
+  bc.gamma = 0.5 * suggest_gamma(std::span<const std::int8_t>(g.data(),
+                                                              g.size()),
+                                 cc.n_patients, cc.n_snps);
+  bc.tile_size = 64;
+  Matrix<float> ph(cc.n_patients, 2);
+  Rng rng(3);
+  for (std::size_t i = 0; i < ph.size(); ++i) {
+    ph.data()[i] = static_cast<float>(rng.normal());
+  }
+  telemetry::Counter& compressed =
+      telemetry::MetricRegistry::global().counter("tlr.tiles_compressed");
+  telemetry::Counter& dense =
+      telemetry::MetricRegistry::global().counter("tlr.tiles_dense");
+
+  for (const double tol : {0.0, 1e-2}) {
+    for (const BreakdownAction action :
+         {BreakdownAction::kThrow, BreakdownAction::kEscalate}) {
+      for (const std::size_t workers : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "tol=" << tol << " escalate="
+                     << (action == BreakdownAction::kEscalate)
+                     << " workers=" << workers);
+        Runtime rt(workers);
+        const SymmetricTileMatrix kernel = build_kernel_matrix(
+            rt, cohort.genotypes, Matrix<float>(cc.n_patients, 0), bc);
+        AssociateConfig ac;
+        ac.alpha = 1.0;
+        ac.mode = PrecisionMode::kAdaptive;
+        ac.adaptive.epsilon = 5e-4;  // a mixed FP32/FP16 map
+        ac.adaptive.available = {Precision::kFp16};
+        ac.tlr = TlrPolicy{};
+        ac.tlr.tol = tol;
+        ac.on_breakdown = action;
+
+        // Serial reference: the layer calls pipebench replays.
+        SymmetricTileMatrix ref = kernel;
+        const std::uint64_t c0 = compressed.total();
+        const std::uint64_t d0 = dense.total();
+        add_diagonal(ref, static_cast<float>(ac.alpha));
+        const PrecisionMap map = plan_precision_map(ref, ac);
+        const SymmetricTileMatrix source = ref;  // pre-demotion rollback
+        const TlrCompressionStats stats =
+            plan_tlr_compression(ref, map, ac.tlr);
+        map.apply(ref);
+        const std::size_t factor_bytes = ref.storage_bytes();
+        TiledPotrfOptions options;
+        options.on_breakdown = action;
+        if (action == BreakdownAction::kEscalate) options.source = &source;
+        tiled_potrf(rt, ref, options);
+        Matrix<float> weights = ph;
+        tiled_potrs(rt, ref, weights);
+        const std::uint64_t ref_compressed = compressed.total() - c0;
+        const std::uint64_t ref_dense = dense.total() - d0;
+
+        SymmetricTileMatrix k = kernel;
+        const std::uint64_t c1 = compressed.total();
+        const std::uint64_t d1 = dense.total();
+        const AssociateResult result = associate(rt, k, ph, ac);
+        EXPECT_EQ(compressed.total() - c1, ref_compressed);
+        EXPECT_EQ(dense.total() - d1, ref_dense);
+
+        EXPECT_EQ(std::memcmp(result.weights.data(), weights.data(),
+                              weights.size() * sizeof(float)),
+                  0);
+        for (std::size_t tj = 0; tj < map.tile_count(); ++tj) {
+          for (std::size_t ti = tj; ti < map.tile_count(); ++ti) {
+            EXPECT_EQ(result.map.get(ti, tj), map.get(ti, tj));
+          }
+        }
+        EXPECT_EQ(result.factor_bytes, factor_bytes);
+        EXPECT_EQ(result.tlr.tiles_compressed, stats.tiles_compressed);
+        EXPECT_EQ(result.tlr.tiles_dense, stats.tiles_dense);
+        EXPECT_EQ(result.tlr.compressed_bytes, stats.compressed_bytes);
+        EXPECT_EQ(result.tlr.dense_bytes, stats.dense_bytes);
+        EXPECT_EQ(result.tlr.max_rank, stats.max_rank);
+        EXPECT_EQ(result.tlr.mean_rank, stats.mean_rank);
+        EXPECT_FALSE(result.report.recovered);
+
+        // Fixture: the map mixes precisions, and at tol 1e-2 some tiles
+        // compress while others stay dense.
+        EXPECT_GT(map.off_diagonal_fraction(Precision::kFp16), 0.0);
+        EXPECT_LT(map.off_diagonal_fraction(Precision::kFp16), 1.0);
+        if (tol > 0.0) {
+          EXPECT_GT(stats.tiles_compressed, 0u);
+          EXPECT_GT(stats.tiles_dense, 0u);
+          EXPECT_EQ(ref_compressed, stats.tiles_compressed);
+          EXPECT_EQ(ref_dense, stats.tiles_dense);
+        }
+      }
+    }
+  }
 }
 
 TEST(Predict, CrossKernelTimesWeights) {
