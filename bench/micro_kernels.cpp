@@ -15,10 +15,8 @@
 #include "gwas/cohort_simulator.hpp"
 #include "krr/build.hpp"
 #include "linalg/precision_policy.hpp"
-#include "linalg/tile_kernels.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "precision/convert.hpp"
-#include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/kernels.hpp"
 #include "mpblas/mixed.hpp"
@@ -323,47 +321,6 @@ BENCHMARK(BM_TelemetryRecordContended)
     ->Threads(8)
     ->UseRealTime();
 
-// Batched vs per-task trailing-matrix update: the same tiled POTRF DAG
-// with trailing SYRK/GEMM tasks submitted through the batch coalescer
-// (same-key ready tasks pop as one group, shared operand decodes, pooled
-// scratch) against the one-task-one-dispatch path.  7 repetitions so the
-// median row of the aggregate report is the acceptance number.
-void BM_TiledPotrfBatchDispatch(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto tile_size = static_cast<std::size_t>(state.range(1));
-  const bool batched = state.range(2) != 0;
-  constexpr std::size_t kWorkers = 4;
-
-  Matrix<float> spd(n, n, 0.0f);
-  const Matrix<float> g = random_matrix(n, n, 13);
-  syrk(Uplo::kLower, Trans::kNoTrans, n, n, 1.0f, g.data(), n, 0.0f,
-       spd.data(), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    spd(i, i) += static_cast<float>(n);
-    for (std::size_t j = i + 1; j < n; ++j) spd(i, j) = spd(j, i);
-  }
-
-  Runtime rt(kWorkers);
-  TiledPotrfOptions options;
-  options.batch_trailing_update = batched;
-  SymmetricTileMatrix tiled(n, tile_size);
-  for (auto _ : state) {
-    state.PauseTiming();
-    tiled.from_dense(spd);
-    state.ResumeTiming();
-    tiled_potrf(rt, tiled, options);
-  }
-
-  const BatchStats batch = rt.batch_stats();
-  state.SetLabel(batched ? "batched" : "per-task");
-  state.counters["batch_groups"] =
-      benchmark::Counter(static_cast<double>(batch.groups),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["avg_group"] = batch.avg_group();
-  state.counters["max_group"] = static_cast<double>(batch.max_group);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n * n / 3));
-}
 /// Breakdown-recovery overhead: factorize a near-singular clustered
 /// kernel under an all-fp8 band map with escalation (arg = 1) vs the
 /// same matrix under the recovered map directly (arg = 0, the
@@ -433,102 +390,6 @@ BENCHMARK(BM_PotrfEscalationRecovery)
     ->Args({512, 32, 0})
     ->ArgNames({"n", "ts", "escalate"})
     ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_TiledPotrfBatchDispatch)
-    ->Args({1024, 32, 1})
-    ->Args({1024, 32, 0})
-    ->Args({1024, 64, 1})
-    ->Args({1024, 64, 0})
-    ->Repetitions(7)
-    ->ReportAggregatesOnly(true)
-    ->UseRealTime();
-
-// Kernel-level view of the same effect: a homogeneous GEMM group through
-// mpblas::batch::gemm_batch (one blocked call, shared decodes) vs the
-// same group as isolated per-task kernels.
-void BM_GemmBatchKernel(benchmark::State& state) {
-  const auto ts = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) != 0;
-  const auto precision = static_cast<Precision>(state.range(2));
-  constexpr std::size_t kGroup = 8;
-
-  Rng rng(17);
-  // Operand reuse pattern of a trailing-update burst: after TRSM(i,k)
-  // completes, the GEMMs (i, j) for every finished column j become ready
-  // together and all read the same panel tile A(i,k).
-  Tile a_tile(ts, ts, precision);
-  a_tile.from_fp32(random_matrix(ts, ts, 100));
-  std::vector<Tile> b_tiles, c_tiles;
-  std::vector<Matrix<float>> c_values;
-  for (std::size_t g = 0; g < kGroup; ++g) {
-    b_tiles.emplace_back(ts, ts, precision);
-    c_tiles.emplace_back(ts, ts, precision);
-    b_tiles.back().from_fp32(random_matrix(ts, ts, 200 + g));
-    c_values.push_back(random_matrix(ts, ts, 300 + g));
-  }
-  std::vector<mpblas::batch::GemmWork> work;
-  for (std::size_t g = 0; g < kGroup; ++g) {
-    work.push_back({&a_tile, &b_tiles[g], &c_tiles[g]});
-  }
-  for (auto _ : state) {
-    // Restore C outside the timed region: the in-place accumulation
-    // would otherwise drift out of the narrow formats' range and the
-    // kernels would be measured over saturated values.
-    state.PauseTiming();
-    for (std::size_t g = 0; g < kGroup; ++g) {
-      c_tiles[g].from_fp32(c_values[g]);
-    }
-    state.ResumeTiming();
-    if (batched) {
-      mpblas::batch::gemm_batch(work);
-    } else {
-      for (const auto& w : work) tile_gemm(*w.a, *w.b, *w.c);
-    }
-    benchmark::DoNotOptimize(std::as_const(c_tiles.front()).raw());
-  }
-  state.SetLabel(std::string(batched ? "batched/" : "per-task/") +
-                 to_string(precision));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kGroup * 2 * ts * ts * ts));
-}
-BENCHMARK(BM_GemmBatchKernel)
-    ->Args({64, 1, static_cast<long>(Precision::kFp16)})
-    ->Args({64, 0, static_cast<long>(Precision::kFp16)})
-    ->Args({64, 1, static_cast<long>(Precision::kFp32)})
-    ->Args({64, 0, static_cast<long>(Precision::kFp32)});
-
-// Whole-operand packing, serial vs parallel: PackedA::pack fans the
-// jc/pc block grid out over the engine's pack scheduler when the
-// operand is large enough.  The serial row pins pack_threads() to 1; the
-// parallel row uses the host default (logical cores).  On a
-// single-core host both rows should coincide — the parallel path must
-// not regress the serial one.
-void BM_PackParallel(benchmark::State& state) {
-  const auto ts = static_cast<std::size_t>(state.range(0));
-  const bool parallel = state.range(1) != 0;
-  namespace kernels = mpblas::kernels;
-  kernels::set_pack_threads(parallel ? std::optional<std::size_t>{}
-                                     : std::optional<std::size_t>{1});
-  const Matrix<float> a = random_matrix(ts, ts, 57);
-  const auto av = kernels::fp32_view(a.data(), ts, Trans::kNoTrans);
-  for (auto _ : state) {
-    kernels::PackedA packed;
-    packed.pack(ts, ts, av);
-    benchmark::DoNotOptimize(&packed);
-  }
-  kernels::set_pack_threads(std::nullopt);
-  state.SetLabel(parallel ? "parallel" : "serial");
-  state.counters["pack_threads"] =
-      static_cast<double>(parallel ? kernels::pack_threads() : 1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(ts * ts));
-}
-BENCHMARK(BM_PackParallel)
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->ArgNames({"ts", "parallel"});
 
 // Per-variant rows, registered at startup for whatever variants this host
 // can actually run, plus one row recording the engine's blocking.  The

@@ -57,10 +57,6 @@ int Scheduler::current_worker() const noexcept {
   return t_identity.owner == this ? t_identity.index : -1;
 }
 
-bool Scheduler::on_worker_thread() noexcept {
-  return t_identity.owner != nullptr;
-}
-
 void Scheduler::push(std::size_t queue_index, Task task) {
   WorkerQueue& q = *queues_[queue_index];
   {

@@ -89,19 +89,6 @@ class Scheduler {
   std::size_t workers() const noexcept { return threads_.size(); }
   SchedulerPolicy policy() const noexcept { return policy_; }
 
-  /// Workers currently parked waiting for work.  A racy snapshot by
-  /// nature; callers (e.g. the runtime's batch coalescer) use it as a
-  /// load hint, never for synchronization.
-  std::size_t idle_workers() const noexcept {
-    const int sleeping = sleepers_.load(std::memory_order_relaxed);
-    return sleeping > 0 ? static_cast<std::size_t>(sleeping) : 0;
-  }
-
-  /// Tasks sitting in deques right now (same racy-snapshot caveat).
-  std::uint64_t queued_tasks() const noexcept {
-    return queued_.load(std::memory_order_relaxed);
-  }
-
   /// Snapshot of the steal/queue-depth counters.
   SchedulerStats stats() const;
   void reset_stats();
@@ -109,12 +96,6 @@ class Scheduler {
   /// Index of the calling thread within this scheduler, -1 when called
   /// from a thread the scheduler does not own.
   int current_worker() const noexcept;
-
-  /// True when the calling thread is a worker of *any* Scheduler.  Nested
-  /// parallel helpers (e.g. the packed-GEMM parallel packer) use this as
-  /// an oversubscription hint: work arriving on a worker thread already
-  /// has task-level parallelism around it.
-  static bool on_worker_thread() noexcept;
 
  private:
   struct Task {

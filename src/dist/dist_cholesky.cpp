@@ -60,10 +60,9 @@ constexpr std::uint64_t breakdown_wakeup_tag() {
 class DistPotrfExec {
  public:
   DistPotrfExec(Runtime& runtime, Communicator& comm,
-                DistSymmetricTileMatrix& a, const PrecisionMap* map,
-                int base_priority)
-      : runtime_(runtime), comm_(comm), a_(a), map_(map),
-        base_(base_priority), local_(runtime) {}
+                DistSymmetricTileMatrix& a, int base_priority)
+      : runtime_(runtime), comm_(comm), a_(a), base_(base_priority),
+        local_(runtime) {}
 
   DistSymmetricTileMatrix& matrix() { return a_; }
   bool owns(std::size_t ti, std::size_t tj) const {
@@ -71,18 +70,6 @@ class DistPotrfExec {
   }
   DataHandle handle(std::size_t ti, std::size_t tj) {
     return a_.is_local(ti, tj) ? local_(ti, tj) : remote_.at(tag(ti, tj));
-  }
-  /// Trailing updates key by rank bucket whenever tiles may be factored:
-  /// a rank cannot see whether a remote tile is.
-  bool low_rank() const { return a_.tlr_tol() > 0.0; }
-  /// Remote operands key as kTlrUnknownBucket at the replicated map's
-  /// precision — keys are per-rank grouping hints and need no cross-rank
-  /// agreement.  Only called when the driver batches, i.e. with a map.
-  SlotKeyInfo key_info(std::size_t ti, std::size_t tj) const {
-    return a_.is_local(ti, tj)
-               ? slot_key_info(a_.slot(ti, tj))
-               : SlotKeyInfo{mpblas::batch::kTlrUnknownBucket,
-                             map_->get(ti, tj)};
   }
 
   void panel_done(std::size_t m, std::size_t k) {
@@ -126,7 +113,6 @@ class DistPotrfExec {
   Runtime& runtime_;
   Communicator& comm_;
   DistSymmetricTileMatrix& a_;
-  const PrecisionMap* map_;
   int base_;
   HandleMap local_;
   std::unordered_map<std::uint64_t, DataHandle> remote_;
@@ -559,12 +545,10 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
         const long k_end = std::min(resume_k + interval, steps);
         long local_failing = 0;
         {
-          DistPotrfExec x(runtime, *active, *mat, map,
-                          options.base_priority);
+          DistPotrfExec x(runtime, *active, *mat, options.base_priority);
           submit_potrf_steps(runtime, x, static_cast<std::size_t>(resume_k),
                              static_cast<std::size_t>(k_end),
-                             options.base_priority,
-                             options.batch_trailing_update && map != nullptr);
+                             options.base_priority);
           // Progress loop with the breakdown watch armed: a kBreakdown
           // frame cancels this rank's not-yet-run tasks and force-signals
           // the recv events that can no longer happen, so the graph

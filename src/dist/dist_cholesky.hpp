@@ -62,15 +62,9 @@ namespace kgwas::dist {
 struct DistPotrfOptions {
   /// Lifts every task of this factorization above concurrent work.
   int base_priority = 0;
-  /// Route trailing-update SYRK/GEMM tasks through the runtime's batch
-  /// coalescer (PR2), sharing operand decodes within a rank.  Results are
-  /// bitwise identical either way.
-  bool batch_trailing_update = true;
-  /// Tile precision assignment (replicated on every rank); used to build
-  /// batch coalescing keys for trailing updates whose input tiles are
-  /// remote and not yet materialized at submission time.  May be null:
-  /// trailing updates then run un-batched.  Required for kEscalate (the
-  /// escalation state is a map evolution every rank replays identically).
+  /// Tile precision assignment (replicated on every rank).  May be null,
+  /// except under kEscalate: the escalation state is a map evolution
+  /// every rank replays identically.
   const PrecisionMap* precision_map = nullptr;
   /// Numerical-breakdown policy (see linalg/factorization_report.hpp and
   /// the protocol description above).  kThrow: every rank throws the

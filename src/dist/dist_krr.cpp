@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "dist/progress.hpp"
@@ -13,11 +14,9 @@
 #include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
 #include "krr/kernels.hpp"
+#include "krr/predict.hpp"
 #include "linalg/precision_policy.hpp"
-#include "mpblas/batch.hpp"
-#include "mpblas/blas.hpp"
 #include "mpblas/mixed.hpp"
-#include "tile/tile_pool.hpp"
 
 namespace kgwas::dist {
 
@@ -51,15 +50,11 @@ DistSymmetricTileMatrix dist_build_kernel_matrix(
       const int priority = (static_cast<int>(nt - tj) << 1) +
                            (ti == tj ? 1 : 0);
       const Tile& out = k.tile(ti, tj);
-      const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 0,
-          out.precision(), out.precision(), out.precision())};
-      runtime.submit_batchable(
+      runtime.submit(
           TaskDesc{"build_k",
                    {{h, Access::kWrite}},
                    priority,
                    generator.tile_op_count(out.rows(), out.cols())},
-          key,
           [&generator, &k, ti, tj, ts] {
             generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
           });
@@ -129,8 +124,17 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
 
 bool fault_tolerance_requested(const Communicator& comm) {
   if (comm.fault_injection_active()) return true;
-  const char* ft = std::getenv("KGWAS_FT");
-  return ft != nullptr && *ft != '\0' && *ft != '0';
+  const char* env = std::getenv("KGWAS_FT");
+  if (env == nullptr || *env == '\0') return false;
+  if (env_size_t("KGWAS_FT", 0) != 0) return true;
+  // env_size_t returns its fallback for a malformed value, so a value
+  // that read 0 above but not under fallback 1 is malformed.
+  if (env_size_t("KGWAS_FT", 1) != 0) {
+    KGWAS_LOG_WARN("ignoring KGWAS_FT='"
+                   << env << "' (want a non-negative integer); fault "
+                   << "tolerance stays off");
+  }
+  return false;
 }
 
 DistTileMatrix dist_build_cross_kernel(
@@ -154,18 +158,13 @@ DistTileMatrix dist_build_cross_kernel(
       if (!k.is_local(ti, tj)) continue;
       DataHandle h = runtime.register_data();
       const Tile& out = k.tile(ti, tj);
-      const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 1,
-          out.precision(), out.precision(), out.precision())};
-      runtime.submit_batchable(TaskDesc{"build_kx",
-                                        {{h, Access::kWrite}},
-                                        static_cast<int>(k.tile_cols() - tj),
-                                        generator.tile_op_count(out.rows(),
-                                                                out.cols())},
-                               key, [&generator, &k, ti, tj, ts] {
-                                 generator.compute(ti * ts, tj * ts,
-                                                   k.tile(ti, tj));
-                               });
+      runtime.submit(TaskDesc{"build_kx",
+                              {{h, Access::kWrite}},
+                              static_cast<int>(k.tile_cols() - tj),
+                              generator.tile_op_count(out.rows(), out.cols())},
+                     [&generator, &k, ti, tj, ts] {
+                       generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
+                     });
     }
   }
   runtime.wait();
@@ -217,24 +216,14 @@ Matrix<float> dist_predict(Runtime& runtime, Communicator& comm,
       if (!local) deps.push_back({cache_handles.at(tag), Access::kRead});
       const std::size_t rows = cross_kernel.tile_height(ti);
       const std::size_t cols = cross_kernel.tile_width(tj);
-      const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kPredict, rows, nrhs, cols,
-          Precision::kFp32, Precision::kFp32, Precision::kFp32)};
-      runtime.submit_batchable(
+      runtime.submit(
           TaskDesc{"predict_gemm", std::move(deps),
                    static_cast<int>(tile_cols - tj),
                    gemm_op_count(rows, nrhs, cols)},
-          key,
-          [&cross_kernel, &weights, &predictions, ti, tj, tag, local, ts,
-           nrhs] {
-            const Tile& tile = local ? cross_kernel.tile(ti, tj)
-                                     : cross_kernel.cached(tag);
-            PooledF32 scratch;
-            const float* values = mpblas::batch::decode_read(tile, scratch);
-            gemm(Trans::kNoTrans, Trans::kNoTrans, tile.rows(), nrhs,
-                 tile.cols(), 1.0f, values, tile.rows(), &weights(tj * ts, 0),
-                 weights.ld(), 1.0f, &predictions(ti * ts, 0),
-                 predictions.ld());
+          [&cross_kernel, &weights, &predictions, ti, tj, tag, local, ts] {
+            predict_link(local ? cross_kernel.tile(ti, tj)
+                               : cross_kernel.cached(tag),
+                         weights, tj * ts, predictions, ti * ts);
           });
     }
   }

@@ -57,7 +57,8 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
 
 /// True when run_dist_krr should run Associate checkpointed (the `ft`
 /// argument of dist_associate): a fault-injection plan is live on `comm`, or
-/// KGWAS_FT is set to a non-zero value.
+/// KGWAS_FT is a non-zero integer.  A malformed KGWAS_FT warns and counts
+/// as 0.
 bool fault_tolerance_requested(const Communicator& comm);
 
 /// Builds the rectangular test x train cross-kernel, owner-computes.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/mixed.hpp"
 #include "tile/tile_pool.hpp"
@@ -259,18 +258,11 @@ SymmetricTileMatrix build_kernel_matrix(Runtime& runtime,
       const int priority = (static_cast<int>(nt - tj) << 1) +
                            (ti == tj ? 1 : 0);
       const Tile& out = k.tile(ti, tj);
-      // Same-shape kernel-tile generations coalesce: the Build DAG is
-      // embarrassingly parallel, so ready tasks abound and batching
-      // amortizes dispatch without delaying anything.
-      const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 0,
-          out.precision(), out.precision(), out.precision())};
-      runtime.submit_batchable(
+      runtime.submit(
           TaskDesc{"build_k",
                    {{h, Access::kWrite}},
                    priority,
                    generator.tile_op_count(out.rows(), out.cols())},
-          key,
           [&generator, &k, ti, tj, ts = config.tile_size] {
             generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
           });
@@ -300,16 +292,13 @@ TileMatrix build_cross_kernel(Runtime& runtime,
     for (std::size_t ti = 0; ti < k.tile_rows(); ++ti) {
       DataHandle h = runtime.register_data();
       const Tile& out = k.tile(ti, tj);
-      const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kBuild, out.rows(), out.cols(), 1,
-          out.precision(), out.precision(), out.precision())};
       // Earlier tile columns feed the prediction row chains first.
-      runtime.submit_batchable(
+      runtime.submit(
           TaskDesc{"build_kx",
                    {{h, Access::kWrite}},
                    static_cast<int>(k.tile_cols() - tj),
                    generator.tile_op_count(out.rows(), out.cols())},
-          key, [&generator, &k, ti, tj, ts = config.tile_size] {
+          [&generator, &k, ti, tj, ts = config.tile_size] {
             generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
           });
     }

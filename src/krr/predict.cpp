@@ -5,11 +5,21 @@
 
 #include "common/status.hpp"
 #include "linalg/tile_kernels.hpp"
-#include "mpblas/batch.hpp"
 #include "mpblas/kernels.hpp"
 #include "mpblas/mixed.hpp"
 
 namespace kgwas {
+
+void predict_link(const Tile& tile, const Matrix<float>& weights,
+                  std::size_t col, Matrix<float>& predictions,
+                  std::size_t row) {
+  mpblas::kernels::gemm_view(
+      tile.rows(), weights.cols(), tile.cols(), 1.0f,
+      tile_operand_view(tile, Trans::kNoTrans),
+      mpblas::kernels::fp32_view(&weights(col, 0), weights.ld(),
+                                 Trans::kNoTrans),
+      1.0f, &predictions(row, 0), predictions.ld());
+}
 
 Matrix<float> predict_from_cross_kernel(Runtime& runtime,
                                         const TileMatrix& cross_kernel,
@@ -31,39 +41,14 @@ Matrix<float> predict_from_cross_kernel(Runtime& runtime,
       // Each row block is a serial accumulation chain; prioritize the next
       // link of every chain over starting new trailing links so finished
       // row blocks retire early instead of all chains crawling in step.
-      // Links of *different* chains with the same tile shape are
-      // independent and coalesce into batches.
       const Tile& tile = cross_kernel.tile(ti, tj);
-      const BatchKey key{mpblas::batch::make_key(
-          mpblas::batch::BatchOp::kPredict, tile.rows(), nrhs, tile.cols(),
-          tile.precision(), Precision::kFp32, Precision::kFp32)};
-      runtime.submit_batchable(
+      runtime.submit(
           TaskDesc{"predict_gemm",
                    {{handles[ti], Access::kReadWrite}},
                    static_cast<int>(cross_kernel.tile_cols() - tj),
                    gemm_op_count(tile.rows(), nrhs, tile.cols())},
-          key, [&cross_kernel, &weights, &predictions, ti, tj, ts, nrhs] {
-            const Tile& tile = cross_kernel.tile(ti, tj);
-            // Decode-on-pack: the engine reads tile storage directly.
-            // Inside a coalesced batch, links of different row chains
-            // share a weights block — the scope packs it once per group.
-            const auto wview = mpblas::kernels::fp32_view(
-                &weights(tj * ts, 0), weights.ld(), Trans::kNoTrans);
-            const mpblas::kernels::PackedB* shared_w = nullptr;
-            if (auto* scope = mpblas::batch::BatchScope::current()) {
-              shared_w = scope->packed_view_b(wview, tile.cols(), nrhs);
-            }
-            if (shared_w != nullptr) {
-              mpblas::kernels::gemm_prepacked_b(
-                  tile.rows(), nrhs, tile.cols(), 1.0f,
-                  tile_operand_view(tile, Trans::kNoTrans), *shared_w, 1.0f,
-                  &predictions(ti * ts, 0), predictions.ld());
-            } else {
-              mpblas::kernels::gemm_view(
-                  tile.rows(), nrhs, tile.cols(), 1.0f,
-                  tile_operand_view(tile, Trans::kNoTrans), wview, 1.0f,
-                  &predictions(ti * ts, 0), predictions.ld());
-            }
+          [&tile, &weights, &predictions, ti, tj, ts] {
+            predict_link(tile, weights, tj * ts, predictions, ti * ts);
           });
     }
   }

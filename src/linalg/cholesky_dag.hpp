@@ -4,7 +4,7 @@
 // tiled_potrf / tiled_potrs (shared memory) and dist::dist_tiled_potrf /
 // dist::dist_tiled_potrs (owner-computes over a process grid) submit the
 // same tasks — kernels, per-tile update order, DPLASMA-style critical-
-// path priorities, FLOP counts and batch keys.  They differ only in the
+// path priorities and FLOP counts.  They differ only in the
 // policy: which tiles this executor owns, which runtime handle a task
 // reads an operand through, and what happens once a panel tile or an RHS
 // row block is final (nothing in shared memory; sends and expected
@@ -21,8 +21,6 @@
 //   panel_done(i, k)    called once per panel tile (i, k), i >= k, right
 //                       after its step-k producer was (or, when not owned,
 //                       would have been) submitted: ship or expect it
-//   low_rank()          trailing updates key by TLR rank bucket
-//   key_info(i, j)      batch-key inputs of tile (i, j) at round entry
 //   static operand(a, i, j)
 //                       execution-time read of panel tile (i, j) of `a`
 //
@@ -46,14 +44,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "linalg/factorization_report.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/tile_kernels.hpp"
 #include "linalg/tlr_kernels.hpp"
-#include "mpblas/batch.hpp"
 #include "mpblas/matrix.hpp"
 #include "mpblas/mixed.hpp"
 #include "runtime/runtime.hpp"
@@ -73,24 +69,6 @@ enum class PotrfKernel : int { kGemm = 0, kSyrk = 1, kTrsm = 2, kPotrf = 3 };
 inline int potrf_task_priority(int base, std::size_t nt, std::size_t k,
                                PotrfKernel kind) {
   return base + (static_cast<int>(nt - k) << 2) + static_cast<int>(kind);
-}
-
-/// Batch-key inputs of one tile, captured at round entry: workers mutate
-/// slots (densify, re-compress) concurrently with the submission loop,
-/// so submit-time slot reads would race.  A slot whose representation
-/// drifts afterwards only lands in a stale group — each task body
-/// re-dispatches on the live slot, so grouping is a throughput hint,
-/// never a correctness input.
-struct SlotKeyInfo {
-  std::uint64_t bucket;
-  Precision prec;
-};
-
-inline SlotKeyInfo slot_key_info(const TileSlot& s) {
-  return {s.is_low_rank()
-              ? mpblas::batch::tlr_rank_bucket(s.low_rank().rank())
-              : mpblas::batch::kTlrDenseBucket,
-          s.precision()};
 }
 
 // --- Breakdown recovery shared by both drivers -------------------------
@@ -175,55 +153,15 @@ void restore_from_source(Tiles& a, const Tiles& source,
 /// partial range is one round of a checkpointed factorization: it
 /// requires the matrix to hold the exact state after step k_begin - 1
 /// (each step only reads the panel column produced within the same
-/// round, so rounds compose bitwise).  `batch` routes the trailing-update
-/// SYRK/GEMM tasks through the runtime's batch coalescer; results are
-/// bitwise identical either way.  Does not wait.
+/// round, so rounds compose bitwise).  Does not wait.
 template <class Exec>
 void submit_potrf_steps(Runtime& runtime, Exec& x, std::size_t k_begin,
-                        std::size_t k_end, int base_priority, bool batch) {
+                        std::size_t k_end, int base_priority) {
   auto& a = x.matrix();
   const std::size_t nt = a.tile_count();
   const std::size_t ts = a.tile_size();
   const auto prio = [&](std::size_t k, PotrfKernel kind) {
     return potrf_task_priority(base_priority, nt, k, kind);
-  };
-
-  const auto idx = [nt](std::size_t ti, std::size_t tj) {
-    return lower_tile_index(nt, ti, tj);
-  };
-  std::vector<SlotKeyInfo> keys;
-  if (batch) {
-    keys.resize(nt * (nt + 1) / 2);
-    for (std::size_t tj = 0; tj < nt; ++tj) {
-      for (std::size_t ti = tj; ti < nt; ++ti) {
-        keys[idx(ti, tj)] = x.key_info(ti, tj);
-      }
-    }
-  }
-  const bool tlr = x.low_rank();
-  namespace bt = mpblas::batch;
-  // Trailing update of (i, j) by panel tiles (i, k) and (j, k).
-  const auto key = [&](bt::BatchOp dense_op, bt::BatchOp tlr_op,
-                       std::size_t i, std::size_t j, std::size_t k) {
-    const SlotKeyInfo& ik = keys[idx(i, k)];
-    const SlotKeyInfo& jk = keys[idx(j, k)];
-    const SlotKeyInfo& ij = keys[idx(i, j)];
-    return BatchKey{tlr ? bt::make_tlr_key(tlr_op, a.tile_dim(i),
-                                           a.tile_dim(j), ik.bucket,
-                                           jk.bucket, ij.prec)
-                        : bt::make_key(dense_op, a.tile_dim(i),
-                                       a.tile_dim(j), a.tile_dim(k), ik.prec,
-                                       jk.prec, ij.prec)};
-  };
-  const auto submit_update = [&](TaskDesc desc, bt::BatchOp dense_op,
-                                 bt::BatchOp tlr_op, std::size_t i,
-                                 std::size_t j, std::size_t k, auto fn) {
-    if (batch) {
-      runtime.submit_batchable(std::move(desc), key(dense_op, tlr_op, i, j, k),
-                               std::move(fn));
-    } else {
-      runtime.submit(std::move(desc), std::move(fn));
-    }
   };
 
   for (std::size_t k = k_begin; k < k_end; ++k) {
@@ -252,32 +190,30 @@ void submit_potrf_steps(Runtime& runtime, Exec& x, std::size_t k_begin,
     for (std::size_t j = k + 1; j < nt; ++j) {
       if (x.owns(j, j)) {
         // tile_syrk runs a full-tile GEMM update, so account GEMM flops.
-        submit_update(TaskDesc{"syrk",
-                               {{x.handle(j, k), Access::kRead},
-                                {x.handle(j, j), Access::kReadWrite}},
-                               prio(k, PotrfKernel::kSyrk),
-                               gemm_op_count(a.tile_dim(j), a.tile_dim(j),
-                                             a.tile_dim(k))},
-                      bt::BatchOp::kSyrk, bt::BatchOp::kTlrSyrk, j, j, k,
-                      [&a, j, k] {
-                        tlr_syrk(Exec::operand(a, j, k), a.tile(j, j));
-                      });
+        runtime.submit(TaskDesc{"syrk",
+                                {{x.handle(j, k), Access::kRead},
+                                 {x.handle(j, j), Access::kReadWrite}},
+                                prio(k, PotrfKernel::kSyrk),
+                                gemm_op_count(a.tile_dim(j), a.tile_dim(j),
+                                              a.tile_dim(k))},
+                       [&a, j, k] {
+                         tlr_syrk(Exec::operand(a, j, k), a.tile(j, j));
+                       });
       }
       for (std::size_t i = j + 1; i < nt; ++i) {
         if (!x.owns(i, j)) continue;
-        submit_update(TaskDesc{"gemm",
-                               {{x.handle(i, k), Access::kRead},
-                                {x.handle(j, k), Access::kRead},
-                                {x.handle(i, j), Access::kReadWrite}},
-                               prio(k, PotrfKernel::kGemm),
-                               gemm_op_count(a.tile_dim(i), a.tile_dim(j),
-                                             a.tile_dim(k))},
-                      bt::BatchOp::kGemm, bt::BatchOp::kTlrGemm, i, j, k,
-                      [&a, i, j, k] {
-                        tlr_gemm(Exec::operand(a, i, k),
-                                 Exec::operand(a, j, k), a.slot(i, j),
-                                 a.tlr_tol(), a.tlr_max_rank_fraction());
-                      });
+        runtime.submit(TaskDesc{"gemm",
+                                {{x.handle(i, k), Access::kRead},
+                                 {x.handle(j, k), Access::kRead},
+                                 {x.handle(i, j), Access::kReadWrite}},
+                                prio(k, PotrfKernel::kGemm),
+                                gemm_op_count(a.tile_dim(i), a.tile_dim(j),
+                                              a.tile_dim(k))},
+                       [&a, i, j, k] {
+                         tlr_gemm(Exec::operand(a, i, k),
+                                  Exec::operand(a, j, k), a.slot(i, j),
+                                  a.tlr_tol(), a.tlr_max_rank_fraction());
+                       });
       }
     }
   }

@@ -22,15 +22,6 @@ namespace kgwas {
 /// (decode-on-pack; ld = rows, column-major tile payload).
 mpblas::kernels::OperandView tile_operand_view(const Tile& t, Trans trans);
 
-/// Packs tile `a` (NoTrans) for reuse across a batch group
-/// (BatchScope::packed_a routes through this).
-void pack_tile_a(mpblas::kernels::PackedA& packed, const Tile& a);
-
-/// Packs tile `b` as the GEMM right operand (op(B) = b^T) for reuse
-/// across a batch group — the operand the Cholesky trailing-update GEMMs
-/// of one panel column actually share.
-void pack_tile_b(mpblas::kernels::PackedB& packed, const Tile& b);
-
 /// Ridge shift of a diagonal tile: A <- A + alpha * I (decode, add,
 /// re-encode at the tile's storage precision).
 void tile_add_diagonal(Tile& a, float alpha);

@@ -53,10 +53,6 @@ class LocalPotrf {
     return handles_(ti, tj);
   }
   void panel_done(std::size_t, std::size_t) {}
-  bool low_rank() const { return a_.has_low_rank(); }
-  SlotKeyInfo key_info(std::size_t ti, std::size_t tj) const {
-    return slot_key_info(a_.slot(ti, tj));
-  }
   static const TileSlot& operand(const SymmetricTileMatrix& a, std::size_t ti,
                                  std::size_t tj) {
     return a.slot(ti, tj);
@@ -201,8 +197,7 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
       if (nt != 0) {
         LocalPotrf x(runtime, a);
         runtime.account_data_motion(tiled_potrf_data_motion_bytes(a));
-        submit_potrf_steps(runtime, x, 0, nt, options.base_priority,
-                           options.batch_trailing_update);
+        submit_potrf_steps(runtime, x, 0, nt, options.base_priority);
         // Throws the NumericalError of a failed pivot (the runtime
         // cancels the rest of the DAG first).
         runtime.wait();

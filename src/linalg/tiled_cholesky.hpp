@@ -18,14 +18,11 @@
 // When the matrix carries TLR-compressed tiles (SymmetricTileMatrix::
 // has_low_rank, planned by plan_tlr_compression), the same submission
 // loop runs with the TLR-aware kernels of linalg/tlr_kernels.hpp: tiles
-// dispatch dense-vs-factored per slot at execution time.  Trailing
-// updates still coalesce, keyed by rank bucket (mpblas::batch::
-// make_tlr_key) so skinny factor products of similar rank execute
-// back-to-back under one decode scope.  Escalation recovery works on
-// compressed matrices too: the rollback re-truncates each planned-low-
-// rank slot from the rollback source at the escalated precision
-// (restore_slot in linalg/cholesky_dag.hpp).  With no compressed tiles
-// the dense pipeline runs bit for bit.
+// dispatch dense-vs-factored per slot at execution time.  Escalation
+// recovery works on compressed matrices too: the rollback re-truncates
+// each planned-low-rank slot from the rollback source at the escalated
+// precision (restore_slot in linalg/cholesky_dag.hpp).  With no
+// compressed tiles the dense pipeline runs bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -40,14 +37,6 @@ namespace kgwas {
 struct TiledPotrfOptions {
   /// Lifts every task of this factorization above concurrent work.
   int base_priority = 0;
-  /// Submit trailing-update SYRK/GEMM tasks through the runtime's batch
-  /// coalescer: same-shape same-precision updates that are ready together
-  /// execute back-to-back under a shared operand-decode scope (panel tiles
-  /// consumed by several updates of a group are dequantized once).  The
-  /// panel kernels (POTRF/TRSM) stay on the per-task path — they are the
-  /// critical path and never form wide homogeneous groups.  Results are
-  /// bitwise identical either way.
-  bool batch_trailing_update = true;
   /// Numerical-breakdown policy.  kThrow propagates the NumericalError
   /// (the runtime cancels the remaining DAG first, so dependents never
   /// run on a half-factored matrix and the Runtime stays reusable).

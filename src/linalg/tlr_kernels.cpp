@@ -1,11 +1,8 @@
 #include "linalg/tlr_kernels.hpp"
 
-#include <algorithm>
-
 #include "common/status.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/tile_kernels.hpp"
-#include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "telemetry/metrics.hpp"
 #include "tile/tile_pool.hpp"
@@ -13,20 +10,6 @@
 namespace kgwas {
 
 namespace {
-
-using mpblas::batch::decode_read;
-using mpblas::batch::encode_write;
-
-/// FP32 image of a tile (dense payload or one factor of a TLR pair),
-/// served through the active batch decode scope when one is live — a
-/// coalesced group reading the same panel factor decodes it once.
-Matrix<float> fp32_image(const Tile& t) {
-  Matrix<float> out(t.rows(), t.cols());
-  PooledF32 local;
-  const float* src = decode_read(t, local);
-  std::copy_n(src, t.rows() * t.cols(), out.data());
-  return out;
-}
 
 /// [left | right_scale * right] as one m x (lc + rc) matrix — the column
 /// stacking step of a low-rank accumulation.
@@ -55,7 +38,7 @@ void apply_dense_update(Tile& c, const Matrix<float>& pu,
   c.decode_to(cv.data());
   gemm(Trans::kNoTrans, Trans::kTrans, c.rows(), c.cols(), pu.cols(), -1.0f,
        pu.data(), pu.ld(), pv.data(), pv.ld(), 1.0f, cv.data(), c.rows());
-  encode_write(c, cv.data());
+  c.encode_from(cv.data(), c.rows());
 }
 
 }  // namespace
@@ -75,11 +58,11 @@ void tlr_trsm(const Tile& lkk, TileSlot& b) {
   // cost O(nb^2 r) instead of the dense O(nb^3).
   TlrTile& t = b.low_rank();
   if (t.rank() == 0) return;
-  PooledF32 l_scratch;
-  const float* lv = decode_read(lkk, l_scratch);
+  PooledF32 lv(TilePool::global(), lkk.elements());
+  lkk.decode_to(lv.data());
   Matrix<float> v = t.v_fp32();
   trsm(Side::kLeft, Uplo::kLower, Trans::kNoTrans, Diag::kNonUnit, v.rows(),
-       v.cols(), 1.0f, lv, lkk.rows(), v.data(), v.ld());
+       v.cols(), 1.0f, lv.data(), lkk.rows(), v.data(), v.ld());
   t.v().from_fp32(v);
 }
 
@@ -92,15 +75,15 @@ void tlr_syrk(const TileSlot& ajk, Tile& c) {
   // two skinny GEMMs; the diagonal tile itself always stays dense.
   const TlrTile& t = ajk.low_rank();
   if (t.rank() == 0) return;
-  const Matrix<float> u = fp32_image(t.u());
-  const Matrix<float> v = fp32_image(t.v());
+  const Matrix<float> u = t.u_fp32();
+  const Matrix<float> v = t.v_fp32();
   const Matrix<float> w = matmul(v, v, Trans::kTrans, Trans::kNoTrans);
   const Matrix<float> uw = matmul(u, w);
   PooledF32 cv(TilePool::global(), c.elements());
   c.decode_to(cv.data());
   gemm(Trans::kNoTrans, Trans::kTrans, c.rows(), c.cols(), t.rank(), -1.0f,
        uw.data(), uw.ld(), u.data(), u.ld(), 1.0f, cv.data(), c.rows());
-  encode_write(c, cv.data());
+  c.encode_from(cv.data(), c.rows());
 }
 
 void tlr_gemm(const TileSlot& aik, const TileSlot& ajk, TileSlot& cij,
@@ -122,30 +105,30 @@ void tlr_gemm(const TileSlot& aik, const TileSlot& ajk, TileSlot& cij,
     if (ta.rank() == 0 || tb.rank() == 0) return;
     // Ua (Va^T Vb) Ub^T — fold the core into whichever side keeps the
     // product at the smaller of the two ranks.
-    const Matrix<float> w = matmul(fp32_image(ta.v()), fp32_image(tb.v()),
+    const Matrix<float> w = matmul(ta.v_fp32(), tb.v_fp32(),
                                    Trans::kTrans, Trans::kNoTrans);
     if (ta.rank() <= tb.rank()) {
-      pu = fp32_image(ta.u());
-      pv = matmul(fp32_image(tb.u()), w, Trans::kNoTrans, Trans::kTrans);
+      pu = ta.u_fp32();
+      pv = matmul(tb.u_fp32(), w, Trans::kNoTrans, Trans::kTrans);
     } else {
-      pu = matmul(fp32_image(ta.u()), w);
-      pv = fp32_image(tb.u());
+      pu = matmul(ta.u_fp32(), w);
+      pv = tb.u_fp32();
     }
   } else if (a_lr) {
     const TlrTile& ta = aik.low_rank();
     if (ta.rank() == 0) return;
-    pu = fp32_image(ta.u());
-    pv = matmul(fp32_image(ajk.dense()), fp32_image(ta.v()));
+    pu = ta.u_fp32();
+    pv = matmul(ajk.dense().to_fp32(), ta.v_fp32());
   } else if (b_lr) {
     const TlrTile& tb = ajk.low_rank();
     if (tb.rank() == 0) return;
-    pu = matmul(fp32_image(aik.dense()), fp32_image(tb.v()));
-    pv = fp32_image(tb.u());
+    pu = matmul(aik.dense().to_fp32(), tb.v_fp32());
+    pv = tb.u_fp32();
   } else {
     // Dense x dense hitting a low-rank C: the operand pair (A, B) is
     // itself a rank-k factored form of A * B^T.
-    pu = fp32_image(aik.dense());
-    pv = fp32_image(ajk.dense());
+    pu = aik.dense().to_fp32();
+    pv = ajk.dense().to_fp32();
   }
 
   if (!c_lr) {

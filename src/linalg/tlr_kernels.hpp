@@ -32,10 +32,7 @@
 //   so densification never truncates.
 //
 // Skinny factor products run through gemm<float>, which routes into the
-// packed GEMM engine — the same prepacked microkernel path the dense
-// tiles use.  Operand decodes go through mpblas::batch::decode_read, so
-// inside a coalesced batch group the FP32 images of shared panel factors
-// are decoded once and reused across the group.
+// packed GEMM engine — the same microkernels the dense tiles use.
 #pragma once
 
 #include <cstddef>

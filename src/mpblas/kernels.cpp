@@ -10,7 +10,6 @@
 #include <type_traits>
 
 #include "common/logging.hpp"
-#include "common/scheduler.hpp"
 #include "common/status.hpp"
 #include "mpblas/cpu_features.hpp"
 #include "mpblas/microkernel.hpp"
@@ -156,60 +155,6 @@ constexpr std::size_t kMaxKc = 1024;
 std::size_t round_down(std::size_t x, std::size_t unit) {
   const std::size_t r = x / unit * unit;
   return r == 0 ? unit : r;
-}
-
-// ------------------------------------------------------- parallel packing
-
-std::atomic<std::size_t> g_pack_threads_override{0};  // 0 = unset
-
-/// Dedicated pool for whole-operand packing.  Leaked (like
-/// TilePool::global) so worker-thread statics never outlive it; sized by
-/// the host, not by pack_threads(), which instead bounds how many chunks
-/// one pack fans out into.
-Scheduler& pack_scheduler() {
-  static Scheduler* scheduler = new Scheduler(
-      std::min<std::size_t>(cpu_features().logical_cores, 16));
-  return *scheduler;
-}
-
-/// Below this many packed elements per chunk, fan-out overhead beats the
-/// memory-bound copy it parallelizes.
-constexpr std::size_t kParallelPackMinElements = 128u * 1024;
-
-/// Runs body(0..blocks-1), fanning out across the pack scheduler when the
-/// operand is large enough.  Chunks own disjoint block ranges (each block
-/// is a disjoint buffer region), so there is no write sharing; a plain
-/// atomic countdown is the join.
-template <typename Body>
-void for_each_pack_block(std::size_t blocks, std::size_t total_elements,
-                         const Body& body) {
-  std::size_t min_elements = kParallelPackMinElements;
-  // On a scheduler worker the pack already sits under task-level
-  // parallelism; only truly large operands justify nested fan-out.
-  if (Scheduler::on_worker_thread()) min_elements *= 4;
-  const std::size_t chunks = std::min(
-      {blocks, pack_threads(),
-       std::max<std::size_t>(1, total_elements / min_elements)});
-  if (chunks <= 1) {
-    for (std::size_t i = 0; i < blocks; ++i) body(i);
-    return;
-  }
-  Scheduler& scheduler = pack_scheduler();
-  std::atomic<std::size_t> remaining{chunks};
-  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-    const std::size_t begin = blocks * chunk / chunks;
-    const std::size_t end = blocks * (chunk + 1) / chunks;
-    scheduler.submit([&body, &remaining, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) body(i);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        remaining.notify_all();
-      }
-    });
-  }
-  for (std::size_t left = remaining.load(std::memory_order_acquire);
-       left != 0; left = remaining.load(std::memory_order_acquire)) {
-    remaining.wait(left, std::memory_order_acquire);
-  }
 }
 
 // --------------------------------------------------------------- packing
@@ -379,18 +324,6 @@ struct ThreadPackBuffer {
 
 thread_local ThreadPackBuffer t_pack_a;
 thread_local ThreadPackBuffer t_pack_b;
-
-/// Per-block stride inside a PackedA/PackedB buffer: sized to the
-/// operand, so whole-operand packs don't over-allocate on small tiles.
-std::size_t a_block_capacity(std::size_t m, std::size_t k, const Blocking& blk,
-                             std::size_t mr) {
-  return round_up(std::min(blk.mc, m), mr) * std::min(blk.kc, k);
-}
-
-std::size_t b_block_capacity(std::size_t n, std::size_t k, const Blocking& blk,
-                             std::size_t nr) {
-  return round_up(std::min(blk.nc, n), nr) * std::min(blk.kc, k);
-}
 
 /// Per-thread pack buffer sizes: keyed off the *blocking's* full
 /// footprint, not the operand shape, so every GEMM under one resolved
@@ -564,30 +497,6 @@ void scale_c_triangle(Uplo uplo, T beta, std::size_t n, T* c,
     T* cj = c + j * ldc;
     for (std::size_t i = i_begin; i < i_end; ++i) {
       cj[i] = beta == T{0} ? T{0} : scaled(cj[i], beta);
-    }
-  }
-}
-
-/// Shared jc -> pc -> ic loop nest.  `a_block(ic, pc, mb, kb)` and
-/// `b_block(jc, pc, nb, kb)` supply the packed blocks — packed on the
-/// fly into the thread-local buffers or served from a PackedA/PackedB;
-/// all combinations produce identical panels, so every path is bitwise
-/// equal under a fixed variant.
-template <typename ABlockFn, typename BBlockFn>
-void gemm_driver(const MicroKernel& uk, std::size_t m, std::size_t n,
-                 std::size_t k, float alpha, const ABlockFn& a_block,
-                 const BBlockFn& b_block, float* c, std::size_t ldc,
-                 const Blocking& blk) {
-  for (std::size_t jc = 0; jc < n; jc += blk.nc) {
-    const std::size_t nb = std::min(blk.nc, n - jc);
-    for (std::size_t pc = 0; pc < k; pc += blk.kc) {
-      const std::size_t kb = std::min(blk.kc, k - pc);
-      const float* packed_b = b_block(jc, pc, nb, kb);
-      for (std::size_t ic = 0; ic < m; ic += blk.mc) {
-        const std::size_t mb = std::min(blk.mc, m - ic);
-        macro_gemm(uk, mb, nb, kb, alpha, a_block(ic, pc, mb, kb), packed_b,
-                   c + ic + jc * ldc, ldc);
-      }
     }
   }
 }
@@ -979,19 +888,6 @@ void set_gemm_blocking(std::optional<Blocking> blocking) {
   }
 }
 
-std::size_t pack_threads() {
-  const std::size_t override =
-      g_pack_threads_override.load(std::memory_order_relaxed);
-  if (override != 0) return override;
-  return std::max<std::size_t>(1, cpu_features().logical_cores);
-}
-
-void set_pack_threads(std::optional<std::size_t> threads) {
-  g_pack_threads_override.store(
-      threads ? std::max<std::size_t>(1, *threads) : 0,
-      std::memory_order_relaxed);
-}
-
 // ----------------------------------------------------------- entrypoints
 
 void gemm_view(std::size_t m, std::size_t n, std::size_t k, float alpha,
@@ -1009,17 +905,19 @@ void gemm_view(std::size_t m, std::size_t n, std::size_t k, float alpha,
   const Blocking blk = gemm_blocking();
   float* a_buffer = t_pack_a.ensure(a_pack_footprint(blk, uk.mr));
   float* b_buffer = t_pack_b.ensure(b_pack_footprint(blk, uk.nr));
-  gemm_driver(
-      uk, m, n, k, alpha,
-      [&](std::size_t ic, std::size_t pc, std::size_t mb, std::size_t kb) {
+  for (std::size_t jc = 0; jc < n; jc += blk.nc) {
+    const std::size_t nb = std::min(blk.nc, n - jc);
+    for (std::size_t pc = 0; pc < k; pc += blk.kc) {
+      const std::size_t kb = std::min(blk.kc, k - pc);
+      pack_b_block(b, pc, jc, kb, nb, uk.nr, b_buffer);
+      for (std::size_t ic = 0; ic < m; ic += blk.mc) {
+        const std::size_t mb = std::min(blk.mc, m - ic);
         pack_a_block(a, ic, pc, mb, kb, uk.mr, a_buffer);
-        return static_cast<const float*>(a_buffer);
-      },
-      [&](std::size_t jc, std::size_t pc, std::size_t nb, std::size_t kb) {
-        pack_b_block(b, pc, jc, kb, nb, uk.nr, b_buffer);
-        return static_cast<const float*>(b_buffer);
-      },
-      c, ldc, blk);
+        macro_gemm(uk, mb, nb, kb, alpha, a_buffer, b_buffer,
+                   c + ic + jc * ldc, ldc);
+      }
+    }
+  }
 }
 
 void syrk_view(Uplo uplo, std::size_t n, std::size_t k, float alpha,
@@ -1050,145 +948,6 @@ void syrk_view(Uplo uplo, std::size_t n, std::size_t k, float alpha,
       }
     }
   }
-}
-
-// --------------------------------------------------------------- PackedA
-
-PackedA::~PackedA() {
-  if (!buffer_.empty()) TilePool::global().release_f32(std::move(buffer_));
-}
-
-void PackedA::pack(std::size_t m, std::size_t k, const OperandView& a) {
-  KGWAS_CHECK_ARG(m > 0 && k > 0, "PackedA requires a non-empty operand");
-  blocking_ = gemm_blocking();
-  kernel_ = &selected_kernel();
-  m_ = m;
-  k_ = k;
-  ic_blocks_ = (m + blocking_.mc - 1) / blocking_.mc;
-  pc_blocks_ = (k + blocking_.kc - 1) / blocking_.kc;
-  stride_ = a_block_capacity(m, k, blocking_, kernel_->mr);
-  const std::size_t needed = ic_blocks_ * pc_blocks_ * stride_;
-  if (buffer_.size() != needed) {
-    if (!buffer_.empty()) TilePool::global().release_f32(std::move(buffer_));
-    buffer_ = TilePool::global().acquire_f32(needed);
-  }
-  // Blocks are disjoint buffer regions, so whole-operand packing fans
-  // out block-parallel (the `ic`/`pc` loop) when the operand is large.
-  const std::size_t blocks = ic_blocks_ * pc_blocks_;
-  for_each_pack_block(blocks, needed, [&](std::size_t index) {
-    const std::size_t pc_index = index / ic_blocks_;
-    const std::size_t ic_index = index % ic_blocks_;
-    const std::size_t pc = pc_index * blocking_.kc;
-    const std::size_t kb = std::min(blocking_.kc, k - pc);
-    const std::size_t ic = ic_index * blocking_.mc;
-    const std::size_t mb = std::min(blocking_.mc, m - ic);
-    pack_a_block(a, ic, pc, mb, kb, kernel_->mr,
-                 buffer_.data() + index * stride_);
-  });
-}
-
-void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                    const PackedA& a, const OperandView& b, float beta,
-                    float* c, std::size_t ldc) {
-  KGWAS_CHECK_ARG(a.packed_for(m, k),
-                  "gemm_prepacked: PackedA shape mismatch (pack first)");
-  if (m == 0 || n == 0) return;
-  scale_c_full(beta, m, n, c, ldc);
-  if (k == 0 || alpha == 0.0f) return;
-  const Blocking& blk = a.blocking_;
-  const MicroKernel& uk = *a.kernel_;
-  float* b_buffer = t_pack_b.ensure(b_pack_footprint(blk, uk.nr));
-  gemm_driver(
-      uk, m, n, k, alpha,
-      [&](std::size_t ic, std::size_t pc, std::size_t, std::size_t) {
-        return a.block(ic / blk.mc, pc / blk.kc);
-      },
-      [&](std::size_t jc, std::size_t pc, std::size_t nb, std::size_t kb) {
-        pack_b_block(b, pc, jc, kb, nb, uk.nr, b_buffer);
-        return static_cast<const float*>(b_buffer);
-      },
-      c, ldc, blk);
-}
-
-PackedB::~PackedB() {
-  if (!buffer_.empty()) TilePool::global().release_f32(std::move(buffer_));
-}
-
-void PackedB::pack(std::size_t k, std::size_t n, const OperandView& b) {
-  KGWAS_CHECK_ARG(k > 0 && n > 0, "PackedB requires a non-empty operand");
-  blocking_ = gemm_blocking();
-  kernel_ = &selected_kernel();
-  k_ = k;
-  n_ = n;
-  jc_blocks_ = (n + blocking_.nc - 1) / blocking_.nc;
-  pc_blocks_ = (k + blocking_.kc - 1) / blocking_.kc;
-  stride_ = b_block_capacity(n, k, blocking_, kernel_->nr);
-  const std::size_t needed = jc_blocks_ * pc_blocks_ * stride_;
-  if (buffer_.size() != needed) {
-    if (!buffer_.empty()) TilePool::global().release_f32(std::move(buffer_));
-    buffer_ = TilePool::global().acquire_f32(needed);
-  }
-  const std::size_t blocks = jc_blocks_ * pc_blocks_;
-  for_each_pack_block(blocks, needed, [&](std::size_t index) {
-    const std::size_t jc_index = index / pc_blocks_;
-    const std::size_t pc_index = index % pc_blocks_;
-    const std::size_t jc = jc_index * blocking_.nc;
-    const std::size_t nb = std::min(blocking_.nc, n - jc);
-    const std::size_t pc = pc_index * blocking_.kc;
-    const std::size_t kb = std::min(blocking_.kc, k - pc);
-    pack_b_block(b, pc, jc, kb, nb, kernel_->nr,
-                 buffer_.data() + index * stride_);
-  });
-}
-
-void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
-                      float alpha, const OperandView& a, const PackedB& b,
-                      float beta, float* c, std::size_t ldc) {
-  KGWAS_CHECK_ARG(b.packed_for(k, n),
-                  "gemm_prepacked_b: PackedB shape mismatch (pack first)");
-  if (m == 0 || n == 0) return;
-  scale_c_full(beta, m, n, c, ldc);
-  if (k == 0 || alpha == 0.0f) return;
-  const Blocking& blk = b.blocking_;
-  const MicroKernel& uk = *b.kernel_;
-  float* a_buffer = t_pack_a.ensure(a_pack_footprint(blk, uk.mr));
-  gemm_driver(
-      uk, m, n, k, alpha,
-      [&](std::size_t ic, std::size_t pc, std::size_t mb, std::size_t kb) {
-        pack_a_block(a, ic, pc, mb, kb, uk.mr, a_buffer);
-        return static_cast<const float*>(a_buffer);
-      },
-      [&](std::size_t jc, std::size_t pc, std::size_t, std::size_t) {
-        return b.block(jc / blk.nc, pc / blk.kc);
-      },
-      c, ldc, blk);
-}
-
-void gemm_prepacked_ab(std::size_t m, std::size_t n, std::size_t k,
-                       float alpha, const PackedA& a, const PackedB& b,
-                       float beta, float* c, std::size_t ldc) {
-  KGWAS_CHECK_ARG(a.packed_for(m, k) && b.packed_for(k, n),
-                  "gemm_prepacked_ab: packed operand shape mismatch");
-  const Blocking& blk = a.blocking_;
-  KGWAS_CHECK_ARG(blk.mc == b.blocking_.mc && blk.kc == b.blocking_.kc &&
-                      blk.nc == b.blocking_.nc,
-                  "gemm_prepacked_ab: operands packed under different "
-                  "blockings");
-  KGWAS_CHECK_ARG(a.kernel_ == b.kernel_,
-                  "gemm_prepacked_ab: operands packed under different "
-                  "microkernel variants");
-  if (m == 0 || n == 0) return;
-  scale_c_full(beta, m, n, c, ldc);
-  if (k == 0 || alpha == 0.0f) return;
-  gemm_driver(
-      *a.kernel_, m, n, k, alpha,
-      [&](std::size_t ic, std::size_t pc, std::size_t, std::size_t) {
-        return a.block(ic / blk.mc, pc / blk.kc);
-      },
-      [&](std::size_t jc, std::size_t pc, std::size_t, std::size_t) {
-        return b.block(jc / blk.nc, pc / blk.kc);
-      },
-      c, ldc, blk);
 }
 
 }  // namespace kgwas::mpblas::kernels

@@ -21,10 +21,7 @@
 //    old mixed-precision path disappears.  A view can also request
 //    tensor-core operand rounding (`round_to`), which is applied to the
 //    packed panels (numerically the same per-element rounding as
-//    quantize_inplace on a materialized copy);
-//  * `PackedA`: a fully packed left operand reusable across a batch
-//    group — the trailing-update GEMMs of one coalesced batch share a
-//    panel tile, which is packed (and therefore decoded) exactly once.
+//    quantize_inplace on a materialized copy).
 //
 // The engine has one configuration, derived from the host: the
 // *microkernel variant* (hand-tiled AVX-512 / AVX2+FMA / NEON kernels
@@ -46,15 +43,10 @@
 #include <optional>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
 #include "mpblas/types.hpp"
 #include "precision/precision.hpp"
 
 namespace kgwas::mpblas::kernels {
-
-namespace detail {
-struct MicroKernel;
-}  // namespace detail
 
 /// Register micro-tile shape of the *generic* (portable GNU-vector)
 /// variant.  MR rows stream unit-stride from the packed A panel (vector
@@ -133,13 +125,6 @@ Blocking gemm_blocking();
 /// no kKR rounding); nullopt restores the analytic blocking.
 void set_gemm_blocking(std::optional<Blocking> blocking);
 
-/// Worker threads used to parallelize PackedA/PackedB whole-operand
-/// packing (the `ic`/`jc` block loop): the host's logical cores unless
-/// set_pack_threads() overrides it (1 disables the parallel path;
-/// nullopt restores the default).
-std::size_t pack_threads();
-void set_pack_threads(std::optional<std::size_t> threads);
-
 /// An operand in storage precision: element (i, j) of op(X) is read from
 /// `data` (column-major, leading dimension `ld`, transposed per `trans`),
 /// decoded from `storage` to FP32 during packing, then optionally rounded
@@ -171,114 +156,5 @@ void gemm_view(std::size_t m, std::size_t n, std::size_t k, float alpha,
 /// their stores, so out-of-triangle elements of C are never referenced.
 void syrk_view(Uplo uplo, std::size_t n, std::size_t k, float alpha,
                const OperandView& a, float beta, float* c, std::size_t ldc);
-
-class PackedB;
-
-/// A fully packed (and decoded) m x k left operand: every (ic, pc) block
-/// of the engine's loop nest in micro-panel layout.  Lets a batch group
-/// whose GEMMs share a panel tile pay the pack/decode cost once; the
-/// per-call packing path produces bit-identical panels, so prepacked and
-/// plain execution give bitwise equal results.  Buffers are pooled.
-class PackedA {
- public:
-  PackedA() = default;
-  ~PackedA();
-  PackedA(const PackedA&) = delete;
-  PackedA& operator=(const PackedA&) = delete;
-
-  /// (Re)packs op(A) m x k from `a`.  Reusable; buffers are recycled.
-  void pack(std::size_t m, std::size_t k, const OperandView& a);
-
-  bool packed_for(std::size_t m, std::size_t k) const noexcept {
-    return !buffer_.empty() && m_ == m && k_ == k;
-  }
-  std::size_t m() const noexcept { return m_; }
-  std::size_t k() const noexcept { return k_; }
-
- private:
-  friend void gemm_prepacked(std::size_t, std::size_t, std::size_t, float,
-                             const PackedA&, const OperandView&, float, float*,
-                             std::size_t);
-  friend class PackedB;
-  friend void gemm_prepacked_ab(std::size_t, std::size_t, std::size_t, float,
-                                const PackedA&, const PackedB&, float, float*,
-                                std::size_t);
-  const float* block(std::size_t ic_index, std::size_t pc_index) const {
-    return buffer_.data() + (pc_index * ic_blocks_ + ic_index) * stride_;
-  }
-
-  AlignedVector<float> buffer_;
-  std::size_t m_ = 0;
-  std::size_t k_ = 0;
-  Blocking blocking_;
-  /// Variant whose panel geometry (MR) the blocks were packed for; the
-  /// prepacked entrypoints compute with exactly this kernel, so a packed
-  /// operand stays valid even if dispatch is re-pointed mid-batch.
-  const detail::MicroKernel* kernel_ = nullptr;
-  std::size_t ic_blocks_ = 0;
-  std::size_t pc_blocks_ = 0;
-  std::size_t stride_ = 0;  ///< uniform per-block float count (edge-padded)
-};
-
-/// gemm_view with a prepacked left operand (must satisfy
-/// packed_for(m, k)); bitwise identical to the gemm_view it replaces.
-void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                    const PackedA& a, const OperandView& b, float beta,
-                    float* c, std::size_t ldc);
-
-/// A fully packed (and decoded) k x n right operand, the B-side analogue
-/// of PackedA.  In the Cholesky trailing update the GEMMs of one batch
-/// group share their *B* tile (the panel column), so this is the panel
-/// that gets packed once per group.
-class PackedB {
- public:
-  PackedB() = default;
-  ~PackedB();
-  PackedB(const PackedB&) = delete;
-  PackedB& operator=(const PackedB&) = delete;
-
-  /// (Re)packs op(B) k x n from `b`.  Reusable; buffers are recycled.
-  void pack(std::size_t k, std::size_t n, const OperandView& b);
-
-  bool packed_for(std::size_t k, std::size_t n) const noexcept {
-    return !buffer_.empty() && k_ == k && n_ == n;
-  }
-  std::size_t k() const noexcept { return k_; }
-  std::size_t n() const noexcept { return n_; }
-
- private:
-  friend void gemm_prepacked_ab(std::size_t, std::size_t, std::size_t, float,
-                                const PackedA&, const PackedB&, float, float*,
-                                std::size_t);
-  friend void gemm_prepacked_b(std::size_t, std::size_t, std::size_t, float,
-                               const OperandView&, const PackedB&, float,
-                               float*, std::size_t);
-  const float* block(std::size_t jc_index, std::size_t pc_index) const {
-    return buffer_.data() + (jc_index * pc_blocks_ + pc_index) * stride_;
-  }
-
-  AlignedVector<float> buffer_;
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  Blocking blocking_;
-  const detail::MicroKernel* kernel_ = nullptr;  ///< see PackedA::kernel_
-  std::size_t jc_blocks_ = 0;
-  std::size_t pc_blocks_ = 0;
-  std::size_t stride_ = 0;
-};
-
-/// gemm_view with both operands prepacked (a.packed_for(m, k),
-/// b.packed_for(k, n), packed under the same blocking); bitwise
-/// identical to gemm_view on the same operands.
-void gemm_prepacked_ab(std::size_t m, std::size_t n, std::size_t k,
-                       float alpha, const PackedA& a, const PackedB& b,
-                       float beta, float* c, std::size_t ldc);
-
-/// gemm_view with only the right operand prepacked (the predict-chain
-/// shape: each task streams its own kernel tile as A while the group
-/// shares the packed weights block); bitwise identical to gemm_view.
-void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
-                      float alpha, const OperandView& a, const PackedB& b,
-                      float beta, float* c, std::size_t ldc);
 
 }  // namespace kgwas::mpblas::kernels

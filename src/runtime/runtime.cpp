@@ -1,27 +1,13 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
-#include <array>
 #include <condition_variable>
-#include <deque>
-#include <map>
-#include <set>
 
-#include "common/env.hpp"
 #include "common/status.hpp"
 #include "common/timer.hpp"
-#include "mpblas/batch.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/run_report.hpp"
 
 namespace kgwas {
-
-namespace {
-// Largest group a single batch pop may drain; set_max_batch_size clamps
-// to it so run_batch can use fixed-size local storage and the shared
-// decode scope never overflows its fixed-capacity cache.
-constexpr std::size_t kMaxBatchBound = mpblas::batch::kMaxGroupTasks;
-}  // namespace
 
 struct Runtime::TaskNode {
   std::uint64_t id = 0;
@@ -29,39 +15,11 @@ struct Runtime::TaskNode {
   std::function<void()> fn;
   int priority = 0;
   double flops = 0.0;
-  BatchQueue* batch = nullptr;  // resolved once at submit
   std::atomic<std::uint64_t> remaining_deps{0};
   std::vector<TaskNode*> successors;
   // Guards `successors` and `finished` during graph construction races.
   std::mutex mutex;
   bool finished = false;
-};
-
-// Ready-but-not-yet-popped batchable tasks of one key, ordered by
-// priority (higher first, FIFO within a priority).  `runner_priorities`
-// holds the scheduler priority of every batch runner in flight for this
-// key; the spawn sites maintain two invariants:
-//   * coverage — size <= in-flight runners * max_batch, so every queued
-//     task is drained by some runner while the scheduler sees
-//     ~1/max_batch as many entries as tasks (the dispatch amortization);
-//   * priority — some in-flight runner was submitted at >= the highest
-//     queued task priority, so a late high-priority arrival is never
-//     stuck behind a runner the scheduler ranks below unrelated work.
-struct Runtime::BatchQueue {
-  std::mutex mutex;
-  std::map<int, std::deque<TaskNode*>, std::greater<int>> ready;
-  std::multiset<int> runner_priorities;
-  std::size_t size = 0;
-
-  // Both invariants, evaluated under `mutex` at every push and pop;
-  // `candidate_priority` is the priority a new runner would carry (the
-  // arriving task's at push, the top queued task's at pop).
-  bool needs_runner(int candidate_priority, std::size_t max_batch) const {
-    return size > 0 &&
-           (runner_priorities.empty() ||
-            size > runner_priorities.size() * max_batch ||
-            candidate_priority > *runner_priorities.rbegin());
-  }
 };
 
 struct Runtime::HandleState {
@@ -81,12 +39,7 @@ Runtime::Runtime(std::size_t workers, bool enable_profiling,
       profiler_(enable_profiling ||
                 telemetry::telemetry_config().trace_enabled()),
       profiling_enabled_(enable_profiling ||
-                         telemetry::telemetry_config().trace_enabled()) {
-  // 0 clamps to 1 inside set_max_batch_size, i.e. KGWAS_MAX_BATCH=0
-  // disables coalescing — same semantics as the programmatic knob.
-  set_max_batch_size(
-      env_size_t("KGWAS_MAX_BATCH", max_batch_.load(std::memory_order_relaxed)));
-}
+                         telemetry::telemetry_config().trace_enabled()) {}
 
 Runtime::~Runtime() {
   // Drain outstanding work so tasks never outlive the graph state.
@@ -125,17 +78,12 @@ void Runtime::submit(std::string name, std::vector<Dep> deps,
 }
 
 void Runtime::submit(TaskDesc desc, std::function<void()> fn) {
-  submit_impl(std::move(desc), std::move(fn), 0);
-}
-
-void Runtime::submit_batchable(TaskDesc desc, BatchKey key,
-                               std::function<void()> fn) {
-  submit_impl(std::move(desc), std::move(fn), key.value);
+  submit_impl(std::move(desc), std::move(fn));
 }
 
 ExternalEvent Runtime::submit_external(TaskDesc desc) {
   return ExternalEvent{
-      submit_impl(std::move(desc), nullptr, 0, /*external=*/true)};
+      submit_impl(std::move(desc), nullptr, /*external=*/true)};
 }
 
 void Runtime::signal_external(ExternalEvent event) {
@@ -154,34 +102,13 @@ void Runtime::signal_external(ExternalEvent event) {
   }
 }
 
-void Runtime::set_max_batch_size(std::size_t n) {
-  max_batch_.store(std::clamp<std::size_t>(n, 1, kMaxBatchBound));
-}
-
-BatchStats Runtime::batch_stats() const {
-  BatchStats out;
-  out.groups = batch_groups_.load(std::memory_order_relaxed);
-  out.batched_tasks = batched_tasks_.load(std::memory_order_relaxed);
-  out.max_group = batch_max_group_.load(std::memory_order_relaxed);
-  out.empty_runs = batch_empty_runs_.load(std::memory_order_relaxed);
-  return out;
-}
-
-Runtime::BatchQueue* Runtime::batch_queue(std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(batch_map_mutex_);
-  auto& slot = batch_queues_[key];
-  if (!slot) slot = std::make_unique<BatchQueue>();
-  return slot.get();
-}
-
 std::uint64_t Runtime::submit_impl(TaskDesc desc, std::function<void()> fn,
-                                   std::uint64_t batch_key, bool external) {
+                                   bool external) {
   auto node = std::make_unique<TaskNode>();
   node->name = std::move(desc.name);
   node->fn = std::move(fn);
   node->priority = desc.priority;
   node->flops = desc.flops;
-  if (batch_key != 0) node->batch = batch_queue(batch_key);
   // Sentinel dependency held by this submit() call itself: the task cannot
   // fire until every edge below has been wired.  External events carry a
   // second hold, released only by signal_external.
@@ -257,98 +184,7 @@ void Runtime::enqueue_ready(TaskNode* node) {
     run_task(node);
     return;
   }
-  if (node->batch != nullptr && max_batch_.load(std::memory_order_relaxed) > 1) {
-    BatchQueue* q = node->batch;
-    bool spawn;
-    {
-      std::lock_guard<std::mutex> lock(q->mutex);
-      q->ready[node->priority].push_back(node);
-      ++q->size;
-      // Spawn a runner when the in-flight runners cannot cover the queue
-      // (the scheduler then carries ~size/max_batch entries instead of
-      // one per task — the dispatch amortization), or when this task
-      // outranks every in-flight runner (so the scheduler sees the
-      // queue's true top priority).
-      spawn = q->needs_runner(node->priority,
-                              max_batch_.load(std::memory_order_relaxed));
-      if (spawn) q->runner_priorities.insert(node->priority);
-    }
-    if (spawn) {
-      scheduler_.submit(
-          [this, q, priority = node->priority] { run_batch(q, priority); },
-          node->priority);
-    }
-    return;
-  }
   scheduler_.submit([this, node] { run_task(node); }, node->priority);
-}
-
-void Runtime::run_batch(BatchQueue* queue, int my_priority) {
-  // Group size bound: respect the configured cap, but shrink it when
-  // workers sit idle with nothing queued to steal — coalescing amortizes
-  // dispatch, yet hoarding the only ready work would serialize what the
-  // idle workers could run.
-  std::size_t cap = max_batch_.load(std::memory_order_relaxed);
-  const std::size_t idle = scheduler_.idle_workers();
-  if (idle > 0 && scheduler_.queued_tasks() <= idle) {
-    cap = std::max<std::size_t>(1, cap / 2);
-  }
-
-  std::array<TaskNode*, kMaxBatchBound> group;
-  std::size_t count = 0;
-  bool respawn = false;
-  int respawn_priority = 0;
-  {
-    std::lock_guard<std::mutex> lock(queue->mutex);
-    while (count < cap && queue->size > 0) {
-      auto bucket = queue->ready.begin();  // highest priority first
-      group[count++] = bucket->second.front();
-      bucket->second.pop_front();
-      if (bucket->second.empty()) queue->ready.erase(bucket);
-      --queue->size;
-    }
-    queue->runner_priorities.erase(
-        queue->runner_priorities.find(my_priority));
-    // Re-establish the coverage and priority invariants: a shrunken cap
-    // (idle-worker heuristic) may have left tasks no in-flight runner
-    // accounts for, and this runner may have carried the queue's top
-    // scheduler priority.
-    if (queue->size > 0) {
-      const int top = queue->ready.begin()->first;
-      respawn = queue->needs_runner(
-          top, max_batch_.load(std::memory_order_relaxed));
-      if (respawn) {
-        respawn_priority = top;
-        queue->runner_priorities.insert(top);
-      }
-    }
-  }
-  if (respawn) {
-    scheduler_.submit([this, queue, respawn_priority] {
-      run_batch(queue, respawn_priority);
-    }, respawn_priority);
-  }
-  if (count == 0) {
-    batch_empty_runs_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  batch_groups_.fetch_add(1, std::memory_order_relaxed);
-  batched_tasks_.fetch_add(count, std::memory_order_relaxed);
-  std::uint64_t seen = batch_max_group_.load(std::memory_order_relaxed);
-  while (count > seen && !batch_max_group_.compare_exchange_weak(
-                             seen, count, std::memory_order_relaxed)) {
-  }
-  static telemetry::Histogram& group_size =
-      telemetry::MetricRegistry::global().histogram("batch.group_size");
-  group_size.record(count);
-  if (count == 1) {
-    run_task(group[0]);
-    return;
-  }
-  // Shared decode scope: same-key kernels reading the same tiles (panel
-  // operands of a trailing update) dequantize them once per group.
-  mpblas::batch::BatchScope scope;
-  for (std::size_t i = 0; i < count; ++i) run_task(group[i]);
 }
 
 void Runtime::run_task(TaskNode* node) {

@@ -82,27 +82,20 @@ struct TaskDesc {
   double flops = 0.0;
 };
 
-/// Opaque coalescing key for `submit_batchable`.  Tasks sharing a key are
-/// homogeneous (same op, shape and precision signature — see
-/// mpblas/batch.hpp for the structural builders) and may be executed
-/// back-to-back as one batch.  A zero key means "not batchable".
-struct BatchKey {
-  std::uint64_t value = 0;
-  bool valid() const noexcept { return value != 0; }
-};
-
 /// Handle to an externally-completed task (see Runtime::submit_external).
 struct ExternalEvent {
   std::uint64_t task_id = 0;
   bool valid() const noexcept { return task_id != 0; }
 };
 
-/// Counters of the batch coalescer (see submit_batchable).
+/// Task-group counters, always zero: every task runs on its own through
+/// submit().  This view stays only until the pipeline benchmark drops its
+/// `runtime.batch.*` metrics, which read it (ROADMAP.md, benchmark-change
+/// queue).
 struct BatchStats {
-  std::uint64_t groups = 0;         ///< batch executions with >= 1 task
-  std::uint64_t batched_tasks = 0;  ///< tasks that ran inside batch groups
-  std::uint64_t max_group = 0;      ///< largest group executed
-  std::uint64_t empty_runs = 0;     ///< pops that found the key drained
+  std::uint64_t groups = 0;
+  std::uint64_t batched_tasks = 0;
+  std::uint64_t empty_runs = 0;
 
   double avg_group() const noexcept {
     return groups == 0 ? 0.0
@@ -138,18 +131,6 @@ class Runtime {
   void submit(std::string name, std::vector<Dep> deps,
               std::function<void()> fn);
 
-  /// Submits a batchable task: same dependency semantics as `submit`, but
-  /// ready tasks sharing `key` coalesce at the scheduler's pop point — a
-  /// worker popping one batchable task drains up to `max_batch_size()`
-  /// same-key ready tasks (highest priority first, FIFO within a
-  /// priority) and runs them back-to-back under a shared decode scope
-  /// (mpblas::batch::BatchScope).  Dispatch overhead amortizes across the
-  /// group and shared read operands are dequantized once.  Priorities are
-  /// still respected: a group never contains a lower-priority task while
-  /// a higher-priority same-key task is ready, and the group size bound
-  /// keeps a single worker from hoarding the ready set.
-  void submit_batchable(TaskDesc desc, BatchKey key, std::function<void()> fn);
-
   /// Registers an external completion as a task: dependencies are
   /// declared and inferred exactly as for `submit`, but the task has no
   /// body — it completes (releasing its successors) only once both its
@@ -169,11 +150,8 @@ class Runtime {
   /// inline on the calling thread.
   void signal_external(ExternalEvent event);
 
-  /// Batch group size bound, clamped to [1, 64].  1 disables coalescing.
-  /// The constructor seeds it from KGWAS_MAX_BATCH (default 8).
-  void set_max_batch_size(std::size_t n);
-  std::size_t max_batch_size() const noexcept { return max_batch_.load(); }
-  BatchStats batch_stats() const;
+  /// The zero BatchStats view (see BatchStats).
+  BatchStats batch_stats() const noexcept { return {}; }
 
   /// Blocks until every submitted task (and tasks they submitted) is done.
   /// Rethrows the first task exception, if any — a task exception cancels
@@ -237,27 +215,13 @@ class Runtime {
  private:
   struct TaskNode;
   struct HandleState;
-  struct BatchQueue;
 
   void release_successors(TaskNode* node);
   void enqueue_ready(TaskNode* node);
   void run_task(TaskNode* node);
   void handle_task_error(std::exception_ptr error);
-  void run_batch(BatchQueue* queue, int my_priority);
   std::uint64_t submit_impl(TaskDesc desc, std::function<void()> fn,
-                            std::uint64_t batch_key, bool external = false);
-  BatchQueue* batch_queue(std::uint64_t key);
-
-  // Batch-coalescing state is declared (and therefore destroyed) after
-  // the scheduler below it in reverse order: leftover batch-runner
-  // closures drained during the scheduler's join still dereference these.
-  std::mutex batch_map_mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<BatchQueue>> batch_queues_;
-  std::atomic<std::size_t> max_batch_{8};
-  std::atomic<std::uint64_t> batch_groups_{0};
-  std::atomic<std::uint64_t> batched_tasks_{0};
-  std::atomic<std::uint64_t> batch_max_group_{0};
-  std::atomic<std::uint64_t> batch_empty_runs_{0};
+                            bool external = false);
 
   Scheduler scheduler_;
   Profiler profiler_;

@@ -131,7 +131,6 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
     w.kv("mc", blk.mc);
     w.kv("kc", blk.kc);
     w.kv("nc", blk.nc);
-    w.kv("pack_threads", kernels::pack_threads());
     w.end_object();
   }
 

@@ -5,22 +5,9 @@
 #include <cstring>
 
 #include "common/status.hpp"
-#include "mpblas/batch.hpp"
 #include "precision/convert.hpp"
 
 namespace kgwas {
-
-namespace {
-// Every payload mutation funnels through this: a batch decode scope
-// active on this thread (mpblas/batch.hpp) may hold a cached FP32 image
-// of the tile, which must not survive the write.  Also called from the
-// destructor — a recycled Tile address must never hit a stale entry.
-inline void invalidate_scope_cache(const Tile& t) {
-  if (auto* scope = mpblas::batch::BatchScope::current()) {
-    scope->invalidate(t);
-  }
-}
-}  // namespace
 
 Tile::Tile(std::size_t rows, std::size_t cols, Precision precision)
     : rows_(rows),
@@ -30,7 +17,6 @@ Tile::Tile(std::size_t rows, std::size_t cols, Precision precision)
                                           bytes_per_element(precision))) {}
 
 Tile::~Tile() {
-  invalidate_scope_cache(*this);
   TilePool::global().release(std::move(storage_));
 }
 
@@ -44,7 +30,6 @@ Tile::Tile(const Tile& other)
 
 Tile& Tile::operator=(const Tile& other) {
   if (this == &other) return *this;
-  invalidate_scope_cache(*this);
   if (storage_.size() != other.storage_.size()) {
     TilePool::global().release(std::move(storage_));
     storage_ = TilePool::global().acquire(other.storage_.size());
@@ -58,7 +43,6 @@ Tile& Tile::operator=(const Tile& other) {
 
 Tile& Tile::operator=(Tile&& other) noexcept {
   if (this == &other) return *this;
-  invalidate_scope_cache(*this);
   TilePool::global().release(std::move(storage_));
   rows_ = other.rows_;
   cols_ = other.cols_;
@@ -69,7 +53,6 @@ Tile& Tile::operator=(Tile&& other) noexcept {
 
 void Tile::convert_to(Precision precision) {
   if (precision == precision_) return;
-  invalidate_scope_cache(*this);
   AlignedVector<std::byte> converted =
       TilePool::global().acquire(elements() * bytes_per_element(precision));
   convert_buffer(precision_, storage_.data(), precision, converted.data(),
@@ -96,7 +79,6 @@ void Tile::from_fp32(const Matrix<float>& values) {
 }
 
 void Tile::encode_from(const float* src, std::size_t ld) {
-  invalidate_scope_cache(*this);
   if (ld == rows_) {
     quantize_buffer(precision_, src, storage_.data(), elements());
     return;
@@ -111,13 +93,11 @@ void Tile::encode_from(const float* src, std::size_t ld) {
 float* Tile::fp32_payload() {
   KGWAS_CHECK_ARG(precision_ == Precision::kFp32,
                   "fp32_payload requires an FP32 tile");
-  invalidate_scope_cache(*this);
   return reinterpret_cast<float*>(storage_.data());
 }
 
 void Tile::from_wire(std::size_t rows, std::size_t cols, Precision precision,
                      const void* payload) {
-  invalidate_scope_cache(*this);
   const std::size_t bytes = rows * cols * bytes_per_element(precision);
   if (storage_.size() != bytes) {
     TilePool::global().release(std::move(storage_));

@@ -62,8 +62,7 @@ class Tile {
   /// Quantizes from a raw column-major buffer with leading dimension ld.
   void encode_from(const float* src, std::size_t ld);
   /// Write access to an FP32 tile's payload (column-major, ld = rows())
-  /// for generators that overwrite every element in place.  Like every
-  /// payload write it drops any batch-scope decode of the tile.  Requires
+  /// for generators that overwrite every element in place.  Requires
   /// precision() == kFp32.
   float* fp32_payload();
 
@@ -81,10 +80,8 @@ class Tile {
   /// Max-abs of the decoded payload.
   double max_abs() const;
 
-  /// Read-only storage access (tests compare payloads bit for bit).
-  /// Deliberately no mutable overload: every payload write must go
-  /// through encode_from/from_fp32/convert_to/fp32_payload, which keep
-  /// any active batch decode scope coherent (see mpblas/batch.hpp).
+  /// Read-only storage access: the engine packs from it (decode-on-pack),
+  /// the transport ships it, tests compare payloads bit for bit.
   const void* raw() const noexcept { return storage_.data(); }
 
  private:

@@ -4,10 +4,10 @@
 // FP32-adaptive precision policy and (b) an FP16-heavy band policy, and
 // through mixed-precision iterative refinement.  MSPE and backward-error
 // bounds are recorded from the seed implementation with ~25% headroom —
-// tight enough that a silent numerical regression in the batched kernels
-// (wrong decode sharing, stale caches, re-quantization drift) trips them,
-// loose enough that legitimate task-ordering noise does not (per-tile
-// math is deterministic, so in practice results are bit-stable).
+// tight enough that a silent numerical regression in the tile kernels
+// (wrong decodes, re-quantization drift) trips them, loose enough that
+// legitimate task-ordering noise does not (per-tile math is
+// deterministic, so in practice results are bit-stable).
 //
 // Also asserts the TilePool acceptance invariant: repeated KRR solves
 // allocate nothing once the pool is warm.
@@ -102,36 +102,6 @@ TEST(AccuracyRegression, Fp16HeavyBandMspeWithinRecordedTolerance) {
   // well-conditioned cohort.
   EXPECT_LT(observed, 0.65);
   EXPECT_GT(observed, 0.40);
-}
-
-TEST(AccuracyRegression, BatchedAndPerTaskPipelinesAgreeBitwise) {
-  // The batched runtime path may not change a single output bit relative
-  // to per-task dispatch (KGWAS_MAX_BATCH=1 disables coalescing).
-  const GwasDataset dataset = regression_dataset();
-  const TrainTestSplit split = split_dataset(dataset, 0.8, 7);
-  KrrConfig kc = regression_config();
-  kc.associate.mode = PrecisionMode::kAdaptive;
-  kc.associate.adaptive.available = {Precision::kFp16};
-
-  Matrix<float> batched, per_task;
-  {
-    Runtime rt(4);
-    rt.set_max_batch_size(8);
-    KrrModel model;
-    model.fit(rt, split.train, kc);
-    batched = model.predict(rt, split.test);
-  }
-  {
-    Runtime rt(4);
-    rt.set_max_batch_size(1);
-    KrrModel model;
-    model.fit(rt, split.train, kc);
-    per_task = model.predict(rt, split.test);
-  }
-  ASSERT_EQ(batched.size(), per_task.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(batched.data()[i], per_task.data()[i]);
-  }
 }
 
 TEST(AccuracyRegression, RefinementBackwardErrorWithinTolerance) {

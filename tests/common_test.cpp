@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/aligned_buffer.hpp"
 #include "common/cli.hpp"
@@ -17,7 +18,9 @@
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "dist/communicator.hpp"
 #include "dist/dist_cholesky.hpp"
+#include "dist/dist_krr.hpp"
 #include "mpblas/kernels.hpp"
 
 namespace kgwas {
@@ -231,6 +234,28 @@ TEST(Env, CheckpointIntervalParsesStrictly) {
     ScopedEnv guard("KGWAS_CKPT_INTERVAL", bad);
     EXPECT_EQ(dist::configured_checkpoint_interval(), 4) << "value: '" << bad
                                                           << "'";
+  }
+}
+
+TEST(Env, FaultToleranceKnobParsesStrictly) {
+  // A 1-rank world with no fault plan, so only KGWAS_FT decides.  The
+  // knob is a non-negative integer: non-zero turns checkpointing on, and
+  // malformed values ("false", "-1") warn and leave it off instead of
+  // being judged by their first character.
+  const auto requested = [] {
+    bool on = false;
+    dist::run_ranks(1, [&on](dist::Communicator& comm) {
+      on = dist::fault_tolerance_requested(comm);
+    });
+    return on;
+  };
+  const std::pair<const char*, bool> cases[] = {
+      {nullptr, false}, {"", false},     {"0", false},     {"1", true},
+      {" 2 ", true},    {"01", true},    {"false", false}, {"-1", false}};
+  for (const auto& [value, want] : cases) {
+    ScopedEnv guard("KGWAS_FT", value);
+    EXPECT_EQ(requested(), want)
+        << "value: " << (value == nullptr ? "unset" : value);
   }
 }
 

@@ -1,200 +1,19 @@
-// Tests for the extension modules: univariate GWAS, cross-validation,
-// low-rank tile compression, packed genotypes, patient ordering.
+// Tests for the extension modules: low-rank tile compression and patient
+// ordering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "common/rng.hpp"
 #include "gwas/cohort_simulator.hpp"
-#include "gwas/dataset.hpp"
 #include "gwas/ordering.hpp"
-#include "gwas/packed_genotype.hpp"
-#include "gwas/phenotype.hpp"
-#include "gwas/univariate.hpp"
-#include "krr/cross_validation.hpp"
 #include "linalg/low_rank.hpp"
 #include "mpblas/blas.hpp"
-#include "runtime/runtime.hpp"
 
 namespace kgwas {
 namespace {
-
-// ---------------------------------------------------------------- univariate
-
-TEST(Univariate, Chi2SurvivalKnownValues) {
-  EXPECT_NEAR(chi2_sf_1df(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(chi2_sf_1df(3.841), 0.05, 1e-3);   // 95th percentile
-  EXPECT_NEAR(chi2_sf_1df(6.635), 0.01, 1e-3);   // 99th percentile
-  EXPECT_LT(chi2_sf_1df(30.0), 1e-7);
-}
-
-TEST(Univariate, FindsStrongAdditiveSnpAndControlsNulls) {
-  CohortConfig cc;
-  cc.n_patients = 600;
-  cc.n_snps = 120;
-  cc.n_populations = 1;  // no stratification -> clean nulls
-  cc.fst = 0.01;
-  cc.ld_rho = 0.0;       // independent SNPs
-  cc.seed = 5;
-  Cohort cohort = simulate_cohort(cc);
-  PhenotypeConfig pc;
-  pc.n_causal = 4;
-  pc.h2_additive = 0.6;
-  pc.h2_epistatic = 0.0;
-  pc.prevalence = 0.0;
-  pc.seed = 6;
-  PhenotypePanel panel = simulate_panel(cohort, {pc});
-  const auto causal = panel.details[0].causal_snps;
-  GwasDataset dataset = make_dataset(std::move(cohort), std::move(panel));
-
-  const UnivariateResult result = univariate_gwas(dataset, 0);
-  ASSERT_EQ(result.associations.size(), 120u);
-
-  // Causal SNPs should dominate the significance ranking.
-  const auto hits = result.significant(0.05);
-  EXPECT_GE(hits.size(), 2u);  // strong effects found
-  std::size_t false_positives = 0;
-  for (const std::size_t hit : hits) {
-    if (std::find(causal.begin(), causal.end(), hit) == causal.end()) {
-      ++false_positives;
-    }
-  }
-  // Bonferroni keeps the family-wise error small but not zero; allow one
-  // chance hit among ~116 nulls.
-  EXPECT_LE(false_positives, 1u);
-  // Genomic control near 1 without stratification (4 causal of 120 barely
-  // shift the median).
-  EXPECT_GT(result.lambda_gc, 0.5);
-  EXPECT_LT(result.lambda_gc, 2.0);
-}
-
-TEST(Univariate, MissesPureEpistasis) {
-  // The motivating failure of the univariate approach: purely epistatic
-  // architecture yields (almost) no marginally significant SNPs.
-  CohortConfig cc;
-  cc.n_patients = 600;
-  cc.n_snps = 100;
-  cc.n_populations = 1;
-  cc.fst = 0.01;
-  cc.ld_rho = 0.0;
-  cc.seed = 15;
-  Cohort cohort = simulate_cohort(cc);
-  PhenotypeConfig pc;
-  pc.n_causal = 20;
-  pc.n_pairs = 40;
-  pc.h2_additive = 0.0;
-  pc.h2_epistatic = 0.85;
-  pc.prevalence = 0.0;
-  pc.seed = 16;
-  GwasDataset dataset =
-      make_dataset(cohort, simulate_panel(cohort, {pc}));
-  const UnivariateResult result = univariate_gwas(dataset, 0);
-  // Centered pairwise products are (near) uncorrelated with the marginals.
-  EXPECT_LE(result.significant(0.05).size(), 2u);
-}
-
-TEST(Univariate, RejectsBadPhenotypeIndex) {
-  CohortConfig cc;
-  cc.n_patients = 50;
-  cc.n_snps = 10;
-  Cohort cohort = simulate_cohort(cc);
-  PhenotypeConfig pc;
-  pc.n_causal = 4;
-  pc.n_pairs = 4;
-  GwasDataset dataset = make_dataset(cohort, simulate_panel(cohort, {pc}));
-  EXPECT_THROW(univariate_gwas(dataset, 3), InvalidArgument);
-}
-
-// ------------------------------------------------------------------- CV
-
-TEST(CrossValidation, FindsGridOptimumAndCoversGrid) {
-  CohortConfig cc;
-  cc.n_patients = 360;
-  cc.n_snps = 64;
-  cc.seed = 21;
-  Cohort cohort = simulate_cohort(cc);
-  PhenotypeConfig pc;
-  pc.n_causal = 32;
-  pc.n_pairs = 48;
-  pc.h2_epistatic = 0.8;
-  pc.h2_additive = 0.1;
-  pc.prevalence = 0.0;
-  GwasDataset train = make_dataset(cohort, simulate_panel(cohort, {pc}));
-
-  Runtime rt;
-  CvConfig config;
-  config.gamma_scales = {0.5, 1.0};
-  config.alphas = {0.1, 1.0};
-  config.n_folds = 3;
-  config.tile_size = 32;
-  const CvResult result = cross_validate_krr(rt, train, config);
-  ASSERT_EQ(result.grid.size(), 4u);
-  for (const auto& point : result.grid) {
-    EXPECT_GE(point.mean_mspe, result.best.mean_mspe);
-    EXPECT_GT(point.mean_mspe, 0.0);
-  }
-}
-
-TEST(CrossValidation, HonorsDeploymentPrecisionRegime) {
-  // The fold models must fit under the caller's precision config (not a
-  // hard-coded adaptive/{fp16} regime): an all-fp32 fixed map and the
-  // historical default can legitimately pick different grid points, but
-  // both must evaluate the full grid, and the explicit default must
-  // reproduce the implicit one exactly.
-  CohortConfig cc;
-  cc.n_patients = 120;
-  cc.n_snps = 32;
-  cc.seed = 5;
-  Cohort cohort = simulate_cohort(cc);
-  PhenotypeConfig pc;
-  pc.n_causal = 16;
-  pc.n_pairs = 16;
-  pc.prevalence = 0.0;
-  GwasDataset train = make_dataset(cohort, simulate_panel(cohort, {pc}));
-
-  Runtime rt;
-  CvConfig config;
-  config.gamma_scales = {1.0};
-  config.alphas = {0.1, 1.0};
-  config.n_folds = 3;
-  config.tile_size = 32;
-  const CvResult implicit_default = cross_validate_krr(rt, train, config);
-
-  // The regime the pre-CvConfig.associate code hard-coded, spelled out:
-  // if AssociateConfig's defaults ever drift away from it, this pin
-  // catches the silent CV regime change.
-  config.associate.mode = PrecisionMode::kAdaptive;
-  config.associate.adaptive.available = {Precision::kFp16};
-  config.associate.on_breakdown = BreakdownAction::kThrow;
-  const CvResult explicit_default = cross_validate_krr(rt, train, config);
-  ASSERT_EQ(implicit_default.grid.size(), explicit_default.grid.size());
-  for (std::size_t i = 0; i < implicit_default.grid.size(); ++i) {
-    EXPECT_EQ(implicit_default.grid[i].mean_mspe,
-              explicit_default.grid[i].mean_mspe);
-  }
-
-  config.associate.mode = PrecisionMode::kFixed;  // all-fp32 deployment
-  const CvResult fp32 = cross_validate_krr(rt, train, config);
-  ASSERT_EQ(fp32.grid.size(), 2u);
-  for (const auto& point : fp32.grid) EXPECT_GT(point.mean_mspe, 0.0);
-}
-
-TEST(CrossValidation, RejectsDegenerateConfigs) {
-  CohortConfig cc;
-  cc.n_patients = 40;
-  cc.n_snps = 16;
-  Cohort cohort = simulate_cohort(cc);
-  PhenotypeConfig pc;
-  pc.prevalence = 0.0;
-  pc.n_causal = 8;
-  pc.n_pairs = 8;
-  GwasDataset train = make_dataset(cohort, simulate_panel(cohort, {pc}));
-  Runtime rt;
-  CvConfig bad;
-  bad.n_folds = 1;
-  EXPECT_THROW(cross_validate_krr(rt, train, bad), InvalidArgument);
-}
 
 // --------------------------------------------------------------- low rank
 
@@ -274,37 +93,6 @@ TEST(LowRank, SurveyOnSmoothKernelShowsCompression) {
   EXPECT_LT(survey.mean_rank, static_cast<double>(ts) / 2);
   EXPECT_LT(survey.compressed_bytes, survey.dense_bytes);
   EXPECT_LT(survey.max_error, 0.05);
-}
-
-// ----------------------------------------------------------------- packed
-
-TEST(PackedGenotype, RoundTripAndFootprint) {
-  const GenotypeMatrix dense = simulate_random_genotypes(101, 37, 9);
-  const PackedGenotypeMatrix packed(dense);
-  EXPECT_EQ(packed.patients(), 101u);
-  EXPECT_EQ(packed.snps(), 37u);
-  // ceil(101/4) = 26 bytes per SNP.
-  EXPECT_EQ(packed.bytes(), 26u * 37u);
-  EXPECT_LT(packed.bytes() * 3, dense.matrix().size());  // ~4x smaller
-
-  const GenotypeMatrix back = packed.unpack();
-  for (std::size_t p = 0; p < 101; ++p) {
-    for (std::size_t s = 0; s < 37; ++s) {
-      ASSERT_EQ(back(p, s), dense(p, s));
-      ASSERT_EQ(packed.at(p, s), static_cast<std::uint8_t>(dense(p, s)));
-    }
-  }
-}
-
-TEST(PackedGenotype, UnpackSingleSnp) {
-  const GenotypeMatrix dense = simulate_random_genotypes(10, 5, 2);
-  const PackedGenotypeMatrix packed(dense);
-  std::vector<std::int8_t> column(10);
-  packed.unpack_snp(3, column.data());
-  for (std::size_t p = 0; p < 10; ++p) {
-    EXPECT_EQ(column[p], dense(p, 3));
-  }
-  EXPECT_THROW(packed.unpack_snp(5, column.data()), InvalidArgument);
 }
 
 // ---------------------------------------------------------------- ordering

@@ -2,9 +2,9 @@
 // (mpblas/kernels.hpp) against the scalar kgwas::reference loops: random
 // shapes and strides (m, n, k not multiples of MR/NR, lda > m), all Trans
 // combinations, alpha/beta in {0, 1, -1, 0.5}, per-precision tolerances,
-// kc-remainder panels, prepacked bitwise identity, and the TilePool-stats
-// assertion that narrow-storage tile GEMMs never materialize full-tile
-// FP32 operand scratch.
+// kc-remainder panels, and the TilePool-stats assertion that
+// narrow-storage tile GEMMs never materialize full-tile FP32 operand
+// scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "common/rng.hpp"
 #include "linalg/tile_kernels.hpp"
-#include "mpblas/batch.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/kernels.hpp"
 #include "mpblas/mixed.hpp"
@@ -29,13 +28,12 @@ namespace {
 
 namespace kernels = mpblas::kernels;
 
-/// Restores the arch/blocking/pack-thread overrides on scope exit so test
-/// order never leaks engine configuration.
+/// Restores the arch/blocking overrides on scope exit so test order never
+/// leaks engine configuration.
 struct ScopedEngineConfig {
   ~ScopedEngineConfig() {
     kernels::set_gemm_arch(std::nullopt);
     kernels::set_gemm_blocking(std::nullopt);
-    kernels::set_pack_threads(std::nullopt);
   }
 };
 
@@ -279,125 +277,6 @@ TEST(GemmEngineTest, TileGemmPackedMatchesReferencePerPrecision) {
   }
 }
 
-TEST(GemmEngineTest, PrepackedABitwiseIdenticalToPlainPacked) {
-  ScopedEngineConfig restore;
-  Rng rng(19);
-  for (Precision precision : {Precision::kFp32, Precision::kFp16}) {
-    const std::size_t ts = 48;
-    const Tile a = random_tile(ts, ts, precision, rng);
-    kernels::PackedA packed;
-    pack_tile_a(packed, a);
-    for (int g = 0; g < 4; ++g) {
-      const Tile b = random_tile(ts, ts, precision, rng);
-      const std::vector<float> c0 = random_buffer(ts * ts, rng);
-      std::vector<float> c_plain = c0;
-      kernels::gemm_view(ts, ts, ts, -1.0f,
-                         tile_operand_view(a, Trans::kNoTrans),
-                         tile_operand_view(b, Trans::kTrans), 1.0f,
-                         c_plain.data(), ts);
-      std::vector<float> c_pre = c0;
-      kernels::gemm_prepacked(ts, ts, ts, -1.0f, packed,
-                              tile_operand_view(b, Trans::kTrans), 1.0f,
-                              c_pre.data(), ts);
-      EXPECT_EQ(std::memcmp(c_plain.data(), c_pre.data(),
-                            c_plain.size() * sizeof(float)),
-                0)
-          << "prepacked-A GEMM diverged for " << to_string(precision);
-    }
-  }
-}
-
-TEST(GemmEngineTest, BatchScopeSharedPackingBitwiseIdentical) {
-  ScopedEngineConfig restore;
-  Rng rng(23);
-  const std::size_t ts = 40;
-  const Tile a = random_tile(ts, ts, Precision::kFp16, rng);
-  std::vector<Tile> bs, c_solo, c_scoped;
-  for (int g = 0; g < 6; ++g) {
-    bs.push_back(random_tile(ts, ts, Precision::kFp16, rng));
-    const Tile c0 = random_tile(ts, ts, Precision::kFp16, rng);
-    c_solo.push_back(c0);
-    c_scoped.push_back(c0);
-  }
-  for (std::size_t g = 0; g < bs.size(); ++g) tile_gemm(a, bs[g], c_solo[g]);
-  {
-    mpblas::batch::BatchScope scope;
-    for (std::size_t g = 0; g < bs.size(); ++g) {
-      tile_gemm(a, bs[g], c_scoped[g]);
-    }
-    // The shared panel was packed once, then reused.
-    EXPECT_GE(scope.hits(), bs.size() - 1);
-  }
-  for (std::size_t g = 0; g < bs.size(); ++g) {
-    EXPECT_EQ(std::memcmp(c_solo[g].raw(), c_scoped[g].raw(),
-                          c_solo[g].storage_bytes()),
-              0)
-        << "scope-shared packing diverged at group member " << g;
-  }
-}
-
-TEST(GemmEngineTest, PrepackedWeightsBlockBitwiseIdentical) {
-  // The predict-chain shape: each task streams its own kernel tile as A,
-  // the group shares a packed FP32 weights block as B (packed_view_b).
-  ScopedEngineConfig restore;
-  Rng rng(41);
-  const std::size_t ts = 48, nrhs = 5;
-  const std::vector<float> weights = random_buffer(ts * nrhs, rng);
-  const auto wview =
-      kernels::fp32_view(weights.data(), ts, Trans::kNoTrans);
-  mpblas::batch::BatchScope scope;
-  const kernels::PackedB* packed = scope.packed_view_b(wview, ts, nrhs);
-  ASSERT_NE(packed, nullptr);
-  EXPECT_NE(scope.packed_view_b(wview, ts, nrhs), nullptr);
-  EXPECT_EQ(scope.hits(), 1u);  // second lookup reuses the packed block
-  for (int g = 0; g < 4; ++g) {
-    const Tile tile = random_tile(ts, ts, Precision::kFp16, rng);
-    std::vector<float> c_view = random_buffer(ts * nrhs, rng);
-    std::vector<float> c_pre = c_view;
-    kernels::gemm_view(ts, nrhs, ts, 1.0f,
-                       tile_operand_view(tile, Trans::kNoTrans), wview, 1.0f,
-                       c_view.data(), ts);
-    kernels::gemm_prepacked_b(ts, nrhs, ts, 1.0f,
-                              tile_operand_view(tile, Trans::kNoTrans),
-                              *packed, 1.0f, c_pre.data(), ts);
-    EXPECT_EQ(std::memcmp(c_view.data(), c_pre.data(),
-                          c_view.size() * sizeof(float)),
-              0)
-        << "prepacked-B GEMM diverged at chain link " << g;
-  }
-}
-
-TEST(GemmEngineTest, BatchScopeSharedBPackingBitwiseIdentical) {
-  // The Cholesky trailing-update shape: one panel-column tile b shared as
-  // the (transposed) right operand by GEMMs with distinct left tiles.
-  ScopedEngineConfig restore;
-  Rng rng(37);
-  const std::size_t ts = 40;
-  const Tile b = random_tile(ts, ts, Precision::kFp8E4M3, rng);
-  std::vector<Tile> as, c_solo, c_scoped;
-  for (int g = 0; g < 6; ++g) {
-    as.push_back(random_tile(ts, ts, Precision::kFp8E4M3, rng));
-    const Tile c0 = random_tile(ts, ts, Precision::kFp8E4M3, rng);
-    c_solo.push_back(c0);
-    c_scoped.push_back(c0);
-  }
-  for (std::size_t g = 0; g < as.size(); ++g) tile_gemm(as[g], b, c_solo[g]);
-  {
-    mpblas::batch::BatchScope scope;
-    for (std::size_t g = 0; g < as.size(); ++g) {
-      tile_gemm(as[g], b, c_scoped[g]);
-    }
-    // The shared panel column was packed once, then reused.
-    EXPECT_GE(scope.hits(), as.size() - 1);
-  }
-  for (std::size_t g = 0; g < as.size(); ++g) {
-    EXPECT_EQ(std::memcmp(c_solo[g].raw(), c_scoped[g].raw(),
-                          c_solo[g].storage_bytes()),
-              0)
-        << "scope-shared B packing diverged at group member " << g;
-  }
-}
-
 TEST(GemmEngineTest, NarrowTileGemmAllocatesNoOperandScratch) {
   ScopedEngineConfig restore;
   Rng rng(29);
@@ -436,8 +315,7 @@ TEST(GemmEngineTest, NarrowTileGemmAllocatesNoOperandScratch) {
 // Every microkernel variant the host can run (generic always, plus
 // avx2/avx512/neon as compiled+supported) must agree with the scalar
 // reference oracle over random shapes/strides/precisions, and must be
-// bitwise deterministic within itself (repeat runs and prepacked paths
-// included).  Variants may differ from *each other* only by summation
+// bitwise deterministic within itself across repeat runs.  Variants may differ from *each other* only by summation
 // order, which the reference tolerance already covers.
 
 TEST(GemmVariantParityTest, ReportsAtLeastGenericVariant) {
@@ -566,20 +444,12 @@ TEST(GemmVariantParityTest, EveryVariantIsBitwiseDeterministic) {
     const auto av = kernels::fp32_view(a.data(), m, Trans::kNoTrans);
     const auto bv = kernels::fp32_view(b.data(), k, Trans::kNoTrans);
 
-    std::vector<float> c1 = c0, c2 = c0, c3 = c0;
+    std::vector<float> c1 = c0, c2 = c0;
     kernels::gemm_view(m, n, k, -1.0f, av, bv, 0.5f, c1.data(), m);
     kernels::gemm_view(m, n, k, -1.0f, av, bv, 0.5f, c2.data(), m);
     EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(float)),
               0)
         << "variant " << to_string(arch) << " not run-to-run deterministic";
-
-    // The prepacked path must stay bitwise identical per variant too.
-    kernels::PackedA packed;
-    packed.pack(m, k, av);
-    kernels::gemm_prepacked(m, n, k, -1.0f, packed, bv, 0.5f, c3.data(), m);
-    EXPECT_EQ(std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(float)),
-              0)
-        << "variant " << to_string(arch) << " prepacked diverged";
   }
 }
 
@@ -640,68 +510,6 @@ TEST(GemmVariantParityTest, Int8AccumulatePathIsExactAndVariantInvariant) {
       }
     }
   }
-}
-
-TEST(GemmVariantParityTest, Int8TileGemmBatchMatchesSoloBitwise) {
-  // INT8 tile pairs bypass the BatchScope's shared FP32 panels (the
-  // integer-accumulate path has no packed image), so batched and solo
-  // execution must still agree bitwise.
-  ScopedEngineConfig restore;
-  Rng rng(20260812);
-  const std::size_t ts = 40;
-  const Tile a = random_tile(ts, ts, Precision::kInt8, rng);
-  std::vector<Tile> bs, c_solo, c_scoped;
-  for (int g = 0; g < 4; ++g) {
-    bs.push_back(random_tile(ts, ts, Precision::kInt8, rng));
-    const Tile c0 = random_tile(ts, ts, Precision::kFp32, rng);
-    c_solo.push_back(c0);
-    c_scoped.push_back(c0);
-  }
-  for (std::size_t g = 0; g < bs.size(); ++g) tile_gemm(a, bs[g], c_solo[g]);
-  {
-    mpblas::batch::BatchScope scope;
-    for (std::size_t g = 0; g < bs.size(); ++g) {
-      tile_gemm(a, bs[g], c_scoped[g]);
-    }
-  }
-  for (std::size_t g = 0; g < bs.size(); ++g) {
-    EXPECT_EQ(std::memcmp(c_solo[g].raw(), c_scoped[g].raw(),
-                          c_solo[g].storage_bytes()),
-              0)
-        << "int8 batched tile GEMM diverged at group member " << g;
-  }
-}
-
-TEST(GemmVariantParityTest, ParallelPackingBitwiseMatchesSerial) {
-  ScopedEngineConfig restore;
-  Rng rng(20260813);
-  // Large enough that the parallel path engages (several ic/pc blocks,
-  // above the fan-out grain) with the default blocking.
-  const std::size_t m = 700, n = 64, k = 600;
-  const std::vector<float> a = random_buffer(m * k, rng);
-  const std::vector<float> b = random_buffer(k * n, rng);
-  const std::vector<float> c0 = random_buffer(m * n, rng);
-  const auto av = kernels::fp32_view(a.data(), m, Trans::kNoTrans);
-  const auto bv = kernels::fp32_view(b.data(), k, Trans::kNoTrans);
-
-  kernels::set_pack_threads(1);
-  kernels::PackedA serial;
-  serial.pack(m, k, av);
-  std::vector<float> c_serial = c0;
-  kernels::gemm_prepacked(m, n, k, 1.0f, serial, bv, 1.0f, c_serial.data(),
-                          m);
-
-  kernels::set_pack_threads(4);
-  kernels::PackedA parallel;
-  parallel.pack(m, k, av);
-  std::vector<float> c_parallel = c0;
-  kernels::gemm_prepacked(m, n, k, 1.0f, parallel, bv, 1.0f,
-                          c_parallel.data(), m);
-
-  EXPECT_EQ(std::memcmp(c_serial.data(), c_parallel.data(),
-                        c_serial.size() * sizeof(float)),
-            0)
-      << "parallel whole-operand packing changed the packed panels";
 }
 
 TEST(GemmEngineTest, MixedTcGemmMatchesReferenceRounding) {

@@ -1,7 +1,7 @@
 // Cross-module integration tests: end-to-end workflows that chain every
-// substrate (simulator -> packed storage -> build -> adaptive associate
-// -> predict -> metrics; runtime-parallel vs serial equivalence; factor
-// reuse; privacy-style kernel-only pipeline equivalence).
+// substrate (simulator -> build -> adaptive associate -> predict ->
+// metrics; runtime-parallel vs serial equivalence; factor reuse;
+// privacy-style kernel-only pipeline equivalence).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "gwas/cohort_simulator.hpp"
 #include "gwas/dataset.hpp"
-#include "gwas/packed_genotype.hpp"
 #include "gwas/phenotype.hpp"
 #include "krr/associate.hpp"
 #include "krr/build.hpp"
@@ -37,31 +36,6 @@ GwasDataset small_epistatic_dataset(std::uint64_t seed) {
   pc.seed = seed + 1;
   PhenotypePanel panel = simulate_panel(cohort, {pc});
   return make_dataset(std::move(cohort), std::move(panel));
-}
-
-TEST(Integration, PackedStorageFeedsIdenticalPipeline) {
-  // Dosages round-tripped through the 2-bit at-rest format must produce
-  // bit-identical kernels and predictions.
-  const GwasDataset dataset = small_epistatic_dataset(51);
-  const TrainTestSplit split = split_dataset(dataset, 0.8, 2);
-
-  GwasDataset packed_train = split.train;
-  packed_train.genotypes =
-      PackedGenotypeMatrix(split.train.genotypes).unpack();
-
-  Runtime rt;
-  KrrConfig kc;
-  kc.build.tile_size = 32;
-  kc.auto_gamma_scale = 1.0;
-  kc.associate.alpha = 0.2;
-  KrrModel a, b;
-  a.fit(rt, split.train, kc);
-  b.fit(rt, packed_train, kc);
-  const Matrix<float> pa = a.predict(rt, split.test);
-  const Matrix<float> pb = b.predict(rt, split.test);
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    ASSERT_EQ(pa.data()[i], pb.data()[i]);
-  }
 }
 
 TEST(Integration, WorkerCountDoesNotChangeResults) {

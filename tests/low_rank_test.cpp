@@ -548,36 +548,33 @@ TEST(TlrCholesky, ZeroTolerancePlanKeepsDensePathBitwise) {
   }
 }
 
-TEST(TlrCholesky, BatchedTrailingUpdateMatchesUnbatchedBitwise) {
-  // Rank-bucketed batch keys are grouping hints only: coalescing the TLR
-  // trailing updates must not change a single byte of the factor —
-  // representation choices (which tiles densified, every factor payload)
-  // included.
+TEST(TlrCholesky, FactorIsWorkerCountInvariantBitwise) {
+  // The order in which workers run the TLR trailing updates must not
+  // change a single byte of the factor — representation choices (which
+  // tiles densified, every factor payload) included.
   const std::size_t n = 192, ts = 32;
   const Matrix<float> k = smooth_spd_kernel(n, 2.0f);
-  Runtime runtime;
 
-  const auto factor = [&](bool batch) {
+  const auto factor = [&](std::size_t workers) {
+    Runtime runtime(workers);
     SymmetricTileMatrix a(n, ts);
     a.from_dense(k);
     TlrPolicy policy;
     policy.tol = 1e-4;
     plan_tlr_compression(
         a, PrecisionMap(a.tile_count(), Precision::kFp32), policy);
-    TiledPotrfOptions options;
-    options.batch_trailing_update = batch;
-    tiled_potrf(runtime, a, options);
+    tiled_potrf(runtime, a);
     return a;
   };
-  const SymmetricTileMatrix batched = factor(true);
-  const SymmetricTileMatrix unbatched = factor(false);
-  ASSERT_TRUE(batched.has_low_rank());
+  const SymmetricTileMatrix serial = factor(1);
+  const SymmetricTileMatrix parallel = factor(4);
+  ASSERT_TRUE(serial.has_low_rank());
 
-  const std::size_t nt = batched.tile_count();
+  const std::size_t nt = serial.tile_count();
   for (std::size_t tj = 0; tj < nt; ++tj) {
     for (std::size_t ti = tj; ti < nt; ++ti) {
-      const TileSlot& sa = batched.slot(ti, tj);
-      const TileSlot& sb = unbatched.slot(ti, tj);
+      const TileSlot& sa = serial.slot(ti, tj);
+      const TileSlot& sb = parallel.slot(ti, tj);
       ASSERT_EQ(sa.is_low_rank(), sb.is_low_rank())
           << "tile (" << ti << ", " << tj << ") representation diverged";
       ASSERT_EQ(sa.storage_bytes(), sb.storage_bytes());

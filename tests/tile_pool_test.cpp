@@ -180,12 +180,8 @@ TEST(TilePool, PackBuffersAreFootprintKeyedAcrossShapes) {
   // once the footprint-sized classes are seeded.
   namespace kernels = mpblas::kernels;
   struct Restore {
-    ~Restore() {
-      kernels::set_gemm_blocking(std::nullopt);
-      kernels::set_pack_threads(std::nullopt);
-    }
+    ~Restore() { kernels::set_gemm_blocking(std::nullopt); }
   } restore;
-  kernels::set_pack_threads(1);  // keep all pool traffic on this thread
 
   Rng rng(29);
   const std::size_t kMaxDim = 160;
