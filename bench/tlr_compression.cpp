@@ -7,11 +7,15 @@
 // tolerance with plan_tlr_compression routed through the TLR-aware tiled
 // Cholesky, reporting off-diagonal compressed vs dense bytes, the
 // data-motion model's byte count, and median wall times over kReps runs
-// for compress + factorize + solve.  Beside the serial compress time,
-// `associate s` is the median of kReps associate() runs on the same
-// kernel, runtime and tolerance (alpha applied once, by associate): the
-// whole phase with its tile preparation spread over the runtime's
-// workers.  The dist rows time the plain and the checkpointed 4-rank
+// for compress + factorize + solve.  Two columns check the compressor
+// against the full Jacobi SVD of every off-diagonal tile: the largest
+// |rank - Jacobi rank| over the tiles the plan compressed, and the
+// plan's tlr.compress_fallbacks (tiles whose range-finder sketch failed
+// certification and were recompressed by Jacobi).  Beside the serial
+// compress time, `associate s` is the median of kReps associate() runs
+// on the same kernel, runtime and tolerance (alpha applied once, by
+// associate): the whole phase with its tile preparation spread over the
+// runtime's workers.  The dist rows time the plain and the checkpointed 4-rank
 // factorization separately, kReps runs each.  `--json BENCH_tlr.json`
 // emits the CI artifact rows (compress_* and associate_* rows carry those
 // two medians).
@@ -19,6 +23,7 @@
 #include <cmath>
 #include <iostream>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,6 +37,7 @@
 #include "linalg/precision_policy.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/metrics.hpp"
 #include "tile/tile_matrix.hpp"
 
 using namespace kgwas;
@@ -59,6 +65,29 @@ Matrix<float> smooth_kernel(std::size_t n, float alpha) {
   return k;
 }
 
+/// Largest |rank - Jacobi rank| over the off-diagonal tiles `planned`
+/// holds low-rank; `jacobi` is the full SVD of each off-diagonal tile in
+/// column-major triangle order.
+std::size_t max_rank_deviation(const SymmetricTileMatrix& planned,
+                               const std::vector<Svd>& jacobi, double tol) {
+  std::size_t worst = 0;
+  std::size_t idx = 0;
+  const std::size_t nt = planned.tile_count();
+  for (std::size_t tj = 0; tj < nt; ++tj) {
+    for (std::size_t ti = tj + 1; ti < nt; ++ti, ++idx) {
+      if (!planned.is_low_rank(ti, tj)) continue;
+      const std::size_t rank = planned.low_rank_tile(ti, tj).rank();
+      const std::size_t reference =
+          truncate_svd(jacobi[idx], tol, planned.slot(ti, tj).rows(),
+                       planned.slot(ti, tj).cols())
+              .rank();
+      worst = std::max(worst, rank > reference ? rank - reference
+                                               : reference - rank);
+    }
+  }
+  return worst;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,8 +106,23 @@ int main(int argc, char** argv) {
   const Matrix<float> b(n, 4, 1.0f);
   Runtime runtime(workers);
 
+  // The Jacobi reference spectrum of every off-diagonal tile.
+  std::vector<Svd> jacobi;
+  {
+    SymmetricTileMatrix tiles(n, ts);
+    tiles.from_dense(k);
+    for (std::size_t tj = 0; tj < tiles.tile_count(); ++tj) {
+      for (std::size_t ti = tj + 1; ti < tiles.tile_count(); ++ti) {
+        jacobi.push_back(jacobi_svd(tiles.tile(ti, tj).to_fp32()));
+      }
+    }
+  }
+  const telemetry::Counter& fallback_count =
+      telemetry::MetricRegistry::global().counter("tlr.compress_fallbacks");
+
   Table table({"tol", "off-diag MiB", "dense MiB", "ratio", "mean rank",
-               "compress s", "associate s", "potrf s", "solve s"});
+               "max |rank-Jacobi|", "fallbacks", "compress s", "associate s",
+               "potrf s", "solve s"});
   std::vector<bench::BenchRecord> records;
   for (const double tol : {0.0, 1e-2, 1e-4, 1e-6}) {
     TlrPolicy policy;
@@ -87,21 +131,31 @@ int main(int argc, char** argv) {
     TlrCompressionStats stats;
     std::uint64_t storage_bytes = 0;
     std::uint64_t motion_bytes = 0;
+    std::uint64_t fallbacks = 0;
+    std::size_t rank_deviation = 0;
     for (int rep = 0; rep < kReps; ++rep) {
       SymmetricTileMatrix tiles(n, ts);
       tiles.from_dense(k);
       const PrecisionMap map(tiles.tile_count(), Precision::kFp32);
 
+      const std::uint64_t fallbacks_before = fallback_count.total();
       const std::uint64_t t0 = Timer::now_ns();
       stats = plan_tlr_compression(tiles, map, policy);
       const std::uint64_t t1 = Timer::now_ns();
+      // Every rep plans the same tiles to the same bits: one rep's tally,
+      // taken outside the timed steps.
+      if (rep == 0) {
+        fallbacks = fallback_count.total() - fallbacks_before;
+        rank_deviation = max_rank_deviation(tiles, jacobi, tol);
+      }
+      const std::uint64_t t1_factor = Timer::now_ns();
       tiled_potrf(runtime, tiles);
       const std::uint64_t t2 = Timer::now_ns();
       Matrix<float> x = b;
       tiled_potrs(runtime, tiles, x);
       const std::uint64_t t3 = Timer::now_ns();
       compress_s.push_back(static_cast<double>(t1 - t0) * 1e-9);
-      potrf_s.push_back(static_cast<double>(t2 - t1) * 1e-9);
+      potrf_s.push_back(static_cast<double>(t2 - t1_factor) * 1e-9);
       solve_s.push_back(static_cast<double>(t3 - t2) * 1e-9);
       storage_bytes = tiles.storage_bytes();
       motion_bytes = tiled_potrf_data_motion_bytes(tiles);
@@ -136,6 +190,8 @@ int main(int argc, char** argv) {
                    Table::num(static_cast<double>(off_bytes) / 1048576.0, 3),
                    Table::num(static_cast<double>(dense_bytes) / 1048576.0, 3),
                    Table::num(ratio, 2), Table::num(stats.mean_rank, 1),
+                   tol > 0.0 ? std::to_string(rank_deviation) : "-",
+                   tol > 0.0 ? std::to_string(fallbacks) : "-",
                    Table::num(compress_median, 3),
                    Table::num(associate_median, 3),
                    Table::num(potrf_median, 3),

@@ -92,6 +92,9 @@ void write_tlr_frame(std::byte* dst, const TlrTile& tile) {
   put_u32(dst + 4, static_cast<std::uint32_t>(tile.cols()));
   dst[8] = static_cast<std::byte>(tile.precision());
   put_u32(dst + 9, static_cast<std::uint32_t>(tile.rank()));
+  // A rank-0 pair has no payload, and its empty factors may hold null
+  // buffers, which memcpy must not see even for zero bytes.
+  if (tile.rank() == 0) return;
   std::memcpy(dst + kTlrHeaderBytes, tile.u().raw(), tile.u().storage_bytes());
   std::memcpy(dst + kTlrHeaderBytes + tile.u().storage_bytes(), tile.v().raw(),
               tile.v().storage_bytes());

@@ -95,11 +95,13 @@ PrecisionMap precision_map_from_norms(
 /// copy.  `sum(v)` makes a per-tile vector global: a no-op in shared
 /// memory, an allreduce on a rank (each tile has one owner, so summing
 /// against zeros is exact and every rank then reports the totals shared
-/// memory reports).
+/// memory reports).  Throws InvalidArgument for a TLR tolerance outside
+/// [0, 1) (check_tlr_policy).
 template <class Tiles, class Owns, class Sum, class BetweenPasses>
 void prepare_associate(Runtime& runtime, Tiles& k, Owns owns,
                        const AssociateConfig& config, Sum sum,
                        BetweenPasses between_passes, AssociateResult& result) {
+  check_tlr_policy(config.tlr);
   const bool adaptive = config.mode == PrecisionMode::kAdaptive;
   PreparedTiles prep =
       prepare_tiles(runtime, k, owns,

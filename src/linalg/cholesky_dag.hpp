@@ -100,7 +100,9 @@ void escalate_or_throw(Runtime& runtime, FactorizationReport& report,
 ///                              `target` (exact when widening);
 ///  * planned LR, dense source — re-truncate the pre-demotion values at
 ///                              the escalated precision (compress_block at
-///                              `tol`); an inadmissible result falls back
+///                              `tol` under the crossover rule's rank
+///                              cap, the plan's compressor); an
+///                              inadmissible or non-finite tile falls back
 ///                              to a dense restore, logged and counted
 ///                              under `tlr.fallbacks`.
 /// Shared by the shared-memory and distributed recovery loops so the

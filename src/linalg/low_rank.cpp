@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "mpblas/blas.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace kgwas {
 
@@ -29,10 +32,23 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
   // threshold).  The drop floor is relative to the largest initial
   // column, so it scales with the input.
   double scale_sq = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
+  for (std::size_t j = 0; j < n && std::isfinite(scale_sq); ++j) {
     double sum = 0.0;
     for (std::size_t i = 0; i < m; ++i) sum += u(i, j) * u(i, j);
-    scale_sq = std::max(scale_sq, sum);
+    // A NaN sum would vanish from std::max: keep it.
+    scale_sq = std::isfinite(sum) ? std::max(scale_sq, sum) : sum;
+  }
+  if (!std::isfinite(scale_sq)) {
+    // Sweeping a NaN or Inf only spreads it to every column until the
+    // sweep cap, and NaN norms have no order to sort by.
+    KGWAS_LOG_WARN("jacobi_svd: non-finite entry in the "
+                   << m << "x" << n << " input; returning NaN factors");
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Svd out;
+    out.u = Matrix<float>(m, n, nan);
+    out.v = Matrix<float>(n, n, nan);
+    out.sigma.assign(n, nan);
+    return out;
   }
   const double drop = scale_sq * 1e-30;
 
@@ -113,21 +129,31 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
   return out;
 }
 
+namespace {
+
+/// Count of sigma_i > tol * sigma_0 (sigma descending): the relative
+/// truncation rule.  A zero (or NaN) sigma_0 keeps nothing.
+std::size_t truncated_rank(const std::vector<float>& sigma, double tol) {
+  const double sigma0 = sigma.empty() ? 0.0 : static_cast<double>(sigma[0]);
+  std::size_t rank = 0;
+  if (sigma0 > 0.0) {
+    const double cutoff = tol * sigma0;
+    while (rank < sigma.size() &&
+           static_cast<double>(sigma[rank]) > cutoff) {
+      ++rank;
+    }
+  }
+  return rank;
+}
+
+}  // namespace
+
 LowRankFactor truncate_svd(const Svd& svd, double tol, std::size_t m,
                            std::size_t n) {
   // Relative truncation: keep sigma_i > tol * sigma_0.  A numerically
   // zero input (sigma_0 == 0) keeps nothing — rank 0, factors with zero
   // columns — instead of fabricating a rank-1 factor from noise.
-  const double sigma0 =
-      svd.sigma.empty() ? 0.0 : static_cast<double>(svd.sigma.front());
-  std::size_t rank = 0;
-  if (sigma0 > 0.0) {
-    const double cutoff = tol * sigma0;
-    while (rank < svd.sigma.size() &&
-           static_cast<double>(svd.sigma[rank]) > cutoff) {
-      ++rank;
-    }
-  }
+  const std::size_t rank = truncated_rank(svd.sigma, tol);
 
   LowRankFactor factor;
   factor.u = Matrix<float>(m, rank);
@@ -211,7 +237,166 @@ void thin_qr(const Matrix<double>& a, Matrix<double>& q,
   }
 }
 
+bool all_finite(const Matrix<float>& a) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!std::isfinite(a.data()[i])) return false;
+  }
+  return true;
+}
+
+// Randomized range finder constants.  None is a knob: the oversample and
+// the power step fix the sketch's accuracy (one power step matched the
+// Jacobi ranks to within one on Build kernels at tile 128), the probe
+// count and steps fix the certification's cost.
+constexpr std::size_t kOversample = 16;
+constexpr std::size_t kExactMaxDim = 32;  ///< tiles this small: full Jacobi
+constexpr std::size_t kProbes = 4;
+constexpr int kCertifySteps = 3;
+
+/// Gaussian rows x cols matrix drawn from `rng`.
+Matrix<float> gaussian(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix<float> g(rows, cols);
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    g.data()[i] = static_cast<float>(rng.normal());
+  }
+  return g;
+}
+
+/// Orthonormal basis of the columns of y (thin FP64 Householder QR),
+/// rounded to FP32 for the engine GEMMs.
+Matrix<float> orthonormal_basis(const Matrix<float>& y) {
+  Matrix<double> q, r(y.cols(), y.cols(), 0.0);
+  thin_qr(y.cast<double>(), q, r);
+  return q.cast<float>();
+}
+
+/// Scales every nonzero column of g to unit 2-norm.
+void normalize_columns(Matrix<float>& g) {
+  for (std::size_t c = 0; c < g.cols(); ++c) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < g.rows(); ++i) {
+      sum += static_cast<double>(g(i, c)) * g(i, c);
+    }
+    if (!(sum > 0.0)) continue;
+    const auto inv = static_cast<float>(1.0 / std::sqrt(sum));
+    for (std::size_t i = 0; i < g.rows(); ++i) g(i, c) *= inv;
+  }
+}
+
+/// Power estimate of ||R||_2 for the range finder's residual
+/// R = A - Q B = (I - Q Q^T) A, with bt = B^T = A^T Q: kCertifySteps
+/// products R g from the unit columns of `g`, each fed back as R^T R g,
+/// all as engine GEMMs.  Returns the largest ||R g|| of the last step;
+/// a lower bound that converges to ||R||_2 from below.  NaN when any
+/// value went non-finite.
+double residual_norm_estimate(const Matrix<float>& a, const Matrix<float>& q,
+                              const Matrix<float>& bt, Matrix<float> g) {
+  const std::size_t m = a.rows(), n = a.cols(), k = q.cols();
+  const std::size_t p = g.cols();
+  for (int step = 1;; ++step) {
+    normalize_columns(g);
+    // R g = A g - Q (B g).
+    Matrix<float> x = matmul(a, g);
+    const Matrix<float> bg = matmul(bt, g, Trans::kTrans);
+    gemm(Trans::kNoTrans, Trans::kNoTrans, m, p, k, -1.0f, q.data(), q.ld(),
+         bg.data(), bg.ld(), 1.0f, x.data(), x.ld());
+    if (step == kCertifySteps) {
+      double estimate = 0.0;
+      for (std::size_t c = 0; c < p; ++c) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+          sum += static_cast<double>(x(i, c)) * x(i, c);
+        }
+        if (std::isnan(sum)) return sum;
+        estimate = std::max(estimate, std::sqrt(sum));
+      }
+      return estimate;
+    }
+    // R^T x = A^T x - B^T (Q^T x).
+    g = matmul(a, x, Trans::kTrans);
+    const Matrix<float> qx = matmul(q, x, Trans::kTrans);
+    gemm(Trans::kNoTrans, Trans::kNoTrans, n, p, k, -1.0f, bt.data(),
+         bt.ld(), qx.data(), qx.ld(), 1.0f, g.data(), g.ld());
+  }
+}
+
+/// The range finder's outcome on `a`: a certified factor; no factor when
+/// the sampled rank exceeds `max_rank` (the tile stays dense); or, when
+/// the sample went non-finite or failed certification, `certified` false
+/// (the caller falls back to the full Jacobi).
+struct Sketched {
+  std::optional<LowRankFactor> factor;
+  bool certified = true;
+};
+
+Sketched sketch_compress(const Matrix<float>& a, double tol,
+                         std::size_t max_rank) {
+  const std::size_t m = a.rows(), n = a.cols();
+  const std::size_t k = max_rank + kOversample;
+  // Seeded by the shape alone: the factor is a pure function of the
+  // tile's values, whichever worker, rank or replay computes it.
+  Rng rng(0x7a1e5ce7c4ull ^ (m << 40) ^ (n << 20) ^ k);
+  const Matrix<float> omega = gaussian(n, k, rng);
+  // Y = A Omega with one power step, orthonormalized after each product.
+  const Matrix<float> q0 = orthonormal_basis(matmul(a, omega));
+  const Matrix<float> p0 = orthonormal_basis(matmul(a, q0, Trans::kTrans));
+  const Matrix<float> q = orthonormal_basis(matmul(a, p0));
+  const Matrix<float> bt = matmul(a, q, Trans::kTrans);  // B^T, n x k
+  Sketched out;
+  if (!all_finite(bt)) {
+    out.certified = false;
+    return out;
+  }
+  // B^T = V S W^T, so A ~= Q B = (Q W S) V^T.
+  const Svd svd = jacobi_svd(bt);
+  const std::size_t rank = truncated_rank(svd.sigma, tol);
+  if (rank > max_rank) return out;
+  const double sigma0 = svd.sigma.empty() ? 0.0 : svd.sigma[0];
+  // Written so that a NaN estimate fails.
+  if (!(residual_norm_estimate(a, q, bt, gaussian(n, kProbes, rng)) <=
+        tol * sigma0)) {
+    out.certified = false;
+    return out;
+  }
+  Matrix<float> ws(k, rank);
+  LowRankFactor factor;
+  factor.v = Matrix<float>(n, rank);
+  for (std::size_t c = 0; c < rank; ++c) {
+    for (std::size_t i = 0; i < k; ++i) ws(i, c) = svd.v(i, c) * svd.sigma[c];
+    for (std::size_t i = 0; i < n; ++i) factor.v(i, c) = svd.u(i, c);
+  }
+  factor.u = rank > 0 ? matmul(q, ws) : Matrix<float>(m, 0);
+  out.certified = all_finite(factor.u) && all_finite(factor.v);
+  if (out.certified) out.factor = std::move(factor);
+  return out;
+}
+
 }  // namespace
+
+std::optional<LowRankFactor> compress_block(const Matrix<float>& a,
+                                            double tol, std::size_t max_rank) {
+  const std::size_t m = a.rows(), n = a.cols();
+  if (!all_finite(a)) {
+    KGWAS_LOG_WARN("TLR compression: the " << m << "x" << n
+                   << " tile holds a NaN or Inf; keeping it dense");
+    return std::nullopt;
+  }
+  const std::size_t small = std::min(m, n);
+  if (small > kExactMaxDim && max_rank + kOversample <= small / 2) {
+    Sketched sketched = sketch_compress(a, tol, max_rank);
+    if (sketched.certified) return std::move(sketched.factor);
+    static telemetry::Counter& fallbacks =
+        telemetry::MetricRegistry::global().counter("tlr.compress_fallbacks");
+    fallbacks.add(1);
+    KGWAS_LOG_WARN("TLR compression: randomized range finder failed "
+                   "certification on a "
+                   << m << "x" << n << " tile at tol " << tol
+                   << "; recompressing with the full Jacobi SVD");
+  }
+  LowRankFactor factor = compress_block(a, tol);
+  if (factor.rank() > max_rank) return std::nullopt;
+  return factor;
+}
 
 LowRankFactor recompress_product(const Matrix<float>& x,
                                  const Matrix<float>& y, double tol) {
@@ -244,16 +429,7 @@ LowRankFactor recompress_product(const Matrix<float>& x,
        ry.data(), ry.ld(), 0.0, core.data(), core.ld());
   const Svd core_svd = jacobi_svd(core.cast<float>());
 
-  const double sigma0 =
-      core_svd.sigma.empty() ? 0.0 : static_cast<double>(core_svd.sigma[0]);
-  std::size_t rank = 0;
-  if (sigma0 > 0.0) {
-    const double cutoff = tol * sigma0;
-    while (rank < core_svd.sigma.size() &&
-           static_cast<double>(core_svd.sigma[rank]) > cutoff) {
-      ++rank;
-    }
-  }
+  const std::size_t rank = truncated_rank(core_svd.sigma, tol);
 
   LowRankFactor out;
   out.u = Matrix<float>(m, rank);

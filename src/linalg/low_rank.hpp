@@ -10,6 +10,20 @@
 //    truncation rule (keep sigma_i > tol * sigma_0) so the chosen rank is
 //    invariant under scaling of the tile — a numerically zero tile
 //    truncates to rank 0, not a fabricated rank 1;
+//  * the TLR compressor, compress_block(a, tol, max_rank): for a tile
+//    wider than 32 whose sample fits (k = max_rank + 16 <= min(m, n) / 2)
+//    a randomized range finder (Halko, Martinsson & Tropp, SIAM Review
+//    2011) replaces the full-tile Jacobi.  FP32 sketch and projection
+//    GEMMs on the packed engine with one power step, FP64 Householder
+//    orthonormalization, and Jacobi only on the n x k projection
+//    B^T = A^T Q, truncated by the same relative rule.  A sampled rank
+//    above the cap leaves the tile dense at once.  Every other result is
+//    certified by a power estimate of ||(I - Q Q^T) A||_2 against
+//    tol * sigma_0; a tile that fails (or yields a non-finite value) is
+//    recompressed by the full Jacobi, with a warning and a
+//    tlr.compress_fallbacks count.  The Gaussian test matrix is seeded by
+//    the shape alone, so the factor is a pure function of the tile's
+//    values on every worker, rank and replay;
 //  * rank re-compression of an accumulated low-rank sum X * Y^T without
 //    forming the dense product (thin QR of both factors + SVD of the
 //    small core), which is what keeps TLR Schur-complement updates from
@@ -21,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 #include "mpblas/matrix.hpp"
 #include "tile/tile_matrix.hpp"
@@ -40,7 +55,9 @@ struct Svd {
 /// columns whose norm has collapsed below roundoff of the dominant column
 /// are treated as converged (rank-deficient and m < n inputs would
 /// otherwise spin on underflowed norm products until the sweep cap).
-/// Logs a warning if the cap is exhausted before convergence.
+/// Logs a warning if the cap is exhausted before convergence.  An input
+/// holding a NaN or Inf has no SVD: it returns NaN factors and singular
+/// values at once, with a warning.
 Svd jacobi_svd(const Matrix<float>& a, int max_sweeps = 30);
 
 /// Rank-k factorization A ~= U * V^T keeping singular values with
@@ -60,8 +77,20 @@ struct LowRankFactor {
 LowRankFactor truncate_svd(const Svd& svd, double tol, std::size_t m,
                            std::size_t n);
 
-/// Convenience: compress a dense block at the given relative tolerance.
+/// Convenience: compress a dense block at the given relative tolerance
+/// (full Jacobi SVD, no rank cap).
 LowRankFactor compress_block(const Matrix<float>& a, double tol);
+
+/// The TLR compressor: the factor of `a` at relative tolerance `tol`, or
+/// nullopt when its rank exceeds `max_rank` (the admissibility cap, see
+/// tlr_max_rank) or `a` holds a NaN or Inf (with a warning: the tile must
+/// stay dense so the factorization meets the value, as the dense path
+/// does).  Tiles wider than 32 whose sample k = max_rank + 16 fits in
+/// min(m, n) / 2 take the certified randomized range finder described
+/// above; the rest, and every tile that fails certification, take
+/// truncate_svd(jacobi_svd(a)).
+std::optional<LowRankFactor> compress_block(const Matrix<float>& a,
+                                            double tol, std::size_t max_rank);
 
 /// Reconstructs U * V^T.
 Matrix<float> reconstruct(const LowRankFactor& factor);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 
 #include "common/env.hpp"
+#include "common/logging.hpp"
 #include "common/status.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/tlr_kernels.hpp"
@@ -172,23 +175,50 @@ std::size_t map_storage_bytes(const PrecisionMap& map, std::size_t n,
   return total;
 }
 
+namespace {
+
+/// Overwrites `value` with the non-negative number `name` holds when it
+/// lies below `limit`.  A set value that is malformed or out of range
+/// warns and leaves `value` (the default) as it is.
+void read_env_knob(const char* name, double limit, double& value) {
+  const char* text = std::getenv(name);
+  if (text == nullptr || *text == '\0') return;
+  // env_double never parses a negative value, so -1 flags a malformed one.
+  const double parsed = env_double(name, -1.0);
+  if (parsed >= 0.0 && parsed < limit) {
+    value = parsed;
+    return;
+  }
+  KGWAS_LOG_WARN("ignoring " << name << "='" << text
+                             << "' (want a number in [0, " << limit
+                             << ")); keeping the default " << value);
+}
+
+}  // namespace
+
 TlrPolicy tlr_policy_from_env() {
   TlrPolicy policy;
-  policy.tol = env_double("KGWAS_TLR_TOL", policy.tol);
-  policy.max_rank_fraction =
-      env_double("KGWAS_TLR_MAX_RANK_FRACTION", policy.max_rank_fraction);
+  // tol >= 1 would keep no singular value: every compressible tile would
+  // silently become zero.
+  read_env_knob("KGWAS_TLR_TOL", 1.0, policy.tol);
+  read_env_knob("KGWAS_TLR_MAX_RANK_FRACTION",
+                std::numeric_limits<double>::infinity(),
+                policy.max_rank_fraction);
   return policy;
+}
+
+void check_tlr_policy(const TlrPolicy& policy) {
+  KGWAS_CHECK_ARG(policy.tol >= 0.0 && policy.tol < 1.0,
+                  "TLR tolerance must lie in [0, 1): at tol >= 1 the "
+                  "relative truncation keeps nothing");
 }
 
 std::optional<LowRankFactor> compress_tile(const Tile& tile,
                                            const TlrPolicy& policy) {
   const std::size_t m = tile.rows(), n = tile.cols();
   if (std::min(m, n) < policy.min_dim) return std::nullopt;
-  LowRankFactor factor = compress_block(tile.to_fp32(), policy.tol);
-  if (!tlr_rank_admissible(factor.rank(), m, n, policy.max_rank_fraction)) {
-    return std::nullopt;
-  }
-  return factor;
+  return compress_block(tile.to_fp32(), policy.tol,
+                        tlr_max_rank(m, n, policy.max_rank_fraction));
 }
 
 void TlrTally::install(std::size_t idx, TileSlot& slot,
@@ -258,7 +288,8 @@ TlrCompressionStats plan_tlr_compression(SymmetricTileMatrix& matrix,
   const std::size_t nt = matrix.tile_count();
   KGWAS_CHECK_ARG(map.tile_count() == nt,
                   "precision map size does not match tile matrix");
-  if (policy.tol <= 0.0) return {};
+  check_tlr_policy(policy);
+  if (policy.tol == 0.0) return {};
   matrix.set_tlr_options(policy.tol, policy.max_rank_fraction);
   TlrTally tally(nt);
   for (std::size_t tj = 0; tj < nt; ++tj) {

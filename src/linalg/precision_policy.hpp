@@ -119,8 +119,8 @@ std::size_t escalate_step(PrecisionMap& map, std::size_t t,
 /// precision from the same precision map the dense tile would have used
 /// (TLR composes with, rather than replaces, the mixed-precision mosaic).
 struct TlrPolicy {
-  /// Relative compression tolerance (keep sigma_i > tol * sigma_0).
-  /// 0 disables TLR entirely — the dense pipeline runs untouched.
+  /// Relative compression tolerance (keep sigma_i > tol * sigma_0), in
+  /// [0, 1).  0 disables TLR entirely — the dense pipeline runs untouched.
   double tol = 0.0;
   /// A compressed tile is kept only while rank * (m + n) <=
   /// max_rank_fraction * m * n; beyond that the factored form costs more
@@ -132,8 +132,14 @@ struct TlrPolicy {
 };
 
 /// Reads TlrPolicy from the environment: KGWAS_TLR_TOL (default 0 = off)
-/// and KGWAS_TLR_MAX_RANK_FRACTION (default 0.5).
+/// and KGWAS_TLR_MAX_RANK_FRACTION (default 0.5).  A malformed value, or
+/// a tolerance >= 1, warns and keeps the default.
 TlrPolicy tlr_policy_from_env();
+
+/// Throws InvalidArgument unless 0 <= policy.tol < 1 (NaN fails too): at
+/// tol >= 1 the relative truncation keeps nothing, and every compressible
+/// tile would silently become zero.
+void check_tlr_policy(const TlrPolicy& policy);
 
 /// What plan_tlr_compression did — the compressed-vs-dense footprint data
 /// the paper's memory argument is about.
@@ -147,8 +153,9 @@ struct TlrCompressionStats {
 };
 
 /// Compression of one off-diagonal tile, independent of any precision
-/// map: the truncated factor at `policy.tol`, or nothing when the tile is
-/// below `policy.min_dim` on a side or its rank fails the crossover rule
+/// map: compress_block's factor at `policy.tol` under the crossover
+/// rule's rank cap, or nothing when the tile is below `policy.min_dim`
+/// on a side, its rank fails the crossover rule, or it holds a NaN or Inf
 /// (the tile then stays dense).
 std::optional<LowRankFactor> compress_tile(const Tile& tile,
                                            const TlrPolicy& policy);
@@ -197,7 +204,8 @@ struct TlrTally {
 /// factors quantize once, from full-fidelity values.  A zero `policy.tol`
 /// is a no-op returning all-dense stats.  The serial loop over
 /// compress_tile and TlrTally::install that associate() runs as per-tile
-/// tasks (linalg/tile_prepare.hpp).
+/// tasks (linalg/tile_prepare.hpp).  Throws InvalidArgument for a
+/// tolerance outside [0, 1) (check_tlr_policy).
 TlrCompressionStats plan_tlr_compression(SymmetricTileMatrix& matrix,
                                          const PrecisionMap& map,
                                          const TlrPolicy& policy);

@@ -117,21 +117,23 @@ void restore_slot(TileSlot& dst, const TileSlot& source, Precision target,
     return;
   }
   // Dense (pre-demotion) source feeding a planned-low-rank slot:
-  // re-truncate the original values at the escalated precision, so the
-  // retry factors a genuinely higher-fidelity compression of the same
-  // matrix.
-  LowRankFactor factor = compress_block(source.dense().to_fp32(), tol);
-  if (tlr_rank_admissible(factor.rank(), source.rows(), source.cols(),
-                          max_rank_fraction)) {
-    dst.set_low_rank(TlrTile(factor.u, factor.v, target));
+  // re-truncate the original values at the escalated precision with the
+  // plan's compressor (the same bits compress_tile computed from them),
+  // so the retry factors a genuinely higher-fidelity compression of the
+  // same matrix.
+  const std::optional<LowRankFactor> factor = compress_block(
+      source.dense().to_fp32(), tol,
+      tlr_max_rank(source.rows(), source.cols(), max_rank_fraction));
+  if (factor) {
+    dst.set_low_rank(TlrTile(factor->u, factor->v, target));
     return;
   }
   static telemetry::Counter& fallbacks =
       telemetry::MetricRegistry::global().counter("tlr.fallbacks");
   fallbacks.add(1);
-  KGWAS_LOG_WARN("TLR rollback re-truncation inadmissible (rank "
-                 << factor.rank() << " on " << source.rows() << "x"
-                 << source.cols() << " tile); restoring dense");
+  KGWAS_LOG_WARN("TLR rollback re-truncation of a "
+                 << source.rows() << "x" << source.cols()
+                 << " tile found no admissible factor; restoring dense");
   Tile t = source.dense();
   if (t.precision() != target) t.convert_to(target);
   dst.set_dense(std::move(t));

@@ -1,5 +1,7 @@
 #include "linalg/tlr_kernels.hpp"
 
+#include <algorithm>
+
 #include "common/status.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/tile_kernels.hpp"
@@ -47,6 +49,16 @@ bool tlr_rank_admissible(std::size_t rank, std::size_t m, std::size_t n,
                          double max_rank_fraction) {
   return static_cast<double>(rank) * static_cast<double>(m + n) <=
          max_rank_fraction * static_cast<double>(m) * static_cast<double>(n);
+}
+
+std::size_t tlr_max_rank(std::size_t m, std::size_t n,
+                         double max_rank_fraction) {
+  std::size_t rank = 0;
+  while (rank < std::min(m, n) &&
+         tlr_rank_admissible(rank + 1, m, n, max_rank_fraction)) {
+    ++rank;
+  }
+  return rank;
 }
 
 void tlr_trsm(const Tile& lkk, TileSlot& b) {

@@ -46,6 +46,11 @@ namespace kgwas {
 bool tlr_rank_admissible(std::size_t rank, std::size_t m, std::size_t n,
                          double max_rank_fraction);
 
+/// The largest admissible rank of an m x n tile (at most min(m, n)): the
+/// cap compress_block truncates against.
+std::size_t tlr_max_rank(std::size_t m, std::size_t n,
+                         double max_rank_fraction);
+
 /// TRSM of slot `b` against the dense diagonal factor `lkk`.
 void tlr_trsm(const Tile& lkk, TileSlot& b);
 

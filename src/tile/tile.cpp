@@ -106,7 +106,8 @@ void Tile::from_wire(std::size_t rows, std::size_t cols, Precision precision,
   rows_ = rows;
   cols_ = cols;
   precision_ = precision;
-  std::memcpy(storage_.data(), payload, bytes);
+  // An empty tile (a rank-0 factor) may hold a null buffer.
+  if (bytes != 0) std::memcpy(storage_.data(), payload, bytes);
 }
 
 double Tile::frobenius_norm() const {

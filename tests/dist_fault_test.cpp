@@ -662,6 +662,54 @@ TEST(DistFaultTolerance, TlrKillAtRoundBoundaryRecoversBitwise) {
   EXPECT_TRUE(slots_bitwise_equal(undisturbed.factor, outcome.factor));
 }
 
+TEST(DistFaultTolerance, TlrSketchedTilesFtRunMatchesPlainBitwise) {
+  // 128-wide tiles: the input's factors come from the randomized range
+  // finder, not the Jacobi of the 32-wide twins above.  A fault-free
+  // checkpointed run must equal the plain dist run and the shared-memory
+  // factor, compressed tiles included.
+  const std::size_t n = 768, ts = 128;
+  const PrecisionMap map = band_map(n / ts);
+  const SymmetricTileMatrix full = tlr_input(n, ts, map);
+  ASSERT_TRUE(full.has_low_rank());
+  SymmetricTileMatrix reference = full;
+  {
+    Runtime rt(2);
+    tiled_potrf(rt, reference);
+  }
+  const FtOutcome ft = tlr_ft_factor(full, 4, map, FaultPlan{}, 2);
+  EXPECT_EQ(ft.rank_losses, 0);
+  EXPECT_GT(ft.checkpoints, 0u);
+  EXPECT_TRUE(ft.factor.has_low_rank());
+  EXPECT_TRUE(slots_bitwise_equal(reference, ft.factor));
+  const FtOutcome plain = tlr_ft_factor(full, 4, map, FaultPlan{}, 0);
+  EXPECT_TRUE(slots_bitwise_equal(plain.factor, ft.factor));
+}
+
+TEST(DistFaultTolerance, TlrSketchedTilesKillRecoversBitwise) {
+  // The rank-kill scenario on sketch-compressed 128-wide tiles: rank 2 of
+  // 4 dies after the cut-2 checkpoint; the survivors finish bitwise equal
+  // to the shared-memory factor and to an undisturbed 3-rank run.
+  const std::size_t n = 768, ts = 128;
+  const PrecisionMap map = band_map(n / ts);
+  const SymmetricTileMatrix full = tlr_input(n, ts, map);
+  ASSERT_TRUE(full.has_low_rank());
+  SymmetricTileMatrix reference = full;
+  {
+    Runtime rt(2);
+    tiled_potrf(rt, reference);
+  }
+  const FaultPlan plan = FaultPlan::parse("kill:rank=2:step=2");
+  const FtOutcome outcome = tlr_ft_factor(full, 4, map, plan, 2);
+  EXPECT_EQ(outcome.rank_losses, 1);
+  EXPECT_EQ(outcome.last_restore_cut, 2);
+  EXPECT_GT(outcome.restored_tiles, 0u);
+  ASSERT_EQ(outcome.final_ranks.size(), 3u);
+  EXPECT_TRUE(outcome.factor.has_low_rank());
+  EXPECT_TRUE(slots_bitwise_equal(reference, outcome.factor));
+  const FtOutcome undisturbed = tlr_ft_factor(full, 3, map, FaultPlan{}, 2);
+  EXPECT_TRUE(slots_bitwise_equal(undisturbed.factor, outcome.factor));
+}
+
 TEST(DistFaultTolerance, KillBeforeFirstCommitIsUnrecoverable) {
   // Rank 2's very first application send is a cut-0 replica frame: it
   // dies inside the initial checkpoint write, before any survivor could

@@ -223,6 +223,23 @@ TEST(TileTransport, TlrFrameRoundTripsBitwise) {
   }
 }
 
+TEST(TileTransport, RankZeroTlrFrameRoundTrips) {
+  // A rank-0 factor pair (a tile that truncated to zero) is a header-only
+  // frame; its empty factors must encode and decode without handing a
+  // null buffer to memcpy (caught by the UBSan build).
+  const TileSlot zero{TlrTile(Matrix<float>(9, 0), Matrix<float>(6, 0),
+                              Precision::kFp16)};
+  TileSlot back;
+  dist::decode_slot(dist::encode_slot(zero), back);
+  ASSERT_TRUE(back.is_low_rank());
+  EXPECT_EQ(back.rows(), 9u);
+  EXPECT_EQ(back.cols(), 6u);
+  EXPECT_EQ(back.low_rank().rank(), 0u);
+  EXPECT_EQ(back.precision(), Precision::kFp16);
+  EXPECT_EQ(back.storage_bytes(), 0u);
+  EXPECT_EQ(dist::slot_frame_bytes(zero), dist::encode_slot(zero).size());
+}
+
 TEST(TileTransport, TlrSendRecordsFactorBytesInLedger) {
   run_ranks(2, [](Communicator& comm) {
     Matrix<float> u(8, 2, 0.5f), v(8, 2, 0.25f);
@@ -954,6 +971,53 @@ TEST(DistKrr, TlrPipelineMatchesSharedMemoryBitwise) {
       make_dataset(std::move(cohort), std::move(panel)), 0.75, 17);
   KrrConfig config;
   config.build.tile_size = 64;
+  config.auto_gamma_scale = 0.5;
+  config.associate.alpha = 2.0;
+  config.associate.mode = PrecisionMode::kAdaptive;
+  config.associate.tlr = TlrPolicy{};  // explicit, env knob or not
+  config.associate.tlr.tol = 1e-2;
+
+  Runtime rt(2);
+  KrrModel model;
+  model.fit(rt, split.train, config);
+  const Matrix<float> ref_predictions = model.predict(rt, split.test);
+  const std::size_t all_dense =
+      map_storage_bytes(model.precision_map(), split.train.patients(),
+                        config.build.tile_size);
+  ASSERT_LT(model.factor_bytes(), all_dense);  // fixture: tiles compress
+
+  for (const int ranks : krr_rank_counts({1, 2, 4})) {
+    const dist::DistKrrResult result =
+        dist::run_dist_krr(ranks, split.train, split.test, config);
+    expect_matches_model(result, model, ref_predictions, ranks);
+    EXPECT_LT(result.factor_bytes, all_dense) << "ranks=" << ranks;
+  }
+}
+
+TEST(DistKrr, TlrPipelineAtTile128MatchesSharedMemoryBitwise) {
+  // The same contract on 128-wide tiles, where compress_tile takes the
+  // randomized range finder (rank cap 32, a 48-column sample): every rank
+  // sketches the tiles it owns with the shape-seeded Gaussian sample, so
+  // the dist pipeline still factors the shared-memory matrix bit for bit.
+  CohortConfig cc;
+  cc.n_patients = 1024;
+  cc.n_snps = 64;
+  cc.n_populations = 3;
+  cc.seed = 99;
+  Cohort cohort = simulate_cohort(cc);
+  PhenotypeConfig pc;
+  pc.name = "trait";
+  pc.n_causal = 16;
+  pc.n_pairs = 12;
+  pc.h2_additive = 0.3;
+  pc.h2_epistatic = 0.4;
+  pc.prevalence = 0.0;
+  pc.seed = 3;
+  PhenotypePanel panel = simulate_panel(cohort, {pc});
+  const TrainTestSplit split = split_dataset(
+      make_dataset(std::move(cohort), std::move(panel)), 0.75, 17);
+  KrrConfig config;
+  config.build.tile_size = 128;
   config.auto_gamma_scale = 0.5;
   config.associate.alpha = 2.0;
   config.associate.mode = PrecisionMode::kAdaptive;

@@ -1,25 +1,40 @@
 // TLR (tile low-rank) suite: truncation semantics of the low-rank core
 // (relative tolerance, rank-0 zero tiles, rank-deficient / non-square
-// Jacobi), the TlrTile payload and SymmetricTileMatrix sidecar, the joint
-// rank + precision compression planner, and the TLR-routed tiled Cholesky
-// factorize/solve against its dense twin.
+// Jacobi), the randomized-range-finder compressor on 128-wide tiles
+// against the Jacobi reference, the TlrTile payload and
+// SymmetricTileMatrix sidecar, the joint rank + precision compression
+// planner, and the TLR-routed tiled Cholesky factorize/solve against its
+// dense twin.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "gwas/cohort_simulator.hpp"
 #include "krr/associate.hpp"
+#include "krr/build.hpp"
+#include "krr/kernels.hpp"
+#include "linalg/cholesky_dag.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/precision_policy.hpp"
+#include "linalg/tile_prepare.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "linalg/tlr_kernels.hpp"
 #include "mpblas/blas.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/metrics.hpp"
 #include "tile/tile_matrix.hpp"
 #include "tile/tlr_tile.hpp"
 
@@ -642,6 +657,19 @@ TEST(TlrAssociate, CompressedPipelineMatchesDenseSolve) {
 
 // ------------------------------------------------------------- env knob
 
+/// Captures what the logger writes to stderr at warning level while
+/// `body` runs.
+template <class Body>
+std::string captured_warnings(const Body& body) {
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  body();
+  std::string out = testing::internal::GetCapturedStderr();
+  set_log_level(level);
+  return out;
+}
+
 TEST(TlrPolicyEnv, ParsesAndFallsBackStrictly) {
   ASSERT_EQ(setenv("KGWAS_TLR_TOL", "1e-3", 1), 0);
   ASSERT_EQ(setenv("KGWAS_TLR_MAX_RANK_FRACTION", "0.25", 1), 0);
@@ -657,10 +685,331 @@ TEST(TlrPolicyEnv, ParsesAndFallsBackStrictly) {
   ASSERT_EQ(setenv("KGWAS_TLR_TOL", "1e-3zzz", 1), 0);
   EXPECT_DOUBLE_EQ(tlr_policy_from_env().tol, 0.0);
 
+  // A tolerance >= 1 keeps no singular value, so every compressible tile
+  // would become zero: it falls back to off as well.  Each rejected value
+  // warns instead of falling back silently.
+  for (const char* bad : {"1", "1.0", "2.5", "-1", "nan", "1e-3zzz"}) {
+    ASSERT_EQ(setenv("KGWAS_TLR_TOL", bad, 1), 0);
+    double tol = -1.0;
+    const std::string warning =
+        captured_warnings([&tol] { tol = tlr_policy_from_env().tol; });
+    EXPECT_DOUBLE_EQ(tol, 0.0) << "value: " << bad;
+    EXPECT_NE(warning.find("KGWAS_TLR_TOL"), std::string::npos)
+        << "value: " << bad;
+  }
+  ASSERT_EQ(setenv("KGWAS_TLR_TOL", "0.999", 1), 0);
+  EXPECT_DOUBLE_EQ(tlr_policy_from_env().tol, 0.999);
+  ASSERT_EQ(setenv("KGWAS_TLR_MAX_RANK_FRACTION", "half", 1), 0);
+  EXPECT_NE(captured_warnings([] {
+              EXPECT_DOUBLE_EQ(tlr_policy_from_env().max_rank_fraction, 0.5);
+            }).find("KGWAS_TLR_MAX_RANK_FRACTION"),
+            std::string::npos);
+
   ASSERT_EQ(unsetenv("KGWAS_TLR_TOL"), 0);
   ASSERT_EQ(unsetenv("KGWAS_TLR_MAX_RANK_FRACTION"), 0);
   EXPECT_DOUBLE_EQ(tlr_policy_from_env().tol, 0.0);
   EXPECT_DOUBLE_EQ(tlr_policy_from_env().max_rank_fraction, 0.5);
+  EXPECT_EQ(captured_warnings([] { tlr_policy_from_env(); }), "");
+}
+
+TEST(TlrPlan, RejectsToleranceOutsideUnitInterval) {
+  // A programmatic policy gets no fallback: a tolerance that would zero
+  // every compressible tile (or is negative or NaN) is an InvalidArgument
+  // from the planner and from associate()'s preparation.
+  const std::size_t n = 128, ts = 32;
+  const Matrix<float> k = smooth_spd_kernel(n, 0.0f);
+  const Matrix<float> ph = random_matrix(n, 1, 73);
+  Runtime runtime(2);
+  for (const double tol : {1.0, 1.5, -1e-3,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    TlrPolicy policy;
+    policy.tol = tol;
+    SymmetricTileMatrix tiles(n, ts);
+    tiles.from_dense(k);
+    EXPECT_THROW(plan_tlr_compression(
+                     tiles, PrecisionMap(tiles.tile_count(), Precision::kFp32),
+                     policy),
+                 InvalidArgument)
+        << "tol " << tol;
+    EXPECT_FALSE(tiles.has_low_rank());
+    AssociateConfig config;
+    config.alpha = 2.0;
+    config.mode = PrecisionMode::kFixed;
+    config.tlr = policy;
+    EXPECT_THROW(associate(runtime, tiles, ph, config), InvalidArgument)
+        << "tol " << tol;
+  }
+}
+
+// ----------------------------------------- TLR compressor at tile 128
+
+// At tile 128 and the default max_rank_fraction the admissibility cap is
+// rank 32, so the sample is 48 columns and compress_block takes the
+// randomized range finder; the Jacobi SVD of the whole tile is the
+// reference it must track.
+constexpr std::size_t kSketchTile = 128;
+constexpr double kSketchTol = 1e-2;
+
+std::size_t sketch_cap() {
+  return tlr_max_rank(kSketchTile, kSketchTile, TlrPolicy{}.max_rank_fraction);
+}
+
+std::uint64_t compress_fallbacks() {
+  return telemetry::MetricRegistry::global()
+      .counter("tlr.compress_fallbacks")
+      .total();
+}
+
+/// Gaussian kernel of a UK-Biobank-like cohort at tile 128 (the
+/// tlr_solve benchmark's regime): 512 patients, 4 x 4 tiles.
+SymmetricTileMatrix build_kernel_tiles() {
+  CohortConfig cc;
+  cc.n_patients = 4 * kSketchTile;
+  cc.n_snps = 64;
+  cc.n_populations = 6;
+  cc.fst = 0.12;
+  cc.ld_block_size = 16;
+  cc.ld_rho = 0.6;
+  cc.seed = 11;
+  const Cohort cohort = simulate_cohort(cc);
+  const auto& g = cohort.genotypes.matrix();
+  BuildConfig bc;
+  bc.tile_size = kSketchTile;
+  bc.gamma = suggest_gamma(std::span<const std::int8_t>(g.data(), g.size()),
+                           cc.n_patients, cc.n_snps);
+  Runtime runtime(2);
+  return build_kernel_matrix(runtime, cohort.genotypes,
+                             Matrix<float>(cc.n_patients, 0), bc);
+}
+
+/// The off-diagonal tiles of the smooth kernel and of the Build kernel.
+std::vector<Matrix<float>> sketch_fixture_tiles() {
+  std::vector<Matrix<float>> tiles;
+  SymmetricTileMatrix smooth(4 * kSketchTile, kSketchTile);
+  smooth.from_dense(smooth_spd_kernel(4 * kSketchTile, 0.0f));
+  const SymmetricTileMatrix build = build_kernel_tiles();
+  for (const SymmetricTileMatrix* m : {&std::as_const(smooth), &build}) {
+    for (std::size_t tj = 0; tj < m->tile_count(); ++tj) {
+      for (std::size_t ti = tj + 1; ti < m->tile_count(); ++ti) {
+        tiles.push_back(m->tile(ti, tj).to_fp32());
+      }
+    }
+  }
+  return tiles;
+}
+
+bool same_bits(const Matrix<float>& a, const Matrix<float>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool same_factor(const LowRankFactor& a, const LowRankFactor& b) {
+  return same_bits(a.u, b.u) && same_bits(a.v, b.v);
+}
+
+TEST(TlrCompress, RanksTrackJacobiAndErrorStaysWithinTolerance) {
+  const std::size_t cap = sketch_cap();
+  ASSERT_EQ(cap, 32u);
+  const std::uint64_t fallbacks = compress_fallbacks();
+  std::size_t compressed = 0;
+  for (const Matrix<float>& a : sketch_fixture_tiles()) {
+    const Svd svd = jacobi_svd(a);
+    const std::size_t ref_rank =
+        truncate_svd(svd, kSketchTol, a.rows(), a.cols()).rank();
+    const std::optional<LowRankFactor> factor =
+        compress_block(a, kSketchTol, cap);
+    if (!factor) {
+      // Over the cap: only a tile the reference also (nearly) rejects.
+      EXPECT_GE(ref_rank + 1, cap);
+      continue;
+    }
+    ++compressed;
+    const long diff = static_cast<long>(factor->rank()) -
+                      static_cast<long>(ref_rank);
+    EXPECT_LE(std::labs(diff), 1) << "reference rank " << ref_rank;
+    Matrix<float> residual = reconstruct(*factor);
+    for (std::size_t i = 0; i < residual.size(); ++i) {
+      residual.data()[i] = a.data()[i] - residual.data()[i];
+    }
+    EXPECT_LE(jacobi_svd(residual).sigma[0],
+              1.25 * kSketchTol * svd.sigma[0])
+        << "rank " << factor->rank();
+  }
+  EXPECT_GE(compressed, 10u);  // of 12: the fixture exercises the sketch
+  EXPECT_EQ(compress_fallbacks(), fallbacks);  // every tile certified
+}
+
+TEST(TlrCompress, ZeroTileGivesRankZero) {
+  const std::optional<LowRankFactor> factor = compress_block(
+      Matrix<float>(kSketchTile, kSketchTile, 0.0f), kSketchTol, sketch_cap());
+  ASSERT_TRUE(factor.has_value());
+  EXPECT_EQ(factor->rank(), 0u);
+  EXPECT_EQ(factor->u.rows(), kSketchTile);
+  EXPECT_EQ(factor->v.rows(), kSketchTile);
+}
+
+TEST(TlrCompress, RankIsScaleInvariant) {
+  const SymmetricTileMatrix build = build_kernel_tiles();
+  using Index = std::pair<std::size_t, std::size_t>;
+  // Tiles whose singular values sit >= 2 % from the cutoff.
+  for (const auto& [ti, tj] : {Index{1, 0}, Index{3, 2}}) {
+    const Matrix<float> a = build.tile(ti, tj).to_fp32();
+    const std::optional<LowRankFactor> base =
+        compress_block(a, kSketchTol, sketch_cap());
+    ASSERT_TRUE(base.has_value());
+    ASSERT_GT(base->rank(), 0u);
+    for (const float scale : {1e-6f, 1e-3f, 1e3f}) {
+      Matrix<float> scaled = a;
+      for (std::size_t i = 0; i < scaled.size(); ++i) {
+        scaled.data()[i] *= scale;
+      }
+      const std::optional<LowRankFactor> factor =
+          compress_block(scaled, kSketchTol, sketch_cap());
+      ASSERT_TRUE(factor.has_value()) << "scale " << scale;
+      EXPECT_EQ(factor->rank(), base->rank()) << "scale " << scale;
+    }
+  }
+}
+
+TEST(TlrCompress, GaussianRandomTileStaysDenseWithoutFallback) {
+  // Full numerical rank: the 48-column sample already shows more than 32
+  // singular values above tol, so the tile stays dense and no Jacobi of
+  // the whole tile runs.
+  const std::uint64_t fallbacks = compress_fallbacks();
+  EXPECT_FALSE(compress_block(random_matrix(kSketchTile, kSketchTile, 81),
+                              kSketchTol, sketch_cap())
+                   .has_value());
+  EXPECT_EQ(compress_fallbacks(), fallbacks);
+}
+
+TEST(TlrCompress, FailedCertificationFallsBackToJacobiBitwise) {
+  // A tile near the top of FP32's range: 3e38 times a Gaussian sample
+  // overflows the FP32 sketch, and the non-finite sample fails
+  // certification.  The FP64 Jacobi of the whole tile then compresses it
+  // — bitwise the Jacobi result — with a warning and a counted fallback.
+  Matrix<float> a = build_kernel_tiles().tile(2, 0).to_fp32();
+  a(5, 7) = 3e38f;
+  const LowRankFactor jacobi =
+      truncate_svd(jacobi_svd(a), kSketchTol, a.rows(), a.cols());
+  ASSERT_LE(jacobi.rank(), sketch_cap());
+  const std::uint64_t fallbacks = compress_fallbacks();
+  std::optional<LowRankFactor> factor;
+  const std::string warning = captured_warnings(
+      [&] { factor = compress_block(a, kSketchTol, sketch_cap()); });
+  ASSERT_TRUE(factor.has_value());
+  EXPECT_TRUE(same_factor(*factor, jacobi));
+  EXPECT_EQ(compress_fallbacks(), fallbacks + 1);
+  EXPECT_NE(warning.find("failed certification"), std::string::npos)
+      << warning;
+}
+
+TEST(TlrCompress, FactorBitsRepeatAndIgnoreWorkerCount) {
+  // Omega is seeded by the tile shape alone, so the factor is a pure
+  // function of the tile's values: the same bits twice, and from
+  // associate()'s per-tile prepare tasks on 1 or 4 workers.
+  const SymmetricTileMatrix build = build_kernel_tiles();
+  const Matrix<float> a = build.tile(2, 1).to_fp32();
+  const std::optional<LowRankFactor> first =
+      compress_block(a, kSketchTol, sketch_cap());
+  const std::optional<LowRankFactor> second =
+      compress_block(a, kSketchTol, sketch_cap());
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_TRUE(same_factor(*first, *second));
+
+  TlrPolicy policy;
+  policy.tol = kSketchTol;
+  const auto all = [](std::size_t, std::size_t) { return true; };
+  const auto prepare = [&](std::size_t workers) {
+    Runtime runtime(workers);
+    SymmetricTileMatrix tiles = build;
+    return prepare_tiles(runtime, tiles, all,
+                         TilePrepareOptions{0.0f, false, policy});
+  };
+  const PreparedTiles one = prepare(1);
+  const PreparedTiles four = prepare(4);
+  ASSERT_EQ(one.factors.size(), four.factors.size());
+  std::size_t compressed = 0;
+  for (std::size_t idx = 0; idx < one.factors.size(); ++idx) {
+    ASSERT_EQ(one.factors[idx].has_value(), four.factors[idx].has_value());
+    if (!one.factors[idx]) continue;
+    ++compressed;
+    EXPECT_TRUE(same_factor(*one.factors[idx], *four.factors[idx]))
+        << "tile index " << idx;
+  }
+  EXPECT_GT(compressed, 0u);
+}
+
+TEST(TlrCompress, RollbackRetruncationMatchesThePlanBitwise) {
+  // kEscalate's rollback re-truncates a planned-low-rank slot from the
+  // pre-demotion values with the plan's compressor: at the planned
+  // precision it must reproduce the plan's factor bit for bit.
+  const SymmetricTileMatrix source = build_kernel_tiles();
+  SymmetricTileMatrix planned = source;
+  const std::size_t nt = planned.tile_count();
+  PrecisionMap map(nt, Precision::kFp32);
+  map.set(3, 0, Precision::kFp16);
+  TlrPolicy policy;
+  policy.tol = kSketchTol;
+  plan_tlr_compression(planned, map, policy);
+  ASSERT_TRUE(planned.has_low_rank());
+  for (std::size_t tj = 0; tj < nt; ++tj) {
+    for (std::size_t ti = tj + 1; ti < nt; ++ti) {
+      if (!planned.is_low_rank(ti, tj)) continue;
+      TileSlot restored;
+      restore_slot(restored, source.slot(ti, tj), map.get(ti, tj), true,
+                   policy.tol, policy.max_rank_fraction);
+      ASSERT_TRUE(restored.is_low_rank());
+      const TlrTile& want = planned.low_rank_tile(ti, tj);
+      const TlrTile& got = restored.low_rank();
+      ASSERT_EQ(got.rank(), want.rank());
+      ASSERT_EQ(got.precision(), want.precision());
+      if (want.rank() == 0) continue;
+      EXPECT_EQ(std::memcmp(got.u().raw(), want.u().raw(),
+                            want.u().storage_bytes()),
+                0)
+          << "tile (" << ti << ", " << tj << ") U diverged";
+      EXPECT_EQ(std::memcmp(got.v().raw(), want.v().raw(),
+                            want.v().storage_bytes()),
+                0)
+          << "tile (" << ti << ", " << tj << ") V diverged";
+    }
+  }
+}
+
+TEST(TlrCompress, NonFiniteTileFailsAsTheDensePathDoes) {
+  // One NaN in tile (2, 0) of a 512 x 512 Gaussian kernel.  The dense
+  // path (tol 0) stops at the NaN's row.  TLR must not compress the tile
+  // to a rank-0 factor that erases the NaN and lets the solve "succeed":
+  // the tile stays dense and the factorization fails at the same order.
+  const std::size_t n = 4 * kSketchTile;
+  Matrix<float> k(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = static_cast<double>(i) - static_cast<double>(j);
+      k(i, j) = static_cast<float>(std::exp(-d * d / 2000.0));
+    }
+  }
+  k(300, 5) = k(5, 300) = std::numeric_limits<float>::quiet_NaN();
+  const Matrix<float> ph = random_matrix(n, 2, 75);
+  Runtime runtime(2);
+  const auto failing_order = [&](double tol) {
+    AssociateConfig config;
+    config.alpha = 2.0;
+    config.mode = PrecisionMode::kFixed;
+    config.tlr = TlrPolicy{};
+    config.tlr.tol = tol;
+    SymmetricTileMatrix tiles(n, kSketchTile);
+    tiles.from_dense(k);
+    try {
+      associate(runtime, tiles, ph, config);
+    } catch (const NumericalError& e) {
+      return e.index();
+    }
+    return 0L;
+  };
+  const long dense = failing_order(0.0);
+  EXPECT_EQ(dense, 301);
+  EXPECT_EQ(failing_order(kSketchTol), dense);
 }
 
 }  // namespace
