@@ -269,7 +269,7 @@ inline void real_dist_potrf_section(
       inputs.phase = "dist_potrf";
       inputs.ranks = ranks;
       inputs.streams = &r.streams;
-      inputs.wire = telemetry::WireSummary::from(r.wire);
+      inputs.wire = &r.wire;
       inputs.include_metrics = false;  // keep BENCH rows compact
       record.telemetry = telemetry::run_report_json(inputs);
       if (telemetry_cfg.trace_enabled()) {

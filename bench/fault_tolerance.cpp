@@ -38,14 +38,7 @@ using dist::FaultPlan;
 
 struct FtRun {
   double median_seconds = 0.0;
-  std::uint64_t checkpoint_bytes = 0;
-  std::uint64_t checkpoint_tiles = 0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t restored_tiles = 0;
-  std::uint64_t restored_bytes = 0;
-  int rank_losses = 0;
-  long last_restore_cut = -1;
-  std::vector<int> final_ranks;
+  telemetry::FaultSummary ft;  ///< rank 0's outcome of the last repetition
   std::uint64_t wire_bytes = 0;
 };
 
@@ -76,14 +69,7 @@ FtRun run_case(std::size_t n, std::size_t ts, int ranks, long interval,
           if (r.active_comm(comm).rank() == 0) {
             std::lock_guard<std::mutex> lock(mutex);
             seconds[static_cast<std::size_t>(rep)] = timer.seconds();
-            out.checkpoint_bytes = r.checkpoint_bytes;
-            out.checkpoint_tiles = r.checkpoint_tiles;
-            out.checkpoints = r.checkpoints;
-            out.restored_tiles = r.restored_tiles;
-            out.restored_bytes = r.restored_bytes;
-            out.rank_losses = r.rank_losses;
-            out.last_restore_cut = r.last_restore_cut;
-            out.final_ranks = r.final_ranks;
+            out.ft = r;
           }
         });
     out.wire_bytes = wire.total_tile_bytes();
@@ -141,10 +127,11 @@ int main(int argc, char** argv) {
     overhead.add_row(
         {std::to_string(interval), Table::num(r.median_seconds, 4),
          Table::num(pct, 2),
-         Table::num(static_cast<double>(r.checkpoint_bytes) / 1048576.0, 3),
-         std::to_string(r.checkpoints)});
+         Table::num(static_cast<double>(r.ft.checkpoint_bytes) / 1048576.0,
+                    3),
+         std::to_string(r.ft.checkpoints)});
     records.push_back({"ft_interval_" + std::to_string(interval), n, ts,
-                       ranks, r.median_seconds, r.checkpoint_bytes, pct});
+                       ranks, r.median_seconds, r.ft.checkpoint_bytes, pct});
   }
   std::cout << "(a) fault-free overhead of checkpointed vs plain "
                "dist_tiled_potrf\n";
@@ -174,27 +161,18 @@ int main(int argc, char** argv) {
             : 0.0;
     recovery.add_row(
         {std::to_string(interval), Table::num(r.median_seconds, 4),
-         Table::num(pct, 2), std::to_string(r.last_restore_cut),
-         std::to_string(r.final_ranks.size())});
+         Table::num(pct, 2), std::to_string(r.ft.last_restore_cut),
+         std::to_string(r.ft.final_ranks.size())});
     bench::BenchRecord record{"ft_kill_interval_" + std::to_string(interval),
                               n, ts, ranks, r.median_seconds,
-                              r.checkpoint_bytes, pct};
+                              r.ft.checkpoint_bytes, pct};
     const telemetry::TelemetryConfig telemetry_cfg =
         telemetry::telemetry_config();
     if (telemetry_cfg.report_enabled()) {
       telemetry::RunReportInputs inputs;
       inputs.phase = "dist_potrf_ft";
       inputs.ranks = ranks;
-      inputs.fault.valid = true;
-      inputs.fault.injection_active = true;
-      inputs.fault.rank_losses = r.rank_losses;
-      inputs.fault.last_restore_cut = r.last_restore_cut;
-      inputs.fault.checkpoints = r.checkpoints;
-      inputs.fault.checkpoint_tiles = r.checkpoint_tiles;
-      inputs.fault.checkpoint_bytes = r.checkpoint_bytes;
-      inputs.fault.restored_tiles = r.restored_tiles;
-      inputs.fault.restored_bytes = r.restored_bytes;
-      inputs.fault.final_ranks = r.final_ranks;
+      inputs.fault = &r.ft;
       telemetry::write_run_report(telemetry_cfg.report_path, inputs);
       record.telemetry = telemetry::run_report_json(inputs);
     }

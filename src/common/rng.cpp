@@ -117,11 +117,6 @@ int Rng::binomial(int n, double p) noexcept {
   return count;
 }
 
-double Rng::exponential(double rate) noexcept {
-  // -log(1 - u) avoids log(0); uniform() < 1 always holds.
-  return -std::log1p(-uniform()) / rate;
-}
-
 long Rng::poisson(double lambda) noexcept {
   if (lambda <= 0.0) return 0;
   if (lambda < 30.0) {

@@ -57,8 +57,6 @@ class Rng {
   bool bernoulli(double p) noexcept;
   /// Binomial(n, p) by direct simulation (n is small in our use: 2 alleles).
   int binomial(int n, double p) noexcept;
-  /// Exponential with given rate.
-  double exponential(double rate) noexcept;
   /// Poisson(lambda), Knuth for small lambda / normal approx for large.
   long poisson(double lambda) noexcept;
   /// Gamma(shape, 1) via Marsaglia-Tsang (boosted for shape < 1).

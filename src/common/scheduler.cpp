@@ -91,11 +91,6 @@ void Scheduler::sample_queue_depth() {
          !depth_max_.compare_exchange_weak(seen, depth,
                                            std::memory_order_relaxed)) {
   }
-  // This runs on every submit: the histogram record is one relaxed
-  // fetch_add on a thread-private shard cell (see telemetry/metrics.hpp).
-  static telemetry::Histogram& queue_depth =
-      telemetry::MetricRegistry::global().histogram("sched.queue_depth");
-  queue_depth.record(depth);
 }
 
 void Scheduler::submit(std::function<void()> fn, int priority) {
@@ -235,7 +230,7 @@ void Scheduler::worker_loop(std::size_t worker_index) {
     if (got) {
       // Count before running: a task may observe (via Runtime::wait)
       // that the whole graph drained the instant its body returns, and
-      // the stats snapshot taken there must already include it.
+      // a stats() read after that wait must already include it.
       me.executed.fetch_add(1, std::memory_order_relaxed);
       task.fn();
       if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {

@@ -8,30 +8,6 @@
 
 namespace kgwas::dist {
 
-namespace {
-
-struct CheckpointCounters {
-  telemetry::Counter& writes;
-  telemetry::Counter& tiles;
-  telemetry::Counter& bytes;
-  telemetry::Counter& commits;
-  telemetry::Counter& restored_tiles;
-  telemetry::Counter& restored_bytes;
-
-  static CheckpointCounters& get() {
-    auto& r = telemetry::MetricRegistry::global();
-    static CheckpointCounters c{r.counter("checkpoint.writes"),
-                                r.counter("checkpoint.tiles"),
-                                r.counter("checkpoint.bytes"),
-                                r.counter("checkpoint.commits"),
-                                r.counter("recovery.rank_loss.tiles_restored"),
-                                r.counter("recovery.rank_loss.bytes_restored")};
-    return c;
-  }
-};
-
-}  // namespace
-
 void TileCheckpoint::stage_own(std::size_t ti, std::size_t tj,
                                std::vector<std::byte> frame) {
   Slot& slot = own_[key(ti, tj)];
@@ -63,7 +39,6 @@ void TileCheckpoint::commit(long cut) {
     }
   }
   committed_cut_ = cut;
-  CheckpointCounters::get().commits.add(1);
 }
 
 void TileCheckpoint::discard_staged() {
@@ -110,25 +85,6 @@ void TileCheckpoint::reset() {
   committed_cut_ = -1;
 }
 
-std::size_t TileCheckpoint::captures() const noexcept {
-  std::size_t n = 0;
-  for (const SlotMap* map : {&own_, &replica_}) {
-    for (const auto& [k, slot] : *map) n += slot.history.size();
-  }
-  return n;
-}
-
-std::size_t TileCheckpoint::bytes() const noexcept {
-  std::size_t n = 0;
-  for (const SlotMap* map : {&own_, &replica_}) {
-    for (const auto& [k, slot] : *map) {
-      for (const auto& c : slot.history) n += c.frame.size();
-      n += slot.staged.size();
-    }
-  }
-  return n;
-}
-
 CheckpointIo write_checkpoint(Communicator& comm, TileCheckpoint& store,
                               const DistSymmetricTileMatrix& a, long cut,
                               Phase data_phase) {
@@ -142,7 +98,6 @@ CheckpointIo write_checkpoint(Communicator& comm, TileCheckpoint& store,
   // in lockstep — so owner and buddy derive the same frame schedule.
   const long prev = store.committed_cut() < 0 ? 0 : store.committed_cut();
   CheckpointIo io;
-  CheckpointCounters& counters = CheckpointCounters::get();
 
   // Stage own captures and ship replica copies to the ring buddy (sends
   // are asynchronous; posting them all before receiving the
@@ -188,9 +143,6 @@ CheckpointIo write_checkpoint(Communicator& comm, TileCheckpoint& store,
   // absorbs).
   comm.barrier();
   store.commit(cut);
-  counters.writes.add(1);
-  counters.tiles.add(io.tiles);
-  counters.bytes.add(io.bytes);
   return io;
 }
 
@@ -231,7 +183,6 @@ CheckpointIo restore_from_checkpoint(SurvivorComm& comm,
   };
 
   CheckpointIo io;
-  CheckpointCounters& counters = CheckpointCounters::get();
   // Pass 1: every holder posts its frames (local adopts happen inline).
   for (std::size_t tj = 0; tj < nt; ++tj) {
     for (std::size_t ti = tj; ti < nt; ++ti) {
@@ -273,8 +224,6 @@ CheckpointIo restore_from_checkpoint(SurvivorComm& comm,
       io.bytes += m.payload.size();
     }
   }
-  counters.restored_tiles.add(io.tiles);
-  counters.restored_bytes.add(io.bytes);
   comm.barrier();
   return io;
 }

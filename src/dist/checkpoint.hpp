@@ -91,9 +91,6 @@ class TileCheckpoint {
   /// timeline (escalation restart, rank-loss regeneration).
   void reset();
 
-  std::size_t captures() const noexcept;
-  std::size_t bytes() const noexcept;
-
  private:
   struct Capture {
     long cut = -1;

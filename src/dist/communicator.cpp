@@ -44,15 +44,9 @@ void Communicator::send(int dest, std::uint64_t tag,
   messages_.fetch_add(1, std::memory_order_relaxed);
   payload_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
 
-  // Registry mirrors of the ledger above — same increment sites, so the
-  // RunReport's wire block and the "wire.*" metrics can never disagree
-  // with wire_volume().  Per-peer counters are resolved once per endpoint.
-  static telemetry::Counter& frames =
-      telemetry::MetricRegistry::global().counter("wire.frames");
-  static telemetry::Counter& bytes =
-      telemetry::MetricRegistry::global().counter("wire.bytes");
-  frames.add(1);
-  bytes.add(payload.size());
+  // The per-destination split lives only in the registry; the ledger above
+  // keeps the endpoint totals.  Per-peer counters are resolved once per
+  // endpoint.
   std::call_once(peer_counters_once_, [this] {
     auto& registry = telemetry::MetricRegistry::global();
     peer_counters_.reserve(static_cast<std::size_t>(size()));
@@ -162,17 +156,6 @@ void Communicator::record_tile_payload(Precision precision,
                                        std::uint64_t bytes) noexcept {
   tile_bytes_[static_cast<std::size_t>(precision)].fetch_add(
       bytes, std::memory_order_relaxed);
-  static std::array<telemetry::Counter*, kNumPrecisions>* per_precision =
-      [] {
-        auto* counters = new std::array<telemetry::Counter*, kNumPrecisions>;
-        for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-          (*counters)[i] = &telemetry::MetricRegistry::global().counter(
-              std::string("wire.tile_bytes.") +
-              to_string(static_cast<Precision>(i)));
-        }
-        return counters;
-      }();
-  (*per_precision)[static_cast<std::size_t>(precision)]->add(bytes);
 }
 
 void Communicator::record_comm_event(const telemetry::CommEvent& event) {
@@ -184,11 +167,6 @@ void Communicator::record_comm_event(const telemetry::CommEvent& event) {
 std::vector<telemetry::CommEvent> Communicator::comm_events() const {
   std::lock_guard<std::mutex> lock(events_mutex_);
   return events_;
-}
-
-void Communicator::clear_comm_events() {
-  std::lock_guard<std::mutex> lock(events_mutex_);
-  events_.clear();
 }
 
 WireVolume Communicator::wire_volume() const {

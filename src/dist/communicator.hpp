@@ -198,10 +198,9 @@ class Communicator {
   Message recv_transport(std::uint64_t tag) { return do_recv(tag); }
   Message recv_any_transport() { return do_recv_any(); }
 
-  /// Adds another endpoint's ledger into this one without touching the
-  /// registry mirrors (those were already incremented at the endpoint
-  /// that counted the sends).  Used by wrapping communicators on
-  /// destruction so the world total still sees their traffic.
+  /// Adds another endpoint's ledger into this one.  Used by wrapping
+  /// communicators on destruction so the world total still sees their
+  /// traffic.
   void absorb_wire_volume(const WireVolume& v) noexcept;
 
   /// Adds tile payload bytes to the per-precision ledger (called by the
@@ -225,7 +224,6 @@ class Communicator {
   }
   void record_comm_event(const telemetry::CommEvent& event);
   std::vector<telemetry::CommEvent> comm_events() const;
-  void clear_comm_events();
 
  protected:
   virtual void do_send(int dest, std::uint64_t tag,

@@ -18,7 +18,6 @@
 #include "dist/tile_transport.hpp"
 #include "linalg/cholesky_dag.hpp"
 #include "linalg/tiled_cholesky.hpp"
-#include "telemetry/metrics.hpp"
 #include "tile/tile_pool.hpp"
 
 namespace kgwas::dist {
@@ -323,6 +322,7 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
                               const DistPotrfOptions& options) {
   const std::size_t nt = a.tile_count();
   DistFtResult result;
+  result.injection_active = comm.fault_injection_active();
   result.final_ranks.resize(static_cast<std::size_t>(comm.size()));
   std::iota(result.final_ranks.begin(), result.final_ranks.end(), 0);
 
@@ -402,7 +402,6 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
   };
   arm_callback(active);
 
-  auto& registry = telemetry::MetricRegistry::global();
   const auto record_span = [&runtime](const char* name, std::uint64_t t0) {
     runtime.profiler().record(TaskSpan{name, t0, steady_ns(), -1, 0.0});
   };
@@ -448,9 +447,6 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
             survivors.push_back(r);
           }
         }
-        registry.counter("recovery.rank_loss.events").add(1);
-        registry.counter("recovery.rank_loss.ranks_lost")
-            .add(dead.size() - counted_dead);
         result.rank_losses += static_cast<int>(dead.size() - counted_dead);
         counted_dead = dead.size();
         if (survivors.size() < 2) {
@@ -571,7 +567,9 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
         // Every rank is here, so the flush barriers align whether the
         // verdict is a retry or a throw.
         flush_round(*active, *mat);
-        escalate_or_throw(runtime, report, escalate ? &current : nullptr,
+        // One factorization of the world: logical rank 0 records it.
+        escalate_or_throw(active->rank() == 0 ? &runtime.profiler() : nullptr,
+                          report, escalate ? &current : nullptr,
                           options.max_escalations, failing, a.tile_size(),
                           nt);
         report.attempts = report.escalations() + 1;
@@ -602,8 +600,22 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
 
   report.recovered = report.escalations() > 0 || result.rank_losses > 0;
   if (map != nullptr) report.final_map = current;
-  runtime.profiler().record_recovery(report.attempts, report.events.size(),
-                                     report.tiles_promoted);
+  if (active->rank() == 0) {
+    runtime.profiler().record_recovery(report.attempts, report.events.size(),
+                                       report.tiles_promoted);
+  }
+  if (ft) {
+    // World totals on every survivor (see DistFtResult).
+    double io[] = {static_cast<double>(result.checkpoint_tiles),
+                   static_cast<double>(result.checkpoint_bytes),
+                   static_cast<double>(result.restored_tiles),
+                   static_cast<double>(result.restored_bytes)};
+    active->allreduce_sum(io, 4);
+    result.checkpoint_tiles = static_cast<std::uint64_t>(io[0]);
+    result.checkpoint_bytes = static_cast<std::uint64_t>(io[1]);
+    result.restored_tiles = static_cast<std::uint64_t>(io[2]);
+    result.restored_bytes = static_cast<std::uint64_t>(io[3]);
+  }
   // Every consumer of a cached panel tile has completed; drop the cache
   // so peak memory stays bounded to one phase's working set (the solve
   // re-ships the factor tiles it needs under its own tags).

@@ -55,6 +55,7 @@
 #include "linalg/factorization_report.hpp"
 #include "mpblas/matrix.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/run_report.hpp"
 #include "tile/precision_map.hpp"
 
 namespace kgwas::dist {
@@ -91,15 +92,13 @@ struct DistPotrfOptions {
 /// re-gridded factor — the input matrix `a` is stale and must not be
 /// used; follow-up collectives (solve, gather) must run over `*comm` and
 /// `*matrix`.  Both are null on a loss-free run.
-struct DistFtResult {
-  int rank_losses = 0;             ///< ranks lost over the whole run
-  long last_restore_cut = -1;      ///< newest cut recovered from (-1: none)
-  std::uint64_t checkpoints = 0;   ///< committed checkpoint writes
-  std::uint64_t checkpoint_tiles = 0;
-  std::uint64_t checkpoint_bytes = 0;
-  std::uint64_t restored_tiles = 0;
-  std::uint64_t restored_bytes = 0;
-  std::vector<int> final_ranks;    ///< physical ranks, logical order
+///
+/// The tallies are the FaultSummary base.  A checkpointed run ends by
+/// summing the four tile and byte tallies over the surviving ranks, so
+/// every survivor holds the world's checkpoint and restore IO (a lost
+/// rank's writes drop out of the sum); the other fields are identical on
+/// every survivor.
+struct DistFtResult : telemetry::FaultSummary {
   std::unique_ptr<SurvivorComm> comm;
   std::unique_ptr<DistSymmetricTileMatrix> matrix;
 

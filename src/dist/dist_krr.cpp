@@ -307,18 +307,7 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
       result.factor_bytes = assoc.factor_bytes;
       result.fp32_bytes = assoc.fp32_bytes;
       result.report = std::move(assoc.report);
-      if (ft_enabled) {
-        result.fault.valid = true;
-        result.fault.injection_active = comm.fault_injection_active();
-        result.fault.rank_losses = ft.rank_losses;
-        result.fault.last_restore_cut = ft.last_restore_cut;
-        result.fault.checkpoints = ft.checkpoints;
-        result.fault.checkpoint_tiles = ft.checkpoint_tiles;
-        result.fault.checkpoint_bytes = ft.checkpoint_bytes;
-        result.fault.restored_tiles = ft.restored_tiles;
-        result.fault.restored_bytes = ft.restored_bytes;
-        result.fault.final_ranks = ft.final_ranks;
-      }
+      if (ft_enabled) result.fault.emplace(ft);
     }
 
     if (telemetry_cfg.any_enabled()) {
@@ -335,8 +324,8 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     inputs.phase = "dist_krr";
     inputs.ranks = world;
     inputs.streams = &streams;
-    inputs.wire = telemetry::WireSummary::from(result.wire);
-    inputs.fault = result.fault;
+    inputs.wire = &result.wire;
+    if (result.fault) inputs.fault = &*result.fault;
     try {
       if (telemetry_cfg.trace_enabled()) {
         telemetry::write_merged_trace(

@@ -13,6 +13,8 @@
 // block on one rank in the same column order as the serial chain.
 #pragma once
 
+#include <optional>
+
 #include "dist/communicator.hpp"
 #include "dist/dist_cholesky.hpp"
 #include "dist/dist_tile_matrix.hpp"
@@ -88,9 +90,9 @@ struct DistKrrResult {
   /// Breakdown-recovery diagnostics of the factorization (identical on
   /// every rank; reported from rank 0).
   FactorizationReport report;
-  /// Fault-tolerance outcome (valid only when the FT path ran — see
-  /// fault_tolerance_requested); becomes the report's "fault" block.
-  telemetry::FaultSummary fault;
+  /// Rank 0's fault-tolerance outcome, engaged only when the FT path ran
+  /// (see fault_tolerance_requested); becomes the report's "fault" block.
+  std::optional<telemetry::FaultSummary> fault;
 };
 
 /// Convenience harness for tests and benches: spins up an in-process

@@ -85,17 +85,7 @@ const TileSlot& DistSymmetricTileMatrix::cached_slot(std::uint64_t tag) const {
   return it->second;
 }
 
-bool DistSymmetricTileMatrix::has_cached(std::uint64_t tag) const {
-  return cache_.count(tag) != 0;
-}
-
 void DistSymmetricTileMatrix::clear_cache() const { cache_.clear(); }
-
-std::size_t DistSymmetricTileMatrix::cache_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [tag, s] : cache_) total += s.storage_bytes();
-  return total;
-}
 
 std::size_t DistSymmetricTileMatrix::local_storage_bytes() const {
   std::size_t total = 0;
@@ -209,17 +199,5 @@ const Tile& DistTileMatrix::cached(std::uint64_t tag) const {
 }
 
 void DistTileMatrix::clear_cache() { cache_.clear(); }
-
-std::size_t DistTileMatrix::cache_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [tag, s] : cache_) total += s.storage_bytes();
-  return total;
-}
-
-std::size_t DistTileMatrix::local_storage_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [k, tile] : local_) total += tile.storage_bytes();
-  return total;
-}
 
 }  // namespace kgwas::dist

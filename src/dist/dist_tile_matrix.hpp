@@ -72,10 +72,8 @@ class DistSymmetricTileMatrix {
   TileSlot& cache_slot(std::uint64_t tag) const;
   const Tile& cached(std::uint64_t tag) const;
   const TileSlot& cached_slot(std::uint64_t tag) const;
-  bool has_cached(std::uint64_t tag) const;
   void clear_cache() const;
   std::size_t cache_tiles() const noexcept { return cache_.size(); }
-  std::size_t cache_bytes() const;
 
   /// Bytes of locally-owned tile payloads (dense or factor bytes).
   std::size_t local_storage_bytes() const;
@@ -158,9 +156,6 @@ class DistTileMatrix {
   TileSlot& cache_slot(std::uint64_t tag);
   const Tile& cached(std::uint64_t tag) const;
   void clear_cache();
-  std::size_t cache_bytes() const;
-
-  std::size_t local_storage_bytes() const;
 
  private:
   static std::uint64_t key(std::size_t ti, std::size_t tj) {

@@ -82,9 +82,11 @@ inline int potrf_task_priority(int base, std::size_t nt, std::size_t k,
 /// appends the EscalationRecord to `report` and returns: the caller rolls
 /// back to `*map` and retries.  Otherwise — kThrow, retries exhausted, or
 /// nothing left to promote (the matrix is not SPD at working precision)
-/// — records the factorization's recovery outcome in the profiler and
-/// throws the typed NumericalError.
-void escalate_or_throw(Runtime& runtime, FactorizationReport& report,
+/// — records the factorization's recovery outcome in `profiler` (null:
+/// not recorded; the distributed driver records on logical rank 0 only,
+/// so a world counts one factorization) and throws the typed
+/// NumericalError.
+void escalate_or_throw(Profiler* profiler, FactorizationReport& report,
                        PrecisionMap* map, int max_escalations,
                        long failing_index, std::size_t tile_size,
                        std::size_t tile_count);

@@ -139,7 +139,7 @@ void restore_slot(TileSlot& dst, const TileSlot& source, Precision target,
   dst.set_dense(std::move(t));
 }
 
-void escalate_or_throw(Runtime& runtime, FactorizationReport& report,
+void escalate_or_throw(Profiler* profiler, FactorizationReport& report,
                        PrecisionMap* map, int max_escalations,
                        long failing_index, std::size_t tile_size,
                        std::size_t tile_count) {
@@ -156,8 +156,10 @@ void escalate_or_throw(Runtime& runtime, FactorizationReport& report,
   }
   // Failed factorizations count too: RecoveryStats tracks breakdown
   // frequency.
-  runtime.profiler().record_recovery(report.attempts, report.events.size(),
-                                     report.tiles_promoted);
+  if (profiler != nullptr) {
+    profiler->record_recovery(report.attempts, report.events.size(),
+                              report.tiles_promoted);
+  }
   throw NumericalError(
       "tiled Cholesky: leading minor of order " +
           std::to_string(failing_index) +
@@ -198,7 +200,6 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
     try {
       if (nt != 0) {
         LocalPotrf x(runtime, a);
-        runtime.account_data_motion(tiled_potrf_data_motion_bytes(a));
         submit_potrf_steps(runtime, x, 0, nt, options.base_priority);
         // Throws the NumericalError of a failed pivot (the runtime
         // cancels the rest of the DAG first).
@@ -206,7 +207,8 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
       }
       break;
     } catch (const NumericalError& e) {
-      escalate_or_throw(runtime, report, escalate ? &current : nullptr,
+      escalate_or_throw(&runtime.profiler(), report,
+                        escalate ? &current : nullptr,
                         options.max_escalations, e.index(), a.tile_size(),
                         nt);
       restore_from_source(a, *rollback, current, plan, owns_all);

@@ -105,10 +105,10 @@ void tiled_potrs(Runtime& runtime, const SymmetricTileMatrix& l,
 /// Convenience: factor + solve.
 void tiled_posv(Runtime& runtime, SymmetricTileMatrix& a, Matrix<float>& b);
 
-/// Bytes of tile payload a factorization moves between tasks, assuming
-/// every tile crosses a worker boundary once per consuming task — the
-/// runtime's data-motion ledger is filled by tiled_potrf with this
-/// accounting so mixed-precision runs show the communication saving.
+/// Bytes of tile payload a factorization of `a` moves between tasks,
+/// assuming every tile crosses a worker boundary once per consuming task
+/// at its storage precision: the modelled data motion behind the
+/// mixed-precision communication saving.
 std::size_t tiled_potrf_data_motion_bytes(const SymmetricTileMatrix& a);
 
 }  // namespace kgwas

@@ -1,41 +1,10 @@
 #include "mpblas/mixed.hpp"
 
-#include <vector>
-
 #include "common/status.hpp"
 #include "mpblas/blas.hpp"
 #include "mpblas/kernels.hpp"
-#include "precision/convert.hpp"
 
 namespace kgwas {
-
-namespace {
-
-/// Copies op(A) (m x k, col-major result) out of A, rounding each element
-/// to the operand precision.  Materializing the rounded operand mirrors
-/// what the hardware does when tiles are *stored* narrow; it also lets the
-/// inner loops run plain FP32.
-std::vector<float> rounded_operand(Precision precision, Trans trans,
-                                   std::size_t rows, std::size_t cols,
-                                   const float* a, std::size_t lda) {
-  std::vector<float> out(rows * cols);
-  if (trans == Trans::kNoTrans) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      const float* src = a + j * lda;
-      float* dst = out.data() + j * rows;
-      for (std::size_t i = 0; i < rows; ++i) dst[i] = src[i];
-    }
-  } else {
-    for (std::size_t j = 0; j < cols; ++j) {
-      float* dst = out.data() + j * rows;
-      for (std::size_t i = 0; i < rows; ++i) dst[i] = a[j + i * lda];
-    }
-  }
-  quantize_inplace(precision, out.data(), out.size());
-  return out;
-}
-
-}  // namespace
 
 namespace reference {
 
@@ -139,36 +108,6 @@ void gemm_tc(Precision operand_precision, Trans trans_a, Trans trans_b,
       mpblas::kernels::fp32_view(a, lda, trans_a, operand_precision),
       mpblas::kernels::fp32_view(b, ldb, trans_b, operand_precision), beta, c,
       ldc);
-}
-
-void syrk_tc(Precision operand_precision, Uplo uplo, Trans trans,
-             std::size_t n, std::size_t k, float alpha, const float* a,
-             std::size_t lda, float beta, float* c, std::size_t ldc) {
-  if (operand_precision == Precision::kFp32 ||
-      operand_precision == Precision::kFp64) {
-    syrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc);
-    return;
-  }
-  KGWAS_CHECK_ARG(operand_precision != Precision::kInt8,
-                  "use syrk_i8_i32 for INT8 operands");
-  mpblas::kernels::syrk_view(
-      uplo, n, k, alpha,
-      mpblas::kernels::fp32_view(a, lda, trans, operand_precision), beta, c,
-      ldc);
-}
-
-void trsm_tc(Precision operand_precision, Side side, Uplo uplo, Trans trans,
-             Diag diag, std::size_t m, std::size_t n, float alpha,
-             const float* a, std::size_t lda, float* b, std::size_t ldb) {
-  if (operand_precision == Precision::kFp32 ||
-      operand_precision == Precision::kFp64) {
-    trsm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb);
-    return;
-  }
-  const std::size_t dim = side == Side::kLeft ? m : n;
-  const auto a_rounded =
-      rounded_operand(operand_precision, Trans::kNoTrans, dim, dim, a, lda);
-  trsm(side, uplo, trans, diag, m, n, alpha, a_rounded.data(), dim, b, ldb);
 }
 
 double gemm_op_count(std::size_t m, std::size_t n, std::size_t k) {

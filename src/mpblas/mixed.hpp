@@ -9,7 +9,7 @@
 //    — the key reason the paper's Build phase preserves accuracy at INT8.
 //    The scalar loops survive as the test oracle `kgwas::reference::`.
 //
-//  * `gemm_tc` / `syrk_tc` — cublasLtMatmul with FP16/BF16/FP8/FP4
+//  * `gemm_tc` — cublasLtMatmul with FP16/BF16/FP8/FP4
 //    operands and FP32 compute type: operands are rounded to the storage
 //    format, then all products/accumulations run in FP32.  This is the
 //    numerical model of a tensor-core MMA with a wide accumulator and is
@@ -64,18 +64,6 @@ void gemm_tc(Precision operand_precision, Trans trans_a, Trans trans_b,
              std::size_t m, std::size_t n, std::size_t k, float alpha,
              const float* a, std::size_t lda, const float* b, std::size_t ldb,
              float beta, float* c, std::size_t ldc);
-
-/// Tensor-core SYRK emulation (same operand-rounding model as gemm_tc).
-void syrk_tc(Precision operand_precision, Uplo uplo, Trans trans,
-             std::size_t n, std::size_t k, float alpha, const float* a,
-             std::size_t lda, float beta, float* c, std::size_t ldc);
-
-/// Triangular solve where the *triangular operand* A is rounded to
-/// `operand_precision` before the FP32 solve (model of feeding a
-/// low-precision factor tile into a TRSM on tensor-core hardware).
-void trsm_tc(Precision operand_precision, Side side, Uplo uplo, Trans trans,
-             Diag diag, std::size_t m, std::size_t n, float alpha,
-             const float* a, std::size_t lda, float* b, std::size_t ldb);
 
 /// Flop/ops accounting helpers used by the benchmark harness.
 double gemm_op_count(std::size_t m, std::size_t n, std::size_t k);

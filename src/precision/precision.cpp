@@ -79,18 +79,6 @@ Precision precision_from_string(const std::string& name) {
   throw InvalidArgument("unknown precision name: " + name);
 }
 
-bool is_tensor_core_format(Precision precision) {
-  switch (precision) {
-    case Precision::kFp16:
-    case Precision::kBf16:
-    case Precision::kFp8E4M3:
-    case Precision::kFp8E5M2:
-    case Precision::kFp4E2M1:
-    case Precision::kInt8: return true;
-    default: return false;
-  }
-}
-
 double quantize(Precision precision, double value) {
   switch (precision) {
     case Precision::kFp64: return value;

@@ -43,9 +43,6 @@ std::string to_string(Precision precision);
 /// Parses a name produced by to_string(); throws InvalidArgument otherwise.
 Precision precision_from_string(const std::string& name);
 
-/// True for the narrow float formats that model GPU tensor-core inputs.
-bool is_tensor_core_format(Precision precision);
-
 /// Quantizes a value to `precision` storage and widens back to double.
 /// FP64/FP32 pass through their native rounding; INT8 rounds to the
 /// nearest integer in [-128, 127].

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "telemetry/metrics.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/trace.hpp"
 
@@ -109,43 +108,21 @@ double Profiler::parallel_efficiency(std::size_t workers) const {
   return busy / (static_cast<double>(workers) * makespan);
 }
 
-void Profiler::set_scheduler_stats(SchedulerStats stats) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  scheduler_stats_ = std::move(stats);
-}
-
 SchedulerStats Profiler::scheduler_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return scheduler_stats_;
+  return scheduler_ != nullptr ? scheduler_->stats() : SchedulerStats{};
 }
 
 void Profiler::record_recovery(int attempts, std::size_t escalations,
                                std::size_t tiles_promoted) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    recovery_stats_.factorizations += 1;
-    recovery_stats_.attempts += static_cast<std::uint64_t>(attempts);
-    recovery_stats_.escalations += escalations;
-    recovery_stats_.tiles_promoted += tiles_promoted;
-  }
-  // Mirror into the global registry so recovery shows up in every
-  // RunReport, not only reports built from this profiler's stream.
-  static telemetry::Counter& factorizations =
-      telemetry::MetricRegistry::global().counter("recovery.factorizations");
-  static telemetry::Counter& attempt_count =
-      telemetry::MetricRegistry::global().counter("recovery.attempts");
-  static telemetry::Counter& escalation_count =
-      telemetry::MetricRegistry::global().counter("recovery.escalations");
-  static telemetry::Counter& promoted =
-      telemetry::MetricRegistry::global().counter("recovery.tiles_promoted");
-  factorizations.add(1);
-  attempt_count.add(static_cast<std::uint64_t>(attempts));
-  escalation_count.add(escalations);
-  promoted.add(tiles_promoted);
+  std::lock_guard<std::mutex> lock(recovery_mutex_);
+  recovery_stats_.factorizations += 1;
+  recovery_stats_.attempts += static_cast<std::uint64_t>(attempts);
+  recovery_stats_.escalations += escalations;
+  recovery_stats_.tiles_promoted += tiles_promoted;
 }
 
 RecoveryStats Profiler::recovery_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
+  std::lock_guard<std::mutex> lock(recovery_mutex_);
   return recovery_stats_;
 }
 
@@ -168,8 +145,7 @@ void Profiler::clear() {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.spans.clear();
   }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  scheduler_stats_ = SchedulerStats{};
+  std::lock_guard<std::mutex> lock(recovery_mutex_);
   recovery_stats_ = RecoveryStats{};
 }
 

@@ -2,8 +2,8 @@
 // aggregates totals per task name and per worker.  The benchmark harness
 // uses the aggregate view to break runs down into Build / Associate /
 // Predict the way the paper's Fig. 14 does, and the scheduler-efficiency
-// reports use the per-worker view plus the steal/queue-depth counters the
-// runtime snapshots from its Scheduler.
+// reports use the per-worker view plus the steal/queue-depth counters,
+// read live from the owning runtime's Scheduler.
 //
 // Record path: spans land in *sharded* per-thread buffers — each
 // recording thread is assigned one of kSpanShards slots, so the
@@ -64,7 +64,11 @@ struct RecoveryStats {
 
 class Profiler {
  public:
-  explicit Profiler(bool enabled = false) : enabled_(enabled) {}
+  /// `scheduler` (may be null) is the one store scheduler_stats() reads;
+  /// it must outlive the profiler.
+  explicit Profiler(bool enabled = false,
+                    const Scheduler* scheduler = nullptr)
+      : enabled_(enabled), scheduler_(scheduler) {}
 
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
   bool enabled() const noexcept { return enabled_; }
@@ -88,15 +92,14 @@ class Profiler {
   /// 1.0 means every worker was busy for the whole trace.
   double parallel_efficiency(std::size_t workers) const;
 
-  /// Scheduler counters (steals, queue depths) snapshotted by the runtime
-  /// at every wait(); recorded regardless of span profiling so steal and
-  /// priority counters are always visible.
-  void set_scheduler_stats(SchedulerStats stats);
+  /// The scheduler's counters (steals, queue depths) as of now, kept
+  /// regardless of span profiling; zeros without a scheduler.
   SchedulerStats scheduler_stats() const;
 
   /// Accumulates one factorization's recovery outcome; recorded by
-  /// tiled_potrf / dist_tiled_potrf regardless of span profiling so the
-  /// escalation benches can always read retry overhead.
+  /// tiled_potrf and, on logical rank 0 only, dist_tiled_potrf,
+  /// regardless of span profiling so the escalation benches can always
+  /// read retry overhead.
   void record_recovery(int attempts, std::size_t escalations,
                        std::size_t tiles_promoted);
   RecoveryStats recovery_stats() const;
@@ -107,6 +110,8 @@ class Profiler {
   /// when the file cannot be written.
   void write_trace(const std::string& path) const;
 
+  /// Drops the spans and the recovery stats (Runtime::reset_profiling
+  /// also zeroes the scheduler's counters).
   void clear();
 
  private:
@@ -122,10 +127,10 @@ class Profiler {
   SpanShard& local_shard() const;
 
   bool enabled_;
+  const Scheduler* scheduler_;
   int rank_ = 0;
   mutable std::array<SpanShard, kSpanShards> shards_;
-  mutable std::mutex stats_mutex_;  // scheduler_stats_ + recovery_stats_
-  SchedulerStats scheduler_stats_;
+  mutable std::mutex recovery_mutex_;
   RecoveryStats recovery_stats_;
 };
 

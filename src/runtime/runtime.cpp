@@ -37,7 +37,8 @@ Runtime::Runtime(std::size_t workers, bool enable_profiling,
       // call site: trace output is useless without spans, so asking for a
       // trace directory implies asking for profiling.
       profiler_(enable_profiling ||
-                telemetry::telemetry_config().trace_enabled()),
+                    telemetry::telemetry_config().trace_enabled(),
+                &scheduler_),
       profiling_enabled_(enable_profiling ||
                          telemetry::telemetry_config().trace_enabled()) {}
 
@@ -280,9 +281,6 @@ void Runtime::wait() {
       }
     }
   }
-  // Steal/priority counters are part of every drain, independent of span
-  // profiling, so benches can always read scheduler efficiency.
-  profiler_.set_scheduler_stats(scheduler_.stats());
   // The drained graph is gone: clear the cancellation so tasks submitted
   // after this wait() run normally — this is what makes the Runtime
   // reusable after a failure.
@@ -298,10 +296,6 @@ void Runtime::wait() {
 void Runtime::reset_profiling() {
   profiler_.clear();
   scheduler_.reset_stats();
-}
-
-void Runtime::account_data_motion(std::size_t bytes) noexcept {
-  data_motion_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 }  // namespace kgwas

@@ -18,10 +18,10 @@
 //    this to keep the Cholesky critical path (panel POTRF/TRSM) ahead of
 //    trailing-update GEMMs, the way PaRSEC's priority hints do.
 //  * Completions release successors.  The `Profiler` records per-task
-//    spans (for trace dumps) plus the scheduler's steal and queue-depth
-//    counters, and the runtime exposes a data-motion counter the tiled
-//    algorithms use to account bytes moved per precision (the paper's
-//    data-motion argument for mixed precision).
+//    spans (for trace dumps) and reads the scheduler's steal and
+//    queue-depth counters live.  The modelled data motion of a tiled
+//    factorization is `tiled_potrf_data_motion_bytes`
+//    (linalg/tiled_cholesky.hpp), a pure function of the matrix.
 //
 // Execution is fully asynchronous: `submit` never blocks and `wait()`
 // drains the graph.  Submitting from inside a task is allowed.
@@ -157,8 +157,7 @@ class Runtime {
   /// Rethrows the first task exception, if any — a task exception cancels
   /// every not-yet-started task of the current graph (see the error
   /// contract above), so wait() returns promptly after a failure and the
-  /// Runtime is reusable afterwards.  Also snapshots the scheduler's
-  /// steal/queue-depth counters into the profiler.
+  /// Runtime is reusable afterwards.
   void wait();
 
   /// Cancels every not-yet-started task of the current graph: their
@@ -194,12 +193,6 @@ class Runtime {
   /// Total tasks submitted so far.
   std::uint64_t tasks_submitted() const noexcept { return next_task_id_.load(); }
 
-  /// Adds to the data-motion ledger (bytes transferred at a precision
-  /// boundary); used by the tiled algorithms to report communication
-  /// volume per precision.
-  void account_data_motion(std::size_t bytes) noexcept;
-  std::uint64_t data_motion_bytes() const noexcept { return data_motion_.load(); }
-
   const Profiler& profiler() const noexcept { return profiler_; }
   Profiler& profiler() noexcept { return profiler_; }
 
@@ -233,7 +226,6 @@ class Runtime {
   std::atomic<std::uint64_t> next_handle_id_{1};
   std::atomic<std::uint64_t> next_task_id_{0};
   std::atomic<std::uint64_t> pending_tasks_{0};
-  std::atomic<std::uint64_t> data_motion_{0};
 
   std::mutex done_mutex_;
   std::condition_variable all_done_;

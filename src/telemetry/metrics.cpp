@@ -204,9 +204,4 @@ void MetricRegistry::reset() {
   for (auto& gauge : gauges_) gauge->set(0);
 }
 
-std::size_t MetricRegistry::shard_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shards_.size();
-}
-
 }  // namespace kgwas::telemetry

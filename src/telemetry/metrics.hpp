@@ -166,9 +166,6 @@ class MetricRegistry {
   /// lost); call between runs, not during one.
   void reset();
 
-  /// Shards registered so far (one per recording thread ever seen).
-  std::size_t shard_count() const;
-
   /// Fixed cell budget of one shard; metric creation past it throws.
   static constexpr std::size_t kCellsPerShard = 1024;
 

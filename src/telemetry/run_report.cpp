@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/status.hpp"
+#include "dist/communicator.hpp"
 #include "mpblas/kernels.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -148,18 +149,18 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
   }
   w.end_object();
 
-  if (in.wire.valid) {
+  if (in.wire != nullptr) {
+    const dist::WireVolume& wire = *in.wire;
     w.key("wire");
     w.begin_object();
-    w.kv("frames", in.wire.messages);
-    w.kv("bytes_total", in.wire.payload_bytes);
-    w.kv("tile_bytes_total", in.wire.total_tile_bytes());
+    w.kv("frames", wire.messages);
+    w.kv("bytes_total", wire.payload_bytes);
+    w.kv("tile_bytes_total", wire.total_tile_bytes());
     w.key("by_precision");
     w.begin_object();
     for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-      if (in.wire.tile_payload_bytes[i] == 0) continue;
-      w.kv(to_string(static_cast<Precision>(i)),
-           in.wire.tile_payload_bytes[i]);
+      if (wire.tile_payload_bytes[i] == 0) continue;
+      w.kv(to_string(static_cast<Precision>(i)), wire.tile_payload_bytes[i]);
     }
     w.end_object();
     w.end_object();
@@ -188,20 +189,21 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in) {
     }
   }
 
-  if (in.fault.valid) {
+  if (in.fault != nullptr) {
+    const FaultSummary& fault = *in.fault;
     w.key("fault");
     w.begin_object();
-    w.kv("injection_active", in.fault.injection_active);
-    w.kv("rank_losses", in.fault.rank_losses);
-    w.kv("last_restore_cut", in.fault.last_restore_cut);
-    w.kv("checkpoints", in.fault.checkpoints);
-    w.kv("checkpoint_tiles", in.fault.checkpoint_tiles);
-    w.kv("checkpoint_bytes", in.fault.checkpoint_bytes);
-    w.kv("restored_tiles", in.fault.restored_tiles);
-    w.kv("restored_bytes", in.fault.restored_bytes);
+    w.kv("injection_active", fault.injection_active);
+    w.kv("rank_losses", fault.rank_losses);
+    w.kv("last_restore_cut", fault.last_restore_cut);
+    w.kv("checkpoints", fault.checkpoints);
+    w.kv("checkpoint_tiles", fault.checkpoint_tiles);
+    w.kv("checkpoint_bytes", fault.checkpoint_bytes);
+    w.kv("restored_tiles", fault.restored_tiles);
+    w.kv("restored_bytes", fault.restored_bytes);
     w.key("final_ranks");
     w.begin_array();
-    for (const int r : in.fault.final_ranks) w.value(r);
+    for (const int r : fault.final_ranks) w.value(r);
     w.end_array();
     w.end_object();
   }

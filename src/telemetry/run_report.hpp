@@ -16,13 +16,15 @@
 // and the bench harness without any API change at the call sites.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "precision/precision.hpp"
 #include "telemetry/trace.hpp"
+
+namespace kgwas::dist {
+struct WireVolume;
+}  // namespace kgwas::dist
 
 namespace kgwas::telemetry {
 
@@ -41,49 +43,19 @@ struct TelemetryConfig {
 };
 TelemetryConfig telemetry_config();
 
-/// Wire-ledger totals carried into a report.  Mirrors dist::WireVolume
-/// field-for-field without depending on the dist layer (the dist layer
-/// depends on telemetry); build one with `WireSummary::from(volume)`.
-struct WireSummary {
-  bool valid = false;  ///< false = the run had no transport; omit "wire"
-  std::uint64_t messages = 0;
-  std::uint64_t payload_bytes = 0;
-  std::array<std::uint64_t, kNumPrecisions> tile_payload_bytes{};
-
-  std::uint64_t total_tile_bytes() const noexcept {
-    std::uint64_t total = 0;
-    for (const std::uint64_t b : tile_payload_bytes) total += b;
-    return total;
-  }
-
-  template <class Volume>
-  static WireSummary from(const Volume& v) {
-    WireSummary s;
-    s.valid = true;
-    s.messages = v.messages;
-    s.payload_bytes = v.payload_bytes;
-    for (std::size_t i = 0; i < kNumPrecisions; ++i) {
-      s.tile_payload_bytes[i] = v.tile_payload_bytes[i];
-    }
-    return s;
-  }
-};
-
-/// Fault-tolerance outcome carried into a report ("fault" member; omitted
-/// when invalid).  Filled by the distributed pipeline from the
-/// fault-tolerant factorization's result — plain types only, so telemetry
-/// stays independent of the dist layer.
+/// Fault-tolerance outcome of a checkpointed factorization: the report's
+/// "fault" member.  dist::DistFtResult derives from it, so these fields
+/// are the tallies' one store.
 struct FaultSummary {
-  bool valid = false;            ///< false = fault tolerance was not active
   bool injection_active = false; ///< a KGWAS_FAULT_PLAN was live
   int rank_losses = 0;           ///< ranks lost and recovered from
   long last_restore_cut = -1;    ///< newest cut restored (-1: no restore)
-  std::uint64_t checkpoints = 0;
+  std::uint64_t checkpoints = 0; ///< committed checkpoint writes
   std::uint64_t checkpoint_tiles = 0;
   std::uint64_t checkpoint_bytes = 0;
   std::uint64_t restored_tiles = 0;
   std::uint64_t restored_bytes = 0;
-  std::vector<int> final_ranks;  ///< surviving physical ranks
+  std::vector<int> final_ranks;  ///< surviving physical ranks, logical order
 };
 
 struct RunReportInputs {
@@ -92,8 +64,11 @@ struct RunReportInputs {
   /// Per-rank streams to aggregate (may be null/empty: scheduler,
   /// recovery and kernel_classes then report zeros).
   const std::vector<TraceStream>* streams = nullptr;
-  WireSummary wire;
-  FaultSummary fault;
+  /// The transport's wire ledger (the world total run_ranks returns);
+  /// null when the run had no transport, and "wire" is omitted.
+  const dist::WireVolume* wire = nullptr;
+  /// Null when fault tolerance was not active, and "fault" is omitted.
+  const FaultSummary* fault = nullptr;
   /// Snapshot MetricRegistry::global() into the "metrics" member.
   bool include_metrics = true;
 };

@@ -144,15 +144,4 @@ void TilePool::trim() {
   stats_.cached_bytes = 0;
 }
 
-void TilePool::set_max_cached_bytes(std::size_t bytes) {
-  if (!caching_enabled()) return;  // sanitizer builds stay alloc/free
-  std::lock_guard<std::mutex> lock(mutex_);
-  max_cached_bytes_ = bytes;
-}
-
-std::size_t TilePool::max_cached_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_cached_bytes_;
-}
-
 }  // namespace kgwas

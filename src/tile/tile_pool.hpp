@@ -73,8 +73,6 @@ class TilePool {
   Stats stats() const;
   /// Drops every cached buffer (outstanding buffers are unaffected).
   void trim();
-  void set_max_cached_bytes(std::size_t bytes);
-  std::size_t max_cached_bytes() const;
 
   static constexpr std::size_t kDefaultMaxCachedBytes = 256u << 20;  // 256 MiB
 
@@ -83,7 +81,7 @@ class TilePool {
   std::unordered_map<std::size_t, std::vector<AlignedVector<std::byte>>> bytes_;
   std::unordered_map<std::size_t, std::vector<AlignedVector<float>>> f32_;
   std::size_t cached_bytes_ = 0;
-  std::size_t max_cached_bytes_;
+  const std::size_t max_cached_bytes_;
   Stats stats_;
 };
 

@@ -30,6 +30,7 @@
 #include "linalg/precision_policy.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace kgwas {
 namespace {
@@ -386,6 +387,34 @@ PrecisionMap band_map(std::size_t nt) {
   return band_precision_map(nt, 0.34, Precision::kFp16, Precision::kFp32);
 }
 
+/// The fault-tolerance tallies every surviving rank returns from one
+/// checkpointed run (in no particular order).
+std::vector<telemetry::FaultSummary> ft_tallies(std::size_t n, std::size_t ts,
+                                                int ranks,
+                                                const FaultPlan& plan,
+                                                long interval) {
+  SymmetricTileMatrix full(n, ts);
+  full.from_dense(spd_dense(n));
+  const PrecisionMap map = band_map(full.tile_count());
+  map.apply(full);
+  std::vector<telemetry::FaultSummary> tallies;
+  std::mutex mutex;
+  run_ranks(ranks, plan, [&](Communicator& comm) {
+    Runtime rt(1);
+    const ProcessGrid grid(ranks);
+    dist::DistSymmetricTileMatrix a(n, ts, grid, comm.rank());
+    a.from_full(full);
+    dist::DistPotrfOptions options;
+    options.precision_map = &map;
+    options.checkpoint_interval = interval;
+    const dist::DistFtResult result =
+        dist::dist_tiled_potrf(rt, comm, a, options);
+    std::lock_guard<std::mutex> lock(mutex);
+    tallies.push_back(result);
+  });
+  return tallies;
+}
+
 // ------------------------------------------------- injected-fault survival
 
 TEST(DistFaultInjection, DuplicatedPanelFramesAreIgnoredBitwise) {
@@ -486,6 +515,38 @@ TEST(DistFaultTolerance, SweepKillStepAcrossRankCountsAndIntervals) {
         EXPECT_TRUE(factors_bitwise_equal(reference, outcome.factor)) << label;
       }
     }
+  }
+}
+
+TEST(DistFaultTolerance, TalliesAreWorldTotalsOnEverySurvivor) {
+  // nt = 8 at interval 2: cuts 0, 2, 4 and 6 capture the lower tiles with
+  // tj >= the previous cut, 36 + 36 + 21 + 10 of them.  Each capture is
+  // written once by its owner and, past one rank, shipped once to the
+  // owner's ring buddy.
+  const std::size_t n = 256, ts = 32;
+  const std::vector<telemetry::FaultSummary> one =
+      ft_tallies(n, ts, 1, FaultPlan{}, 2);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].checkpoint_tiles, 103u);
+  const std::vector<telemetry::FaultSummary> four =
+      ft_tallies(n, ts, 4, FaultPlan{}, 2);
+  ASSERT_EQ(four.size(), 4u);
+  for (const telemetry::FaultSummary& t : four) {
+    EXPECT_EQ(t.checkpoint_tiles, one[0].checkpoint_tiles);
+    EXPECT_EQ(t.checkpoint_bytes, 2 * one[0].checkpoint_bytes);
+    EXPECT_EQ(t.restored_tiles, 0u);
+  }
+  // After a loss every survivor holds the same world checkpoint and
+  // restore IO.
+  const std::vector<telemetry::FaultSummary> killed =
+      ft_tallies(n, ts, 4, FaultPlan::parse("kill:rank=2:step=2"), 2);
+  ASSERT_EQ(killed.size(), 3u);
+  EXPECT_GT(killed[0].restored_tiles, 0u);
+  for (const telemetry::FaultSummary& t : killed) {
+    EXPECT_EQ(t.checkpoint_tiles, killed[0].checkpoint_tiles);
+    EXPECT_EQ(t.checkpoint_bytes, killed[0].checkpoint_bytes);
+    EXPECT_EQ(t.restored_tiles, killed[0].restored_tiles);
+    EXPECT_EQ(t.restored_bytes, killed[0].restored_bytes);
   }
 }
 

@@ -294,9 +294,7 @@ TEST(DataMotion, LowPrecisionReducesLedger) {
     tiles.from_dense(a);
     PrecisionMap map = band_precision_map(tiles.tile_count(), 0.0, low);
     map.apply(tiles);
-    Runtime rt(2);
-    tiled_potrf(rt, tiles);
-    return rt.data_motion_bytes();
+    return tiled_potrf_data_motion_bytes(tiles);
   };
   const auto fp32_bytes = run_bytes(Precision::kFp32);
   const auto fp8_bytes = run_bytes(Precision::kFp8E4M3);

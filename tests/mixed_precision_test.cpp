@@ -346,33 +346,6 @@ TEST(GemmTc, Int8OperandRejected) {
                InvalidArgument);
 }
 
-TEST(TrsmTc, LowPrecisionFactorSolve) {
-  Rng rng(8);
-  const std::size_t n = 12, nrhs = 4;
-  Matrix<float> l(n, n, 0.0f);
-  for (std::size_t j = 0; j < n; ++j) {
-    l(j, j) = 1.5f + static_cast<float>(rng.uniform());
-    for (std::size_t i = j + 1; i < n; ++i) {
-      l(i, j) = 0.25f * static_cast<float>(rng.normal());
-    }
-  }
-  Matrix<float> b(n, nrhs);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b.data()[i] = static_cast<float>(rng.normal());
-  }
-  Matrix<float> x16 = b, x_ref = b;
-  trsm_tc(Precision::kFp16, Side::kLeft, Uplo::kLower, Trans::kNoTrans,
-          Diag::kNonUnit, n, nrhs, 1.0f, l.data(), l.ld(), x16.data(),
-          x16.ld());
-  Matrix<float> lq = l;
-  quantize_inplace(Precision::kFp16, lq.data(), lq.size());
-  trsm(Side::kLeft, Uplo::kLower, Trans::kNoTrans, Diag::kNonUnit, n, nrhs,
-       1.0f, lq.data(), lq.ld(), x_ref.data(), x_ref.ld());
-  for (std::size_t i = 0; i < x16.size(); ++i) {
-    ASSERT_EQ(x16.data()[i], x_ref.data()[i]);
-  }
-}
-
 TEST(OpCounts, ClosedForms) {
   EXPECT_DOUBLE_EQ(gemm_op_count(2, 3, 4), 48.0);
   EXPECT_DOUBLE_EQ(syrk_op_count(4, 5), 4.0 * 5.0 * 5.0);

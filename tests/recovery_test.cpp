@@ -28,6 +28,9 @@
 #include "linalg/tiled_cholesky.hpp"
 #include "mpblas/blas.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/json.hpp"
+#include "telemetry/run_report.hpp"
+#include "telemetry/trace.hpp"
 
 namespace kgwas {
 namespace {
@@ -425,6 +428,64 @@ TEST(DistRecovery, EscalationIsBitwiseRankInvariant) {
                             r.weights.size() * sizeof(float)),
                 0)
           << "weights diverge at ranks=" << ranks;
+    }
+  }
+}
+
+TEST(DistRecovery, WorldRecordsOneFactorizationAtEveryRankCount) {
+  // The RunReport's recovery block folds every rank's stream: a world
+  // runs one factorization, whatever its rank count, on the clean, the
+  // escalating and the throwing path.
+  const Matrix<float> kd = clustered_kernel(kN, 0.02, 42);
+  Matrix<float> ph(kN, 1, 1.0f);
+  AssociateConfig clean;
+  clean.alpha = 0.02;
+  clean.mode = PrecisionMode::kFixed;
+  AssociateConfig escalating = aggressive_fp8_config();
+  escalating.on_breakdown = BreakdownAction::kEscalate;
+  AssociateConfig throwing = aggressive_fp8_config();
+  throwing.on_breakdown = BreakdownAction::kThrow;
+  for (const AssociateConfig* config : {&clean, &escalating, &throwing}) {
+    for (const int ranks : {1, 2, 4}) {
+      std::vector<telemetry::TraceStream> streams(
+          static_cast<std::size_t>(ranks));
+      FactorizationReport report;
+      run_ranks(ranks, [&](Communicator& comm) {
+        Runtime rtd(1);
+        const ProcessGrid grid(ranks);
+        dist::DistSymmetricTileMatrix dk(kN, kTs, grid, comm.rank());
+        SymmetricTileMatrix full(kN, kTs);
+        full.from_dense(kd);
+        dk.from_full(full);
+        FactorizationReport mine;
+        try {
+          mine = dist::dist_associate(rtd, comm, dk, ph, *config).report;
+        } catch (const NumericalError&) {
+          mine.attempts = 1;  // kThrow: the first attempt broke down
+        }
+        streams[static_cast<std::size_t>(comm.rank())] =
+            telemetry::capture_stream(comm.rank(), rtd.profiler());
+        if (comm.rank() == 0) report = std::move(mine);
+      });
+      telemetry::RunReportInputs inputs;
+      inputs.phase = "dist_associate";
+      inputs.ranks = ranks;
+      inputs.streams = &streams;
+      inputs.include_metrics = false;
+      const telemetry::JsonValue recovery =
+          telemetry::parse_json(telemetry::run_report_json(inputs))
+              .at("recovery");
+      const std::string label = "ranks=" + std::to_string(ranks) +
+                                " attempts=" +
+                                std::to_string(report.attempts);
+      EXPECT_EQ(report.escalations() > 0, config == &escalating) << label;
+      EXPECT_EQ(recovery.at("factorizations").number, 1.0) << label;
+      EXPECT_EQ(recovery.at("attempts").number, report.attempts) << label;
+      EXPECT_EQ(recovery.at("escalations").number, report.escalations())
+          << label;
+      EXPECT_EQ(recovery.at("tiles_promoted").number,
+                static_cast<double>(report.tiles_promoted))
+          << label;
     }
   }
 }

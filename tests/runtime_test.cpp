@@ -158,14 +158,6 @@ TEST(Runtime, ProfilerRecordsSpans) {
   EXPECT_EQ(rt.profiler().spans().size(), 5u);
 }
 
-TEST(Runtime, DataMotionLedger) {
-  Runtime rt(1);
-  EXPECT_EQ(rt.data_motion_bytes(), 0u);
-  rt.account_data_motion(1024);
-  rt.account_data_motion(512);
-  EXPECT_EQ(rt.data_motion_bytes(), 1536u);
-}
-
 TEST(Runtime, UnregisteredHandleRejected) {
   Runtime rt(1);
   DataHandle bogus{9999};

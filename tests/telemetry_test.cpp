@@ -298,10 +298,10 @@ Matrix<float> spd(std::size_t n) {
   return a;
 }
 
-// The PR's acceptance scenario: a 4-rank dist_tiled_potrf with tracing on
-// produces one merged trace with a pid lane per rank and send->recv flow
-// arrows for the panel broadcasts, and a RunReport whose wire.bytes_total
-// matches the transport ledger exactly.
+// A 4-rank dist_tiled_potrf with tracing on produces one merged trace
+// with a pid lane per rank and send->recv flow arrows for the panel
+// broadcasts, and a RunReport whose wire block is the transport ledger
+// byte for byte and whose recovery block counts one factorization.
 TEST(CrossRankTrace, FourRankPotrfProducesFlowsAndExactWireReport) {
   tel::MetricRegistry::global().reset();
   const std::size_t n = 128, ts = 32;
@@ -331,7 +331,7 @@ TEST(CrossRankTrace, FourRankPotrfProducesFlowsAndExactWireReport) {
   inputs.phase = "dist_potrf";
   inputs.ranks = ranks;
   inputs.streams = &stream_vec;
-  inputs.wire = tel::WireSummary::from(volume);
+  inputs.wire = &volume;
   tel::write_merged_trace(path, stream_vec, [&](tel::JsonWriter& w) {
     tel::write_run_report_fields(w, inputs);
   });
@@ -377,15 +377,20 @@ TEST(CrossRankTrace, FourRankPotrfProducesFlowsAndExactWireReport) {
   EXPECT_EQ(static_cast<std::uint64_t>(wire.at("tile_bytes_total").number),
             volume.total_tile_bytes());
 
-  // And the registry's mirror counters (incremented at the same send
-  // sites) match the same ledger exactly.
-  std::uint64_t counter_bytes = 0, counter_frames = 0;
-  for (const auto& m : tel::MetricRegistry::global().snapshot()) {
-    if (m.name == "wire.bytes") counter_bytes = m.value;
-    if (m.name == "wire.frames") counter_frames = m.value;
+  // One factorization of the world, whatever the rank count.
+  EXPECT_EQ(doc.at("otherData").at("recovery").at("factorizations").number,
+            1.0);
+
+  // Each quantity has one store: the metrics fold carries no registry
+  // copy of the wire ledger, the scheduler's counters, the recovery
+  // stats or the checkpoint tallies.
+  for (const auto& metric : doc.at("otherData").at("metrics").object) {
+    for (const char* deleted :
+         {"wire.frames", "wire.bytes", "wire.tile_bytes.", "recovery.",
+          "checkpoint.", "sched.queue_depth"}) {
+      EXPECT_NE(metric.first.rfind(deleted, 0), 0u) << metric.first;
+    }
   }
-  EXPECT_EQ(counter_bytes, volume.payload_bytes);
-  EXPECT_EQ(counter_frames, volume.messages);
 }
 
 TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
@@ -396,6 +401,9 @@ TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
     runtime.submit("noop", {{h, Access::kReadWrite}}, [] {});
   }
   runtime.wait();
+  tel::Histogram& hist =
+      tel::MetricRegistry::global().histogram("test.report_histogram");
+  for (std::uint64_t v = 1; v <= 4; ++v) hist.record(v);
   std::vector<tel::TraceStream> streams;
   streams.push_back(tel::capture_stream(0, runtime.profiler()));
   tel::RunReportInputs inputs;
@@ -409,14 +417,14 @@ TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
   EXPECT_DOUBLE_EQ(doc.at("scheduler").at("tasks_executed").number, 4.0);
   // No transport ran: the wire block is omitted entirely.
   EXPECT_EQ(doc.find("wire"), nullptr);
-  // The metrics fold contains the scheduler's queue-depth histogram
-  // (recorded on every submit of the run above).
+  // The metrics fold serializes a registry histogram.
   const tel::JsonValue* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
-  const tel::JsonValue* depth = metrics->find("sched.queue_depth");
-  ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->at("type").string, "histogram");
-  EXPECT_GE(depth->at("count").number, 4.0);
+  const tel::JsonValue* serialized = metrics->find("test.report_histogram");
+  ASSERT_NE(serialized, nullptr);
+  EXPECT_EQ(serialized->at("type").string, "histogram");
+  EXPECT_EQ(serialized->at("count").number, 4.0);
+  EXPECT_EQ(serialized->at("sum").number, 10.0);
 }
 
 TEST(RunReport, EngineBlockRecordsInt8Kernel) {
