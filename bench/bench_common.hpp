@@ -272,18 +272,14 @@ inline void real_dist_potrf_section(
       inputs.wire = &r.wire;
       inputs.include_metrics = false;  // keep BENCH rows compact
       record.telemetry = telemetry::run_report_json(inputs);
-      if (telemetry_cfg.trace_enabled()) {
-        telemetry::write_merged_trace(
-            telemetry_cfg.trace_dir + "/trace_dist_potrf_" +
-                std::to_string(n) + "_r" + std::to_string(ranks) + "_c" +
-                std::to_string(case_index) + ".json",
-            r.streams, [&](telemetry::JsonWriter& w) {
-              telemetry::write_run_report_fields(w, inputs);
-            });
-      }
+      inputs.include_metrics = true;
+      telemetry::write_run_artifacts(
+          telemetry_cfg,
+          "trace_dist_potrf_" + std::to_string(n) + "_r" +
+              std::to_string(ranks) + "_c" + std::to_string(case_index) +
+              ".json",
+          inputs);
       if (telemetry_cfg.report_enabled()) {
-        inputs.include_metrics = true;
-        telemetry::write_run_report(telemetry_cfg.report_path, inputs);
         // Strict read-back: the artifact a CI job uploads must parse and
         // must carry real wire traffic — fail the bench loudly otherwise.
         std::ifstream report_in(telemetry_cfg.report_path);

@@ -3,9 +3,9 @@
 // Paper: 107.40 / 208.07 / 382.73 / 671.03 / 1296.00 PFlop/s (12.07x).
 //
 // The second section is measured, not modeled: it runs the Build phase on
-// this node through the dataflow runtime and reports the scheduler's
-// efficiency counters (steals, queue depth, parallel efficiency) for the
-// priority work-stealing scheduler vs the old global-FIFO baseline.
+// this node through the dataflow runtime and reports the priority
+// work-stealing scheduler's efficiency counters (steals, queue depth,
+// parallel efficiency).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -31,29 +31,25 @@ void measured_scheduler_section(std::size_t n_patients, std::size_t n_snps,
 
   Table table({"scheduler", "build s", "tasks", "steals", "avg depth",
                "max depth", "efficiency"});
-  for (const SchedulerPolicy policy :
-       {SchedulerPolicy::kFifo, SchedulerPolicy::kPriorityLifo}) {
-    Runtime rt(workers, /*enable_profiling=*/true, policy);
-    // Warm-up pass so thread creation and allocator effects are excluded;
-    // reset_profiling also zeroes the scheduler's cumulative counters so
-    // the table reflects only the measured build.
-    (void)build_kernel_matrix(rt, g, conf, config);
-    rt.reset_profiling();
+  Runtime rt(workers, /*enable_profiling=*/true);
+  // Warm-up pass so thread creation and allocator effects are excluded;
+  // reset_profiling also zeroes the scheduler's cumulative counters so
+  // the table reflects only the measured build.
+  (void)build_kernel_matrix(rt, g, conf, config);
+  rt.reset_profiling();
 
-    const std::uint64_t t0 = Timer::now_ns();
-    const SymmetricTileMatrix k = build_kernel_matrix(rt, g, conf, config);
-    const double seconds = static_cast<double>(Timer::now_ns() - t0) * 1e-9;
-    const SchedulerStats sched = rt.profiler().scheduler_stats();
-    table.add_row(
-        {policy == SchedulerPolicy::kFifo ? "fifo (baseline)" : "priority-ws",
-         Table::num(seconds, 3),
-         std::to_string(sched.tasks_executed),
-         std::to_string(sched.tasks_stolen),
-         Table::num(sched.avg_queue_depth(), 1),
-         std::to_string(sched.max_queue_depth),
-         Table::num(rt.profiler().parallel_efficiency(rt.workers()), 3)});
-    (void)k;
-  }
+  const std::uint64_t t0 = Timer::now_ns();
+  const SymmetricTileMatrix k = build_kernel_matrix(rt, g, conf, config);
+  const double seconds = static_cast<double>(Timer::now_ns() - t0) * 1e-9;
+  const SchedulerStats sched = rt.profiler().scheduler_stats();
+  table.add_row({"priority-ws", Table::num(seconds, 3),
+                 std::to_string(sched.tasks_executed),
+                 std::to_string(sched.tasks_stolen),
+                 Table::num(sched.avg_queue_depth(), 1),
+                 std::to_string(sched.max_queue_depth),
+                 Table::num(rt.profiler().parallel_efficiency(rt.workers()),
+                            3)});
+  (void)k;
   table.print(std::cout);
 }
 

@@ -238,13 +238,11 @@ void BM_KernelBuild(benchmark::State& state) {
 // thread's CPU time would undercount the wall time.
 BENCHMARK(BM_KernelBuild)->Arg(256)->Arg(512)->UseRealTime();
 
-// Scheduler comparison: the full tiled POTRF DAG through the dataflow
-// runtime under the priority work-stealing scheduler vs the old global
-// FIFO queue.  Steal and queue-depth counters come from the runtime's
-// profiler; the acceptance bar is priority >= FIFO throughput.
+// Scheduler throughput: the full tiled POTRF DAG through the dataflow
+// runtime's priority work-stealing scheduler.  Steal and queue-depth
+// counters come from the runtime's profiler.
 void BM_TiledPotrfSched(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto policy = static_cast<SchedulerPolicy>(state.range(1));
   constexpr std::size_t kTileSize = 64;
   constexpr std::size_t kWorkers = 8;
 
@@ -259,7 +257,7 @@ void BM_TiledPotrfSched(benchmark::State& state) {
     for (std::size_t j = i + 1; j < n; ++j) spd(i, j) = spd(j, i);
   }
 
-  Runtime rt(kWorkers, /*enable_profiling=*/false, policy);
+  Runtime rt(kWorkers);
   SymmetricTileMatrix tiled(n, kTileSize);
   for (auto _ : state) {
     state.PauseTiming();
@@ -269,8 +267,6 @@ void BM_TiledPotrfSched(benchmark::State& state) {
   }
 
   const SchedulerStats sched = rt.profiler().scheduler_stats();
-  state.SetLabel(policy == SchedulerPolicy::kPriorityLifo ? "priority"
-                                                          : "fifo");
   // Steal totals accumulate across the whole run; report per iteration so
   // rows with different auto-chosen iteration counts stay comparable.
   state.counters["steals"] =
@@ -282,12 +278,7 @@ void BM_TiledPotrfSched(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n * n / 3));
 }
-BENCHMARK(BM_TiledPotrfSched)
-    ->Args({512, static_cast<long>(SchedulerPolicy::kPriorityLifo)})
-    ->Args({512, static_cast<long>(SchedulerPolicy::kFifo)})
-    ->Args({1024, static_cast<long>(SchedulerPolicy::kPriorityLifo)})
-    ->Args({1024, static_cast<long>(SchedulerPolicy::kFifo)})
-    ->UseRealTime();
+BENCHMARK(BM_TiledPotrfSched)->Arg(512)->Arg(1024)->UseRealTime();
 
 // Telemetry record-path contention: every thread hammers Profiler::record
 // and a registry counter/histogram the way busy scheduler workers do.

@@ -10,10 +10,16 @@ namespace kgwas {
 
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-std::atomic<bool> g_timestamps{false};
+bool g_timestamps = false;  // written once, inside g_env_once
 std::once_flag g_env_once;
 std::mutex g_sink_mutex;
 thread_local int t_log_rank = -1;
+
+double seconds_since_start() {
+  using clock = std::chrono::steady_clock;
+  static const clock::time_point start = clock::now();
+  return std::chrono::duration<double>(clock::now() - start).count();
+}
 
 void init_from_env() {
   if (const char* ts = std::getenv("KGWAS_LOG_TIMESTAMPS")) {
@@ -29,6 +35,18 @@ void init_from_env() {
   else if (value == "warn") g_level = static_cast<int>(LogLevel::kWarn);
   else if (value == "error") g_level = static_cast<int>(LogLevel::kError);
   else if (value == "off") g_level = static_cast<int>(LogLevel::kOff);
+  else if (!value.empty()) {
+    // Still inside log_level()'s call_once, so KGWAS_LOG_WARN would
+    // re-enter it: the warning goes to the sink directly.
+    const std::string line = detail::format_log_line(
+        LogLevel::kWarn, t_log_rank,
+        g_timestamps ? seconds_since_start() : -1.0,
+        "ignoring KGWAS_LOG_LEVEL='" + value +
+            "' (want trace|debug|info|warn|error|off); keeping the default "
+            "warn");
+    std::lock_guard<std::mutex> lock(g_sink_mutex);
+    std::fprintf(stderr, "%s\n", line.c_str());
+  }
 }
 
 const char* level_name(LogLevel level) {
@@ -41,12 +59,6 @@ const char* level_name(LogLevel level) {
     case LogLevel::kOff: return "OFF";
   }
   return "?";
-}
-
-double seconds_since_start() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point start = clock::now();
-  return std::chrono::duration<double>(clock::now() - start).count();
 }
 }  // namespace
 
@@ -62,13 +74,6 @@ LogLevel log_level() noexcept {
 void set_thread_log_rank(int rank) noexcept { t_log_rank = rank; }
 
 int thread_log_rank() noexcept { return t_log_rank; }
-
-void set_log_timestamps(bool enabled) noexcept { g_timestamps = enabled; }
-
-bool log_timestamps() noexcept {
-  std::call_once(g_env_once, init_from_env);
-  return g_timestamps.load();
-}
 
 namespace detail {
 
@@ -91,7 +96,8 @@ std::string format_log_line(LogLevel level, int rank, double elapsed_seconds,
 }
 
 void log_message(LogLevel level, const std::string& message) {
-  const double elapsed = log_timestamps() ? seconds_since_start() : -1.0;
+  std::call_once(g_env_once, init_from_env);
+  const double elapsed = g_timestamps ? seconds_since_start() : -1.0;
   const std::string line =
       format_log_line(level, t_log_rank, elapsed, message);
   std::lock_guard<std::mutex> lock(g_sink_mutex);

@@ -6,9 +6,10 @@
 // interleave indistinguishably.  Threads that belong to a rank call
 // set_thread_log_rank(r) once (run_ranks does this for rank threads, the
 // Scheduler propagates the creator's rank to its workers), and every line
-// they emit carries an "rN" field.  KGWAS_LOG_TIMESTAMPS=1 (or
-// set_log_timestamps) additionally prefixes seconds since process start,
-// which makes cross-rank interleavings readable next to trace timelines.
+// they emit carries an "rN" field.  KGWAS_LOG_TIMESTAMPS=1 additionally
+// prefixes seconds since process start, which makes cross-rank
+// interleavings readable next to trace timelines.  An unknown
+// KGWAS_LOG_LEVEL warns and keeps the default level (warn).
 #pragma once
 
 #include <sstream>
@@ -26,10 +27,6 @@ LogLevel log_level() noexcept;
 /// prefixed with "rN".  Negative clears the tag (single-process default).
 void set_thread_log_rank(int rank) noexcept;
 int thread_log_rank() noexcept;  ///< -1 when untagged
-
-/// Toggles the elapsed-seconds prefix (also via KGWAS_LOG_TIMESTAMPS=1).
-void set_log_timestamps(bool enabled) noexcept;
-bool log_timestamps() noexcept;
 
 namespace detail {
 void log_message(LogLevel level, const std::string& message);

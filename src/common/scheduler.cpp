@@ -28,8 +28,8 @@ std::uint64_t next_rand(std::uint64_t& state) {
 
 }  // namespace
 
-Scheduler::Scheduler(std::size_t num_workers, SchedulerPolicy policy)
-    : policy_(policy), creator_log_rank_(thread_log_rank()) {
+Scheduler::Scheduler(std::size_t num_workers)
+    : creator_log_rank_(thread_log_rank()) {
   if (num_workers == 0) {
     num_workers = std::thread::hardware_concurrency();
     if (num_workers == 0) num_workers = 1;
@@ -59,14 +59,14 @@ int Scheduler::current_worker() const noexcept {
 
 void Scheduler::push(std::size_t queue_index, Task task) {
   WorkerQueue& q = *queues_[queue_index];
-  {
-    std::lock_guard<std::mutex> lock(q.mutex);
-    q.buckets[task.priority].push_back(std::move(task));
-    q.size.fetch_add(1, std::memory_order_relaxed);
-  }
-  // seq_cst: pairs with the sleepers_/queued_ Dekker handshake in
-  // notify_work() / worker_loop() — a publisher must not read a stale
-  // sleepers_ == 0 after a worker committed to sleeping on queued_ == 0.
+  std::lock_guard<std::mutex> lock(q.mutex);
+  q.buckets[task.priority].push_back(std::move(task));
+  q.size.fetch_add(1, std::memory_order_relaxed);
+  // Counted under the lock that the pop or steal taking this task also
+  // holds, so queued_ can never be decremented first and wrap.  seq_cst:
+  // pairs with the sleepers_/queued_ Dekker handshake in notify_work() /
+  // worker_loop() — a publisher must not read a stale sleepers_ == 0
+  // after a worker committed to sleeping on queued_ == 0.
   queued_.fetch_add(1);
 }
 
@@ -99,41 +99,27 @@ void Scheduler::submit(std::function<void()> fn, int priority) {
   // no worker will ever run (and deadlock a later wait_idle); fail loudly
   // at the submit site, like the old ThreadPool did.
   KGWAS_ASSERT(!stopping_.load());
-  Task task{std::move(fn), policy_ == SchedulerPolicy::kFifo ? 0 : priority};
-
-  std::size_t target;
-  if (policy_ == SchedulerPolicy::kFifo) {
-    target = 0;  // the single global queue of the baseline
-  } else {
-    const int self = current_worker();
-    target = self >= 0 ? static_cast<std::size_t>(self)
-                       : next_external_.fetch_add(1, std::memory_order_relaxed) %
-                             queues_.size();
-  }
+  const int self = current_worker();
+  const std::size_t target =
+      self >= 0 ? static_cast<std::size_t>(self)
+                : next_external_.fetch_add(1, std::memory_order_relaxed) %
+                      queues_.size();
 
   pending_.fetch_add(1, std::memory_order_release);
-  push(target, std::move(task));
+  push(target, Task{std::move(fn), priority});
   sample_queue_depth();
   notify_work();
 }
 
 bool Scheduler::pop_local(std::size_t worker_index, Task& out) {
-  // In FIFO mode every worker drains the shared queue 0 front-first,
-  // reproducing the old single-mutex ThreadPool exactly.
-  const bool fifo = policy_ == SchedulerPolicy::kFifo;
-  WorkerQueue& q = *queues_[fifo ? 0 : worker_index];
+  WorkerQueue& q = *queues_[worker_index];
   if (q.size.load(std::memory_order_relaxed) == 0) return false;
   std::lock_guard<std::mutex> lock(q.mutex);
   if (q.size.load(std::memory_order_relaxed) == 0) return false;
   auto bucket = q.buckets.begin();  // highest priority
   KGWAS_ASSERT(!bucket->second.empty());
-  if (fifo) {
-    out = std::move(bucket->second.front());
-    bucket->second.pop_front();
-  } else {
-    out = std::move(bucket->second.back());
-    bucket->second.pop_back();
-  }
+  out = std::move(bucket->second.back());
+  bucket->second.pop_back();
   if (bucket->second.empty()) q.buckets.erase(bucket);
   q.size.fetch_sub(1, std::memory_order_relaxed);
   queued_.fetch_sub(1, std::memory_order_release);
@@ -141,7 +127,6 @@ bool Scheduler::pop_local(std::size_t worker_index, Task& out) {
 }
 
 bool Scheduler::steal(std::size_t thief_index, Task& out) {
-  if (policy_ == SchedulerPolicy::kFifo) return false;
   const std::size_t n = queues_.size();
   if (n <= 1) return false;
   thread_local std::uint64_t rng_state = 0;

@@ -15,10 +15,6 @@
 //    them to keep the Cholesky critical path (panel POTRF/TRSM) ahead of
 //    trailing-update GEMMs.
 //
-// A `kFifo` policy degrades the scheduler to the old single-queue
-// global-FIFO behavior; the benches use it as the baseline when reporting
-// scheduler efficiency.
-//
 // Tasks must not let exceptions escape; callers (e.g. Runtime) wrap user
 // code in their own try/catch.
 #pragma once
@@ -36,11 +32,6 @@
 #include <vector>
 
 namespace kgwas {
-
-enum class SchedulerPolicy : unsigned char {
-  kPriorityLifo,  // per-worker priority deques + randomized stealing
-  kFifo,          // single global FIFO queue, priorities ignored (baseline)
-};
 
 /// Per-worker counters, snapshotted by stats().
 struct WorkerStats {
@@ -72,14 +63,13 @@ struct SchedulerStats {
 class Scheduler {
  public:
   /// `num_workers` = 0 selects std::thread::hardware_concurrency().
-  explicit Scheduler(std::size_t num_workers = 0,
-                     SchedulerPolicy policy = SchedulerPolicy::kPriorityLifo);
+  explicit Scheduler(std::size_t num_workers = 0);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Enqueues a task; higher `priority` runs first (kPriorityLifo only).
+  /// Enqueues a task; higher `priority` runs first.
   void submit(std::function<void()> fn, int priority = 0);
 
   /// Blocks until every submitted task (including tasks submitted by
@@ -87,7 +77,6 @@ class Scheduler {
   void wait_idle();
 
   std::size_t workers() const noexcept { return threads_.size(); }
-  SchedulerPolicy policy() const noexcept { return policy_; }
 
   /// Snapshot of the steal/queue-depth counters.
   SchedulerStats stats() const;
@@ -124,7 +113,6 @@ class Scheduler {
   void sample_queue_depth();
   void notify_work();
 
-  const SchedulerPolicy policy_;
   // Log rank of the thread that constructed this scheduler; workers adopt
   // it so multi-rank log interleavings stay attributable (see logging.hpp).
   const int creator_log_rank_;

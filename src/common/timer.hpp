@@ -19,8 +19,6 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double milliseconds() const noexcept { return seconds() * 1e3; }
-
   /// Nanoseconds since epoch; used to timestamp runtime trace events.
   static std::uint64_t now_ns() noexcept {
     return static_cast<std::uint64_t>(
@@ -32,26 +30,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulating timer for repeated phases (e.g. per-kernel totals).
-class AccumulatingTimer {
- public:
-  void start() noexcept { stopwatch_.reset(); }
-  void stop() noexcept {
-    total_ += stopwatch_.seconds();
-    ++count_;
-  }
-  double total_seconds() const noexcept { return total_; }
-  std::uint64_t count() const noexcept { return count_; }
-  double mean_seconds() const noexcept {
-    return count_ == 0 ? 0.0 : total_ / static_cast<double>(count_);
-  }
-
- private:
-  Timer stopwatch_;
-  double total_ = 0.0;
-  std::uint64_t count_ = 0;
 };
 
 }  // namespace kgwas

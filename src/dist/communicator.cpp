@@ -582,10 +582,7 @@ WireVolume run_ranks(int ranks, FaultPlan plan,
 }
 
 int configured_ranks() {
-  const std::size_t ranks = env_size_t("KGWAS_RANKS", 1);
-  if (ranks < 1) return 1;
-  if (ranks > 256) return 256;
-  return static_cast<int>(ranks);
+  return static_cast<int>(env_size_t("KGWAS_RANKS", 1, 1, 256));
 }
 
 std::size_t configured_workers_per_rank(int ranks) {

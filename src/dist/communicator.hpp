@@ -388,8 +388,9 @@ WireVolume run_ranks(int ranks, const std::function<void(Communicator&)>& fn);
 WireVolume run_ranks(int ranks, FaultPlan plan,
                      const std::function<void(Communicator&)>& fn);
 
-/// KGWAS_RANKS (default 1, clamped to [1, 256]): world size the
-/// distributed entry points use when the caller does not pass one.
+/// KGWAS_RANKS (default 1; a value outside [1, 256] warns and keeps 1):
+/// world size the distributed entry points use when the caller does not
+/// pass one.
 int configured_ranks();
 
 /// KGWAS_DIST_WORKERS (default 0 = hardware_concurrency / ranks, at least

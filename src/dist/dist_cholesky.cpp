@@ -1,8 +1,6 @@
 #include "dist/dist_cholesky.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -10,8 +8,8 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "common/logging.hpp"
 #include "common/status.hpp"
+#include "common/timer.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/cholesky_comm_pattern.hpp"
 #include "dist/progress.hpp"
@@ -59,9 +57,8 @@ constexpr std::uint64_t breakdown_wakeup_tag() {
 class DistPotrfExec {
  public:
   DistPotrfExec(Runtime& runtime, Communicator& comm,
-                DistSymmetricTileMatrix& a, int base_priority)
-      : runtime_(runtime), comm_(comm), a_(a), base_(base_priority),
-        local_(runtime) {}
+                DistSymmetricTileMatrix& a)
+      : runtime_(runtime), comm_(comm), a_(a), local_(runtime) {}
 
   DistSymmetricTileMatrix& matrix() { return a_; }
   bool owns(std::size_t ti, std::size_t tj) const {
@@ -84,14 +81,14 @@ class DistPotrfExec {
       runtime_.submit(
           TaskDesc{m == k ? "send_diag" : "send_panel",
                    {{local_(m, k), Access::kRead}},
-                   potrf_task_priority(base_, nt, k, PotrfKernel::kTrsm)},
+                   potrf_task_priority(nt, k, PotrfKernel::kTrsm)},
           [&a = a_, &comm = comm_, dests, t, m, k] {
             for (const int d : dests) send_slot(comm, d, t, a.slot(m, k));
           });
     } else if (contains(consumers, me)) {
       detail::expect_tile(
           runtime_, a_.cache_slot(t), remote_, expected_, t,
-          potrf_task_priority(base_, nt, k,
+          potrf_task_priority(nt, k,
                               m == k ? PotrfKernel::kPotrf
                                      : PotrfKernel::kTrsm));
     }
@@ -112,7 +109,6 @@ class DistPotrfExec {
   Runtime& runtime_;
   Communicator& comm_;
   DistSymmetricTileMatrix& a_;
-  int base_;
   HandleMap local_;
   std::unordered_map<std::uint64_t, DataHandle> remote_;
   ExpectedMap expected_;
@@ -288,13 +284,6 @@ void replicate_lr_plan(Communicator& comm, std::vector<bool>& plan) {
   for (std::size_t i = 0; i < plan.size(); ++i) plan[i] = votes[i] != 0.0;
 }
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// RAII registration of a matrix-cache discard hook: discard_pending()
 /// must drop wire-tag-keyed remote-tile caches along with the queued
 /// frames, or a tile adopted just before a fault survives the flush and a
@@ -403,11 +392,11 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
   arm_callback(active);
 
   const auto record_span = [&runtime](const char* name, std::uint64_t t0) {
-    runtime.profiler().record(TaskSpan{name, t0, steady_ns(), -1, 0.0});
+    runtime.profiler().record(TaskSpan{name, t0, Timer::now_ns(), -1, 0.0});
   };
   const auto checkpoint_all = [&](long cut) {
     active->set_phase_label("checkpoint");
-    const std::uint64_t t0 = steady_ns();
+    const std::uint64_t t0 = Timer::now_ns();
     const CheckpointIo io = write_checkpoint(*active, store, *mat, cut);
     result.checkpoints += 1;
     result.checkpoint_tiles += io.tiles;
@@ -430,7 +419,7 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
     try {
       if (need_recovery) {
         // ---- Rank-loss recovery -----------------------------------------
-        const std::uint64_t rec_t0 = steady_ns();
+        const std::uint64_t rec_t0 = Timer::now_ns();
         runtime.set_error_callback(nullptr);
         comm.set_phase_label("recovery");
         runtime.cancel();
@@ -493,7 +482,7 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
             a.n(), a.tile_size(), new_grid, next_comm->rank(), working);
         next_mat->set_tlr_options(a.tlr_tol(), a.tlr_max_rank_fraction());
         next_comm->set_phase_label("restore");
-        const std::uint64_t res_t0 = steady_ns();
+        const std::uint64_t res_t0 = Timer::now_ns();
         const CheckpointIo rio = restore_from_checkpoint(
             *next_comm, store, ckpt_ranks, dead, *next_mat, restore_cut);
         result.restored_tiles += rio.tiles;
@@ -541,10 +530,9 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
         const long k_end = std::min(resume_k + interval, steps);
         long local_failing = 0;
         {
-          DistPotrfExec x(runtime, *active, *mat, options.base_priority);
+          DistPotrfExec x(runtime, *active, *mat);
           submit_potrf_steps(runtime, x, static_cast<std::size_t>(resume_k),
-                             static_cast<std::size_t>(k_end),
-                             options.base_priority);
+                             static_cast<std::size_t>(k_end));
           // Progress loop with the breakdown watch armed: a kBreakdown
           // frame cancels this rank's not-yet-run tasks and force-signals
           // the recv events that can no longer happen, so the graph
@@ -626,8 +614,7 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
 }
 
 void dist_tiled_potrs(Runtime& runtime, Communicator& comm,
-                      const DistSymmetricTileMatrix& l, Matrix<float>& b,
-                      int base_priority) {
+                      const DistSymmetricTileMatrix& l, Matrix<float>& b) {
   const std::size_t nt = l.tile_count();
   KGWAS_CHECK_ARG(b.rows() == l.n(), "solve RHS row count mismatch");
   if (nt == 0 || b.cols() == 0) {
@@ -638,8 +625,8 @@ void dist_tiled_potrs(Runtime& runtime, Communicator& comm,
                   "matrix grid does not match the communicator world");
   DistSolveExec x(runtime, comm, l, b);
   // Factor tiles arrive above every sweep task's priority.
-  x.ship_factor(base_priority + (static_cast<int>(nt) << 1) + 2);
-  submit_potrs_sweeps(runtime, x, base_priority);
+  x.ship_factor((static_cast<int>(nt) << 1) + 2);
+  submit_potrs_sweeps(runtime, x);
   drain_expected(runtime, comm, x.expected());
   runtime.wait();
   l.clear_cache();  // factor/RHS copies are dead once the tasks drained
@@ -654,17 +641,9 @@ void dist_tiled_potrs(Runtime& runtime, Communicator& comm,
 }
 
 long configured_checkpoint_interval() {
-  constexpr long kDefault = 4;
-  const char* env = std::getenv("KGWAS_CKPT_INTERVAL");
-  if (env == nullptr || *env == '\0') return kDefault;
-  const std::size_t v = env_size_t("KGWAS_CKPT_INTERVAL", 0);
-  if (v == 0 || v > static_cast<std::size_t>(std::numeric_limits<long>::max())) {
-    KGWAS_LOG_WARN("ignoring KGWAS_CKPT_INTERVAL='"
-                   << env << "' (want a positive integer); using "
-                   << kDefault);
-    return kDefault;
-  }
-  return static_cast<long>(v);
+  return static_cast<long>(env_size_t(
+      "KGWAS_CKPT_INTERVAL", 4, 1,
+      static_cast<std::size_t>(std::numeric_limits<long>::max())));
 }
 
 }  // namespace kgwas::dist

@@ -61,8 +61,6 @@
 namespace kgwas::dist {
 
 struct DistPotrfOptions {
-  /// Lifts every task of this factorization above concurrent work.
-  int base_priority = 0;
   /// Tile precision assignment (replicated on every rank).  May be null,
   /// except under kEscalate: the escalation state is a map evolution
   /// every rank replays identically.
@@ -132,8 +130,7 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
 /// (solution row blocks are computed by the diagonal owners and
 /// allgathered).  Collective; ends with a barrier.
 void dist_tiled_potrs(Runtime& runtime, Communicator& comm,
-                      const DistSymmetricTileMatrix& l, Matrix<float>& b,
-                      int base_priority = 0);
+                      const DistSymmetricTileMatrix& l, Matrix<float>& b);
 
 /// KGWAS_CKPT_INTERVAL: panel steps between cuts of a checkpointed
 /// factorization (default 4).  A malformed or zero value logs a warning

@@ -1,17 +1,14 @@
 #include "dist/dist_krr.hpp"
 
-#include <cstdlib>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/env.hpp"
-#include "common/logging.hpp"
 #include "common/status.hpp"
 #include "dist/progress.hpp"
 #include "dist/tile_transport.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
 #include "krr/kernels.hpp"
 #include "krr/predict.hpp"
@@ -123,18 +120,7 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
 }
 
 bool fault_tolerance_requested(const Communicator& comm) {
-  if (comm.fault_injection_active()) return true;
-  const char* env = std::getenv("KGWAS_FT");
-  if (env == nullptr || *env == '\0') return false;
-  if (env_size_t("KGWAS_FT", 0) != 0) return true;
-  // env_size_t returns its fallback for a malformed value, so a value
-  // that read 0 above but not under fallback 1 is malformed.
-  if (env_size_t("KGWAS_FT", 1) != 0) {
-    KGWAS_LOG_WARN("ignoring KGWAS_FT='"
-                   << env << "' (want a non-negative integer); fault "
-                   << "tolerance stays off");
-  }
-  return false;
+  return comm.fault_injection_active() || env_size_t("KGWAS_FT", 0) != 0;
 }
 
 DistTileMatrix dist_build_cross_kernel(
@@ -265,9 +251,6 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     const ProcessGrid grid(world);
 
     KrrConfig cfg = config;
-    const Matrix<float> train_conf =
-        cfg.use_confounders ? train.confounders
-                            : Matrix<float>(train.patients(), 0);
     if (cfg.auto_gamma_scale.has_value()) {
       // Deterministic given the replicated genotypes: every rank derives
       // the same gamma (same computation as KrrModel::fit).
@@ -279,7 +262,7 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     }
 
     DistSymmetricTileMatrix kernel = dist_build_kernel_matrix(
-        runtime, comm, grid, train.genotypes, train_conf, cfg.build);
+        runtime, comm, grid, train.genotypes, train.confounders, cfg.build);
     const bool ft_enabled = fault_tolerance_requested(comm);
     DistFtResult ft;
     AssociateResult assoc =
@@ -291,12 +274,9 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     Communicator& active = ft.active_comm(comm);
     const ProcessGrid post_grid(active.size());
 
-    const Matrix<float> test_conf =
-        cfg.use_confounders ? test.confounders
-                            : Matrix<float>(test.patients(), 0);
     DistTileMatrix cross = dist_build_cross_kernel(
-        runtime, active, post_grid, test.genotypes, test_conf,
-        train.genotypes, train_conf, cfg.build);
+        runtime, active, post_grid, test.genotypes, test.confounders,
+        train.genotypes, train.confounders, cfg.build);
     Matrix<float> predictions =
         dist_predict(runtime, active, cross, assoc.weights);
 
@@ -326,21 +306,8 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     inputs.streams = &streams;
     inputs.wire = &result.wire;
     if (result.fault) inputs.fault = &*result.fault;
-    try {
-      if (telemetry_cfg.trace_enabled()) {
-        telemetry::write_merged_trace(
-            telemetry_cfg.trace_dir + "/trace_dist_krr.json", streams,
-            [&](telemetry::JsonWriter& w) {
-              telemetry::write_run_report_fields(w, inputs);
-            });
-      }
-      if (telemetry_cfg.report_enabled()) {
-        telemetry::write_run_report(telemetry_cfg.report_path, inputs);
-      }
-    } catch (const Error& e) {
-      // Telemetry must never fail the computation it observes.
-      KGWAS_LOG_WARN("telemetry artifact write failed: " << e.what());
-    }
+    telemetry::write_run_artifacts(telemetry_cfg, "trace_dist_krr.json",
+                                   inputs);
   }
   return result;
 }

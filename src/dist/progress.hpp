@@ -5,11 +5,11 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <unordered_map>
 
 #include "common/status.hpp"
+#include "common/timer.hpp"
 #include "dist/communicator.hpp"
 #include "dist/tile_transport.hpp"
 #include "mpblas/matrix.hpp"
@@ -27,24 +27,18 @@ namespace kgwas::dist::detail {
 inline Message recv_any_timed(Communicator& comm) {
   static telemetry::Histogram& recv_wait =
       telemetry::MetricRegistry::global().histogram("dist.recv_wait_ns");
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t t0 = Timer::now_ns();
   Message msg = comm.recv_any();
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto ns = [](std::chrono::steady_clock::time_point t) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            t.time_since_epoch())
-            .count());
-  };
-  recv_wait.record(ns(t1) - ns(t0));
+  const std::uint64_t t1 = Timer::now_ns();
+  recv_wait.record(t1 - t0);
   if (comm.event_recording()) {
     telemetry::CommEvent event;
     event.tag = msg.tag;
     event.peer = msg.src;
     event.is_send = false;
     event.bytes = msg.payload.size();
-    event.start_ns = ns(t0);
-    event.end_ns = ns(t1);
+    event.start_ns = t0;
+    event.end_ns = t1;
     comm.record_comm_event(event);
   }
   return msg;

@@ -1,22 +1,15 @@
 #include "dist/tile_transport.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <limits>
 
 #include "common/status.hpp"
+#include "common/timer.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace kgwas::dist {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Timed send wrapper: when event recording is on, the encode + enqueue
 // becomes one "send" slice on the sender's comm lane and the source end
@@ -32,9 +25,9 @@ void send_frame_traced(Communicator& comm, int dest, std::uint64_t tag,
   event.peer = dest;
   event.is_send = true;
   event.bytes = frame.size();
-  event.start_ns = now_ns();
+  event.start_ns = Timer::now_ns();
   comm.send(dest, tag, std::move(frame));
-  event.end_ns = now_ns();
+  event.end_ns = Timer::now_ns();
   comm.record_comm_event(event);
 }
 

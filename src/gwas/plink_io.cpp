@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -228,37 +227,6 @@ Matrix<float> read_pheno(std::istream& is, std::vector<std::string>& names) {
     }
   }
   return phenotypes;
-}
-
-void save_dataset(const std::string& prefix, const GwasDataset& dataset) {
-  {
-    std::ofstream os(prefix + ".raw");
-    KGWAS_CHECK_ARG(os.good(), "cannot open " + prefix + ".raw for writing");
-    write_raw(os, dataset.genotypes);
-  }
-  {
-    std::ofstream os(prefix + ".pheno");
-    KGWAS_CHECK_ARG(os.good(), "cannot open " + prefix + ".pheno for writing");
-    write_pheno(os, dataset.phenotypes, dataset.phenotype_names);
-  }
-}
-
-GwasDataset load_dataset(const std::string& prefix) {
-  GwasDataset dataset;
-  {
-    std::ifstream is(prefix + ".raw");
-    KGWAS_CHECK_ARG(is.good(), "cannot open " + prefix + ".raw");
-    dataset.genotypes = read_raw(is);
-  }
-  {
-    std::ifstream is(prefix + ".pheno");
-    KGWAS_CHECK_ARG(is.good(), "cannot open " + prefix + ".pheno");
-    dataset.phenotypes = read_pheno(is, dataset.phenotype_names);
-  }
-  KGWAS_CHECK_ARG(dataset.phenotypes.rows() == dataset.genotypes.patients(),
-                  "raw/pheno patient count mismatch");
-  dataset.confounders = Matrix<float>(dataset.genotypes.patients(), 0);
-  return dataset;
 }
 
 }  // namespace kgwas

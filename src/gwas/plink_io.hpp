@@ -15,8 +15,9 @@
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
-#include "gwas/dataset.hpp"
+#include "gwas/genotype.hpp"
 
 namespace kgwas {
 
@@ -27,9 +28,5 @@ void write_pheno(std::ostream& os, const Matrix<float>& phenotypes,
                  const std::vector<std::string>& names);
 /// Returns phenotypes and fills `names`.
 Matrix<float> read_pheno(std::istream& is, std::vector<std::string>& names);
-
-/// File-path conveniences (throw kgwas::Error on IO failure).
-void save_dataset(const std::string& prefix, const GwasDataset& dataset);
-GwasDataset load_dataset(const std::string& prefix);
 
 }  // namespace kgwas

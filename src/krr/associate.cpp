@@ -2,10 +2,8 @@
 
 #include <optional>
 
-#include "common/logging.hpp"
 #include "common/status.hpp"
 #include "linalg/tiled_cholesky.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/trace.hpp"
 
@@ -101,20 +99,8 @@ AssociateResult associate(Runtime& runtime, SymmetricTileMatrix& k,
     inputs.phase = "associate";
     inputs.ranks = 1;
     inputs.streams = &streams;
-    try {
-      if (telemetry_cfg.trace_enabled()) {
-        telemetry::write_merged_trace(
-            telemetry_cfg.trace_dir + "/trace_associate.json", streams,
-            [&](telemetry::JsonWriter& w) {
-              telemetry::write_run_report_fields(w, inputs);
-            });
-      }
-      if (telemetry_cfg.report_enabled()) {
-        telemetry::write_run_report(telemetry_cfg.report_path, inputs);
-      }
-    } catch (const Error& e) {
-      KGWAS_LOG_WARN("telemetry artifact write failed: " << e.what());
-    }
+    telemetry::write_run_artifacts(telemetry_cfg, "trace_associate.json",
+                                   inputs);
   }
   return result;
 }

@@ -18,12 +18,6 @@ std::string to_string(KernelType type) {
   return {};
 }
 
-KernelType kernel_from_string(const std::string& name) {
-  if (name == "gaussian") return KernelType::kGaussian;
-  if (name == "ibs") return KernelType::kIbs;
-  throw InvalidArgument("unknown kernel type: " + name);
-}
-
 std::int64_t squared_distance(std::span<const std::int8_t> p1,
                               std::span<const std::int8_t> p2) {
   KGWAS_CHECK_ARG(p1.size() == p2.size(), "dosage vector length mismatch");

@@ -16,7 +16,6 @@ namespace kgwas {
 enum class KernelType { kGaussian, kIbs };
 
 std::string to_string(KernelType type);
-KernelType kernel_from_string(const std::string& name);
 
 /// Squared Euclidean distance between two dosage vectors (exact integer).
 std::int64_t squared_distance(std::span<const std::int8_t> p1,

@@ -11,9 +11,7 @@ void KrrModel::fit(Runtime& runtime, const GwasDataset& train,
                    const KrrConfig& config) {
   config_ = config;
   train_genotypes_ = train.genotypes;
-  train_confounders_ = config.use_confounders
-                           ? train.confounders
-                           : Matrix<float>(train.patients(), 0);
+  train_confounders_ = train.confounders;
 
   if (config.auto_gamma_scale.has_value()) {
     const auto& g = train_genotypes_.matrix();
@@ -37,11 +35,8 @@ Matrix<float> KrrModel::predict(Runtime& runtime,
                                 const GwasDataset& test) const {
   KGWAS_CHECK_ARG(weights_.rows() == train_genotypes_.patients(),
                   "predict called before fit");
-  const Matrix<float> test_confounders =
-      config_.use_confounders ? test.confounders
-                              : Matrix<float>(test.patients(), 0);
   const TileMatrix cross =
-      build_cross_kernel(runtime, test.genotypes, test_confounders,
+      build_cross_kernel(runtime, test.genotypes, test.confounders,
                          train_genotypes_, train_confounders_, config_.build);
   return predict_from_cross_kernel(runtime, cross, weights_);
 }

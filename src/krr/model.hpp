@@ -19,7 +19,6 @@ namespace kgwas {
 struct KrrConfig {
   BuildConfig build{};
   AssociateConfig associate{};
-  bool use_confounders = true;
   /// When set, overrides build.gamma with the median heuristic scaled by
   /// this factor (gamma = factor / median squared distance).
   std::optional<double> auto_gamma_scale;

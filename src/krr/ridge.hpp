@@ -38,7 +38,6 @@ class RidgeModel {
   Matrix<float> predict(const GwasDataset& test) const;
 
   const PrecisionMap& precision_map() const noexcept { return map_; }
-  const Matrix<float>& coefficients() const noexcept { return beta_; }
 
  private:
   RidgeConfig config_;

@@ -66,9 +66,9 @@ enum class PotrfKernel : int { kGemm = 0, kSyrk = 1, kTrsm = 2, kPotrf = 3 };
 /// outranks panel k+1 and, within a panel, POTRF > TRSM > SYRK > GEMM.
 /// (panels-remaining << 2) | kind, so the orderings nest without
 /// collisions.
-inline int potrf_task_priority(int base, std::size_t nt, std::size_t k,
+inline int potrf_task_priority(std::size_t nt, std::size_t k,
                                PotrfKernel kind) {
-  return base + (static_cast<int>(nt - k) << 2) + static_cast<int>(kind);
+  return (static_cast<int>(nt - k) << 2) + static_cast<int>(kind);
 }
 
 // --- Breakdown recovery shared by both drivers -------------------------
@@ -160,12 +160,12 @@ void restore_from_source(Tiles& a, const Tiles& source,
 /// round, so rounds compose bitwise).  Does not wait.
 template <class Exec>
 void submit_potrf_steps(Runtime& runtime, Exec& x, std::size_t k_begin,
-                        std::size_t k_end, int base_priority) {
+                        std::size_t k_end) {
   auto& a = x.matrix();
   const std::size_t nt = a.tile_count();
   const std::size_t ts = a.tile_size();
   const auto prio = [&](std::size_t k, PotrfKernel kind) {
-    return potrf_task_priority(base_priority, nt, k, kind);
+    return potrf_task_priority(nt, k, kind);
   };
 
   for (std::size_t k = k_begin; k < k_end; ++k) {
@@ -228,7 +228,7 @@ void submit_potrf_steps(Runtime& runtime, Exec& x, std::size_t k_begin,
 /// unblocks the rest of its sweep, so it outranks that step's GEMMs;
 /// earlier steps outrank later ones in sweep order.  Does not wait.
 template <class Exec>
-void submit_potrs_sweeps(Runtime& runtime, Exec& x, int base_priority) {
+void submit_potrs_sweeps(Runtime& runtime, Exec& x) {
   const auto& l = x.matrix();
   Matrix<float>& b = x.rhs();
   const std::size_t nt = l.tile_count();
@@ -236,8 +236,7 @@ void submit_potrs_sweeps(Runtime& runtime, Exec& x, int base_priority) {
   const std::size_t nrhs = b.cols();
 
   const auto step = [&](std::size_t k, bool backward) {
-    const int level =
-        base_priority + (static_cast<int>(backward ? k + 1 : nt - k) << 1);
+    const int level = static_cast<int>(backward ? k + 1 : nt - k) << 1;
     if (x.owns_rhs(k)) {
       runtime.submit(TaskDesc{backward ? "trsm_bwd" : "trsm_fwd",
                               {{x.rhs_handle(k, backward), Access::kReadWrite}},

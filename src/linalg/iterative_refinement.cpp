@@ -68,11 +68,8 @@ RefinementResult solve_with_refinement(Runtime& runtime,
     if (iter == options.max_iterations) break;
 
     // Correction solve in FP32 via the mixed factor, then update in FP64.
-    // Each refinement sweep is latency-critical (nothing else can proceed
-    // until it lands), so later iterations climb the priority ladder above
-    // any work a caller may have in flight.
     Matrix<float> d = r.cast<float>();
-    tiled_potrs(runtime, tiled, d, /*base_priority=*/8 * (iter + 1));
+    tiled_potrs(runtime, tiled, d);
     for (std::size_t j = 0; j < nrhs; ++j) {
       for (std::size_t i = 0; i < n; ++i) {
         xd(i, j) += static_cast<double>(d(i, j));

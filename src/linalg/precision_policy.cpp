@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "common/env.hpp"
-#include "common/logging.hpp"
 #include "common/status.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/tlr_kernels.hpp"
@@ -175,35 +173,14 @@ std::size_t map_storage_bytes(const PrecisionMap& map, std::size_t n,
   return total;
 }
 
-namespace {
-
-/// Overwrites `value` with the non-negative number `name` holds when it
-/// lies below `limit`.  A set value that is malformed or out of range
-/// warns and leaves `value` (the default) as it is.
-void read_env_knob(const char* name, double limit, double& value) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return;
-  // env_double never parses a negative value, so -1 flags a malformed one.
-  const double parsed = env_double(name, -1.0);
-  if (parsed >= 0.0 && parsed < limit) {
-    value = parsed;
-    return;
-  }
-  KGWAS_LOG_WARN("ignoring " << name << "='" << text
-                             << "' (want a number in [0, " << limit
-                             << ")); keeping the default " << value);
-}
-
-}  // namespace
-
 TlrPolicy tlr_policy_from_env() {
   TlrPolicy policy;
   // tol >= 1 would keep no singular value: every compressible tile would
   // silently become zero.
-  read_env_knob("KGWAS_TLR_TOL", 1.0, policy.tol);
-  read_env_knob("KGWAS_TLR_MAX_RANK_FRACTION",
-                std::numeric_limits<double>::infinity(),
-                policy.max_rank_fraction);
+  policy.tol = env_double("KGWAS_TLR_TOL", policy.tol, 1.0);
+  policy.max_rank_fraction =
+      env_double("KGWAS_TLR_MAX_RANK_FRACTION", policy.max_rank_fraction,
+                 std::numeric_limits<double>::infinity());
   return policy;
 }
 
@@ -216,7 +193,7 @@ void check_tlr_policy(const TlrPolicy& policy) {
 std::optional<LowRankFactor> compress_tile(const Tile& tile,
                                            const TlrPolicy& policy) {
   const std::size_t m = tile.rows(), n = tile.cols();
-  if (std::min(m, n) < policy.min_dim) return std::nullopt;
+  if (std::min(m, n) < kTlrMinDim) return std::nullopt;
   return compress_block(tile.to_fp32(), policy.tol,
                         tlr_max_rank(m, n, policy.max_rank_fraction));
 }

@@ -126,10 +126,11 @@ struct TlrPolicy {
   /// max_rank_fraction * m * n; beyond that the factored form costs more
   /// than the dense tile and the slot stays (or becomes) dense.
   double max_rank_fraction = 0.5;
-  /// Tiles with min(m, n) below this stay dense: the factored form's
-  /// constant costs swamp any saving on tiny edge tiles.
-  std::size_t min_dim = 16;
 };
+
+/// Tiles with min(m, n) below this stay dense: the factored form's
+/// constant costs swamp any saving on tiny edge tiles.
+inline constexpr std::size_t kTlrMinDim = 16;
 
 /// Reads TlrPolicy from the environment: KGWAS_TLR_TOL (default 0 = off)
 /// and KGWAS_TLR_MAX_RANK_FRACTION (default 0.5).  A malformed value, or
@@ -154,7 +155,7 @@ struct TlrCompressionStats {
 
 /// Compression of one off-diagonal tile, independent of any precision
 /// map: compress_block's factor at `policy.tol` under the crossover
-/// rule's rank cap, or nothing when the tile is below `policy.min_dim`
+/// rule's rank cap, or nothing when the tile is below kTlrMinDim
 /// on a side, its rank fails the crossover rule, or it holds a NaN or Inf
 /// (the tile then stays dense).
 std::optional<LowRankFactor> compress_tile(const Tile& tile,

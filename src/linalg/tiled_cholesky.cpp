@@ -200,7 +200,7 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
     try {
       if (nt != 0) {
         LocalPotrf x(runtime, a);
-        submit_potrf_steps(runtime, x, 0, nt, options.base_priority);
+        submit_potrf_steps(runtime, x, 0, nt);
         // Throws the NumericalError of a failed pivot (the runtime
         // cancels the rest of the DAG first).
         runtime.wait();
@@ -220,16 +220,12 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
                                      report.tiles_promoted);
 }
 
-void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a, int base_priority) {
-  tiled_potrf(runtime, a, TiledPotrfOptions{.base_priority = base_priority});
-}
-
 void tiled_potrs(Runtime& runtime, const SymmetricTileMatrix& l,
-                 Matrix<float>& b, int base_priority) {
+                 Matrix<float>& b) {
   KGWAS_CHECK_ARG(b.rows() == l.n(), "solve RHS row count mismatch");
   if (l.tile_count() == 0 || b.cols() == 0) return;
   LocalSolve x(runtime, l, b);
-  submit_potrs_sweeps(runtime, x, base_priority);
+  submit_potrs_sweeps(runtime, x);
   runtime.wait();
 }
 

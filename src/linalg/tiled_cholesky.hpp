@@ -35,8 +35,6 @@
 namespace kgwas {
 
 struct TiledPotrfOptions {
-  /// Lifts every task of this factorization above concurrent work.
-  int base_priority = 0;
   /// Numerical-breakdown policy.  kThrow propagates the NumericalError
   /// (the runtime cancels the remaining DAG first, so dependents never
   /// run on a half-factored matrix and the Runtime stays reusable).
@@ -86,21 +84,17 @@ inline std::size_t potrf_breakdown_tile(long failing_index,
 /// current storage precision.  Throws NumericalError when a pivot fails
 /// and `options.on_breakdown` is kThrow (or recovery is exhausted).
 ///
-/// Tasks carry DPLASMA-style critical-path priorities on top of
-/// `base_priority`: earlier panels outrank later ones and, within a panel,
-/// POTRF > TRSM > SYRK > GEMM, so the factorization front advances before
-/// trailing updates when the scheduler has a choice.
+/// Tasks carry DPLASMA-style critical-path priorities: earlier panels
+/// outrank later ones and, within a panel, POTRF > TRSM > SYRK > GEMM, so
+/// the factorization front advances before trailing updates when the
+/// scheduler has a choice.
 void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
-                 const TiledPotrfOptions& options);
-void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
-                 int base_priority = 0);
+                 const TiledPotrfOptions& options = {});
 
 /// Solves L * L^T * X = B in place over the FP32 right-hand sides B
-/// (n x nrhs).  `l` holds the factor from tiled_potrf.  `base_priority`
-/// lifts the whole solve above concurrent work (iterative refinement uses
-/// this for its latency-critical correction solves).
+/// (n x nrhs).  `l` holds the factor from tiled_potrf.
 void tiled_potrs(Runtime& runtime, const SymmetricTileMatrix& l,
-                 Matrix<float>& b, int base_priority = 0);
+                 Matrix<float>& b);
 
 /// Convenience: factor + solve.
 void tiled_posv(Runtime& runtime, SymmetricTileMatrix& a, Matrix<float>& b);

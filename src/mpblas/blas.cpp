@@ -327,30 +327,6 @@ void potrs(Uplo uplo, std::size_t n, std::size_t nrhs, const T* a,
 }
 
 template <typename T>
-void gemv(Trans trans, std::size_t m, std::size_t n, T alpha, const T* a,
-          std::size_t lda, const T* x, T beta, T* y) {
-  const std::size_t len = trans == Trans::kNoTrans ? m : n;
-  for (std::size_t i = 0; i < len; ++i) {
-    y[i] = beta == T{0} ? T{0} : y[i] * beta;
-  }
-  if (trans == Trans::kNoTrans) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const T xj = alpha * x[j];
-      if (xj == T{0}) continue;
-      const T* aj = a + j * lda;
-      for (std::size_t i = 0; i < m; ++i) y[i] += xj * aj[i];
-    }
-  } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      const T* aj = a + j * lda;
-      T sum{0};
-      for (std::size_t i = 0; i < m; ++i) sum += aj[i] * x[i];
-      y[j] += alpha * sum;
-    }
-  }
-}
-
-template <typename T>
 double frobenius_norm(std::size_t m, std::size_t n, const T* a,
                       std::size_t lda) {
   double sum = 0.0;
@@ -438,11 +414,6 @@ template void potrs<float>(Uplo, std::size_t, std::size_t, const float*,
                            std::size_t, float*, std::size_t);
 template void potrs<double>(Uplo, std::size_t, std::size_t, const double*,
                             std::size_t, double*, std::size_t);
-template void gemv<float>(Trans, std::size_t, std::size_t, float, const float*,
-                          std::size_t, const float*, float, float*);
-template void gemv<double>(Trans, std::size_t, std::size_t, double,
-                           const double*, std::size_t, const double*, double,
-                           double*);
 template double frobenius_norm<float>(std::size_t, std::size_t, const float*,
                                       std::size_t);
 template double frobenius_norm<double>(std::size_t, std::size_t, const double*,

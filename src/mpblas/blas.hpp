@@ -71,11 +71,6 @@ template <typename T>
 void potrs(Uplo uplo, std::size_t n, std::size_t nrhs, const T* a,
            std::size_t lda, T* b, std::size_t ldb);
 
-/// y <- alpha * op(A) * x + beta * y.
-template <typename T>
-void gemv(Trans trans, std::size_t m, std::size_t n, T alpha, const T* a,
-          std::size_t lda, const T* x, T beta, T* y);
-
 /// Frobenius norm of an m x n block.
 template <typename T>
 double frobenius_norm(std::size_t m, std::size_t n, const T* a, std::size_t lda);
@@ -142,12 +137,6 @@ extern template void potrs<float>(Uplo, std::size_t, std::size_t, const float*,
 extern template void potrs<double>(Uplo, std::size_t, std::size_t,
                                    const double*, std::size_t, double*,
                                    std::size_t);
-extern template void gemv<float>(Trans, std::size_t, std::size_t, float,
-                                 const float*, std::size_t, const float*, float,
-                                 float*);
-extern template void gemv<double>(Trans, std::size_t, std::size_t, double,
-                                  const double*, std::size_t, const double*,
-                                  double, double*);
 extern template double frobenius_norm<float>(std::size_t, std::size_t,
                                              const float*, std::size_t);
 extern template double frobenius_norm<double>(std::size_t, std::size_t,

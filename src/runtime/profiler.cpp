@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "telemetry/run_report.hpp"
-#include "telemetry/trace.hpp"
-
 namespace kgwas {
 
 namespace {
@@ -124,20 +121,6 @@ void Profiler::record_recovery(int attempts, std::size_t escalations,
 RecoveryStats Profiler::recovery_stats() const {
   std::lock_guard<std::mutex> lock(recovery_mutex_);
   return recovery_stats_;
-}
-
-void Profiler::write_trace(const std::string& path) const {
-  std::vector<telemetry::TraceStream> streams;
-  streams.push_back(telemetry::capture_stream(rank_, *this));
-  telemetry::RunReportInputs inputs;
-  inputs.phase = "trace";
-  inputs.ranks = 1;
-  inputs.streams = &streams;
-  telemetry::write_merged_trace(
-      path, streams,
-      [&](telemetry::JsonWriter& w) {
-        telemetry::write_run_report_fields(w, inputs);
-      });
 }
 
 void Profiler::clear() {

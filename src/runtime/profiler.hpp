@@ -70,7 +70,6 @@ class Profiler {
                     const Scheduler* scheduler = nullptr)
       : enabled_(enabled), scheduler_(scheduler) {}
 
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
   bool enabled() const noexcept { return enabled_; }
 
   /// The rank this profiler's spans belong to; becomes the pid lane of
@@ -104,12 +103,6 @@ class Profiler {
                        std::size_t tiles_promoted);
   RecoveryStats recovery_stats() const;
 
-  /// Writes the spans as a chrome://tracing / Perfetto "traceEvents" JSON
-  /// file (one track per worker) with the RunReport object embedded as
-  /// "otherData" — see telemetry/run_report.hpp.  Throws kgwas::Error
-  /// when the file cannot be written.
-  void write_trace(const std::string& path) const;
-
   /// Drops the spans and the recovery stats (Runtime::reset_profiling
   /// also zeroes the scheduler's counters).
   void clear();
@@ -126,7 +119,7 @@ class Profiler {
   };
   SpanShard& local_shard() const;
 
-  bool enabled_;
+  const bool enabled_;
   const Scheduler* scheduler_;
   int rank_ = 0;
   mutable std::array<SpanShard, kSpanShards> shards_;

@@ -23,24 +23,20 @@ struct Runtime::TaskNode {
 };
 
 struct Runtime::HandleState {
-  std::string name;
   // Superscalar tracking: last task that wrote the datum, and every reader
   // submitted since that write.
   TaskNode* last_writer = nullptr;
   std::vector<TaskNode*> readers_since_write;
 };
 
-Runtime::Runtime(std::size_t workers, bool enable_profiling,
-                 SchedulerPolicy policy)
-    : scheduler_(workers, policy),
+Runtime::Runtime(std::size_t workers, bool enable_profiling)
+    : scheduler_(workers),
       // KGWAS_TRACE turns on span recording without an API change at the
       // call site: trace output is useless without spans, so asking for a
       // trace directory implies asking for profiling.
       profiler_(enable_profiling ||
                     telemetry::telemetry_config().trace_enabled(),
-                &scheduler_),
-      profiling_enabled_(enable_profiling ||
-                         telemetry::telemetry_config().trace_enabled()) {}
+                &scheduler_) {}
 
 Runtime::~Runtime() {
   // Drain outstanding work so tasks never outlive the graph state.
@@ -52,30 +48,13 @@ Runtime::~Runtime() {
 }
 
 DataHandle Runtime::register_data() {
-  // An empty name fits in SSO storage, so this stays O(1) allocations.
-  return register_data(std::string{});
-}
-
-DataHandle Runtime::register_data(std::string name) {
   const std::uint64_t id = next_handle_id_.fetch_add(1);
   auto state = std::make_unique<HandleState>();
-  state->name = std::move(name);
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     handles_.emplace(id, std::move(state));
   }
   return DataHandle{id};
-}
-
-void Runtime::submit(std::string name, std::vector<Dep> deps,
-                     std::function<void()> fn) {
-  submit(TaskDesc{std::move(name), std::move(deps), 0}, std::move(fn));
-}
-
-void Runtime::submit(std::string name, std::vector<Dep> deps,
-                     std::function<void()> fn, SubmitOptions options) {
-  submit(TaskDesc{std::move(name), std::move(deps), options.priority},
-         std::move(fn));
 }
 
 void Runtime::submit(TaskDesc desc, std::function<void()> fn) {
@@ -207,7 +186,7 @@ void Runtime::run_task(TaskNode* node) {
   // Skipped bodies leave no span: their declared FLOPs never executed,
   // and recording them would corrupt per-class gflops in every trace of
   // a cancelled (breakdown-recovery) attempt.
-  if (profiling_enabled_ && !skip) {
+  if (profiler_.enabled() && !skip) {
     profiler_.record(TaskSpan{node->name, start, end,
                               scheduler_.current_worker(), node->flops});
   }

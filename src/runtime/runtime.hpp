@@ -67,11 +67,6 @@ struct Dep {
   Access access = Access::kRead;
 };
 
-/// Per-submission options.  Higher priority runs first among ready tasks.
-struct SubmitOptions {
-  int priority = 0;
-};
-
 /// Full task description: name (traces only), data dependencies,
 /// priority, and optionally the task's useful FLOP count (profiler
 /// reports achieved GFLOP/s per task class when set).
@@ -106,30 +101,20 @@ struct BatchStats {
 
 class Runtime {
  public:
-  /// `workers` = 0 selects hardware concurrency.  `policy` selects the
-  /// scheduler flavor; kFifo reproduces the old single-queue pool and is
-  /// kept as the benchmarking baseline.
-  explicit Runtime(std::size_t workers = 0, bool enable_profiling = false,
-                   SchedulerPolicy policy = SchedulerPolicy::kPriorityLifo);
+  /// `workers` = 0 selects hardware concurrency.  `enable_profiling`
+  /// records per-task spans (KGWAS_TRACE turns it on as well).
+  explicit Runtime(std::size_t workers = 0, bool enable_profiling = false);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Registers an anonymous datum — O(1), no name allocation; this is the
-  /// hot path used by the tiled algorithms (one handle per tile).
+  /// Registers a datum (one handle per tile in the tiled algorithms).
   DataHandle register_data();
-  /// Registers a named datum; `name` is used in traces only.
-  DataHandle register_data(std::string name);
 
   /// Submits a task.  Dependencies are inferred from previously submitted
   /// tasks touching the same handles.  Never blocks.
   void submit(TaskDesc desc, std::function<void()> fn);
-  void submit(std::string name, std::vector<Dep> deps,
-              std::function<void()> fn, SubmitOptions options);
-  /// Back-compat shim: priority 0.
-  void submit(std::string name, std::vector<Dep> deps,
-              std::function<void()> fn);
 
   /// Registers an external completion as a task: dependencies are
   /// declared and inferred exactly as for `submit`, but the task has no
@@ -201,9 +186,6 @@ class Runtime {
   void reset_profiling();
 
   std::size_t workers() const noexcept { return scheduler_.workers(); }
-  SchedulerPolicy scheduler_policy() const noexcept {
-    return scheduler_.policy();
-  }
 
  private:
   struct TaskNode;
@@ -218,7 +200,6 @@ class Runtime {
 
   Scheduler scheduler_;
   Profiler profiler_;
-  bool profiling_enabled_;
 
   std::mutex graph_mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<HandleState>> handles_;

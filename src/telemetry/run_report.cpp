@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/logging.hpp"
 #include "common/status.hpp"
 #include "dist/communicator.hpp"
 #include "mpblas/kernels.hpp"
@@ -232,6 +233,24 @@ void write_run_report(const std::string& path, const RunReportInputs& in) {
   w.end_object();
   out << "\n";
   if (!out.good()) throw Error("failed writing run report file: " + path);
+}
+
+void write_run_artifacts(const TelemetryConfig& cfg,
+                         const std::string& trace_name,
+                         const RunReportInputs& in) {
+  static const std::vector<TraceStream> kNoStreams;
+  try {
+    if (cfg.trace_enabled()) {
+      write_merged_trace(cfg.trace_dir + "/" + trace_name,
+                         in.streams != nullptr ? *in.streams : kNoStreams,
+                         [&in](JsonWriter& w) {
+                           write_run_report_fields(w, in);
+                         });
+    }
+    if (cfg.report_enabled()) write_run_report(cfg.report_path, in);
+  } catch (const Error& e) {
+    KGWAS_LOG_WARN("telemetry artifact write failed: " << e.what());
+  }
 }
 
 std::string run_report_json(const RunReportInputs& in) {

@@ -5,7 +5,7 @@
 // recovery aggregates over every rank's trace stream, per-kernel-class
 // FLOP accounting, the GEMM engine configuration behind the numbers, the
 // transport's wire ledger (frames, bytes, per-precision tile payload),
-// and a fold of the global metrics registry.  `Profiler::write_trace`
+// and a fold of the global metrics registry.  `write_run_artifacts`
 // embeds the identical object as the trace's "otherData", so traces and
 // reports can never disagree on a field's meaning — one serializer
 // produces both.
@@ -81,6 +81,15 @@ void write_run_report_fields(JsonWriter& w, const RunReportInputs& in);
 /// Writes the full report document to `path` (creating parent
 /// directories).  Throws Error when the file cannot be written.
 void write_run_report(const std::string& path, const RunReportInputs& in);
+
+/// Writes the artifacts `cfg` asks for: the merged trace of `in.streams`
+/// as `<trace_dir>/<trace_name>`, carrying the report as its "otherData",
+/// and the report document at `report_path`.  A write failure is logged
+/// as a warning, never thrown: telemetry must not fail the run it
+/// observes.
+void write_run_artifacts(const TelemetryConfig& cfg,
+                         const std::string& trace_name,
+                         const RunReportInputs& in);
 
 /// The report document as a string (for embedding into BENCH_*.json rows).
 std::string run_report_json(const RunReportInputs& in);

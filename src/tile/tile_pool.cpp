@@ -1,22 +1,19 @@
 #include "tile/tile_pool.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "common/env.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace kgwas {
 
 namespace {
 
-// Registry mirrors.  Gauge deltas from every pool sum into one process
-// level, so "pool.bytes_in_use" is the combined footprint and the
-// high-water gauge tracks the max of that combined level.  The pool's own
-// mutex serializes each pool's updates (gauges aren't sharded).
-void note_acquire(std::size_t bytes, TilePool::Stats& stats) {
-  stats.bytes_in_use += bytes;
-  stats.high_water_bytes = std::max(stats.high_water_bytes, stats.bytes_in_use);
+// Bytes in use are counted only in the registry: gauge deltas from every
+// pool sum into one process level, so "pool.bytes_in_use" is the combined
+// footprint and the high-water gauge tracks the max of that combined
+// level.  The pool's own mutex serializes each pool's updates (gauges
+// aren't sharded).
+void note_acquire(std::size_t bytes) {
   static telemetry::Gauge& in_use =
       telemetry::MetricRegistry::global().gauge("pool.bytes_in_use");
   static telemetry::Gauge& high_water =
@@ -27,8 +24,7 @@ void note_acquire(std::size_t bytes, TilePool::Stats& stats) {
   acquire_bytes.record(bytes);
 }
 
-void note_release(std::size_t bytes, TilePool::Stats& stats) {
-  stats.bytes_in_use -= std::min(stats.bytes_in_use, bytes);
+void note_release(std::size_t bytes) {
   static telemetry::Gauge& in_use =
       telemetry::MetricRegistry::global().gauge("pool.bytes_in_use");
   in_use.add(-static_cast<std::int64_t>(bytes));
@@ -54,11 +50,8 @@ TilePool::TilePool(std::size_t max_cached_bytes)
 TilePool& TilePool::global() {
   // Leaked on purpose: pool-backed tiles with static storage duration may
   // be destroyed after any function-local static would be, and the pool
-  // must still accept their release.  Only the global pool honors the
-  // KGWAS_TILE_POOL_MB override; explicitly constructed pools keep the
-  // cap their caller asked for.
-  static TilePool* pool = new TilePool(
-      env_size_t("KGWAS_TILE_POOL_MB", kDefaultMaxCachedBytes >> 20) << 20);
+  // must still accept their release.
+  static TilePool* pool = new TilePool();
   return *pool;
 }
 
@@ -66,7 +59,7 @@ AlignedVector<std::byte> TilePool::acquire(std::size_t bytes) {
   if (bytes == 0) return {};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    note_acquire(bytes, stats_);
+    note_acquire(bytes);
     auto it = bytes_.find(bytes);
     if (it != bytes_.end() && !it->second.empty()) {
       AlignedVector<std::byte> buffer = std::move(it->second.back());
@@ -86,7 +79,7 @@ void TilePool::release(AlignedVector<std::byte>&& buffer) {
   if (bytes == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.releases;
-  note_release(bytes, stats_);
+  note_release(bytes);
   if (cached_bytes_ + bytes > max_cached_bytes_) {
     ++stats_.dropped;
     return;  // buffer freed on scope exit
@@ -100,7 +93,7 @@ AlignedVector<float> TilePool::acquire_f32(std::size_t elements) {
   if (elements == 0) return {};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    note_acquire(elements * sizeof(float), stats_);
+    note_acquire(elements * sizeof(float));
     auto it = f32_.find(elements);
     if (it != f32_.end() && !it->second.empty()) {
       AlignedVector<float> buffer = std::move(it->second.back());
@@ -121,7 +114,7 @@ void TilePool::release_f32(AlignedVector<float>&& buffer) {
   const std::size_t bytes = elements * sizeof(float);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.releases;
-  note_release(bytes, stats_);
+  note_release(bytes);
   if (cached_bytes_ + bytes > max_cached_bytes_) {
     ++stats_.dropped;
     return;

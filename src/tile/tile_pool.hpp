@@ -40,14 +40,12 @@ class TilePool {
     std::uint64_t releases = 0;           ///< buffers returned to the pool
     std::uint64_t dropped = 0;            ///< releases freed due to the cap
     std::size_t cached_bytes = 0;         ///< bytes currently parked
-    std::size_t bytes_in_use = 0;         ///< acquired and not yet released
-    std::size_t high_water_bytes = 0;     ///< max bytes_in_use ever seen
   };
 
   /// `max_cached_bytes` caps the bytes parked in free lists; releases past
   /// the cap free their buffer instead (the pool never caps *outstanding*
-  /// buffers, only idle ones).  The global pool's cap is overridable via
-  /// KGWAS_TILE_POOL_MB; explicit constructions use the argument as-is.
+  /// buffers, only idle ones).  Bytes in use and their high-water mark
+  /// are the registry gauges `pool.bytes_in_use` / `pool.bytes_high_water`.
   explicit TilePool(std::size_t max_cached_bytes = kDefaultMaxCachedBytes);
 
   TilePool(const TilePool&) = delete;

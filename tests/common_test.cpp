@@ -4,16 +4,19 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "common/cli.hpp"
 #include "common/env.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/table.hpp"
@@ -21,6 +24,7 @@
 #include "dist/communicator.hpp"
 #include "dist/dist_cholesky.hpp"
 #include "dist/dist_krr.hpp"
+#include "linalg/precision_policy.hpp"
 #include "mpblas/kernels.hpp"
 
 namespace kgwas {
@@ -256,6 +260,75 @@ TEST(Env, FaultToleranceKnobParsesStrictly) {
     ScopedEnv guard("KGWAS_FT", value);
     EXPECT_EQ(requested(), want)
         << "value: " << (value == nullptr ? "unset" : value);
+  }
+}
+
+/// What the logger writes to stderr at warning level while `body` runs.
+std::string captured_warnings(const std::function<void()>& body) {
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  body();
+  std::string out = testing::internal::GetCapturedStderr();
+  set_log_level(level);
+  return out;
+}
+
+TEST(Env, EveryNumericKnobWarnsOnMalformedValue) {
+  // Each numeric knob, the call that reads it, the default it keeps, a
+  // value it accepts, and values it rejects.  A rejected value must warn
+  // with the knob, the value and the default instead of defaulting
+  // silently; an accepted one stays quiet.
+  struct Knob {
+    const char* name;
+    std::function<void()> read;
+    const char* fallback;
+    const char* good;
+    std::vector<const char*> bad;
+  };
+  const auto in_world = [](const std::function<void(dist::Communicator&)>& f) {
+    return [f] { dist::run_ranks(1, f); };
+  };
+  const std::vector<Knob> knobs = {
+      {"KGWAS_RANKS", [] { EXPECT_EQ(dist::configured_ranks(), 1); }, "1",
+       nullptr, {"abc", "-1", "4x", "0", "999"}},
+      {"KGWAS_DIST_WORKERS",
+       [] { EXPECT_GE(dist::configured_workers_per_rank(1), 1u); }, "0", "2",
+       {"abc", "-1", "4x"}},
+      {"KGWAS_COMM_TIMEOUT_MS", in_world([](dist::Communicator&) {}), "0",
+       "20", {"abc", "-1", "4x"}},
+      {"KGWAS_COMM_RETRIES", in_world([](dist::Communicator&) {}), "4", "1",
+       {"abc", "-1", "4x"}},
+      {"KGWAS_FT", in_world([](dist::Communicator& comm) {
+         EXPECT_FALSE(dist::fault_tolerance_requested(comm));
+       }),
+       "0", "0", {"abc", "-1", "4x"}},
+      {"KGWAS_CKPT_INTERVAL",
+       [] { EXPECT_EQ(dist::configured_checkpoint_interval(), 4); }, "4",
+       nullptr, {"abc", "-1", "4x", "0"}},
+      {"KGWAS_TLR_TOL",
+       [] { EXPECT_DOUBLE_EQ(tlr_policy_from_env().tol, 0.0); }, "0",
+       nullptr, {"abc", "-1", "4x", "1"}},
+      {"KGWAS_TLR_MAX_RANK_FRACTION",
+       [] { EXPECT_DOUBLE_EQ(tlr_policy_from_env().max_rank_fraction, 0.5); },
+       "0.5", nullptr, {"abc", "-1", "4x"}},
+  };
+  for (const Knob& knob : knobs) {
+    for (const char* bad : knob.bad) {
+      ScopedEnv guard(knob.name, bad);
+      const std::string warning = captured_warnings(knob.read);
+      EXPECT_NE(warning.find(std::string(knob.name) + "='" + bad + "'"),
+                std::string::npos)
+          << knob.name << "=" << bad << " did not warn: " << warning;
+      EXPECT_NE(warning.find(std::string("keeping the default ") +
+                             knob.fallback),
+                std::string::npos)
+          << knob.name << "=" << bad << ": " << warning;
+    }
+    if (knob.good != nullptr) {
+      ScopedEnv guard(knob.name, knob.good);
+      EXPECT_EQ(captured_warnings(knob.read), "") << knob.name;
+    }
   }
 }
 

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "common/rng.hpp"
+#include "linalg/cholesky_dag.hpp"
 #include "linalg/iterative_refinement.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/tile_kernels.hpp"
@@ -299,6 +301,36 @@ TEST(DataMotion, LowPrecisionReducesLedger) {
   const auto fp32_bytes = run_bytes(Precision::kFp32);
   const auto fp8_bytes = run_bytes(Precision::kFp8E4M3);
   EXPECT_LT(fp8_bytes, fp32_bytes / 2);
+}
+
+
+TEST(CholeskyDag, TaskPrioritiesNest) {
+  // DPLASMA-style critical-path priorities: every (step, kernel) pair
+  // gets its own priority, panel k outranks panel k + 1, and within a
+  // panel POTRF > TRSM > SYRK > GEMM.
+  const PotrfKernel by_rank[] = {PotrfKernel::kPotrf, PotrfKernel::kTrsm,
+                                 PotrfKernel::kSyrk, PotrfKernel::kGemm};
+  for (const std::size_t nt : {std::size_t{1}, std::size_t{5},
+                               std::size_t{64}}) {
+    std::set<int> seen;
+    for (std::size_t k = 0; k < nt; ++k) {
+      for (std::size_t i = 0; i < 4; ++i) {
+        const int p = potrf_task_priority(nt, k, by_rank[i]);
+        EXPECT_TRUE(seen.insert(p).second) << "nt " << nt << ", k " << k;
+        if (i + 1 < 4) {
+          EXPECT_GT(p, potrf_task_priority(nt, k, by_rank[i + 1]))
+              << "nt " << nt << ", k " << k;
+        }
+      }
+      if (k + 1 < nt) {
+        // Panel k's lowest task outranks panel k + 1's highest.
+        EXPECT_GT(potrf_task_priority(nt, k, PotrfKernel::kGemm),
+                  potrf_task_priority(nt, k + 1, PotrfKernel::kPotrf))
+            << "nt " << nt << ", k " << k;
+      }
+    }
+    EXPECT_EQ(seen.size(), 4 * nt);
+  }
 }
 
 }  // namespace

@@ -239,28 +239,6 @@ TEST(Potrs, SolvesSystem) {
   EXPECT_LT(max_diff(b, x_true), 1e-9);
 }
 
-TEST(Gemv, BothTransposes) {
-  Rng rng(9);
-  const std::size_t m = 11, n = 7;
-  const Matrix<double> a = random_matrix(m, n, rng);
-  std::vector<double> x(n), y(m, 1.0);
-  for (auto& v : x) v = rng.normal();
-  gemv(Trans::kNoTrans, m, n, 2.0, a.data(), a.ld(), x.data(), 0.5, y.data());
-  for (std::size_t i = 0; i < m; ++i) {
-    double expect = 0.5;
-    for (std::size_t j = 0; j < n; ++j) expect += 2.0 * a(i, j) * x[j];
-    EXPECT_NEAR(y[i], expect, 1e-12);
-  }
-  std::vector<double> xt(m), yt(n, 0.0);
-  for (auto& v : xt) v = rng.normal();
-  gemv(Trans::kTrans, m, n, 1.0, a.data(), a.ld(), xt.data(), 0.0, yt.data());
-  for (std::size_t j = 0; j < n; ++j) {
-    double expect = 0.0;
-    for (std::size_t i = 0; i < m; ++i) expect += a(i, j) * xt[i];
-    EXPECT_NEAR(yt[j], expect, 1e-12);
-  }
-}
-
 TEST(Norms, KnownValues) {
   Matrix<double> a(2, 2);
   a(0, 0) = 3.0;

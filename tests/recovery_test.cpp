@@ -133,7 +133,7 @@ TEST(RuntimeRecovery, ThrowingTaskCancelsDependents) {
   Runtime rt(4, /*enable_profiling=*/true);
   DataHandle h = rt.register_data();
   std::atomic<bool> dependent_ran{false};
-  rt.submit("boom", {{h, Access::kWrite}},
+  rt.submit({"boom", {{h, Access::kWrite}}},
             [] { throw NumericalError("synthetic", 1); });
   rt.submit(TaskDesc{"dependent", {{h, Access::kRead}}, 0, /*flops=*/1e9},
             [&] { dependent_ran = true; });
@@ -151,17 +151,17 @@ TEST(RuntimeRecovery, RuntimeReusableAfterThrowingChain) {
   Runtime rt(2);
   DataHandle h = rt.register_data();
   std::atomic<int> ran{0};
-  rt.submit("a", {{h, Access::kWrite}}, [&] { ran.fetch_add(1); });
-  rt.submit("boom", {{h, Access::kReadWrite}},
+  rt.submit({"a", {{h, Access::kWrite}}}, [&] { ran.fetch_add(1); });
+  rt.submit({"boom", {{h, Access::kReadWrite}}},
             [] { throw NumericalError("synthetic", 2); });
   for (int i = 0; i < 8; ++i) {
-    rt.submit("after", {{h, Access::kReadWrite}}, [&] { ran.fetch_add(1); });
+    rt.submit({"after", {{h, Access::kReadWrite}}}, [&] { ran.fetch_add(1); });
   }
   EXPECT_THROW(rt.wait(), NumericalError);
   EXPECT_EQ(ran.load(), 1);  // only the pre-failure task ran
   // Reusable: a fresh graph over the same handle runs normally.
   std::atomic<int> again{0};
-  rt.submit("fresh", {{h, Access::kReadWrite}}, [&] { again = 1; });
+  rt.submit({"fresh", {{h, Access::kReadWrite}}}, [&] { again = 1; });
   rt.wait();
   EXPECT_EQ(again.load(), 1);
 }
@@ -170,14 +170,15 @@ TEST(RuntimeRecovery, ExplicitCancelSkipsPendingWithoutError) {
   Runtime rt(2);
   DataHandle h = rt.register_data();
   std::atomic<int> ran{0};
-  rt.submit("canceller", {{h, Access::kWrite}}, [&] { rt.cancel(); });
+  rt.submit({"canceller", {{h, Access::kWrite}}}, [&] { rt.cancel(); });
   for (int i = 0; i < 8; ++i) {
-    rt.submit("skipped", {{h, Access::kReadWrite}}, [&] { ran.fetch_add(1); });
+    rt.submit({"skipped", {{h, Access::kReadWrite}}},
+              [&] { ran.fetch_add(1); });
   }
   rt.wait();  // no exception: explicit cancel records no error
   EXPECT_EQ(ran.load(), 0);
   // The flag clears at wait(): new work runs.
-  rt.submit("fresh", {{h, Access::kReadWrite}}, [&] { ran.fetch_add(1); });
+  rt.submit({"fresh", {{h, Access::kReadWrite}}}, [&] { ran.fetch_add(1); });
   rt.wait();
   EXPECT_EQ(ran.load(), 1);
 }
@@ -187,9 +188,9 @@ TEST(RuntimeRecovery, ErrorCallbackFiresOnceOnFirstError) {
   std::atomic<int> fired{0};
   rt.set_error_callback([&](const std::exception_ptr&) { fired.fetch_add(1); });
   DataHandle h = rt.register_data();
-  rt.submit("boom1", {{h, Access::kWrite}},
+  rt.submit({"boom1", {{h, Access::kWrite}}},
             [] { throw NumericalError("first", 1); });
-  rt.submit("boom2", {{h, Access::kReadWrite}},
+  rt.submit({"boom2", {{h, Access::kReadWrite}}},
             [] { throw NumericalError("second", 2); });
   EXPECT_THROW(rt.wait(), NumericalError);
   EXPECT_EQ(fired.load(), 1);
@@ -207,11 +208,11 @@ TEST(RuntimeRecovery, ExternalEventsCompleteUnderCancellation) {
   ExternalEvent event = rt.submit_external(
       TaskDesc{"recv", {{he, Access::kWrite}}, 0});
   std::atomic<bool> consumer_ran{false};
-  rt.submit("boom", {{hb, Access::kWrite}},
+  rt.submit({"boom", {{hb, Access::kWrite}}},
             [] { throw NumericalError("synthetic", 3); });
   // Ordered after the throwing task (Read on hb) so the skip is
   // deterministic; also gated on the external event like a dist consumer.
-  rt.submit("consumer", {{he, Access::kRead}, {hb, Access::kRead}},
+  rt.submit({"consumer", {{he, Access::kRead}, {hb, Access::kRead}}},
             [&] { consumer_ran = true; });
   rt.signal_external(event);
   EXPECT_THROW(rt.wait(), NumericalError);
@@ -232,7 +233,7 @@ TEST(Escalation, ThrowModePropagatesBreakdown) {
   // The runtime survived the mid-DAG failure (contract check).
   DataHandle h = rt.register_data();
   std::atomic<int> ok{0};
-  rt.submit("fine", {{h, Access::kWrite}}, [&] { ok = 1; });
+  rt.submit({"fine", {{h, Access::kWrite}}}, [&] { ok = 1; });
   rt.wait();
   EXPECT_EQ(ok.load(), 1);
 }

@@ -14,44 +14,45 @@
 
 #include "common/rng.hpp"
 #include "runtime/runtime.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace kgwas {
 namespace {
 
 TEST(Runtime, ReadAfterWriteOrdering) {
   Runtime rt(4);
-  DataHandle h = rt.register_data("x");
+  DataHandle h = rt.register_data();
   int value = 0;
-  rt.submit("write", {{h, Access::kWrite}}, [&] { value = 42; });
+  rt.submit({"write", {{h, Access::kWrite}}}, [&] { value = 42; });
   int seen = -1;
-  rt.submit("read", {{h, Access::kRead}}, [&] { seen = value; });
+  rt.submit({"read", {{h, Access::kRead}}}, [&] { seen = value; });
   rt.wait();
   EXPECT_EQ(seen, 42);
 }
 
 TEST(Runtime, WriteAfterReadOrdering) {
   Runtime rt(4);
-  DataHandle h = rt.register_data("x");
+  DataHandle h = rt.register_data();
   std::atomic<int> stage{0};
   std::vector<int> read_saw(8, -1);
   // Several readers of the initial value, then a writer: the writer must
   // wait for every reader.
-  rt.submit("init", {{h, Access::kWrite}}, [&] { stage = 1; });
+  rt.submit({"init", {{h, Access::kWrite}}}, [&] { stage = 1; });
   for (int r = 0; r < 8; ++r) {
-    rt.submit("read", {{h, Access::kRead}}, [&, r] { read_saw[r] = stage; });
+    rt.submit({"read", {{h, Access::kRead}}}, [&, r] { read_saw[r] = stage; });
   }
-  rt.submit("overwrite", {{h, Access::kWrite}}, [&] { stage = 2; });
+  rt.submit({"overwrite", {{h, Access::kWrite}}}, [&] { stage = 2; });
   rt.wait();
   for (int r = 0; r < 8; ++r) EXPECT_EQ(read_saw[r], 1);
 }
 
 TEST(Runtime, ConcurrentReadersShareAccess) {
   Runtime rt(4);
-  DataHandle h = rt.register_data("shared");
+  DataHandle h = rt.register_data();
   std::atomic<int> count{0};
-  rt.submit("seed", {{h, Access::kWrite}}, [&] { count = 0; });
+  rt.submit({"seed", {{h, Access::kWrite}}}, [&] { count = 0; });
   for (int r = 0; r < 32; ++r) {
-    rt.submit("read", {{h, Access::kRead}}, [&] { count.fetch_add(1); });
+    rt.submit({"read", {{h, Access::kRead}}}, [&] { count.fetch_add(1); });
   }
   rt.wait();
   EXPECT_EQ(count.load(), 32);
@@ -62,8 +63,8 @@ TEST(Runtime, IndependentHandlesRunUnordered) {
   Runtime rt(4);
   std::atomic<int> done{0};
   for (int i = 0; i < 100; ++i) {
-    DataHandle h = rt.register_data("h");
-    rt.submit("inc", {{h, Access::kWrite}}, [&] { done.fetch_add(1); });
+    DataHandle h = rt.register_data();
+    rt.submit({"inc", {{h, Access::kWrite}}}, [&] { done.fetch_add(1); });
   }
   rt.wait();
   EXPECT_EQ(done.load(), 100);
@@ -71,24 +72,25 @@ TEST(Runtime, IndependentHandlesRunUnordered) {
 
 TEST(Runtime, ExceptionPropagatesFromWait) {
   Runtime rt(2);
-  DataHandle h = rt.register_data("x");
-  rt.submit("boom", {{h, Access::kWrite}},
+  DataHandle h = rt.register_data();
+  rt.submit({"boom", {{h, Access::kWrite}}},
             [] { throw NumericalError("pivot failure", 3); });
   EXPECT_THROW(rt.wait(), NumericalError);
   // Runtime stays usable after a failure.
   std::atomic<int> ok{0};
-  rt.submit("fine", {{h, Access::kWrite}}, [&] { ok = 1; });
+  rt.submit({"fine", {{h, Access::kWrite}}}, [&] { ok = 1; });
   rt.wait();
   EXPECT_EQ(ok.load(), 1);
 }
 
 TEST(Runtime, SubmitFromInsideTask) {
   Runtime rt(2);
-  DataHandle h = rt.register_data("x");
+  DataHandle h = rt.register_data();
   std::atomic<int> value{0};
-  rt.submit("outer", {{h, Access::kWrite}}, [&] {
+  rt.submit({"outer", {{h, Access::kWrite}}}, [&] {
     value = 1;
-    rt.submit("inner", {{h, Access::kReadWrite}}, [&] { value.fetch_add(10); });
+    rt.submit({"inner", {{h, Access::kReadWrite}}},
+              [&] { value.fetch_add(10); });
   });
   rt.wait();
   EXPECT_EQ(value.load(), 11);
@@ -134,11 +136,12 @@ TEST(Runtime, RandomProgramMatchesSerialExecution) {
   std::iota(cells.begin(), cells.end(), 1);
   Runtime rt(4);
   std::vector<DataHandle> handles(kCells);
-  for (int c = 0; c < kCells; ++c) handles[c] = rt.register_data("cell");
+  for (int c = 0; c < kCells; ++c) handles[c] = rt.register_data();
   for (const Op& op : program) {
     std::vector<Dep> deps{{handles[op.target], Access::kReadWrite}};
     for (int s : op.sources) deps.push_back({handles[s], Access::kRead});
-    rt.submit("op", std::move(deps), [&cells, &apply, &op] { apply(cells, op); });
+    rt.submit({"op", std::move(deps)},
+              [&cells, &apply, &op] { apply(cells, op); });
   }
   rt.wait();
   EXPECT_EQ(cells, serial);
@@ -146,9 +149,9 @@ TEST(Runtime, RandomProgramMatchesSerialExecution) {
 
 TEST(Runtime, ProfilerRecordsSpans) {
   Runtime rt(2, /*enable_profiling=*/true);
-  DataHandle h = rt.register_data("x");
+  DataHandle h = rt.register_data();
   for (int i = 0; i < 5; ++i) {
-    rt.submit("kernel_a", {{h, Access::kReadWrite}}, [] {});
+    rt.submit({"kernel_a", {{h, Access::kReadWrite}}}, [] {});
   }
   rt.wait();
   const auto stats = rt.profiler().stats();
@@ -161,7 +164,7 @@ TEST(Runtime, ProfilerRecordsSpans) {
 TEST(Runtime, UnregisteredHandleRejected) {
   Runtime rt(1);
   DataHandle bogus{9999};
-  EXPECT_THROW(rt.submit("bad", {{bogus, Access::kRead}}, [] {}),
+  EXPECT_THROW(rt.submit({"bad", {{bogus, Access::kRead}}}, [] {}),
                InvalidArgument);
 }
 
@@ -264,16 +267,21 @@ bool valid(const std::string& text) {
 
 TEST(Profiler, WriteTraceEmitsParsableJson) {
   Runtime rt(2, /*enable_profiling=*/true);
-  DataHandle h = rt.register_data("traced \"datum\"\n");
+  DataHandle h = rt.register_data();
   for (int i = 0; i < 4; ++i) {
-    rt.submit("kernel \"quoted\"\ttab", {{h, Access::kReadWrite}}, [] {});
+    rt.submit({"kernel \"quoted\"\ttab", {{h, Access::kReadWrite}}}, [] {});
   }
   rt.wait();
 
-  const std::string path = ::testing::TempDir() + "/kgwas_trace.json";
-  rt.profiler().write_trace(path);
+  const std::vector<telemetry::TraceStream> streams{
+      telemetry::capture_stream(0, rt.profiler())};
+  telemetry::RunReportInputs inputs;
+  inputs.phase = "trace";
+  inputs.streams = &streams;
+  const std::string dir = ::testing::TempDir();
+  telemetry::write_run_artifacts({dir, ""}, "kgwas_trace.json", inputs);
 
-  std::ifstream in(path);
+  std::ifstream in(dir + "/kgwas_trace.json");
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -291,7 +299,7 @@ TEST(Profiler, WorkerStatsAggregatePerWorker) {
   Runtime rt(2, /*enable_profiling=*/true);
   DataHandle h = rt.register_data();
   for (int i = 0; i < 12; ++i) {
-    rt.submit("t", {{h, Access::kReadWrite}}, [] {});
+    rt.submit({"t", {{h, Access::kReadWrite}}}, [] {});
   }
   rt.wait();
   const auto per_worker = rt.profiler().worker_stats();
@@ -310,11 +318,11 @@ TEST(Profiler, WorkerStatsAggregatePerWorker) {
 TEST(Runtime, WaitIsReentrant) {
   Runtime rt(2);
   rt.wait();  // empty graph
-  DataHandle h = rt.register_data("x");
+  DataHandle h = rt.register_data();
   std::atomic<int> n{0};
-  rt.submit("a", {{h, Access::kWrite}}, [&] { n.fetch_add(1); });
+  rt.submit({"a", {{h, Access::kWrite}}}, [&] { n.fetch_add(1); });
   rt.wait();
-  rt.submit("b", {{h, Access::kWrite}}, [&] { n.fetch_add(1); });
+  rt.submit({"b", {{h, Access::kWrite}}}, [&] { n.fetch_add(1); });
   rt.wait();
   EXPECT_EQ(n.load(), 2);
 }

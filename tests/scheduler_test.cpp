@@ -60,34 +60,6 @@ TEST(Scheduler, PriorityOrderObservedOnSingleWorker) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(Scheduler, FifoBaselineRunsInSubmissionOrder) {
-  Scheduler sched(1, SchedulerPolicy::kFifo);
-  SpinLatch started, release;
-  sched.submit([&] {
-    started.release();
-    release.await();
-  });
-  started.await();
-
-  std::vector<int> order;
-  std::mutex order_mutex;
-  for (int i = 0; i < 9; ++i) {
-    // Priorities are deliberately adversarial: FIFO must ignore them.
-    sched.submit(
-        [&, i] {
-          std::lock_guard<std::mutex> lock(order_mutex);
-          order.push_back(i);
-        },
-        /*priority=*/100 - i * 10);
-  }
-  release.release();
-  sched.wait_idle();
-
-  std::vector<int> expected(9);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
 TEST(Scheduler, StealsFromBlockedWorkerDeque) {
   Scheduler sched(2);
   // Block both workers so the quick tasks pile up in both deques.
@@ -123,6 +95,32 @@ TEST(Scheduler, StealsFromBlockedWorkerDeque) {
   EXPECT_GE(stats.steal_attempts, 1u);
   EXPECT_EQ(stats.workers.size(), 2u);
   EXPECT_EQ(stats.queue_depth_samples, static_cast<std::uint64_t>(kQuick) + 2);
+}
+
+/// Regression: push() counted a task in the queue depth only after
+/// releasing its deque lock, so the pop or steal that took the task could
+/// decrement first, and a concurrent depth sample recorded 2^64 - 1 as
+/// max_queue_depth (about one trial in ten on 4 workers).  Chains of
+/// write -> read -> read-write tasks on independent handles make every
+/// completion push a successor that an idle worker steals at once.
+TEST(Scheduler, QueueDepthNeverExceedsTasksSubmitted) {
+  constexpr int kTrials = 100;
+  constexpr int kChains = 1500;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Runtime rt(4);
+    std::vector<DataHandle> handles(kChains);
+    for (DataHandle& h : handles) h = rt.register_data();
+    for (const DataHandle h : handles) {
+      rt.submit({"write", {{h, Access::kWrite}}}, [] {});
+      rt.submit({"read", {{h, Access::kRead}}}, [] {});
+      rt.submit({"update", {{h, Access::kReadWrite}}}, [] {});
+    }
+    rt.wait();
+    const SchedulerStats stats = rt.profiler().scheduler_stats();
+    ASSERT_EQ(stats.tasks_executed, rt.tasks_submitted());
+    ASSERT_LE(stats.max_queue_depth, rt.tasks_submitted())
+        << "trial " << trial;
+  }
 }
 
 TEST(Scheduler, CurrentWorkerIdentity) {
@@ -187,7 +185,7 @@ TEST(Runtime, PrioritySubmitOverloadsObserveOrder) {
   Runtime rt(1);
   DataHandle blocker_handle = rt.register_data();
   SpinLatch started, release;
-  rt.submit("blocker", {{blocker_handle, Access::kWrite}}, [&] {
+  rt.submit({"blocker", {{blocker_handle, Access::kWrite}}}, [&] {
     started.release();
     release.await();
   });
@@ -199,16 +197,17 @@ TEST(Runtime, PrioritySubmitOverloadsObserveOrder) {
     std::lock_guard<std::mutex> lock(order_mutex);
     order.push_back(std::move(tag));
   };
-  // Exercise all three submit flavors; independent handles, so the
-  // scheduler's priority order fully determines execution order.
+  // Independent handles, so the scheduler's priority order fully
+  // determines execution order; the first TaskDesc leaves the priority at
+  // its default of 0.
   DataHandle ha = rt.register_data();
-  DataHandle hb = rt.register_data("named");
+  DataHandle hb = rt.register_data();
   DataHandle hc = rt.register_data();
-  rt.submit("low", {{ha, Access::kWrite}}, [&] { record("low"); });  // prio 0
+  rt.submit({"low", {{ha, Access::kWrite}}}, [&] { record("low"); });
   rt.submit(TaskDesc{"high", {{hb, Access::kWrite}}, 20},
             [&] { record("high"); });
-  rt.submit("mid", {{hc, Access::kWrite}}, [&] { record("mid"); },
-            SubmitOptions{10});
+  rt.submit(TaskDesc{"mid", {{hc, Access::kWrite}}, 10},
+            [&] { record("mid"); });
   release.release();
   rt.wait();
 
@@ -222,7 +221,7 @@ TEST(Runtime, SchedulerStatsExposedViaProfiler) {
   Runtime rt(2);
   DataHandle h = rt.register_data();
   for (int i = 0; i < 10; ++i) {
-    rt.submit("t", {{h, Access::kReadWrite}}, [] {});
+    rt.submit({"t", {{h, Access::kReadWrite}}}, [] {});
   }
   rt.wait();
   const SchedulerStats stats = rt.profiler().scheduler_stats();
@@ -297,26 +296,14 @@ TEST(Runtime, WaitDrainsNestedSubmits) {
     rt.submit(TaskDesc{"chain", {{h, Access::kReadWrite}}, depth},
               [&spawn, depth] { spawn(depth - 1); });
     DataHandle side = rt.register_data();
-    rt.submit("side", {{side, Access::kWrite}},
+    rt.submit({"side", {{side, Access::kWrite}}},
               [&executed] { executed.fetch_add(1); });
   };
-  rt.submit("root", {{h, Access::kReadWrite}}, [&spawn] { spawn(100); });
+  rt.submit({"root", {{h, Access::kReadWrite}}}, [&spawn] { spawn(100); });
   rt.wait();
   // Chain: root + 100 links = 101; each of the 100 spawning levels also
   // fires one side task.
   EXPECT_EQ(executed.load(), 201);
-}
-
-TEST(Runtime, FifoPolicyRuntimeStillCorrect) {
-  Runtime rt(4, /*enable_profiling=*/false, SchedulerPolicy::kFifo);
-  DataHandle h = rt.register_data();
-  int value = 0;
-  rt.submit("w", {{h, Access::kWrite}}, [&] { value = 7; });
-  int seen = -1;
-  rt.submit(TaskDesc{"r", {{h, Access::kRead}}, 99}, [&] { seen = value; });
-  rt.wait();
-  EXPECT_EQ(seen, 7);
-  EXPECT_EQ(rt.scheduler_policy(), SchedulerPolicy::kFifo);
 }
 
 }  // namespace

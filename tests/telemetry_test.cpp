@@ -262,10 +262,15 @@ TEST(Profiler, WriteTraceSurvivesEvilSpanNames) {
   span.end_ns = 200;
   span.worker = 0;
   profiler.record(span);
-  const std::string path =
-      ::testing::TempDir() + "/kgwas_telemetry_evil_trace.json";
-  profiler.write_trace(path);
-  std::ifstream in(path);
+  const std::vector<tel::TraceStream> streams{
+      tel::capture_stream(0, profiler)};
+  tel::RunReportInputs inputs;
+  inputs.phase = "trace";
+  inputs.streams = &streams;
+  const std::string dir = ::testing::TempDir();
+  tel::write_run_artifacts({dir, ""}, "kgwas_telemetry_evil_trace.json",
+                           inputs);
+  std::ifstream in(dir + "/kgwas_telemetry_evil_trace.json");
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
@@ -398,7 +403,7 @@ TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
   Runtime runtime(2, /*enable_profiling=*/true);
   DataHandle h = runtime.register_data();
   for (int i = 0; i < 4; ++i) {
-    runtime.submit("noop", {{h, Access::kReadWrite}}, [] {});
+    runtime.submit({"noop", {{h, Access::kReadWrite}}}, [] {});
   }
   runtime.wait();
   tel::Histogram& hist =
@@ -462,6 +467,19 @@ TEST(Logging, FormatLineCarriesRankAndTimestamp) {
             "[kgwas +12.346s r0 INFO ] hello");
   EXPECT_EQ(format_log_line(LogLevel::kDebug, -1, 0.0, "t"),
             "[kgwas +0.000s DEBUG] t");
+}
+
+TEST(Logging, UnknownLevelKnobWarnsAndKeepsWarn) {
+  // The level knob is read once per process, at the first log call, so a
+  // fresh child process reads it.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("KGWAS_LOG_LEVEL", "verbose", 1);
+        std::exit(log_level() == LogLevel::kWarn ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "ignoring KGWAS_LOG_LEVEL='verbose' .*keeping the default warn");
 }
 
 TEST(Logging, ThreadRankTagIsPerThread) {
