@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "gwas/cohort_simulator.hpp"
 #include "krr/build.hpp"
+#include "linalg/low_rank.hpp"
 #include "linalg/precision_policy.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "precision/convert.hpp"
@@ -50,6 +51,60 @@ void BM_GemmFp32(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * n * n * n));
 }
 BENCHMARK(BM_GemmFp32)->Arg(64)->Arg(128)->Arg(256);
+
+// TLR re-compression of one Schur stack X * Y^T at tile 128, tol 1e-2 and
+// the default cap (rank 32): the layer every low-rank update of the TLR
+// Cholesky runs, beside BM_GemmFp32.  The tiles come from a Gaussian
+// kernel (bandwidth 0.15) over 384 random points in the unit square.  C
+// is the best rank-32 factor of tile (2, 1), and the stack adds r - 32
+// columns of the dense x dense update A20 * A10^T:
+// X = [C_u | -A20(:, 0:r-32)], Y = [C_v | A10(:, 0:r-32)].  r = 50 is a
+// narrow stack (two thin QRs and a 50 x 50 core SVD, rank 30 kept);
+// r = 160 is the whole update, as wide as the tile (the range finder on
+// the FP32 product, rank 15 kept).
+void BM_RecompressProduct(benchmark::State& state) {
+  const auto r = static_cast<std::size_t>(state.range(0));
+  const std::size_t ts = 128, cap = 32;
+  Rng rng(7);
+  std::vector<double> px(3 * ts), py(3 * ts);
+  for (std::size_t i = 0; i < 3 * ts; ++i) {
+    px[i] = rng.uniform();
+    py[i] = rng.uniform();
+  }
+  const auto tile = [&](std::size_t ti, std::size_t tj) {
+    Matrix<float> t(ts, ts);
+    for (std::size_t j = 0; j < ts; ++j) {
+      for (std::size_t i = 0; i < ts; ++i) {
+        const double dx = px[ti * ts + i] - px[tj * ts + j];
+        const double dy = py[ti * ts + i] - py[tj * ts + j];
+        t(i, j) = static_cast<float>(
+            std::exp(-(dx * dx + dy * dy) / (2.0 * 0.15 * 0.15)));
+      }
+    }
+    return t;
+  };
+  const LowRankFactor c = compress_block(tile(2, 1), 1e-4);
+  const Matrix<float> a20 = tile(2, 0);
+  const Matrix<float> a10 = tile(1, 0);
+  Matrix<float> x(ts, r), y(ts, r);
+  for (std::size_t j = 0; j < r; ++j) {
+    for (std::size_t i = 0; i < ts; ++i) {
+      x(i, j) = j < cap ? c.u(i, j) : -a20(i, j - cap);
+      y(i, j) = j < cap ? c.v(i, j) : a10(i, j - cap);
+    }
+  }
+  std::optional<LowRankFactor> factor;
+  for (auto _ : state) {
+    factor = recompress_product(x, y, 1e-2, cap);
+    benchmark::DoNotOptimize(factor);
+  }
+  // The kept rank; -1 when the stack is over the cap and stays dense.
+  state.counters["rank"] = factor ? static_cast<double>(factor->rank()) : -1.0;
+}
+BENCHMARK(BM_RecompressProduct)
+    ->Arg(50)
+    ->Arg(160)
+    ->Unit(benchmark::kMillisecond);
 
 // Packed cache-blocked engine vs the kgwas::reference triple loops,
 // swept over tile size x operand storage precision.  The packed rows for

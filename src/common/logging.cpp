@@ -21,31 +21,44 @@ double seconds_since_start() {
   return std::chrono::duration<double>(clock::now() - start).count();
 }
 
+// Still inside log_level()'s call_once, so KGWAS_LOG_WARN would re-enter
+// it: init_from_env's warnings go to the sink directly.
+void warn_from_init(const std::string& message) {
+  const std::string line = detail::format_log_line(
+      LogLevel::kWarn, t_log_rank,
+      g_timestamps ? seconds_since_start() : -1.0, message);
+  std::lock_guard<std::mutex> lock(g_sink_mutex);
+  std::fprintf(stderr, "%s\n", line.c_str());
+}
+
 void init_from_env() {
+  std::string bad_timestamps;
   if (const char* ts = std::getenv("KGWAS_LOG_TIMESTAMPS")) {
     const std::string value(ts);
-    g_timestamps = !(value.empty() || value == "0" || value == "off");
+    if (value == "1" || value == "on") {
+      g_timestamps = true;
+    } else if (!(value.empty() || value == "0" || value == "off")) {
+      bad_timestamps = value;
+    }
   }
-  const char* env = std::getenv("KGWAS_LOG_LEVEL");
-  if (env == nullptr) return;
-  const std::string value(env);
-  if (value == "trace") g_level = static_cast<int>(LogLevel::kTrace);
-  else if (value == "debug") g_level = static_cast<int>(LogLevel::kDebug);
-  else if (value == "info") g_level = static_cast<int>(LogLevel::kInfo);
-  else if (value == "warn") g_level = static_cast<int>(LogLevel::kWarn);
-  else if (value == "error") g_level = static_cast<int>(LogLevel::kError);
-  else if (value == "off") g_level = static_cast<int>(LogLevel::kOff);
-  else if (!value.empty()) {
-    // Still inside log_level()'s call_once, so KGWAS_LOG_WARN would
-    // re-enter it: the warning goes to the sink directly.
-    const std::string line = detail::format_log_line(
-        LogLevel::kWarn, t_log_rank,
-        g_timestamps ? seconds_since_start() : -1.0,
-        "ignoring KGWAS_LOG_LEVEL='" + value +
-            "' (want trace|debug|info|warn|error|off); keeping the default "
-            "warn");
-    std::lock_guard<std::mutex> lock(g_sink_mutex);
-    std::fprintf(stderr, "%s\n", line.c_str());
+  if (const char* env = std::getenv("KGWAS_LOG_LEVEL")) {
+    const std::string value(env);
+    if (value == "trace") g_level = static_cast<int>(LogLevel::kTrace);
+    else if (value == "debug") g_level = static_cast<int>(LogLevel::kDebug);
+    else if (value == "info") g_level = static_cast<int>(LogLevel::kInfo);
+    else if (value == "warn") g_level = static_cast<int>(LogLevel::kWarn);
+    else if (value == "error") g_level = static_cast<int>(LogLevel::kError);
+    else if (value == "off") g_level = static_cast<int>(LogLevel::kOff);
+    else if (!value.empty()) {
+      warn_from_init("ignoring KGWAS_LOG_LEVEL='" + value +
+                     "' (want trace|debug|info|warn|error|off); keeping the "
+                     "default warn");
+    }
+  }
+  if (!bad_timestamps.empty() &&
+      g_level.load() <= static_cast<int>(LogLevel::kWarn)) {
+    warn_from_init("ignoring KGWAS_LOG_TIMESTAMPS='" + bad_timestamps +
+                   "' (want 1|on|0|off); keeping the default off");
   }
 }
 

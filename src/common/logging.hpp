@@ -8,8 +8,9 @@
 // Scheduler propagates the creator's rank to its workers), and every line
 // they emit carries an "rN" field.  KGWAS_LOG_TIMESTAMPS=1 additionally
 // prefixes seconds since process start, which makes cross-rank
-// interleavings readable next to trace timelines.  An unknown
-// KGWAS_LOG_LEVEL warns and keeps the default level (warn).
+// interleavings readable next to trace timelines (1 or on; 0, off or
+// empty leave it off).  An unknown KGWAS_LOG_LEVEL or
+// KGWAS_LOG_TIMESTAMPS value warns and keeps the default (warn, off).
 #pragma once
 
 #include <sstream>

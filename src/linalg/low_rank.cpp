@@ -13,6 +13,25 @@
 
 namespace kgwas {
 
+namespace {
+
+/// x . y over m entries with four accumulators in a fixed order: the same
+/// bits on every call, and four independent add chains.
+double dot4(const double* x, const double* y, std::size_t m) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    s0 += x[i] * y[i];
+    s1 += x[i + 1] * y[i + 1];
+    s2 += x[i + 2] * y[i + 2];
+    s3 += x[i + 3] * y[i + 3];
+  }
+  for (; i < m; ++i) s0 += x[i] * y[i];
+  return (s0 + s1) + (s2 + s3);
+}
+
+}  // namespace
+
 Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
@@ -20,11 +39,21 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
   Matrix<double> u = a.cast<double>();
   Matrix<double> v(n, n, 0.0);
   for (std::size_t j = 0; j < n; ++j) v(j, j) = 1.0;
+  const auto col = [&u, m](std::size_t j) { return u.data() + j * m; };
 
   // One-sided Jacobi: orthogonalize column pairs of U, accumulating the
   // rotations into V.  Converged when every pair is numerically
   // orthogonal relative to the column norms.
   const double eps = 1e-10;
+  // Squared column norms, recomputed at each sweep start and carried
+  // through each rotation by the exact update (app - t apq, aqq + t apq),
+  // so a pair costs one dot product.  A sweep that rotates nothing ran
+  // every test on fresh norms.
+  std::vector<double> norm_sq(n);
+  const auto refresh_norms = [&] {
+    for (std::size_t j = 0; j < n; ++j) norm_sq[j] = dot4(col(j), col(j), m);
+  };
+  refresh_norms();
   // Columns whose squared norm collapses below roundoff of the dominant
   // column are numerically zero: rank-deficient and m < n inputs drive
   // n - rank columns there, and rotating them forever would exhaust the
@@ -33,10 +62,9 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
   // column, so it scales with the input.
   double scale_sq = 0.0;
   for (std::size_t j = 0; j < n && std::isfinite(scale_sq); ++j) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < m; ++i) sum += u(i, j) * u(i, j);
     // A NaN sum would vanish from std::max: keep it.
-    scale_sq = std::isfinite(sum) ? std::max(scale_sq, sum) : sum;
+    scale_sq = std::isfinite(norm_sq[j]) ? std::max(scale_sq, norm_sq[j])
+                                         : norm_sq[j];
   }
   if (!std::isfinite(scale_sq)) {
     // Sweeping a NaN or Inf only spreads it to every column until the
@@ -54,16 +82,13 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
 
   bool converged = (n <= 1);
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    if (sweep > 0) refresh_norms();
     bool rotated = false;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        double app = 0.0, aqq = 0.0, apq = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-          app += u(i, p) * u(i, p);
-          aqq += u(i, q) * u(i, q);
-          apq += u(i, q) * u(i, p);
-        }
+        const double app = norm_sq[p], aqq = norm_sq[q];
         if (app <= drop || aqq <= drop) continue;
+        const double apq = dot4(col(p), col(q), m);
         // Squared-product form of |apq| <= eps * sqrt(app * aqq): no
         // sqrt underflow for small-but-nonzero columns.
         if (apq * apq <= eps * eps * app * aqq) continue;
@@ -73,16 +98,20 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
                          (std::fabs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
+        double* up = col(p);
+        double* uq = col(q);
         for (std::size_t i = 0; i < m; ++i) {
-          const double up = u(i, p), uq = u(i, q);
-          u(i, p) = c * up - s * uq;
-          u(i, q) = s * up + c * uq;
+          const double xp = up[i], xq = uq[i];
+          up[i] = c * xp - s * xq;
+          uq[i] = s * xp + c * xq;
         }
         for (std::size_t i = 0; i < n; ++i) {
           const double vp = v(i, p), vq = v(i, q);
           v(i, p) = c * vp - s * vq;
           v(i, q) = s * vp + c * vq;
         }
+        norm_sq[p] = app - t * apq;
+        norm_sq[q] = aqq + t * apq;
       }
     }
     if (!rotated) {
@@ -99,12 +128,9 @@ Svd jacobi_svd(const Matrix<float>& a, int max_sweeps) {
   }
 
   // Singular values = column norms of U; sort descending.
+  refresh_norms();
   std::vector<double> norms(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < m; ++i) sum += u(i, j) * u(i, j);
-    norms[j] = std::sqrt(sum);
-  }
+  for (std::size_t j = 0; j < n; ++j) norms[j] = std::sqrt(norm_sq[j]);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
@@ -182,6 +208,43 @@ Matrix<float> reconstruct(const LowRankFactor& factor) {
 
 namespace {
 
+/// Applies H = I - tau v v^T (v zero above row k) to columns [j0, r) of
+/// the m-row column-major w.  Four columns at a time: four independent
+/// dot chains, each still summed in row order, so every column gets the
+/// bits it would get alone.
+void apply_reflector(const double* v, double tau, std::size_t k,
+                     std::size_t m, double* w, std::size_t j0,
+                     std::size_t r) {
+  std::size_t j = j0;
+  for (; j + 4 <= r; j += 4) {
+    double* c0 = w + j * m;
+    double* c1 = c0 + m;
+    double* c2 = c1 + m;
+    double* c3 = c2 + m;
+    double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+    for (std::size_t i = k; i < m; ++i) {
+      d0 += v[i] * c0[i];
+      d1 += v[i] * c1[i];
+      d2 += v[i] * c2[i];
+      d3 += v[i] * c3[i];
+    }
+    const double s0 = tau * d0, s1 = tau * d1, s2 = tau * d2, s3 = tau * d3;
+    for (std::size_t i = k; i < m; ++i) {
+      c0[i] -= s0 * v[i];
+      c1[i] -= s1 * v[i];
+      c2[i] -= s2 * v[i];
+      c3[i] -= s3 * v[i];
+    }
+  }
+  for (; j < r; ++j) {
+    double* c = w + j * m;
+    double dot = 0.0;
+    for (std::size_t i = k; i < m; ++i) dot += v[i] * c[i];
+    const double scale = tau * dot;
+    for (std::size_t i = k; i < m; ++i) c[i] -= scale * v[i];
+  }
+}
+
 /// Thin Householder QR of an m x r matrix (m >= r): fills `q` (m x r,
 /// orthonormal columns) and `r_out` (r x r upper triangular) with
 /// a = q * r_out.  Double precision throughout — this runs inside the TLR
@@ -210,12 +273,7 @@ void thin_qr(const Matrix<double>& a, Matrix<double>& q,
     tau[k] = v_sq > 0.0 ? 2.0 / v_sq : 0.0;
     work(k, k) = alpha;
     for (std::size_t i = k + 1; i < m; ++i) work(i, k) = 0.0;
-    for (std::size_t j = k + 1; j < r; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = k; i < m; ++i) dot += vs(i, k) * work(i, j);
-      const double scale = tau[k] * dot;
-      for (std::size_t i = k; i < m; ++i) work(i, j) -= scale * vs(i, k);
-    }
+    apply_reflector(vs.data() + k * m, tau[k], k, m, work.data(), k + 1, r);
   }
   for (std::size_t j = 0; j < r; ++j) {
     for (std::size_t i = 0; i < r; ++i) {
@@ -223,17 +281,13 @@ void thin_qr(const Matrix<double>& a, Matrix<double>& q,
     }
   }
   // Accumulate Q = H_0 * H_1 * ... * H_{r-1} * [I_r; 0] by applying the
-  // reflectors in reverse to the identity block.
+  // reflectors in reverse to the identity block.  H_k leaves columns
+  // j < k alone: they are still e_j, zero from row k down.
   q = Matrix<double>(m, r, 0.0);
   for (std::size_t j = 0; j < r; ++j) q(j, j) = 1.0;
   for (std::size_t k = r; k-- > 0;) {
     if (tau[k] == 0.0) continue;
-    for (std::size_t j = 0; j < r; ++j) {
-      double dot = 0.0;
-      for (std::size_t i = k; i < m; ++i) dot += vs(i, k) * q(i, j);
-      const double scale = tau[k] * dot;
-      for (std::size_t i = k; i < m; ++i) q(i, j) -= scale * vs(i, k);
-    }
+    apply_reflector(vs.data() + k * m, tau[k], k, m, q.data(), k, r);
   }
 }
 
@@ -398,8 +452,10 @@ std::optional<LowRankFactor> compress_block(const Matrix<float>& a,
   return factor;
 }
 
-LowRankFactor recompress_product(const Matrix<float>& x,
-                                 const Matrix<float>& y, double tol) {
+std::optional<LowRankFactor> recompress_product(const Matrix<float>& x,
+                                                const Matrix<float>& y,
+                                                double tol,
+                                                std::size_t max_rank) {
   KGWAS_CHECK_ARG(x.cols() == y.cols(),
                   "recompress_product factor rank mismatch");
   const std::size_t m = x.rows();
@@ -411,47 +467,44 @@ LowRankFactor recompress_product(const Matrix<float>& x,
     zero.v = Matrix<float>(n, 0);
     return zero;
   }
+  if (!all_finite(x) || !all_finite(y)) {
+    KGWAS_LOG_WARN("TLR recompression: the rank-" << r << " stack of the "
+                   << m << "x" << n
+                   << " tile holds a NaN or Inf; keeping it dense");
+    return std::nullopt;
+  }
   if (r >= std::min(m, n)) {
     // The stacked factor is as wide as the dense tile: QR of it is no
     // cheaper than compressing the dense product directly.
-    return compress_block(matmul(x, y, Trans::kNoTrans, Trans::kTrans), tol);
+    return compress_block(matmul(x, y, Trans::kNoTrans, Trans::kTrans), tol,
+                          max_rank);
   }
 
-  const Matrix<double> xd = x.cast<double>();
-  const Matrix<double> yd = y.cast<double>();
   Matrix<double> qx, rx(r, r, 0.0), qy, ry(r, r, 0.0);
-  thin_qr(xd, qx, rx);
-  thin_qr(yd, qy, ry);
+  thin_qr(x.cast<double>(), qx, rx);
+  thin_qr(y.cast<double>(), qy, ry);
 
   // Core = R_x * R_y^T (r x r); its SVD carries the spectrum of X * Y^T.
   Matrix<double> core(r, r, 0.0);
   gemm(Trans::kNoTrans, Trans::kTrans, r, r, r, 1.0, rx.data(), rx.ld(),
        ry.data(), ry.ld(), 0.0, core.data(), core.ld());
   const Svd core_svd = jacobi_svd(core.cast<float>());
-
   const std::size_t rank = truncated_rank(core_svd.sigma, tol);
+  // A core that overflowed FP32 has NaN singular values (and rank 0): the
+  // dense update must meet the overflow instead.
+  if (rank > max_rank || std::isnan(core_svd.sigma[0])) return std::nullopt;
 
-  LowRankFactor out;
-  out.u = Matrix<float>(m, rank);
-  out.v = Matrix<float>(n, rank);
-  // U = Q_x * (core.u * sigma), V = Q_y * core.v.
+  // U = Q_x * (core.u * sigma), V = Q_y * core.v, on the FP32 engine.
+  Matrix<float> us(r, rank), vc(r, rank);
   for (std::size_t k = 0; k < rank; ++k) {
-    for (std::size_t i = 0; i < m; ++i) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < r; ++j) {
-        sum += qx(i, j) * static_cast<double>(core_svd.u(j, k));
-      }
-      out.u(i, k) =
-          static_cast<float>(sum * static_cast<double>(core_svd.sigma[k]));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      double sum = 0.0;
-      for (std::size_t j = 0; j < r; ++j) {
-        sum += qy(i, j) * static_cast<double>(core_svd.v(j, k));
-      }
-      out.v(i, k) = static_cast<float>(sum);
+    for (std::size_t j = 0; j < r; ++j) {
+      us(j, k) = core_svd.u(j, k) * core_svd.sigma[k];
+      vc(j, k) = core_svd.v(j, k);
     }
   }
+  LowRankFactor out;
+  out.u = rank > 0 ? matmul(qx.cast<float>(), us) : Matrix<float>(m, 0);
+  out.v = rank > 0 ? matmul(qy.cast<float>(), vc) : Matrix<float>(n, 0);
   return out;
 }
 

@@ -24,10 +24,14 @@
 //    tlr.compress_fallbacks count.  The Gaussian test matrix is seeded by
 //    the shape alone, so the factor is a pure function of the tile's
 //    values on every worker, rank and replay;
-//  * rank re-compression of an accumulated low-rank sum X * Y^T without
-//    forming the dense product (thin QR of both factors + SVD of the
-//    small core), which is what keeps TLR Schur-complement updates from
-//    growing their rank unboundedly;
+//  * rank re-compression of an accumulated low-rank sum X * Y^T under the
+//    same cap and contract, which is what keeps TLR Schur-complement
+//    updates from growing their rank unboundedly: a stack narrower than
+//    the tile never forms the dense product (thin QR of both factors +
+//    SVD of the small core, output factors on the FP32 engine); a stack
+//    as wide as the tile (a dense x dense update) compresses its FP32
+//    product with the range finder above, which stops after its sample
+//    when the rank is over the cap;
 //  * a survey routine reporting scale-invariant (norm-relative) per-tile
 //    reconstruction error and rank statistics — the admissibility data
 //    that decides where TLR beats (or composes with) the mixed-precision
@@ -51,10 +55,12 @@ struct Svd {
 
 /// One-sided Jacobi SVD (suitable for tile-sized problems).  `max_sweeps`
 /// bounds the Jacobi iterations; tile-sized inputs converge well before.
-/// The pairwise convergence test is relative to the column norms and
-/// columns whose norm has collapsed below roundoff of the dominant column
-/// are treated as converged (rank-deficient and m < n inputs would
-/// otherwise spin on underflowed norm products until the sweep cap).
+/// Column norms are cached per sweep, so a column pair costs one dot
+/// product.  The pairwise convergence test is relative to the column
+/// norms and columns whose norm has collapsed below roundoff of the
+/// dominant column are treated as converged (rank-deficient and m < n
+/// inputs would otherwise spin on underflowed norm products until the
+/// sweep cap).
 /// Logs a warning if the cap is exhausted before convergence.  An input
 /// holding a NaN or Inf has no SVD: it returns NaN factors and singular
 /// values at once, with a warning.
@@ -95,15 +101,20 @@ std::optional<LowRankFactor> compress_block(const Matrix<float>& a,
 /// Reconstructs U * V^T.
 Matrix<float> reconstruct(const LowRankFactor& factor);
 
-/// Truncated factorization of the product X * Y^T (X m x r, Y n x r)
-/// without forming it densely: thin QR of both factors, Jacobi SVD of the
-/// r x r core R_x * R_y^T, then relative-tol truncation (same semantics
-/// as truncate_svd).  This is the TLR rank re-compression step applied
-/// after a low-rank Schur update stacks factor columns.  Falls back to
-/// the dense path when r >= min(m, n) (the factored form is no longer a
-/// compression there).
-LowRankFactor recompress_product(const Matrix<float>& x,
-                                 const Matrix<float>& y, double tol);
+/// The TLR rank re-compression step applied after a low-rank Schur update
+/// stacks factor columns: the factor of the product X * Y^T (X m x r,
+/// Y n x r) at relative tolerance `tol`, with compress_block's contract —
+/// nullopt when its rank exceeds `max_rank` or the stack holds a NaN or
+/// Inf (with a warning), so the caller keeps the tile dense.  A narrow
+/// stack (r < min(m, n)) is never formed densely: thin FP64 QR of both
+/// factors, Jacobi SVD of the r x r core R_x * R_y^T, relative-tol
+/// truncation (same semantics as truncate_svd), and the output factors as
+/// FP32 engine GEMMs.  A stack as wide as the tile is no compression: its
+/// FP32 product goes to compress_block(·, tol, max_rank).
+std::optional<LowRankFactor> recompress_product(const Matrix<float>& x,
+                                                const Matrix<float>& y,
+                                                double tol,
+                                                std::size_t max_rank);
 
 /// Surveys the off-diagonal tiles of a symmetric tiled matrix: average
 /// numerical rank at `tol`, compressed vs dense bytes, max reconstruction

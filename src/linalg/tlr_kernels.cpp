@@ -1,6 +1,7 @@
 #include "linalg/tlr_kernels.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/status.hpp"
 #include "linalg/low_rank.hpp"
@@ -45,17 +46,15 @@ void apply_dense_update(Tile& c, const Matrix<float>& pu,
 
 }  // namespace
 
-bool tlr_rank_admissible(std::size_t rank, std::size_t m, std::size_t n,
-                         double max_rank_fraction) {
-  return static_cast<double>(rank) * static_cast<double>(m + n) <=
-         max_rank_fraction * static_cast<double>(m) * static_cast<double>(n);
-}
-
 std::size_t tlr_max_rank(std::size_t m, std::size_t n,
                          double max_rank_fraction) {
+  // Admissible while rank * (m + n) <= max_rank_fraction * m * n.
+  const double budget =
+      max_rank_fraction * static_cast<double>(m) * static_cast<double>(n);
   std::size_t rank = 0;
   while (rank < std::min(m, n) &&
-         tlr_rank_admissible(rank + 1, m, n, max_rank_fraction)) {
+         static_cast<double>(rank + 1) * static_cast<double>(m + n) <=
+             budget) {
     ++rank;
   }
   return rank;
@@ -149,22 +148,22 @@ void tlr_gemm(const TileSlot& aik, const TileSlot& ajk, TileSlot& cij,
   }
 
   // Low-rank accumulation: stack [Cu | -Pu][Cv | Pv]^T and re-compress at
-  // the accumulation tolerance.
-  const std::size_t m = cij.rows();
-  const std::size_t n = cij.cols();
+  // the accumulation tolerance, capped at the admissible rank.
   const Precision prec = cij.low_rank().precision();
   const Matrix<float> x = hstack(cij.low_rank().u_fp32(), pu, -1.0f);
   const Matrix<float> y = hstack(cij.low_rank().v_fp32(), pv, 1.0f);
-  LowRankFactor next = recompress_product(x, y, tol);
+  const std::optional<LowRankFactor> next = recompress_product(
+      x, y, tol, tlr_max_rank(cij.rows(), cij.cols(), max_rank_fraction));
   static telemetry::Counter& recompressions =
       telemetry::MetricRegistry::global().counter("tlr.recompressions");
   recompressions.add(1);
-  if (tlr_rank_admissible(next.rank(), m, n, max_rank_fraction)) {
-    cij.set_low_rank(TlrTile(next.u, next.v, prec));
+  if (next) {
+    cij.set_low_rank(TlrTile(next->u, next->v, prec));
   } else {
-    // Crossover: the accumulated rank no longer pays.  Reconstruct the
-    // OLD tile exactly from its factors, then apply this update densely —
-    // densification never truncates.
+    // Crossover (the accumulated rank no longer pays) or a non-finite
+    // stack.  Reconstruct the OLD tile exactly from its factors, then
+    // apply this update densely — densification never truncates, and a
+    // NaN or Inf reaches the factorization as it would on the dense path.
     static telemetry::Counter& densifications =
         telemetry::MetricRegistry::global().counter("tlr.densifications");
     densifications.add(1);

@@ -25,11 +25,15 @@
 //                         form of the product — no dense m x n interim.
 //   When C is itself low-rank, the update stacks factor columns
 //   [Cu | -Pu][Cv | Pv]^T and re-compresses at the accumulation tolerance
-//   (recompress_product: thin QR + SVD of the small core).  If the
-//   re-compressed rank crosses the admissibility threshold
-//   rank * (m + n) > max_rank_fraction * m * n, the tile is densified —
-//   the OLD factors reconstruct exactly and the update applies densely,
-//   so densification never truncates.
+//   under the admissible rank cap tlr_max_rank (recompress_product: thin
+//   QR + SVD of the small core for a stack narrower than the tile, the
+//   certified range finder on the FP32 product for a dense x dense stack
+//   as wide as the tile).  If the re-compressed rank crosses the
+//   admissibility threshold rank * (m + n) > max_rank_fraction * m * n,
+//   or the stack holds a NaN or Inf, the tile is densified — the OLD
+//   factors reconstruct exactly and the update applies densely, so
+//   densification never truncates and a non-finite value reaches the
+//   factorization as it would on the dense path.
 //
 // Skinny factor products run through gemm<float>, which routes into the
 // packed GEMM engine — the same microkernels the dense tiles use.
@@ -41,13 +45,10 @@
 
 namespace kgwas {
 
-/// Admissibility crossover: the factored form only pays while
-/// rank * (m + n) <= max_rank_fraction * m * n.
-bool tlr_rank_admissible(std::size_t rank, std::size_t m, std::size_t n,
-                         double max_rank_fraction);
-
-/// The largest admissible rank of an m x n tile (at most min(m, n)): the
-/// cap compress_block truncates against.
+/// The largest admissible rank of an m x n tile, at most min(m, n): the
+/// factored form only pays while
+/// rank * (m + n) <= max_rank_fraction * m * n.  compress_block and
+/// recompress_product keep a tile dense above it.
 std::size_t tlr_max_rank(std::size_t m, std::size_t n,
                          double max_rank_fraction);
 

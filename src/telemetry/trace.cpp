@@ -119,7 +119,8 @@ void write_merged_trace(
     }
 
     for (const CommEvent& e : s.comm) {
-      const std::string peer = "r" + std::to_string(e.peer);
+      std::string peer(1, 'r');
+      peer += std::to_string(e.peer);
       w.begin_object();
       w.kv("name", std::string(e.is_send ? "send -> " : "recv <- ") + peer);
       w.kv("cat", "comm");

@@ -3,8 +3,9 @@
 // Jacobi), the randomized-range-finder compressor on 128-wide tiles
 // against the Jacobi reference, the TlrTile payload and
 // SymmetricTileMatrix sidecar, the joint rank + precision compression
-// planner, and the TLR-routed tiled Cholesky factorize/solve against its
-// dense twin.
+// planner, the TLR-routed tiled Cholesky factorize/solve against its
+// dense twin, and the capped re-compression of a Schur update's stacked
+// factors (narrow and tile-wide stacks, over-cap and non-finite stacks).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -197,13 +198,67 @@ TEST(LowRankSemantics, SurveyReportsNormRelativeError) {
   EXPECT_LT(survey.max_error, 0.01);
 }
 
+/// An m x k matrix with orthonormal columns: the first k columns of the
+/// product of three Householder reflectors I - 2 w w^T / (w^T w) with
+/// Gaussian w.
+Matrix<double> orthonormal_columns(std::size_t m, std::size_t k,
+                                   unsigned seed) {
+  Rng rng(seed);
+  Matrix<double> q(m, k, 0.0);
+  for (std::size_t j = 0; j < k; ++j) q(j, j) = 1.0;
+  for (int reflector = 0; reflector < 3; ++reflector) {
+    std::vector<double> w(m);
+    double w_sq = 0.0;
+    for (double& e : w) {
+      e = rng.normal();
+      w_sq += e * e;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+      double dot = 0.0;
+      for (std::size_t i = 0; i < m; ++i) dot += w[i] * q(i, j);
+      const double scale = 2.0 * dot / w_sq;
+      for (std::size_t i = 0; i < m; ++i) q(i, j) -= scale * w[i];
+    }
+  }
+  return q;
+}
+
+TEST(LowRankSemantics, JacobiRecoversGradedSpectrumAtTileSizes) {
+  // A = U diag(0.8^i) V^T at the shapes the TLR kernels hand the Jacobi:
+  // square cores of ~50 (both tails of the four-way dot) and the range
+  // finder's 128 x 48 projection.  Many rotations run on cached norms.
+  using Shape = std::pair<std::size_t, std::size_t>;
+  for (const auto& [m, n] : {Shape{50, 50}, Shape{49, 49}, Shape{128, 48}}) {
+    const Matrix<double> u = orthonormal_columns(m, n, 91);
+    const Matrix<double> v = orthonormal_columns(n, n, 92);
+    Matrix<float> a(m, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < m; ++i) {
+        double sum = 0.0;
+        for (std::size_t l = 0; l < n; ++l) {
+          sum += u(i, l) * std::pow(0.8, static_cast<double>(l)) * v(j, l);
+        }
+        a(i, j) = static_cast<float>(sum);
+      }
+    }
+    const Svd svd = jacobi_svd(a);
+    ASSERT_EQ(svd.sigma.size(), n);
+    for (std::size_t l = 0; l < n; ++l) {
+      EXPECT_NEAR(svd.sigma[l], std::pow(0.8, static_cast<double>(l)), 1e-5)
+          << m << "x" << n << " sigma " << l;
+    }
+  }
+}
+
 TEST(LowRankSemantics, RecompressProductMatchesDenseProduct) {
   const Matrix<float> x = random_matrix(20, 5, 31);
   const Matrix<float> y = random_matrix(16, 5, 32);
   const Matrix<float> dense = matmul(x, y, Trans::kNoTrans, Trans::kTrans);
-  const LowRankFactor factor = recompress_product(x, y, 1e-5);
-  EXPECT_LE(factor.rank(), 5u);
-  EXPECT_LT(relative_error(reconstruct(factor), dense), 1e-4);
+  const std::optional<LowRankFactor> factor =
+      recompress_product(x, y, 1e-5, 5);
+  ASSERT_TRUE(factor.has_value());
+  EXPECT_LE(factor->rank(), 5u);
+  EXPECT_LT(relative_error(reconstruct(*factor), dense), 1e-4);
 }
 
 TEST(LowRankSemantics, RecompressProductRemovesRedundantColumns) {
@@ -216,13 +271,15 @@ TEST(LowRankSemantics, RecompressProductRemovesRedundantColumns) {
     for (std::size_t r = 0; r < 24; ++r) xx(r, c) = xx(r, c + 3) = x(r, c);
     for (std::size_t r = 0; r < 18; ++r) yy(r, c) = yy(r, c + 3) = y(r, c);
   }
-  const LowRankFactor factor = recompress_product(xx, yy, 1e-4);
-  EXPECT_EQ(factor.rank(), 3u);
+  const std::optional<LowRankFactor> factor =
+      recompress_product(xx, yy, 1e-4, 6);
+  ASSERT_TRUE(factor.has_value());
+  EXPECT_EQ(factor->rank(), 3u);
   Matrix<float> expected = matmul(x, y, Trans::kNoTrans, Trans::kTrans);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     expected.data()[i] *= 2.0f;
   }
-  EXPECT_LT(relative_error(reconstruct(factor), expected), 1e-4);
+  EXPECT_LT(relative_error(reconstruct(*factor), expected), 1e-4);
 }
 
 // ------------------------------------------------------- TlrTile payload
@@ -1010,6 +1067,115 @@ TEST(TlrCompress, NonFiniteTileFailsAsTheDensePathDoes) {
   const long dense = failing_order(0.0);
   EXPECT_EQ(dense, 301);
   EXPECT_EQ(failing_order(kSketchTol), dense);
+}
+
+// ------------------------------------- TLR re-compression of a Schur stack
+
+/// [left | scale * right], the column stack of a low-rank accumulation.
+Matrix<float> stack(const Matrix<float>& left, const Matrix<float>& right,
+                    float scale) {
+  Matrix<float> out(left.rows(), left.cols() + right.cols());
+  for (std::size_t c = 0; c < left.cols(); ++c) {
+    for (std::size_t r = 0; r < left.rows(); ++r) out(r, c) = left(r, c);
+  }
+  for (std::size_t c = 0; c < right.cols(); ++c) {
+    for (std::size_t r = 0; r < right.rows(); ++r) {
+      out(r, left.cols() + c) = scale * right(r, c);
+    }
+  }
+  return out;
+}
+
+TEST(TlrRecompress, WideStackIsTheRangeFinderOfTheProduct) {
+  // The dense x dense update C21 - A20 A10^T onto a low-rank C21 of a
+  // smooth kernel at tile 128: the stack is 128 + rank(C) wide, so the
+  // factored form is no compression and the FP32 product goes to the
+  // certified range finder under the same cap, bit for bit.
+  SymmetricTileMatrix tiles(4 * kSketchTile, kSketchTile);
+  tiles.from_dense(smooth_spd_kernel(4 * kSketchTile, 0.0f));
+  const LowRankFactor c = compress_block(tiles.tile(2, 1).to_fp32(), 1e-4);
+  const Matrix<float> x = stack(c.u, tiles.tile(2, 0).to_fp32(), -1.0f);
+  const Matrix<float> y = stack(c.v, tiles.tile(1, 0).to_fp32(), 1.0f);
+  ASSERT_GE(x.cols(), kSketchTile);
+  const std::uint64_t fallbacks = compress_fallbacks();
+  const std::optional<LowRankFactor> got =
+      recompress_product(x, y, kSketchTol, sketch_cap());
+  const std::optional<LowRankFactor> want = compress_block(
+      matmul(x, y, Trans::kNoTrans, Trans::kTrans), kSketchTol, sketch_cap());
+  ASSERT_TRUE(got.has_value() && want.has_value());
+  EXPECT_GT(got->rank(), 0u);
+  EXPECT_TRUE(same_factor(*got, *want));
+  EXPECT_EQ(compress_fallbacks(), fallbacks);  // certified, no full Jacobi
+}
+
+TEST(TlrRecompress, OverCapStackReturnsNothing) {
+  // Gaussian factors: X Y^T has full numerical rank, over the cap of 32 on
+  // the narrow path (rank 40 from the core SVD) and on the wide path (the
+  // range finder's sample), where no Jacobi of the whole tile runs.
+  const std::uint64_t fallbacks = compress_fallbacks();
+  for (const std::size_t r : {std::size_t{40}, std::size_t{160}}) {
+    EXPECT_FALSE(recompress_product(random_matrix(kSketchTile, r, 101),
+                                    random_matrix(kSketchTile, r, 102),
+                                    kSketchTol, sketch_cap())
+                     .has_value())
+        << "stack of " << r;
+  }
+  EXPECT_EQ(compress_fallbacks(), fallbacks);
+}
+
+TEST(TlrRecompress, NonFiniteStackReturnsNothing) {
+  // A NaN or Inf in the stack, on the narrow and the wide path, or a finite
+  // narrow stack whose product overflows FP32: no SVD spectrum exists, so
+  // the tile must stay dense rather than truncate to rank 0.
+  for (const std::size_t r : {std::size_t{8}, std::size_t{160}}) {
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      Matrix<float> x = random_matrix(kSketchTile, r, 121);
+      x(3, r - 1) = bad;
+      std::optional<LowRankFactor> factor;
+      const std::string warning = captured_warnings([&] {
+        factor = recompress_product(x, random_matrix(kSketchTile, r, 122),
+                                    kSketchTol, sketch_cap());
+      });
+      EXPECT_FALSE(factor.has_value()) << "stack of " << r << ", " << bad;
+      EXPECT_NE(warning.find("NaN or Inf"), std::string::npos) << warning;
+    }
+  }
+  Matrix<float> x = random_matrix(kSketchTile, 8, 123);
+  Matrix<float> y = random_matrix(kSketchTile, 8, 124);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x.data()[i] *= 1e20f;
+    y.data()[i] *= 1e20f;
+  }
+  captured_warnings([&] {
+    EXPECT_FALSE(
+        recompress_product(x, y, kSketchTol, sketch_cap()).has_value());
+  });
+}
+
+TEST(TlrCholesky, NonFiniteUpdateDensifiesInsteadOfZeroing) {
+  // An LR x LR update whose A factor holds one NaN onto a low-rank C.  The
+  // stack's SVD has no spectrum; truncating it to a rank-0 factor would
+  // zero C and erase the NaN.  C densifies instead and carries the NaN on
+  // to the factorization, as the dense path would.
+  const std::size_t ts = 32;
+  Matrix<float> ua = random_matrix(ts, 3, 111);
+  ua(4, 1) = std::numeric_limits<float>::quiet_NaN();
+  const TileSlot a(TlrTile(ua, random_matrix(ts, 3, 112), Precision::kFp32));
+  const TileSlot b(TlrTile(random_matrix(ts, 2, 113),
+                           random_matrix(ts, 2, 114), Precision::kFp32));
+  TileSlot c(TlrTile(random_matrix(ts, 2, 115), random_matrix(ts, 2, 116),
+                     Precision::kFp32));
+  const std::string warning =
+      captured_warnings([&] { tlr_gemm(a, b, c, 1e-4, 0.5); });
+  ASSERT_FALSE(c.is_low_rank()) << "rank " << c.low_rank().rank();
+  const Matrix<float> dense = c.to_fp32();
+  std::size_t nans = 0;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    nans += std::isnan(dense.data()[i]) ? 1 : 0;
+  }
+  EXPECT_EQ(nans, ts);  // row 4 of A's update
+  EXPECT_NE(warning.find("NaN or Inf"), std::string::npos) << warning;
 }
 
 }  // namespace

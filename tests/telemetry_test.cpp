@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -480,6 +481,32 @@ TEST(Logging, UnknownLevelKnobWarnsAndKeepsWarn) {
       },
       ::testing::ExitedWithCode(0),
       "ignoring KGWAS_LOG_LEVEL='verbose' .*keeping the default warn");
+}
+
+TEST(Logging, TimestampKnobIsStrict) {
+  // Read once per process, at the first log call, so each value runs in a
+  // fresh child process.  1 and on prefix the elapsed seconds; 0, off and
+  // empty leave them off; any other value warns and keeps the default.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string on = "\\[kgwas \\+[0-9]+\\.[0-9]{3}s WARN \\] probe";
+  const std::string off = "\\[kgwas WARN \\] probe";
+  const std::string rejected =
+      "\\[kgwas WARN \\] ignoring KGWAS_LOG_TIMESTAMPS='yes' \\(want "
+      "1\\|on\\|0\\|off\\); keeping the default off\n" + off;
+  const std::pair<const char*, std::string> cases[] = {
+      {"1", on},    {"on", on}, {"0", off},
+      {"off", off}, {"", off},  {"yes", rejected}};
+  for (const auto& [value, pattern] : cases) {
+    EXPECT_EXIT(
+        {
+          ::unsetenv("KGWAS_LOG_LEVEL");
+          ::setenv("KGWAS_LOG_TIMESTAMPS", value, 1);
+          KGWAS_LOG_WARN("probe");
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(0), pattern)
+        << "KGWAS_LOG_TIMESTAMPS='" << value << "'";
+  }
 }
 
 TEST(Logging, ThreadRankTagIsPerThread) {
