@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include <string>
@@ -292,6 +293,64 @@ void BM_KernelBuild(benchmark::State& state) {
 // Real time: the build fans out over the runtime's workers, so the main
 // thread's CPU time would undercount the wall time.
 BENCHMARK(BM_KernelBuild)->Arg(256)->Arg(512)->UseRealTime();
+
+// One Gaussian kernel tile at the solve_tall shape (256 x 256, 64 SNPs,
+// 4 confounder columns, median-heuristic gamma) per variant the host can
+// run, on the calling thread: one KernelTileGenerator::compute, i.e. the
+// INT8 Gram, the FP32 confounder GEMM and the exact vector-exp epilogue.
+// items_per_second is kernel entries/s; exp_fallbacks is the lanes per
+// tile that fell back to std::exp.  CI runs these rows into
+// BENCH_gemm.json and BENCH_gemm_native.json.
+void run_kernel_tile_row(benchmark::State& state,
+                         mpblas::kernels::Arch arch) {
+  namespace kernels = mpblas::kernels;
+  constexpr std::size_t kTile = 256;
+  CohortConfig cc;
+  cc.n_patients = 2 * kTile;
+  cc.n_snps = 64;
+  cc.n_populations = 6;
+  cc.fst = 0.12;
+  cc.ld_block_size = 16;
+  cc.ld_rho = 0.6;
+  cc.seed = 11;
+  const Cohort cohort = simulate_cohort(cc);
+  const auto& g = cohort.genotypes.matrix();
+  BuildConfig config;
+  config.tile_size = kTile;
+  config.gamma = suggest_gamma(std::span<const std::int8_t>(g.data(), g.size()),
+                               cc.n_patients, cc.n_snps);
+  const KernelTileGenerator generator(cohort.genotypes, cohort.confounders,
+                                      cohort.genotypes, cohort.confounders,
+                                      config);
+  Tile tile(kTile, kTile);
+  telemetry::Counter& fallbacks =
+      telemetry::MetricRegistry::global().counter("build.exp_fallbacks");
+  kernels::set_gemm_arch(arch);
+  const std::uint64_t before = fallbacks.total();
+  for (auto _ : state) {
+    generator.compute(kTile, 0, tile);
+    benchmark::DoNotOptimize(tile.fp32_payload());
+    benchmark::ClobberMemory();
+  }
+  kernels::set_gemm_arch(std::nullopt);
+  state.SetLabel(std::string("variant/") + to_string(arch));
+  state.counters["exp_fallbacks"] = benchmark::Counter(
+      static_cast<double>(fallbacks.total() - before) /
+      static_cast<double>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTile * kTile));
+}
+
+int register_kernel_tile_rows() {
+  for (const mpblas::kernels::Arch arch :
+       mpblas::kernels::available_archs()) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_KernelTile_") + to_string(arch)).c_str(),
+        [arch](benchmark::State& state) { run_kernel_tile_row(state, arch); });
+  }
+  return 0;
+}
+const int g_kernel_tile_rows_registered = register_kernel_tile_rows();
 
 // Scheduler throughput: the full tiled POTRF DAG through the dataflow
 // runtime's priority work-stealing scheduler.  Steal and queue-depth

@@ -1,13 +1,15 @@
 #include "krr/build.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <vector>
 
 #include "common/status.hpp"
 #include "mpblas/blas.hpp"
+#include "mpblas/kernels.hpp"
 #include "mpblas/mixed.hpp"
+#include "telemetry/metrics.hpp"
 #include "tile/tile_pool.hpp"
 
 namespace kgwas {
@@ -40,19 +42,19 @@ void check_dosages(const GenotypeMatrix& genotypes, const char* side) {
   }
 }
 
-/// i32 scratch for one tile's integer Gram, drawn from the global
-/// TilePool's byte classes and returned on scope exit.
-class PooledI32 {
+/// Scratch for one tile (the i32 integer Grams, the FP64 exponents),
+/// drawn from the global TilePool's byte classes and returned on scope
+/// exit.
+template <typename T>
+class Pooled {
  public:
-  explicit PooledI32(std::size_t elements)
-      : bytes_(TilePool::global().acquire(elements * sizeof(std::int32_t))) {}
-  ~PooledI32() { TilePool::global().release(std::move(bytes_)); }
-  PooledI32(const PooledI32&) = delete;
-  PooledI32& operator=(const PooledI32&) = delete;
+  explicit Pooled(std::size_t elements)
+      : bytes_(TilePool::global().acquire(elements * sizeof(T))) {}
+  ~Pooled() { TilePool::global().release(std::move(bytes_)); }
+  Pooled(const Pooled&) = delete;
+  Pooled& operator=(const Pooled&) = delete;
 
-  std::int32_t* data() noexcept {
-    return reinterpret_cast<std::int32_t*>(bytes_.data());
-  }
+  T* data() noexcept { return reinterpret_cast<T*>(bytes_.data()); }
 
  private:
   AlignedVector<std::byte> bytes_;
@@ -168,7 +170,7 @@ void KernelTileGenerator::compute(std::size_t r0, std::size_t c0,
   const std::size_t ldc = in.genotypes_cols->patients();
 
   // INT8 GEMM on the packed engine: G_r * G_c^T, exact INT32 accumulation.
-  PooledI32 dot(mb * nb);
+  Pooled<std::int32_t> dot(mb * nb);
   gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
               &in.genotypes_rows->matrix()(r0, 0), ldr,
               &in.genotypes_cols->matrix()(c0, 0), ldc, 0, dot.data(), mb);
@@ -186,27 +188,40 @@ void KernelTileGenerator::compute(std::size_t r0, std::size_t c0,
            &(*in.conf_rows)(r0, 0), in.conf_rows->ld(), &(*in.conf_cols)(c0, 0),
            in.conf_cols->ld(), 0.0f, k, mb);
     }
+    // One column of FP64 exponents at a time, then the engine's exact
+    // vector exp: k = float(std::exp(-gamma d)) bit for bit.
+    static telemetry::Counter& exp_fallbacks =
+        telemetry::MetricRegistry::global().counter("build.exp_fallbacks");
+    Pooled<double> exponent(mb);
+    double* e = exponent.data();
+    const std::int32_t* snp_rows = in.snp_norms_rows.data() + r0;
+    const float* conf_rows = nc > 0 ? in.conf_norms_rows.data() + r0 : nullptr;
+    std::size_t fallbacks = 0;
     for (std::size_t j = 0; j < nb; ++j) {
+      const std::int32_t* dot_j = dot.data() + j * mb;
+      float* k_j = k + j * mb;
+      const auto snp_col = static_cast<double>((*in.snp_norms_cols)[c0 + j]);
+      const auto conf_col =
+          nc > 0 ? static_cast<double>((*in.conf_norms_cols)[c0 + j]) : 0.0;
       for (std::size_t i = 0; i < mb; ++i) {
-        const std::size_t x = i + j * mb;
-        double d = static_cast<double>(in.snp_norms_rows[r0 + i]) +
-                   static_cast<double>((*in.snp_norms_cols)[c0 + j]) -
-                   2.0 * static_cast<double>(dot.data()[x]);
+        double d = static_cast<double>(snp_rows[i]) + snp_col -
+                   2.0 * static_cast<double>(dot_j[i]);
         if (nc > 0) {
-          d += static_cast<double>(in.conf_norms_rows[r0 + i]) +
-               static_cast<double>((*in.conf_norms_cols)[c0 + j]) +
-               static_cast<double>(k[x]);
+          d += static_cast<double>(conf_rows[i]) + conf_col +
+               static_cast<double>(k_j[i]);
         }
         // Quantized inputs guarantee d >= 0 up to FP32 rounding of the
         // confounder part; clamp to keep the kernel in (0, 1].
         if (d < 0.0) d = 0.0;
-        k[x] = static_cast<float>(std::exp(-config_.gamma * d));
+        e[i] = -config_.gamma * d;
       }
+      fallbacks += mpblas::kernels::exp_to_f32(e, mb, k_j);
     }
+    exp_fallbacks.add(fallbacks);
   } else {
     // IBS: shared = 2*NS - sum|gi-gj|; sum|gi-gj| = d - 2 * count2 where
     // count2 = u_r . v_c + v_r . u_c.
-    PooledI32 count2(mb * nb);
+    Pooled<std::int32_t> count2(mb * nb);
     gemm_i8_i32(Trans::kNoTrans, Trans::kTrans, mb, nb, ns, 1,
                 &in.ind_rows.zero(r0, 0), ldr, &in.ind_cols->two(c0, 0), ldc,
                 0, count2.data(), mb);

@@ -9,7 +9,13 @@
 // as a vector and each tile is generated on the fly, fused with the
 // exponentiation exp(-gamma * d_ij) before it is released.  Real-valued
 // confounder columns contribute their own squared distances through an
-// FP32 GEMM accumulated into the same tile prior to exponentiation.
+// FP32 GEMM accumulated into the same tile prior to exponentiation.  The
+// exponent -gamma * d_ij is formed in FP64, one tile column at a time,
+// and exponentiated by the packed engine's exact vector exp
+// (mpblas::kernels::exp_to_f32): each kernel value is
+// float(std::exp(-gamma * d_ij)) bit for bit, at the selected variant's
+// vector width; the rare lanes that fall back to std::exp are counted in
+// the `build.exp_fallbacks` registry counter.
 //
 // IBS path.  sum|g_i - g_j| = d_ij - 2 * #(loci with |diff| = 2), and the
 // count of |diff| = 2 loci is u_i . v_j + v_i . u_j with u = [g == 0],
@@ -51,8 +57,9 @@ struct BuildConfig {
 /// both sides.  The constructor throws InvalidArgument naming the patient
 /// and SNP of any dosage outside {0, 1, 2} on either side.  Each tile's
 /// integer Grams run on the packed engine's INT8 path (gemm_i8_i32) into
-/// pooled i32 scratch, and the FP64 epilogue writes the kernel values
-/// straight into the tile.
+/// pooled i32 scratch, and the epilogue writes the kernel values straight
+/// into the tile (Gaussian: FP64 exponents through the engine's exact
+/// exp_to_f32).
 class KernelTileGenerator {
  public:
   KernelTileGenerator(const GenotypeMatrix& genotypes_rows,

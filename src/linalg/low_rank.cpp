@@ -374,6 +374,30 @@ double residual_norm_estimate(const Matrix<float>& a, const Matrix<float>& q,
   }
 }
 
+/// Multiplies every entry of `m` by 2^e, in steps FP32 can represent:
+/// exact unless an entry lands in the subnormal range.
+void scale_by_pow2(Matrix<float>& m, int e) {
+  while (e != 0) {
+    const int step = std::clamp(e, -126, 127);
+    const float factor = std::ldexp(1.0f, step);
+    for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] *= factor;
+    e -= step;
+  }
+}
+
+/// The e >= 1 that brings the largest magnitude of `a` into [1, 2) when it
+/// is below 1, else 0 (a zero tile included).
+int upscale_exponent(const Matrix<float>& a) {
+  float largest = 0.0f;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    largest = std::max(largest, std::fabs(a.data()[i]));
+  }
+  if (!(largest > 0.0f) || largest >= 1.0f) return 0;
+  int exponent = 0;
+  std::frexp(largest, &exponent);  // largest = f * 2^exponent, f in [0.5, 1)
+  return 1 - exponent;
+}
+
 /// The range finder's outcome on `a`: a certified factor; no factor when
 /// the sampled rank exceeds `max_rank` (the tile stays dense); or, when
 /// the sample went non-finite or failed certification, `certified` false
@@ -437,7 +461,24 @@ std::optional<LowRankFactor> compress_block(const Matrix<float>& a,
   }
   const std::size_t small = std::min(m, n);
   if (small > kExactMaxDim && max_rank + kOversample <= small / 2) {
-    Sketched sketched = sketch_compress(a, tol, max_rank);
+    // A tile of tiny entries (a far-off-diagonal kernel tile near 1e-15)
+    // loses the FP32 sketch's residual estimate to underflow and fails
+    // certification.  A tile whose largest magnitude is below 1 runs
+    // scaled by the power of two that brings it into [1, 2), and U
+    // unscales exactly: a power-of-two scale commutes with every rounding
+    // on the way, so the factor is the unscaled run's wherever nothing
+    // underflowed.  Only upward: a tile near the top of FP32's range
+    // keeps failing into the Jacobi below.
+    const int shift = upscale_exponent(a);
+    Sketched sketched;
+    if (shift == 0) {
+      sketched = sketch_compress(a, tol, max_rank);
+    } else {
+      Matrix<float> scaled = a;
+      scale_by_pow2(scaled, shift);
+      sketched = sketch_compress(scaled, tol, max_rank);
+      if (sketched.factor) scale_by_pow2(sketched.factor->u, -shift);
+    }
     if (sketched.certified) return std::move(sketched.factor);
     static telemetry::Counter& fallbacks =
         telemetry::MetricRegistry::global().counter("tlr.compress_fallbacks");

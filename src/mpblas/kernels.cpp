@@ -12,6 +12,7 @@
 #include "common/logging.hpp"
 #include "common/status.hpp"
 #include "mpblas/cpu_features.hpp"
+#include "mpblas/exp_f32.hpp"
 #include "mpblas/microkernel.hpp"
 #include "mpblas/mixed.hpp"
 #include "precision/convert.hpp"
@@ -794,7 +795,7 @@ namespace detail {
 
 const MicroKernel* generic_microkernel() {
   static const MicroKernel kernel{Arch::kGeneric, "generic", kMR, kNR,
-                                  micro_kernel};
+                                  micro_kernel, exp_to_f32_lanes};
   return &kernel;
 }
 
@@ -844,6 +845,10 @@ std::size_t gemm_mr() { return selected_kernel().mr; }
 std::size_t gemm_nr() { return selected_kernel().nr; }
 
 const char* int8_kernel() { return vnni_selected() ? "avx512_vnni" : "generic"; }
+
+std::size_t exp_to_f32(const double* x, std::size_t n, float* out) {
+  return selected_kernel().exp_to_f32(x, n, out);
+}
 
 Blocking analytic_blocking(std::size_t mr, std::size_t nr,
                            std::size_t elem_bytes) {

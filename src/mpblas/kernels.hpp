@@ -97,6 +97,14 @@ std::size_t gemm_nr();
 /// and produce identical integers.
 const char* int8_kernel();
 
+/// out[i] = float(std::exp(x[i])) for i < n, bit for bit, on the selected
+/// variant's vector instantiation (mpblas/exp_f32.hpp).  A lane whose
+/// fast value lies too close to an FP32 rounding midpoint, or whose x is
+/// outside [-87, -0] (positive, +0, NaN, Inf, or an FP32-subnormal
+/// result), falls back to std::exp; returns the number of such lanes.
+/// The output bits do not depend on the variant; the count may.
+std::size_t exp_to_f32(const double* x, std::size_t n, float* out);
+
 /// Cache blocking parameters (elements): the packed mc x kc A block is
 /// the L2 resident, the kc x nc B block the L3 resident, and one A plus
 /// one B micro-panel of length kc share L1d.

@@ -9,6 +9,8 @@
 
 #include <immintrin.h>
 
+#include "mpblas/exp_f32.hpp"
+
 namespace kgwas::mpblas::kernels::detail {
 
 namespace {
@@ -50,7 +52,7 @@ void gemm_8x6_avx2(std::size_t kb, const float* a, const float* b,
 
 const MicroKernel* avx2_microkernel() {
   static const MicroKernel kernel{Arch::kAvx2, "avx2", kAvx2Mr, kAvx2Nr,
-                                  gemm_8x6_avx2};
+                                  gemm_8x6_avx2, exp_to_f32_lanes};
   return &kernel;
 }
 

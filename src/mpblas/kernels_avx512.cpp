@@ -7,6 +7,8 @@
 
 #include <immintrin.h>
 
+#include "mpblas/exp_f32.hpp"
+
 namespace kgwas::mpblas::kernels::detail {
 
 namespace {
@@ -50,7 +52,8 @@ void gemm_16x6_avx512(std::size_t kb, const float* a, const float* b,
 
 const MicroKernel* avx512_microkernel() {
   static const MicroKernel kernel{Arch::kAvx512, "avx512", kAvx512Mr,
-                                  kAvx512Nr, gemm_16x6_avx512};
+                                  kAvx512Nr, gemm_16x6_avx512,
+                                  exp_to_f32_lanes};
   return &kernel;
 }
 

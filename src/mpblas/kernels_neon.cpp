@@ -7,6 +7,8 @@
 
 #include <arm_neon.h>
 
+#include "mpblas/exp_f32.hpp"
+
 namespace kgwas::mpblas::kernels::detail {
 
 namespace {
@@ -43,7 +45,7 @@ void gemm_8x6_neon(std::size_t kb, const float* a, const float* b,
 
 const MicroKernel* neon_microkernel() {
   static const MicroKernel kernel{Arch::kNeon, "neon", kNeonMr, kNeonNr,
-                                  gemm_8x6_neon};
+                                  gemm_8x6_neon, exp_to_f32_lanes};
   return &kernel;
 }
 

@@ -17,6 +17,9 @@
 // MR x NR output block (ld = MR) the kernel fully overwrites.  Edge
 // handling is the caller's job: panels are zero-padded to MR/NR, and the
 // driver masks the store of partial tiles.
+//
+// A variant also carries the engine's exact FP32 exponential
+// (exp_to_f32, mpblas/exp_f32.hpp), compiled in its TU for its ISA.
 #pragma once
 
 #include <cstddef>
@@ -29,12 +32,17 @@ namespace kgwas::mpblas::kernels::detail {
 using MicroKernelFn = void (*)(std::size_t kb, const float* a, const float* b,
                                float* acc);
 
+/// out[i] = float(std::exp(x[i])) for i < n; returns the fallback count.
+using ExpToF32Fn = std::size_t (*)(const double* x, std::size_t n,
+                                   float* out);
+
 struct MicroKernel {
   Arch arch;
   const char* name;  ///< matches to_string(arch); used in logs/labels
   std::size_t mr;
   std::size_t nr;
   MicroKernelFn gemm;
+  ExpToF32Fn exp_to_f32;
 };
 
 /// Portable GNU-vector/scalar 8x6 kernel; always compiled in, always

@@ -11,7 +11,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -537,6 +539,142 @@ TEST(GemmEngineTest, MixedTcGemmMatchesReferenceRounding) {
             a.data(), m, b.data(), n, 0.5f, c_packed.data(), m);
 
     expect_close(c_packed, c_ref, k, "gemm_tc " + to_string(precision));
+  }
+}
+
+// ------------------------------------------------------------ exp_to_f32
+//
+// The engine's exact vector exponential, per variant the host can run:
+// every output must equal float(std::exp(x)) bit for bit, whatever the
+// variant, and the returned count must cover the lanes the fast path
+// cannot decide.
+
+/// Bitwise float(std::exp(x[i])) check of exp_to_f32 over `x` under every
+/// available variant; returns each variant's fallback count.
+std::vector<std::size_t> expect_exact_exp(const std::vector<double>& x,
+                                          const std::string& what) {
+  ScopedEngineConfig restore;
+  std::vector<std::size_t> counts;
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    kernels::set_gemm_arch(arch);
+    std::vector<float> out(x.size(), -1.0f);
+    counts.push_back(kernels::exp_to_f32(x.data(), x.size(), out.data()));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float want = static_cast<float>(std::exp(x[i]));
+      if (std::memcmp(&out[i], &want, sizeof(float)) != 0) {
+        ADD_FAILURE() << what << " " << to_string(arch) << " x[" << i
+                      << "] = " << x[i] << ": got " << out[i] << ", want "
+                      << want;
+        break;
+      }
+    }
+  }
+  return counts;
+}
+
+TEST(ExpToF32, DenseGridMatchesStdExpBitwise) {
+  // [-100, 0] crosses -87.3, below which float(exp(x)) is an FP32
+  // subnormal and then zero; the step is no multiple of ln 2.
+  constexpr std::size_t kPoints = 1 << 20;
+  std::vector<double> x(kPoints + 1);
+  for (std::size_t i = 0; i <= kPoints; ++i) {
+    x[i] = -100.0 * static_cast<double>(i) / static_cast<double>(kPoints);
+  }
+  for (const std::size_t fallbacks : expect_exact_exp(x, "grid")) {
+    // Every x below -87 falls back, and at least that many lanes do.
+    EXPECT_GE(fallbacks, kPoints * 13 / 100);
+    EXPECT_LT(fallbacks, kPoints * 14 / 100);
+  }
+}
+
+TEST(ExpToF32, SpecialValuesFallBackBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> x{0.0,    -0.0,  1e-300, 0.5,    88.0, 710.0,
+                              nan,    -nan,  inf,    -inf,   -87.0,
+                              -87.5,  -745.2, -1e-300, -1e-17,
+                              std::nextafter(-87.0, -inf),
+                              std::numeric_limits<double>::denorm_min()};
+  // Out of [-87, -0]: +0, the five positives, both NaNs, both
+  // infinities, -87.5, -745.2 and the double just below -87.
+  for (const std::size_t fallbacks : expect_exact_exp(x, "special")) {
+    EXPECT_EQ(fallbacks, 13u);
+  }
+}
+
+TEST(ExpToF32, OddLengthsAndUnalignedStartsMatch) {
+  Rng rng(97);
+  std::vector<double> pool(1200);
+  for (double& v : pool) v = -90.0 * rng.uniform();
+  ScopedEngineConfig restore;
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    kernels::set_gemm_arch(arch);
+    for (const std::size_t start : {0, 1, 3, 7}) {
+      for (const std::size_t n : {0, 1, 2, 3, 5, 17, 255, 256, 257, 513,
+                                  1000}) {
+        std::vector<float> out(n + 2, 7.0f);
+        kernels::exp_to_f32(pool.data() + start, n, out.data() + 1);
+        EXPECT_EQ(out[0], 7.0f);
+        EXPECT_EQ(out[n + 1], 7.0f) << "wrote past lane " << n;
+        for (std::size_t i = 0; i < n; ++i) {
+          const float want = static_cast<float>(std::exp(pool[start + i]));
+          ASSERT_EQ(std::memcmp(&out[i + 1], &want, sizeof(float)), 0)
+              << to_string(arch) << " start " << start << " n " << n
+              << " lane " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ExpToF32, MidpointNeighboursFallBackAndMatch) {
+  // For FP32 rounding midpoints m across the range, search the doubles
+  // around log(m) for the x whose std::exp(x) lands closest to m, and
+  // keep those within 4 double ulps: the inputs whose FP32 rounding the
+  // fast path alone cannot decide.  Every one must fall back.
+  Rng rng(1234);
+  std::vector<double> x;
+  std::size_t above = 0;
+  for (int trial = 0; trial < 40000 && x.size() < 400; ++trial) {
+    const double target = -87.0 * rng.uniform();
+    const auto f = static_cast<float>(std::exp(target));
+    const double mid =
+        0.5 * (static_cast<double>(f) +
+               static_cast<double>(std::nextafter(f, 2.0f)));
+    double best = std::log(mid);
+    double best_ulps = 1e300;
+    double probe = best;
+    for (int step = 0; step < 16; ++step) probe = std::nextafter(probe, -1e9);
+    for (int step = 0; step < 32; ++step) {
+      const double y = std::exp(probe);
+      const double ulps =
+          std::fabs(y - mid) / (std::nextafter(mid, 2.0) - mid);
+      if (ulps < best_ulps) {
+        best_ulps = ulps;
+        best = probe;
+      }
+      probe = std::nextafter(probe, 0.0);
+    }
+    if (best_ulps <= 4.0 && best <= 0.0 && best >= -87.0) {
+      x.push_back(best);
+      if (std::exp(best) > mid) ++above;
+    }
+  }
+  ASSERT_GE(x.size(), 100u);
+  ASSERT_GT(above, 0u);  // both sides of the midpoint are covered
+  ASSERT_LT(above, x.size());
+  for (const std::size_t fallbacks : expect_exact_exp(x, "midpoint")) {
+    EXPECT_EQ(fallbacks, x.size());
+  }
+}
+
+TEST(ExpToF32, RandomArgumentsFallBackRarely) {
+  Rng rng(4321);
+  std::vector<double> x(1 << 18);
+  for (double& v : x) v = -87.0 * rng.uniform();
+  for (const std::size_t fallbacks : expect_exact_exp(x, "random")) {
+    // About 1.2e-7 of in-range lanes sit in the band.
+    EXPECT_LE(fallbacks, 8u);
   }
 }
 

@@ -4,11 +4,14 @@
 // every microkernel variant the host can execute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/status.hpp"
 #include "gwas/cohort_simulator.hpp"
@@ -162,6 +165,120 @@ TEST(Build, ConfoundersEnterGaussianExponent) {
                   2e-5 * (1.0 + dense(i, j)));
     }
   }
+}
+
+/// The Gaussian epilogue as KernelTileGenerator::compute ran it with
+/// scalar std::exp, kept here as the oracle of the confounder path: per
+/// tile of `config.tile_size` (edge tiles included), the exact dosage
+/// Gram, the same staged FP32 confounder GEMM (-2 C_r C_c^T on the
+/// engine) and per entry float(std::exp(-gamma d)) in FP64.  Fills the
+/// tiles on or below the diagonal when `lower`, else every tile.
+Matrix<float> scalar_epilogue(const BuildConfig& config,
+                              const GenotypeMatrix& rows,
+                              const Matrix<float>& conf_rows,
+                              const GenotypeMatrix& cols,
+                              const Matrix<float>& conf_cols, bool lower) {
+  const auto conf_norms = [](const Matrix<float>& conf) {
+    std::vector<float> norms(conf.rows(), 0.0f);
+    for (std::size_t c = 0; c < conf.cols(); ++c) {
+      for (std::size_t p = 0; p < conf.rows(); ++p) {
+        norms[p] += conf(p, c) * conf(p, c);
+      }
+    }
+    return norms;
+  };
+  const std::vector<std::int32_t> snp_r = rows.squared_row_norms();
+  const std::vector<std::int32_t> snp_c = cols.squared_row_norms();
+  const std::vector<float> conf_r = conf_norms(conf_rows);
+  const std::vector<float> conf_c = conf_norms(conf_cols);
+  const std::size_t ts = config.tile_size, nc = conf_rows.cols();
+  Matrix<float> k(rows.patients(), cols.patients(), 0.0f);
+  for (std::size_t c0 = 0; c0 < cols.patients(); c0 += ts) {
+    for (std::size_t r0 = lower ? c0 : 0; r0 < rows.patients(); r0 += ts) {
+      const std::size_t mb = std::min(ts, rows.patients() - r0);
+      const std::size_t nb = std::min(ts, cols.patients() - c0);
+      std::vector<float> staged(mb * nb);
+      gemm(Trans::kNoTrans, Trans::kTrans, mb, nb, nc, -2.0f,
+           &conf_rows(r0, 0), conf_rows.ld(), &conf_cols(c0, 0),
+           conf_cols.ld(), 0.0f, staged.data(), mb);
+      for (std::size_t j = 0; j < nb; ++j) {
+        for (std::size_t i = 0; i < mb; ++i) {
+          std::int64_t dot = 0;
+          for (std::size_t s = 0; s < rows.snps(); ++s) {
+            dot += rows(r0 + i, s) * cols(c0 + j, s);
+          }
+          double d = static_cast<double>(snp_r[r0 + i]) +
+                     static_cast<double>(snp_c[c0 + j]) -
+                     2.0 * static_cast<double>(dot);
+          d += static_cast<double>(conf_r[r0 + i]) +
+               static_cast<double>(conf_c[c0 + j]) +
+               static_cast<double>(staged[i + j * mb]);
+          if (d < 0.0) d = 0.0;
+          k(r0 + i, c0 + j) = static_cast<float>(std::exp(-config.gamma * d));
+        }
+      }
+    }
+  }
+  return k;
+}
+
+Matrix<float> confounder_rows(const Matrix<float>& conf, std::size_t first,
+                              std::size_t count) {
+  Matrix<float> out(count, conf.cols());
+  for (std::size_t c = 0; c < conf.cols(); ++c) {
+    for (std::size_t p = 0; p < count; ++p) out(p, c) = conf(first + p, c);
+  }
+  return out;
+}
+
+TEST(Build, ConfounderEpilogueMatchesScalarBitwise) {
+  // The benchmark workloads' shape of input: four confounder columns in
+  // the Gaussian exponent.  Edge tiles (90 = 2*32 + 26, a 30 x 60 cross
+  // kernel) and a k remainder (150 SNPs); the diagonal's FP32 confounder
+  // part rounds around 0, so the d < 0 clamp runs too.
+  CohortConfig cc;
+  cc.n_patients = 90;
+  cc.n_snps = 150;
+  cc.n_confounders = 4;
+  cc.seed = 41;
+  const Cohort cohort = simulate_cohort(cc);
+  std::vector<std::size_t> train_rows(60), test_rows(30);
+  std::iota(train_rows.begin(), train_rows.end(), 0);
+  std::iota(test_rows.begin(), test_rows.end(), 60);
+  const GenotypeMatrix train = cohort.genotypes.subset_rows(train_rows);
+  const GenotypeMatrix test = cohort.genotypes.subset_rows(test_rows);
+  const Matrix<float> train_conf = confounder_rows(cohort.confounders, 0, 60);
+  const Matrix<float> test_conf = confounder_rows(cohort.confounders, 60, 30);
+
+  BuildConfig config;
+  config.gamma = 0.01;
+  config.tile_size = 32;
+  for_each_variant([&](kernels::Arch arch) {
+    Runtime rt(2);
+    const Matrix<float> k =
+        build_kernel_matrix(rt, cohort.genotypes, cohort.confounders, config)
+            .to_dense();
+    const Matrix<float> k_ref =
+        scalar_epilogue(config, cohort.genotypes, cohort.confounders,
+                        cohort.genotypes, cohort.confounders, true);
+    for (std::size_t j = 0; j < 90; ++j) {
+      for (std::size_t i = j / 32 * 32; i < 90; ++i) {
+        ASSERT_EQ(k(i, j), k_ref(i, j))
+            << to_string(arch) << " K(" << i << "," << j << ")";
+      }
+    }
+    const Matrix<float> kx =
+        build_cross_kernel(rt, test, test_conf, train, train_conf, config)
+            .to_dense();
+    const Matrix<float> kx_ref =
+        scalar_epilogue(config, test, test_conf, train, train_conf, false);
+    for (std::size_t j = 0; j < 60; ++j) {
+      for (std::size_t i = 0; i < 30; ++i) {
+        ASSERT_EQ(kx(i, j), kx_ref(i, j))
+            << to_string(arch) << " Kx(" << i << "," << j << ")";
+      }
+    }
+  });
 }
 
 TEST(Build, CrossKernelMatchesScalar) {

@@ -960,6 +960,38 @@ TEST(TlrCompress, FailedCertificationFallsBackToJacobiBitwise) {
       << warning;
 }
 
+TEST(TlrCompress, TinyTileCertifiesWithoutFallback) {
+  // Tile (3, 0) of the 512 x 512 kernel exp(-(i - j)^2 / 2000): entries
+  // from 4.6e-15 down to FP32 subnormals.  The FP32 sketch of the tile as
+  // it stands loses its residual estimate to underflow, fails
+  // certification and falls back to the full Jacobi; scaled into [1, 2)
+  // it certifies at rank 1.
+  const std::size_t n = 4 * kSketchTile;
+  Matrix<float> a(kSketchTile, kSketchTile);
+  for (std::size_t j = 0; j < kSketchTile; ++j) {
+    for (std::size_t i = 0; i < kSketchTile; ++i) {
+      const double d = static_cast<double>(n - kSketchTile + i) -
+                       static_cast<double>(j);
+      a(i, j) = static_cast<float>(std::exp(-d * d / 2000.0));
+    }
+  }
+  ASSERT_LT(a(0, kSketchTile - 1), 5e-15f);
+  const std::uint64_t fallbacks = compress_fallbacks();
+  std::optional<LowRankFactor> factor;
+  const std::string warning = captured_warnings(
+      [&] { factor = compress_block(a, kSketchTol, sketch_cap()); });
+  ASSERT_TRUE(factor.has_value());
+  EXPECT_EQ(factor->rank(), 1u);
+  EXPECT_EQ(compress_fallbacks(), fallbacks);
+  EXPECT_TRUE(warning.empty()) << warning;
+  Matrix<float> residual = reconstruct(*factor);
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    residual.data()[i] = a.data()[i] - residual.data()[i];
+  }
+  EXPECT_LE(jacobi_svd(residual).sigma[0],
+            1.25 * kSketchTol * jacobi_svd(a).sigma[0]);
+}
+
 TEST(TlrCompress, FactorBitsRepeatAndIgnoreWorkerCount) {
   // Omega is seeded by the tile shape alone, so the factor is a pure
   // function of the tile's values: the same bits twice, and from
