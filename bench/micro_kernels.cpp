@@ -4,6 +4,7 @@
 // in for on GPU hardware.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -17,6 +18,7 @@
 #include "krr/build.hpp"
 #include "linalg/low_rank.hpp"
 #include "linalg/precision_policy.hpp"
+#include "linalg/tile_kernels.hpp"
 #include "linalg/tiled_cholesky.hpp"
 #include "precision/convert.hpp"
 #include "mpblas/blas.hpp"
@@ -265,8 +267,11 @@ void BM_PotrfFp32(benchmark::State& state) {
   syrk(Uplo::kLower, Trans::kNoTrans, n, n, 1.0f, g.data(), n, 0.0f,
        spd.data(), n);
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += static_cast<float>(n);
+  // The factorization is in place: each iteration copies the input into
+  // a preallocated buffer (an n^2 memcpy, no allocation) before factoring.
+  Matrix<float> a(n, n);
   for (auto _ : state) {
-    Matrix<float> a = spd;
+    std::copy(spd.data(), spd.data() + spd.size(), a.data());
     const int info = potrf(Uplo::kLower, n, a.data(), n);
     benchmark::DoNotOptimize(info);
   }
@@ -351,6 +356,87 @@ int register_kernel_tile_rows() {
   return 0;
 }
 const int g_kernel_tile_rows_registered = register_kernel_tile_rows();
+
+// One task body of each Cholesky panel class at the pipeline's shapes
+// and storage, per variant the host can run, on the calling thread:
+// tile_potrf of a 256 x 256 FP32 diagonal tile, tile_trsm of an FP16
+// off-diagonal tile against the factored diagonal tile, and tile_syrk of
+// an FP16 panel tile into an FP32 diagonal tile.  The kernels work in
+// place, so each iteration first restores the output tile by copy (one
+// storage memcpy).  The `flops` rate counts the op count the runtime
+// charges the task (potrf_op_count, trsm_op_count, syrk_op_count), so
+// the rows read beside BM_GemmFp32/256 and runtime.class.<kind>.gflops.
+// CI runs these rows into BENCH_gemm.json and BENCH_gemm_native.json.
+enum class PanelKernel { kPotrf, kTrsm, kSyrk };
+
+void run_tile_panel_row(benchmark::State& state, mpblas::kernels::Arch arch,
+                        PanelKernel kind) {
+  constexpr std::size_t kTile = 256;
+  Matrix<float> spd(kTile, kTile, 0.0f);
+  const Matrix<float> g = random_matrix(kTile, kTile, 12);
+  syrk(Uplo::kLower, Trans::kNoTrans, kTile, kTile, 1.0f / kTile, g.data(),
+       kTile, 0.0f, spd.data(), kTile);
+  for (std::size_t j = 0; j < kTile; ++j) {
+    spd(j, j) += 1.0f;
+    for (std::size_t i = 0; i < j; ++i) spd(i, j) = spd(j, i);
+  }
+  Tile diag(kTile, kTile, Precision::kFp32);
+  diag.from_fp32(spd);
+  Tile factor = diag;
+  tile_potrf(factor);
+  Tile panel(kTile, kTile, Precision::kFp16);
+  panel.from_fp32(random_matrix(kTile, kTile, 13));
+
+  const Tile& input = kind == PanelKernel::kTrsm ? panel : diag;
+  Tile out = input;
+  mpblas::kernels::set_gemm_arch(arch);
+  for (auto _ : state) {
+    out = input;
+    switch (kind) {
+      case PanelKernel::kPotrf:
+        tile_potrf(out);
+        break;
+      case PanelKernel::kTrsm:
+        tile_trsm(factor, out);
+        break;
+      case PanelKernel::kSyrk:
+        tile_syrk(panel, out);
+        break;
+    }
+    benchmark::DoNotOptimize(out.raw());
+    benchmark::ClobberMemory();
+  }
+  mpblas::kernels::set_gemm_arch(std::nullopt);
+  const double flops = kind == PanelKernel::kPotrf ? potrf_op_count(kTile)
+                       : kind == PanelKernel::kTrsm
+                           ? trsm_op_count(kTile, kTile)
+                           : syrk_op_count(kTile, kTile);
+  state.SetLabel(std::string("variant/") + to_string(arch));
+  state.counters["flops"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+
+int register_tile_panel_rows() {
+  const std::pair<const char*, PanelKernel> kinds[] = {
+      {"potrf", PanelKernel::kPotrf},
+      {"trsm", PanelKernel::kTrsm},
+      {"syrk", PanelKernel::kSyrk}};
+  for (const mpblas::kernels::Arch arch :
+       mpblas::kernels::available_archs()) {
+    for (const auto& [name, kind] : kinds) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_TilePanel_") + to_string(arch) + "/" + name)
+              .c_str(),
+          [arch, kind = kind](benchmark::State& state) {
+            run_tile_panel_row(state, arch, kind);
+          })
+          ->UseRealTime();
+    }
+  }
+  return 0;
+}
+const int g_tile_panel_rows_registered = register_tile_panel_rows();
 
 // Scheduler throughput: the full tiled POTRF DAG through the dataflow
 // runtime's priority work-stealing scheduler.  Steal and queue-depth

@@ -193,13 +193,12 @@ void submit_potrf_steps(Runtime& runtime, Exec& x, std::size_t k_begin,
     }
     for (std::size_t j = k + 1; j < nt; ++j) {
       if (x.owns(j, j)) {
-        // tile_syrk runs a full-tile GEMM update, so account GEMM flops.
+        // tile_syrk updates the lower triangle only: SYRK flops.
         runtime.submit(TaskDesc{"syrk",
                                 {{x.handle(j, k), Access::kRead},
                                  {x.handle(j, j), Access::kReadWrite}},
                                 prio(k, PotrfKernel::kSyrk),
-                                gemm_op_count(a.tile_dim(j), a.tile_dim(j),
-                                              a.tile_dim(k))},
+                                syrk_op_count(a.tile_dim(j), a.tile_dim(k))},
                        [&a, j, k] {
                          tlr_syrk(Exec::operand(a, j, k), a.tile(j, j));
                        });

@@ -1,6 +1,6 @@
 // Breakdown-recovery vocabulary of the mixed-precision factorizations.
 //
-// An over-aggressive precision map can make `potf2_lower` hit a
+// An over-aggressive precision map can make the tile `potrf` hit a
 // non-positive leading minor even though the FP32 matrix is comfortably
 // SPD — in a production system serving adaptive maps this is an expected
 // event, not a crash.  `BreakdownAction::kEscalate` turns the breakdown

@@ -62,12 +62,10 @@ void tile_syrk(const Tile& a, Tile& c) {
                   "SYRK tile shape mismatch");
   PooledF32 cv(TilePool::global(), c.elements());
   c.decode_to(cv.data());
-  // Full-tile update (gemm) keeps the tile consistent for later full reads;
-  // numerically identical to the triangular update on the referenced part.
-  // Decode-on-pack: both operand roles read straight from tile storage.
-  kernels::gemm_view(c.rows(), c.cols(), a.cols(), -1.0f,
-                     tile_operand_view(a, Trans::kNoTrans),
-                     tile_operand_view(a, Trans::kTrans), 1.0f, cv.data(),
+  // Lower triangle only (the header says why).  Decode-on-pack: A is read
+  // straight from tile storage.
+  kernels::syrk_view(Uplo::kLower, c.rows(), a.cols(), -1.0f,
+                     tile_operand_view(a, Trans::kNoTrans), 1.0f, cv.data(),
                      c.rows());
   c.encode_from(cv.data(), c.rows());
 }

@@ -34,8 +34,9 @@ void tile_potrf(Tile& a, std::size_t global_offset = 0);
 /// TRSM: B <- B * L^-T with L the (already factored) diagonal tile.
 void tile_trsm(const Tile& l, Tile& b);
 
-/// SYRK update: C <- C - A * A^T (lower triangle of C is meaningful; the
-/// full tile is updated for simplicity of later reads).
+/// SYRK update: C <- C - A * A^T on the lower triangle of C only.  The
+/// strict upper triangle keeps whatever it held: nothing reads it before
+/// tile_potrf zeroes it.
 void tile_syrk(const Tile& a, Tile& c);
 
 /// GEMM update: C <- C - A * B^T.

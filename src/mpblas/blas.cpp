@@ -11,12 +11,20 @@ namespace kgwas {
 
 namespace {
 
-constexpr std::size_t kPotrfBlock = 128;
+/// Order at or below which the recursive potrf and trsm run their
+/// unblocked column loops.  Above it they split the triangle in two and
+/// hand the off-diagonal block to gemm / syrk, which run on the packed
+/// engine for FP32.  On 256-order FP32 problems (one AVX-512 core) bases
+/// 8 and 16 time within noise of each other and 32 is 10-25 % slower.
+constexpr std::size_t kRecursionBase = 16;
 
-/// Column-block width of the blocked TRSM: the rank-k update ahead of
-/// each diagonal block runs as one engine GEMM instead of column-at-a-
-/// time AXPYs.
-constexpr std::size_t kTrsmBlock = 64;
+/// Where a recursive kernel splits an order n > kRecursionBase: n / 2
+/// rounded down to a multiple of 16, so the blocks start on engine
+/// micro-tile boundaries (n / 2 itself below 32).
+constexpr std::size_t recursion_split(std::size_t n) {
+  const std::size_t half = n / 2;
+  return half >= 16 ? half - half % 16 : half;
+}
 
 template <typename T>
 void check_lower(Uplo uplo) {
@@ -25,27 +33,87 @@ void check_lower(Uplo uplo) {
                   "tiled Cholesky pipeline is lower-triangular throughout");
 }
 
-/// Unblocked lower Cholesky on an nb x nb block.  Returns 0 or the 1-based
+/// Unblocked right-looking lower Cholesky of an n x n block, the base
+/// case of potrf's recursion: each column is scaled, then subtracted from
+/// the trailing columns as contiguous AXPYs.  Returns 0 or the 1-based
 /// failing column.
 template <typename T>
-int potf2_lower(std::size_t n, T* a, std::size_t lda) {
+int potrf_unblocked(std::size_t n, T* a, std::size_t lda) {
   for (std::size_t j = 0; j < n; ++j) {
-    T diag = a[j + j * lda];
-    for (std::size_t l = 0; l < j; ++l) {
-      diag -= a[j + l * lda] * a[j + l * lda];
-    }
-    if (!(diag > T{0})) return static_cast<int>(j) + 1;
-    diag = std::sqrt(diag);
-    a[j + j * lda] = diag;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      T value = a[i + j * lda];
-      for (std::size_t l = 0; l < j; ++l) {
-        value -= a[i + l * lda] * a[j + l * lda];
-      }
-      a[i + j * lda] = value / diag;
+    T* aj = a + j * lda;
+    if (!(aj[j] > T{0})) return static_cast<int>(j) + 1;
+    const T diag = std::sqrt(aj[j]);
+    aj[j] = diag;
+    for (std::size_t i = j + 1; i < n; ++i) aj[i] /= diag;
+    for (std::size_t k = j + 1; k < n; ++k) {
+      const T akj = aj[k];
+      T* ak = a + k * lda;
+      for (std::size_t i = k; i < n; ++i) ak[i] -= aj[i] * akj;
     }
   }
   return 0;
+}
+
+/// Column-at-a-time lower TRSM with alpha = 1: the base case of trsm's
+/// recursion.
+template <typename T>
+void trsm_unblocked(Side side, Trans trans, bool unit, std::size_t m,
+                    std::size_t n, const T* a, std::size_t lda, T* b,
+                    std::size_t ldb) {
+  if (side == Side::kLeft && trans == Trans::kNoTrans) {
+    // Solve L * X = B (forward substitution), A is m x m.
+    for (std::size_t j = 0; j < n; ++j) {
+      T* bj = b + j * ldb;
+      for (std::size_t l = 0; l < m; ++l) {
+        if (!unit) bj[l] /= a[l + l * lda];
+        const T blj = bj[l];
+        if (blj == T{0}) continue;
+        const T* al = a + l * lda;
+        for (std::size_t i = l + 1; i < m; ++i) bj[i] -= al[i] * blj;
+      }
+    }
+  } else if (side == Side::kLeft && trans == Trans::kTrans) {
+    // Solve L^T * X = B (backward substitution).
+    for (std::size_t j = 0; j < n; ++j) {
+      T* bj = b + j * ldb;
+      for (std::size_t l = m; l-- > 0;) {
+        const T* al = a + l * lda;
+        T value = bj[l];
+        for (std::size_t i = l + 1; i < m; ++i) value -= al[i] * bj[i];
+        bj[l] = unit ? value : value / a[l + l * lda];
+      }
+    }
+  } else if (side == Side::kRight && trans == Trans::kTrans) {
+    // Solve X * L^T = B: forward over columns; A is n x n.
+    for (std::size_t j = 0; j < n; ++j) {
+      T* bj = b + j * ldb;
+      for (std::size_t l = 0; l < j; ++l) {
+        const T ljl = a[j + l * lda];
+        if (ljl == T{0}) continue;
+        const T* bl = b + l * ldb;
+        for (std::size_t i = 0; i < m; ++i) bj[i] -= ljl * bl[i];
+      }
+      if (!unit) {
+        const T inv = T{1} / a[j + j * lda];
+        for (std::size_t i = 0; i < m; ++i) bj[i] *= inv;
+      }
+    }
+  } else {  // Right, NoTrans
+    // Solve X * L = B: backward over columns.
+    for (std::size_t j = n; j-- > 0;) {
+      T* bj = b + j * ldb;
+      for (std::size_t l = j + 1; l < n; ++l) {
+        const T llj = a[l + j * lda];
+        if (llj == T{0}) continue;
+        const T* bl = b + l * ldb;
+        for (std::size_t i = 0; i < m; ++i) bj[i] -= llj * bl[i];
+      }
+      if (!unit) {
+        const T inv = T{1} / a[j + j * lda];
+        for (std::size_t i = 0; i < m; ++i) bj[i] *= inv;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -199,99 +267,57 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, std::size_t m,
           std::size_t ldb) {
   check_lower<T>(uplo);
   if (m == 0 || n == 0) return;
-  const bool unit = diag == Diag::kUnit;
-
   if (alpha != T{1}) {
     for (std::size_t j = 0; j < n; ++j) {
       T* bj = b + j * ldb;
       for (std::size_t i = 0; i < m; ++i) bj[i] *= alpha;
     }
   }
-
-  if (side == Side::kLeft && trans == Trans::kNoTrans) {
-    // Solve L * X = B (forward substitution), A is m x m.
-    for (std::size_t j = 0; j < n; ++j) {
-      T* bj = b + j * ldb;
-      for (std::size_t l = 0; l < m; ++l) {
-        if (!unit) bj[l] /= a[l + l * lda];
-        const T blj = bj[l];
-        if (blj == T{0}) continue;
-        const T* al = a + l * lda;
-        for (std::size_t i = l + 1; i < m; ++i) bj[i] -= al[i] * blj;
-      }
+  const std::size_t dim = side == Side::kLeft ? m : n;
+  if (dim <= kRecursionBase) {
+    trsm_unblocked(side, trans, diag == Diag::kUnit, m, n, a, lda, b, ldb);
+    return;
+  }
+  // Recursive TRSM (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM Review
+  // 2004): split the triangle's order into two half-solves with one gemm
+  // between them.
+  const std::size_t d1 = recursion_split(dim);
+  const std::size_t d2 = dim - d1;
+  const T* a21 = a + d1;
+  const T* a22 = a21 + d1 * lda;
+  const auto solve = [&](std::size_t rows, std::size_t cols, const T* l,
+                         T* x) {
+    trsm(side, uplo, trans, diag, rows, cols, T{1}, l, lda, x, ldb);
+  };
+  if (side == Side::kLeft) {
+    T* b2 = b + d1;
+    if (trans == Trans::kNoTrans) {
+      // L X = B: X1 = L11^-1 B1, B2 -= L21 X1, X2 = L22^-1 B2.
+      solve(d1, n, a, b);
+      gemm(Trans::kNoTrans, Trans::kNoTrans, d2, n, d1, T{-1}, a21, lda, b,
+           ldb, T{1}, b2, ldb);
+      solve(d2, n, a22, b2);
+    } else {
+      // L^T X = B: X2 = L22^-T B2, B1 -= L21^T X2, X1 = L11^-T B1.
+      solve(d2, n, a22, b2);
+      gemm(Trans::kTrans, Trans::kNoTrans, d1, n, d2, T{-1}, a21, lda, b2,
+           ldb, T{1}, b, ldb);
+      solve(d1, n, a, b);
     }
-  } else if (side == Side::kLeft && trans == Trans::kTrans) {
-    // Solve L^T * X = B (backward substitution).
-    for (std::size_t j = 0; j < n; ++j) {
-      T* bj = b + j * ldb;
-      for (std::size_t l = m; l-- > 0;) {
-        const T* al = a + l * lda;
-        T value = bj[l];
-        for (std::size_t i = l + 1; i < m; ++i) value -= al[i] * bj[i];
-        bj[l] = unit ? value : value / a[l + l * lda];
-      }
-    }
-  } else if (side == Side::kRight && trans == Trans::kTrans) {
-    // Solve X * L^T = B: forward over columns; A is n x n.  This is the
-    // Cholesky panel update (A21 <- A21 * L11^-T), so the bulk of the
-    // work — the rank-k update of each column block against all already-
-    // solved columns — runs as one engine GEMM per block; only the
-    // small in-block dependence chain stays column-at-a-time.
-    if constexpr (std::is_same_v<T, float>) {
-      if (n > kTrsmBlock) {
-        for (std::size_t j0 = 0; j0 < n; j0 += kTrsmBlock) {
-          const std::size_t nb = std::min(kTrsmBlock, n - j0);
-          if (j0 > 0) {
-            // B(:, j0:j0+nb) -= B(:, 0:j0) * L(j0:j0+nb, 0:j0)^T.
-            mpblas::kernels::gemm_view(
-                m, nb, j0, -1.0f,
-                mpblas::kernels::fp32_view(b, ldb, Trans::kNoTrans),
-                mpblas::kernels::fp32_view(a + j0, lda, Trans::kTrans), 1.0f,
-                b + j0 * ldb, ldb);
-          }
-          for (std::size_t j = j0; j < j0 + nb; ++j) {
-            T* bj = b + j * ldb;
-            for (std::size_t l = j0; l < j; ++l) {
-              const T ljl = a[j + l * lda];
-              const T* bl = b + l * ldb;
-              for (std::size_t i = 0; i < m; ++i) bj[i] -= ljl * bl[i];
-            }
-            if (!unit) {
-              const T inv = T{1} / a[j + j * lda];
-              for (std::size_t i = 0; i < m; ++i) bj[i] *= inv;
-            }
-          }
-        }
-        return;
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      T* bj = b + j * ldb;
-      for (std::size_t l = 0; l < j; ++l) {
-        const T ljl = a[j + l * lda];
-        if (ljl == T{0}) continue;
-        const T* bl = b + l * ldb;
-        for (std::size_t i = 0; i < m; ++i) bj[i] -= ljl * bl[i];
-      }
-      if (!unit) {
-        const T inv = T{1} / a[j + j * lda];
-        for (std::size_t i = 0; i < m; ++i) bj[i] *= inv;
-      }
-    }
-  } else {  // Right, NoTrans
-    // Solve X * L = B: backward over columns.
-    for (std::size_t j = n; j-- > 0;) {
-      T* bj = b + j * ldb;
-      for (std::size_t l = j + 1; l < n; ++l) {
-        const T llj = a[l + j * lda];
-        if (llj == T{0}) continue;
-        const T* bl = b + l * ldb;
-        for (std::size_t i = 0; i < m; ++i) bj[i] -= llj * bl[i];
-      }
-      if (!unit) {
-        const T inv = T{1} / a[j + j * lda];
-        for (std::size_t i = 0; i < m; ++i) bj[i] *= inv;
-      }
+  } else {
+    T* b2 = b + d1 * ldb;
+    if (trans == Trans::kTrans) {
+      // X L^T = B: X1 = B1 L11^-T, B2 -= X1 L21^T, X2 = B2 L22^-T.
+      solve(m, d1, a, b);
+      gemm(Trans::kNoTrans, Trans::kTrans, m, d2, d1, T{-1}, b, ldb, a21,
+           lda, T{1}, b2, ldb);
+      solve(m, d2, a22, b2);
+    } else {
+      // X L = B: X2 = B2 L22^-1, B1 -= X2 L21, X1 = B1 L11^-1.
+      solve(m, d2, a22, b2);
+      gemm(Trans::kNoTrans, Trans::kNoTrans, m, d1, d2, T{-1}, b2, ldb, a21,
+           lda, T{1}, b, ldb);
+      solve(m, d1, a, b);
     }
   }
 }
@@ -299,20 +325,19 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, std::size_t m,
 template <typename T>
 int potrf(Uplo uplo, std::size_t n, T* a, std::size_t lda) {
   check_lower<T>(uplo);
-  for (std::size_t k = 0; k < n; k += kPotrfBlock) {
-    const std::size_t kb = std::min(kPotrfBlock, n - k);
-    const int info = potf2_lower(kb, a + k + k * lda, lda);
-    if (info != 0) return static_cast<int>(k) + info;
-    const std::size_t rest = n - k - kb;
-    if (rest == 0) continue;
-    // Panel below the diagonal block: A21 <- A21 * L11^-T.
-    trsm(Side::kRight, Uplo::kLower, Trans::kTrans, Diag::kNonUnit, rest, kb,
-         T{1}, a + k + k * lda, lda, a + (k + kb) + k * lda, lda);
-    // Trailing update: A22 <- A22 - A21 * A21^T.
-    syrk(Uplo::kLower, Trans::kNoTrans, rest, kb, T{-1},
-         a + (k + kb) + k * lda, lda, T{1}, a + (k + kb) + (k + kb) * lda, lda);
-  }
-  return 0;
+  if (n <= kRecursionBase) return potrf_unblocked(n, a, lda);
+  // Recursive Cholesky (Gustavson 1997; LAPACK xPOTRF2): factor A11,
+  // A21 <- A21 L11^-T, A22 -= A21 A21^T, factor A22.
+  const std::size_t n1 = recursion_split(n);
+  const std::size_t n2 = n - n1;
+  T* a21 = a + n1;
+  T* a22 = a21 + n1 * lda;
+  if (const int info = potrf(uplo, n1, a, lda); info != 0) return info;
+  trsm(Side::kRight, uplo, Trans::kTrans, Diag::kNonUnit, n2, n1, T{1}, a,
+       lda, a21, lda);
+  syrk(uplo, Trans::kNoTrans, n2, n1, T{-1}, a21, lda, T{1}, a22, lda);
+  const int info = potrf(uplo, n2, a22, lda);
+  return info == 0 ? 0 : info + static_cast<int>(n1);
 }
 
 template <typename T>

@@ -1,13 +1,18 @@
 // Dense Level-3 BLAS / LAPACK kernels (FP32 and FP64).
 //
-// FP32 gemm/syrk and the rank-k updates of the blocked right-transposed
-// trsm run on the packed engine (mpblas/kernels.hpp).  FP64 runs the
-// scalar loops, which `reference::gemm` / `reference::syrk` also expose
-// directly as the oracle for tests and benches.
+// FP32 gemm/syrk run on the packed engine (mpblas/kernels.hpp).  potrf
+// and trsm are recursive (Gustavson's xPOTRF2; Elmroth, Gustavson,
+// Jonsson and Kagstrom's recursive TRSM): each splits the triangle in two
+// near the middle and hands the off-diagonal block to gemm (and potrf its
+// trailing update to syrk), so for FP32 almost all of their flops run on
+// the engine; only blocks of order 16 or less run unblocked column loops.
+// FP64 runs the same recursion over the scalar loops, which
+// `reference::gemm` / `reference::syrk` also expose directly as the
+// oracle for tests and benches.
 //
 // All kernels use column-major storage with explicit leading dimensions,
 // matching the netlib interfaces they reproduce (GEMM, SYRK, TRSM, POTRF,
-// POTRS, GEMV plus norms).  They are single-threaded by design: the
+// POTRS plus norms).  They are single-threaded by design: the
 // dataflow runtime provides parallelism *across* tiles, as PaRSEC does for
 // the paper's solver, so tile kernels themselves stay sequential.
 //

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/rng.hpp"
@@ -135,6 +137,48 @@ TEST(TiledCholesky, NonSpdThrowsThroughRuntime) {
   tiles.from_dense(a);
   Runtime rt(2);
   EXPECT_THROW(tiled_potrf(rt, tiles), NumericalError);
+}
+
+// tile_syrk updates only the lower triangle of a diagonal tile, so its
+// strict upper triangle must never be read before tile_potrf zeroes it.
+// Off-diagonal tiles are FP16, as the pipeline's precision map stores
+// them; n = 100 at tile 32 leaves a 4 x 4 edge tile.
+TEST(TiledCholesky, DiagonalTileUpperTriangleIsNeverRead) {
+  const std::size_t n = 100, ts = 32;
+  const Matrix<float> a = kernel_like_spd(n, 6.0, 2.0f);
+  const auto load = [&] {
+    SymmetricTileMatrix tiles(n, ts);
+    tiles.from_dense(a);
+    for (std::size_t j = 0; j < tiles.tile_count(); ++j) {
+      for (std::size_t i = j + 1; i < tiles.tile_count(); ++i) {
+        tiles.tile(i, j).convert_to(Precision::kFp16);
+      }
+    }
+    return tiles;
+  };
+  SymmetricTileMatrix clean = load();
+  SymmetricTileMatrix poisoned = load();
+  for (std::size_t k = 0; k < poisoned.tile_count(); ++k) {
+    Tile& t = poisoned.tile(k, k);
+    float* p = t.fp32_payload();
+    for (std::size_t j = 1; j < t.cols(); ++j) {
+      for (std::size_t i = 0; i < j; ++i) {
+        p[i + j * t.rows()] = std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+  }
+  Runtime rt(4);
+  tiled_potrf(rt, clean);
+  tiled_potrf(rt, poisoned);
+  for (std::size_t j = 0; j < clean.tile_count(); ++j) {
+    for (std::size_t i = j; i < clean.tile_count(); ++i) {
+      const Tile& c = clean.tile(i, j);
+      const Tile& q = poisoned.tile(i, j);
+      ASSERT_EQ(c.storage_bytes(), q.storage_bytes());
+      EXPECT_EQ(std::memcmp(c.raw(), q.raw(), c.storage_bytes()), 0)
+          << "tile (" << i << ", " << j << ")";
+    }
+  }
 }
 
 /// Mixed-precision residual bound: with off-diagonal tiles stored in

@@ -1,17 +1,37 @@
-// Tests for the reference dense BLAS/LAPACK kernels, checked against
-// straightforward triple-loop references in FP64.
+// Tests for the dense BLAS/LAPACK kernels, checked against
+// straightforward triple-loop references in FP64.  The FP32 potrf and
+// trsm cases run under every microkernel variant the host can execute:
+// their recursion puts almost all of their flops on the packed engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "mpblas/blas.hpp"
+#include "mpblas/kernels.hpp"
 #include "mpblas/matrix.hpp"
 
 namespace kgwas {
 namespace {
+
+namespace kernels = mpblas::kernels;
+
+/// Runs `body(arch)` with each runnable variant selected, then restores
+/// the default selection.
+template <typename Body>
+void for_each_variant(const Body& body) {
+  struct Restore {
+    ~Restore() { kernels::set_gemm_arch(std::nullopt); }
+  } restore;
+  for (const kernels::Arch arch : kernels::available_archs()) {
+    kernels::set_gemm_arch(arch);
+    body(arch);
+  }
+}
 
 Matrix<double> random_matrix(std::size_t m, std::size_t n, Rng& rng) {
   Matrix<double> a(m, n);
@@ -218,6 +238,19 @@ TEST_P(PotrfParam, FactorReconstructs) {
 INSTANTIATE_TEST_SUITE_P(Sizes, PotrfParam,
                          ::testing::Values(1, 2, 3, 17, 64, 129, 200, 300));
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Factors an SPD matrix of order n whose diagonal entry pivot - 1 is
+/// replaced by `bad` and returns potrf's result: the leading minors of
+/// order < pivot are untouched, so `pivot` must be reported.
+template <typename T>
+int failing_pivot(std::size_t n, std::size_t pivot, double bad) {
+  Rng rng(23);
+  Matrix<T> a = random_spd(n, rng).template cast<T>();
+  a(pivot - 1, pivot - 1) = static_cast<T>(bad);
+  return potrf(Uplo::kLower, n, a.data(), a.ld());
+}
+
 TEST(Potrf, ReportsFailingPivot) {
   // Indefinite matrix: pivot 2 (1-based) must be flagged.
   Matrix<double> a(3, 3, 0.0);
@@ -225,6 +258,12 @@ TEST(Potrf, ReportsFailingPivot) {
   a(1, 1) = -1.0;
   a(2, 2) = 5.0;
   EXPECT_EQ(potrf(Uplo::kLower, 3, a.data(), 3), 2);
+  // Past the recursion base: a pivot in the trailing half is offset by
+  // the leading half's order; a NaN pivot fails like a negative one.
+  EXPECT_EQ(failing_pivot<double>(256, 200, -1.0), 200);
+  EXPECT_EQ(failing_pivot<double>(256, 1, -1.0), 1);
+  EXPECT_EQ(failing_pivot<double>(256, 200, kNaN), 200);
+  EXPECT_EQ(failing_pivot<double>(256, 1, kNaN), 1);
 }
 
 TEST(Potrs, SolvesSystem) {
@@ -271,6 +310,104 @@ TEST(FloatKernels, SinglePrecisionPotrfWorks) {
   Matrix<double> ad = random_spd(n, rng);
   Matrix<float> a = ad.cast<float>();
   EXPECT_EQ(potrf(Uplo::kLower, n, a.data(), a.ld()), 0);
+}
+
+// --- FP32 kernels of the tile tasks, per engine variant -------------------
+
+constexpr double kUnitRoundoffF32 = 0x1p-24;
+
+class PotrfFp32Param : public ::testing::TestWithParam<int> {};
+
+// Cholesky's backward error is at most (n + 1) u |L| |L^T| <= (n + 1) u
+// max|A| (Higham, Accuracy and Stability, Thm 10.3), for any summation
+// order; the bound is checked with a factor 2 to spare.
+TEST_P(PotrfFp32Param, FactorReconstructsPerVariant) {
+  const std::size_t n = static_cast<std::size_t>(GetParam());
+  Rng rng(17);
+  const Matrix<float> a = random_spd(n, rng).cast<float>();
+  const Matrix<double> ad = a.cast<double>();
+  const double bound = 2.0 * static_cast<double>(n + 1) * kUnitRoundoffF32 *
+                       max_abs(n, n, ad.data(), ad.ld());
+  for_each_variant([&](kernels::Arch arch) {
+    Matrix<float> l = a;
+    ASSERT_EQ(potrf(Uplo::kLower, n, l.data(), l.ld()), 0) << to_string(arch);
+    Matrix<double> ld = l.cast<double>();
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t i = 0; i < j; ++i) ld(i, j) = 0.0;
+    }
+    const Matrix<double> recon = matmul(ld, ld, Trans::kNoTrans, Trans::kTrans);
+    EXPECT_LT(max_diff(recon, ad), bound) << to_string(arch) << " n=" << n;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PotrfFp32Param,
+                         ::testing::Values(1, 2, 15, 16, 17, 31, 33, 100, 128,
+                                           129, 256, 300));
+
+using TrsmFp32Case = std::tuple<Side, Trans, Diag, std::pair<int, int>>;
+
+class TrsmFp32Param : public ::testing::TestWithParam<TrsmFp32Case> {};
+
+// L has a diagonal of 1 + |N(0, 1)| (or a unit one) and N(0, 1) / order
+// below it, so it stays well conditioned at every order.  The solver sees
+// NaN wherever it must not read: the strict upper triangle, and the
+// diagonal of a unit-diagonal solve.
+TEST_P(TrsmFp32Param, SolvesAgainstMultiplyPerVariant) {
+  const auto [side, trans, diag, shape] = GetParam();
+  const auto m = static_cast<std::size_t>(shape.first);
+  const auto n = static_cast<std::size_t>(shape.second);
+  const std::size_t adim = side == Side::kLeft ? m : n;
+  Rng rng(19);
+  Matrix<double> l(adim, adim, 0.0);
+  for (std::size_t j = 0; j < adim; ++j) {
+    l(j, j) = diag == Diag::kUnit ? 1.0 : 1.0 + std::fabs(rng.normal());
+    for (std::size_t i = j + 1; i < adim; ++i) {
+      l(i, j) = static_cast<double>(static_cast<float>(
+          rng.normal() / static_cast<double>(adim)));
+    }
+    l(j, j) = static_cast<double>(static_cast<float>(l(j, j)));
+  }
+  const Matrix<double> x_true =
+      random_matrix(m, n, rng).cast<float>().cast<double>();
+  Matrix<double> b(m, n, 0.0);
+  if (side == Side::kLeft) {
+    b = reference_gemm(trans, Trans::kNoTrans, 1.0, l, x_true, 0.0, b);
+  } else {
+    b = reference_gemm(Trans::kNoTrans, trans, 1.0, x_true, l, 0.0, b);
+  }
+  Matrix<float> a = l.cast<float>();
+  for (std::size_t j = 0; j < adim; ++j) {
+    for (std::size_t i = 0; i < j; ++i) a(i, j) = static_cast<float>(kNaN);
+    if (diag == Diag::kUnit) a(j, j) = static_cast<float>(kNaN);
+  }
+  const double bound = 4.0 * static_cast<double>(adim) * kUnitRoundoffF32 *
+                       max_abs(m, n, x_true.data(), x_true.ld());
+  for_each_variant([&](kernels::Arch arch) {
+    Matrix<float> x = b.cast<float>();
+    trsm(side, Uplo::kLower, trans, diag, m, n, 1.0f, a.data(), a.ld(),
+         x.data(), x.ld());
+    EXPECT_LT(max_diff(x.cast<double>(), x_true), bound)
+        << to_string(arch) << " m=" << m << " n=" << n;
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariantsAndShapes, TrsmFp32Param,
+    ::testing::Combine(::testing::Values(Side::kLeft, Side::kRight),
+                       ::testing::Values(Trans::kNoTrans, Trans::kTrans),
+                       ::testing::Values(Diag::kNonUnit, Diag::kUnit),
+                       ::testing::Values(std::pair{256, 256},
+                                         std::pair{37, 129},
+                                         std::pair{256, 5},
+                                         std::pair{5, 256})));
+
+TEST(PotrfFp32, ReportsFailingPivotPerVariant) {
+  for_each_variant([](kernels::Arch arch) {
+    EXPECT_EQ(failing_pivot<float>(256, 200, -1.0), 200) << to_string(arch);
+    EXPECT_EQ(failing_pivot<float>(256, 1, -1.0), 1) << to_string(arch);
+    EXPECT_EQ(failing_pivot<float>(256, 200, kNaN), 200) << to_string(arch);
+    EXPECT_EQ(failing_pivot<float>(256, 1, kNaN), 1) << to_string(arch);
+  });
 }
 
 }  // namespace
