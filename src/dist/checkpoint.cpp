@@ -136,13 +136,15 @@ CheckpointIo write_checkpoint(Communicator& comm, TileCheckpoint& store,
   }
 
   // Consistent-cut commit: no rank promotes its staged captures until
-  // every rank has staged (and replicated) the full cut.  A fault before
-  // the barrier leaves every store on the previous committed cut; after
-  // the barrier there is no communication left to fault, so commits are
-  // all-or-nothing up to one cut of skew (which restore's cut agreement
-  // absorbs).
+  // every rank has staged (and replicated) the full cut, and no rank
+  // leaves until every rank has committed it.  A fault before the first
+  // barrier leaves every store on the previous committed cut; a kill
+  // after the second (the next round's fault point) finds the cut
+  // committed on every survivor.  Only a death between the two barriers
+  // can leave one cut of skew, which restore's cut agreement absorbs.
   comm.barrier();
   store.commit(cut);
+  comm.barrier();
   return io;
 }
 

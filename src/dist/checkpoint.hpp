@@ -32,7 +32,10 @@
 // while a checkpoint write is in flight discards the staged generation
 // instead of corrupting the committed one; commit() version-guards the
 // cut (strictly newer than the committed cut) so a rolled-back
-// factorization cannot double-apply a stale cut.
+// factorization cannot double-apply a stale cut.  Barriers fence the
+// commit on both sides: every rank has staged the cut before any commits
+// it, and every rank has committed it before any leaves the checkpoint,
+// so only a death between the two barriers can skew the committed cuts.
 //
 // Replication.  Every rank stages its own captures locally and ships a
 // copy to its ring buddy (logical rank + 1 mod size), so the loss of any
@@ -118,8 +121,9 @@ class TileCheckpoint {
 
 /// Writes one consistent-cut checkpoint of `a` at panel step `cut` into
 /// `store`: stages every owned tile of the capture set, ships replica
-/// copies to the ring buddy, receives the buddy's copies, barriers, then
-/// commits.  Collective over `comm` (the matrix's grid must index the
+/// copies to the ring buddy, receives the buddy's copies, barriers,
+/// commits, and barriers again, so no rank leaves before every rank has
+/// committed the cut.  Collective over `comm` (the matrix's grid must index the
 /// same rank space).  `data_phase` namespaces the frame tags
 /// (kCheckpoint for the factor matrix, kCheckpointSource for the
 /// escalation rollback source).

@@ -1,7 +1,6 @@
 #include "dist/dist_krr.hpp"
 
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -9,55 +8,25 @@
 #include "common/status.hpp"
 #include "dist/progress.hpp"
 #include "dist/tile_transport.hpp"
-#include "telemetry/run_report.hpp"
-#include "krr/kernels.hpp"
 #include "krr/predict.hpp"
-#include "linalg/precision_policy.hpp"
-#include "mpblas/mixed.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace kgwas::dist {
-
-namespace {
-
-using detail::ExpectedMap;
-using detail::drain_expected;
-
-}  // namespace
 
 DistSymmetricTileMatrix dist_build_kernel_matrix(
     Runtime& runtime, Communicator& comm, const ProcessGrid& grid,
     const GenotypeMatrix& genotypes, const Matrix<float>& confounders,
     const BuildConfig& config) {
-  const std::size_t np = genotypes.patients();
-  KGWAS_CHECK_ARG(np > 0, "empty cohort");
-  KGWAS_CHECK_ARG(confounders.rows() == np || confounders.rows() == 0,
-                  "confounder row count mismatch");
+  KGWAS_CHECK_ARG(genotypes.patients() > 0, "empty cohort");
   KGWAS_CHECK_ARG(grid.ranks() == comm.size(),
                   "process grid does not match the communicator world");
-
-  DistSymmetricTileMatrix k(np, config.tile_size, grid, comm.rank());
   const KernelTileGenerator generator(genotypes, confounders, genotypes,
                                       confounders, config);
-  const std::size_t nt = k.tile_count();
-  const std::size_t ts = config.tile_size;
-  for (std::size_t tj = 0; tj < nt; ++tj) {
-    for (std::size_t ti = tj; ti < nt; ++ti) {
-      if (!k.is_local(ti, tj)) continue;
-      DataHandle h = runtime.register_data();
-      const int priority = (static_cast<int>(nt - tj) << 1) +
-                           (ti == tj ? 1 : 0);
-      const Tile& out = k.tile(ti, tj);
-      runtime.submit(
-          TaskDesc{"build_k",
-                   {{h, Access::kWrite}},
-                   priority,
-                   generator.tile_op_count(out.rows(), out.cols())},
-          [&generator, &k, ti, tj, ts] {
-            generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
-          });
-    }
-  }
-  runtime.wait();
+  DistSymmetricTileMatrix k(genotypes.patients(), config.tile_size, grid,
+                            comm.rank());
+  generate_kernel_tiles(
+      runtime, generator, k,
+      [&k](std::size_t ti, std::size_t tj) { return k.is_local(ti, tj); });
   comm.barrier();
   return k;
 }
@@ -129,31 +98,16 @@ DistTileMatrix dist_build_cross_kernel(
     const Matrix<float>& test_confounders,
     const GenotypeMatrix& train_genotypes,
     const Matrix<float>& train_confounders, const BuildConfig& config) {
-  KGWAS_CHECK_ARG(test_genotypes.snps() == train_genotypes.snps(),
-                  "test/train SNP layout mismatch");
   KGWAS_CHECK_ARG(grid.ranks() == comm.size(),
                   "process grid does not match the communicator world");
-  DistTileMatrix k(test_genotypes.patients(), train_genotypes.patients(),
-                   config.tile_size, grid, comm.rank());
   const KernelTileGenerator generator(test_genotypes, test_confounders,
                                       train_genotypes, train_confounders,
                                       config);
-  const std::size_t ts = config.tile_size;
-  for (std::size_t tj = 0; tj < k.tile_cols(); ++tj) {
-    for (std::size_t ti = 0; ti < k.tile_rows(); ++ti) {
-      if (!k.is_local(ti, tj)) continue;
-      DataHandle h = runtime.register_data();
-      const Tile& out = k.tile(ti, tj);
-      runtime.submit(TaskDesc{"build_kx",
-                              {{h, Access::kWrite}},
-                              static_cast<int>(k.tile_cols() - tj),
-                              generator.tile_op_count(out.rows(), out.cols())},
-                     [&generator, &k, ti, tj, ts] {
-                       generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
-                     });
-    }
-  }
-  runtime.wait();
+  DistTileMatrix k(test_genotypes.patients(), train_genotypes.patients(),
+                   config.tile_size, comm.size(), comm.rank());
+  generate_cross_tiles(
+      runtime, generator, k,
+      [&k](std::size_t ti, std::size_t tj) { return k.is_local(ti, tj); });
   comm.barrier();
   return k;
 }
@@ -161,70 +115,20 @@ DistTileMatrix dist_build_cross_kernel(
 Matrix<float> dist_predict(Runtime& runtime, Communicator& comm,
                            DistTileMatrix& cross_kernel,
                            const Matrix<float>& weights) {
-  KGWAS_CHECK_ARG(cross_kernel.cols() == weights.rows(),
-                  "cross kernel / weights dimension mismatch");
-  KGWAS_CHECK_ARG(cross_kernel.grid().ranks() == comm.size(),
-                  "matrix grid does not match the communicator world");
-  const int me = comm.rank();
+  KGWAS_CHECK_ARG(cross_kernel.ranks() == comm.size(),
+                  "matrix layout does not match the communicator world");
   Matrix<float> predictions(cross_kernel.rows(), weights.cols());
-  const std::size_t ts = cross_kernel.tile_size();
-  const std::size_t nrhs = weights.cols();
-  const std::size_t tile_cols = cross_kernel.tile_cols();
-
-  std::unordered_map<std::uint64_t, DataHandle> cache_handles;
-  ExpectedMap expected;
-  const int recv_priority = static_cast<int>(tile_cols) + 1;
-
-  for (std::size_t ti = 0; ti < cross_kernel.tile_rows(); ++ti) {
-    const int row_owner = cross_kernel.row_owner(ti);
-    // Ship every tile of this row to its accumulating rank (tiles are
-    // final after the Build barrier, so sends post synchronously here);
-    // the accumulator wires arrivals as events.
-    for (std::size_t tj = 0; tj < tile_cols; ++tj) {
-      const std::uint64_t tag = make_tile_tag(Phase::kPredictTile, ti, tj);
-      if (cross_kernel.is_local(ti, tj)) {
-        if (row_owner != me) {
-          send_dense_slot(comm, row_owner, tag, cross_kernel.tile(ti, tj));
-        }
-      } else if (row_owner == me) {
-        detail::expect_tile(runtime, cross_kernel.cache_slot(tag),
-                            cache_handles, expected, tag, recv_priority);
-      }
-    }
-    if (row_owner != me) continue;
-    // Serial accumulation chain over tile columns, same order and same
-    // GEMM as the shared-memory predict — bitwise identical output.
-    const DataHandle row_handle = runtime.register_data();
-    for (std::size_t tj = 0; tj < tile_cols; ++tj) {
-      const std::uint64_t tag = make_tile_tag(Phase::kPredictTile, ti, tj);
-      const bool local = cross_kernel.is_local(ti, tj);
-      std::vector<Dep> deps{{row_handle, Access::kReadWrite}};
-      if (!local) deps.push_back({cache_handles.at(tag), Access::kRead});
-      const std::size_t rows = cross_kernel.tile_height(ti);
-      const std::size_t cols = cross_kernel.tile_width(tj);
-      runtime.submit(
-          TaskDesc{"predict_gemm", std::move(deps),
-                   static_cast<int>(tile_cols - tj),
-                   gemm_op_count(rows, nrhs, cols)},
-          [&cross_kernel, &weights, &predictions, ti, tj, tag, local, ts] {
-            predict_link(local ? cross_kernel.tile(ti, tj)
-                               : cross_kernel.cached(tag),
-                         weights, tj * ts, predictions, ti * ts);
-          });
-    }
-  }
-
-  drain_expected(runtime, comm, expected);
-  runtime.wait();
-  cross_kernel.clear_cache();  // shipped tiles are dead once chains drained
-  // Every rank must be past its progress loop before any gather frame is
-  // posted: recv_any in a still-draining rank must never see them.
-  comm.barrier();
-
-  // Allgather the prediction row blocks so every rank returns the full
-  // prediction matrix.
+  submit_predict_rows(runtime, cross_kernel, weights, predictions,
+                      [&cross_kernel](std::size_t ti) {
+                        return cross_kernel.row_owner(ti) ==
+                               cross_kernel.rank();
+                      });
+  // Every rank returns the full prediction matrix.  Build's closing
+  // barrier already fenced every progress loop, so no frame of this
+  // gather can reach one.
   detail::allgather_row_blocks(
-      comm, predictions, cross_kernel.tile_rows(), ts, Phase::kPredictGather,
+      comm, predictions, cross_kernel.tile_rows(),
+      cross_kernel.tile_size(), Phase::kPredictGather,
       [&cross_kernel](std::size_t ti) { return cross_kernel.row_owner(ti); },
       [&cross_kernel](std::size_t ti) {
         return cross_kernel.tile_height(ti);
@@ -240,6 +144,8 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
       telemetry::telemetry_config();
   std::vector<telemetry::TraceStream> streams(
       static_cast<std::size_t>(world));
+  BuildConfig build = config.build;
+  build.gamma = resolve_gamma(config, train.genotypes);
   DistKrrResult result;
   // A KGWAS_FAULT_PLAN in the environment arms the world's deterministic
   // fault injector (and, via fault_tolerance_requested, routes Associate
@@ -250,24 +156,13 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
     runtime.profiler().set_rank(comm.rank());
     const ProcessGrid grid(world);
 
-    KrrConfig cfg = config;
-    if (cfg.auto_gamma_scale.has_value()) {
-      // Deterministic given the replicated genotypes: every rank derives
-      // the same gamma (same computation as KrrModel::fit).
-      const auto& g = train.genotypes.matrix();
-      cfg.build.gamma =
-          *cfg.auto_gamma_scale *
-          suggest_gamma(std::span<const std::int8_t>(g.data(), g.size()),
-                        train.patients(), train.snps());
-    }
-
     DistSymmetricTileMatrix kernel = dist_build_kernel_matrix(
-        runtime, comm, grid, train.genotypes, train.confounders, cfg.build);
+        runtime, comm, grid, train.genotypes, train.confounders, build);
     const bool ft_enabled = fault_tolerance_requested(comm);
     DistFtResult ft;
     AssociateResult assoc =
-        dist_associate(runtime, comm, kernel, train.phenotypes, cfg.associate,
-                       ft_enabled ? &ft : nullptr);
+        dist_associate(runtime, comm, kernel, train.phenotypes,
+                       config.associate, ft_enabled ? &ft : nullptr);
     // After a rank loss the remaining phases run over the survivor
     // communicator and a grid of the survivor count; a killed rank never
     // reaches this point (its RankKilled unwound to run_ranks).
@@ -276,7 +171,7 @@ DistKrrResult run_dist_krr(int ranks, const GwasDataset& train,
 
     DistTileMatrix cross = dist_build_cross_kernel(
         runtime, active, post_grid, test.genotypes, test.confounders,
-        train.genotypes, train.confounders, cfg.build);
+        train.genotypes, train.confounders, build);
     Matrix<float> predictions =
         dist_predict(runtime, active, cross, assoc.weights);
 

@@ -1,16 +1,20 @@
 // Distributed KRR pipeline: Build -> Associate -> Predict over a
-// multi-rank world — the paper's Algorithm 1 with every tile phase
-// sharded block-cyclically (owner-computes) and tile traffic shipped at
-// storage precision.
+// multi-rank world — the paper's Algorithm 1, owner-computes.  The train
+// kernel is sharded 2D block-cyclically and its factorization ships tiles
+// at storage precision; the test x train cross-kernel is sharded by tile
+// row, so each rank builds exactly the row blocks it sums and Predict
+// ships only the finished prediction row blocks.
 //
 // Inputs (genotypes, confounders, phenotypes) are replicated on every
 // rank — the single-box multi-rank experiment model, matching how the
 // scaling benches drive this layer.  Outputs (weights, predictions) are
-// likewise replicated on return.  Every stage is bitwise identical to the
+// likewise replicated on return.  Build and Predict run the shared-memory
+// loops (generate_kernel_tiles, generate_cross_tiles, submit_predict_rows)
+// on the owned tiles, so every stage is bitwise identical to the
 // shared-memory KrrModel pipeline for any rank count: Build tiles depend
 // only on their global coordinates, the factorization replays the exact
-// per-tile update order, and Predict accumulates each prediction row
-// block on one rank in the same column order as the serial chain.
+// per-tile update order, and each prediction row block is one chain on
+// one rank in the serial column order.
 #pragma once
 
 #include <optional>
@@ -63,7 +67,10 @@ AssociateResult dist_associate(Runtime& runtime, Communicator& comm,
 /// as 0.
 bool fault_tolerance_requested(const Communicator& comm);
 
-/// Builds the rectangular test x train cross-kernel, owner-computes.
+/// Builds the rectangular test x train cross-kernel, each rank generating
+/// the tile rows it owns (DistTileMatrix::row_owner).  No tile traffic;
+/// collective, ends with a barrier.  Only grid.ranks() is read: the
+/// cross-kernel is sharded by tile row, not over the grid.
 DistTileMatrix dist_build_cross_kernel(
     Runtime& runtime, Communicator& comm, const ProcessGrid& grid,
     const GenotypeMatrix& test_genotypes,
@@ -71,10 +78,11 @@ DistTileMatrix dist_build_cross_kernel(
     const GenotypeMatrix& train_genotypes,
     const Matrix<float>& train_confounders, const BuildConfig& config);
 
-/// Predict phase: cross-kernel tiles ship (at storage precision) to the
-/// 1D-cyclic owner of their prediction row block, which accumulates the
-/// block in serial column order — bitwise identical to the shared-memory
-/// predict chain.  Returns the fully-replicated predictions.  Collective.
+/// Predict phase: each rank sums the prediction row blocks of the tile
+/// rows it owns, in the shared-memory chain's column order (bitwise
+/// identical), then the row blocks are allgathered.  No cross-kernel tile
+/// moves.  Returns the fully-replicated predictions.  Collective, ends
+/// with a barrier.
 Matrix<float> dist_predict(Runtime& runtime, Communicator& comm,
                            DistTileMatrix& cross_kernel,
                            const Matrix<float>& weights);

@@ -144,24 +144,21 @@ SymmetricTileMatrix DistSymmetricTileMatrix::gather_full(
 // ------------------------------------------------------------ rectangular
 
 DistTileMatrix::DistTileMatrix(std::size_t rows, std::size_t cols,
-                               std::size_t tile_size, const ProcessGrid& grid,
-                               int my_rank, Precision precision)
+                               std::size_t tile_size, int ranks, int my_rank)
     : rows_(rows),
       cols_(cols),
       tile_size_(tile_size),
       tile_rows_(tile_size == 0 ? 0 : (rows + tile_size - 1) / tile_size),
       tile_cols_(tile_size == 0 ? 0 : (cols + tile_size - 1) / tile_size),
-      grid_(grid),
+      ranks_(ranks),
       rank_(my_rank) {
   KGWAS_CHECK_ARG(tile_size > 0, "tile size must be positive");
-  KGWAS_CHECK_ARG(my_rank >= 0 && my_rank < grid.ranks(),
-                  "rank outside the process grid");
-  for (std::size_t tj = 0; tj < tile_cols_; ++tj) {
-    for (std::size_t ti = 0; ti < tile_rows_; ++ti) {
-      if (is_local(ti, tj)) {
-        local_.emplace(key(ti, tj),
-                       Tile(tile_height(ti), tile_width(tj), precision));
-      }
+  KGWAS_CHECK_ARG(my_rank >= 0 && my_rank < ranks,
+                  "rank outside the world");
+  for (std::size_t ti = static_cast<std::size_t>(my_rank); ti < tile_rows_;
+       ti += static_cast<std::size_t>(ranks)) {
+    for (std::size_t tj = 0; tj < tile_cols_; ++tj) {
+      local_.emplace_back(tile_height(ti), tile_width(tj), Precision::kFp32);
     }
   }
 }
@@ -176,28 +173,18 @@ std::size_t DistTileMatrix::tile_width(std::size_t tj) const {
   return std::min(tile_size_, cols_ - tj * tile_size_);
 }
 
-Tile& DistTileMatrix::tile(std::size_t ti, std::size_t tj) {
-  auto it = local_.find(key(ti, tj));
-  KGWAS_CHECK_ARG(it != local_.end(),
+std::size_t DistTileMatrix::index(std::size_t ti, std::size_t tj) const {
+  KGWAS_CHECK_ARG(ti < tile_rows_ && tj < tile_cols_ && is_local(ti, tj),
                   "accessed a tile this rank does not own");
-  return it->second;
+  return ti / static_cast<std::size_t>(ranks_) * tile_cols_ + tj;
+}
+
+Tile& DistTileMatrix::tile(std::size_t ti, std::size_t tj) {
+  return local_[index(ti, tj)];
 }
 
 const Tile& DistTileMatrix::tile(std::size_t ti, std::size_t tj) const {
-  auto it = local_.find(key(ti, tj));
-  KGWAS_CHECK_ARG(it != local_.end(),
-                  "accessed a tile this rank does not own");
-  return it->second;
+  return local_[index(ti, tj)];
 }
-
-TileSlot& DistTileMatrix::cache_slot(std::uint64_t tag) { return cache_[tag]; }
-
-const Tile& DistTileMatrix::cached(std::uint64_t tag) const {
-  auto it = cache_.find(tag);
-  KGWAS_CHECK_ARG(it != cache_.end(), "remote tile missing from the cache");
-  return it->second.dense();
-}
-
-void DistTileMatrix::clear_cache() { cache_.clear(); }
 
 }  // namespace kgwas::dist

@@ -1,24 +1,27 @@
-// Distributed tiled matrices: 2D block-cyclic ownership over the existing
-// tile containers, plus a remote-tile cache fed by the tile transport.
+// Distributed tiled matrices over the existing tile containers.
 //
-// Each rank stores only the tiles it owns (ProcessGrid decides ownership);
-// tiles received from other ranks land in a per-matrix cache keyed by
-// their wire tag, where the distributed algorithms' tasks read them
-// exactly as they would local tiles.  Tile payloads come from the global
-// TilePool either way, so the distributed path inherits the pooled
-// zero-steady-state-allocation behavior of the shared-memory path.
+// DistSymmetricTileMatrix (the kernel the Cholesky factors) is sharded 2D
+// block-cyclically (ProcessGrid decides ownership); tiles received from
+// other ranks land in a per-matrix cache keyed by their wire tag, where
+// the distributed algorithms' tasks read them exactly as they would local
+// tiles.  DistTileMatrix (the Predict cross-kernel) is sharded by tile
+// row: each rank builds and sums exactly its own row blocks, so it needs
+// no cache.  Tile payloads come from the global TilePool either way, so
+// the distributed path inherits the pooled zero-steady-state-allocation
+// behavior of the shared-memory path.
 //
 // Threading contract (matches how the distributed algorithms run): the
 // rank's driving thread creates local tiles and cache slots while
 // submitting the task graph, then only *fills* existing slots during the
 // progress loop; runtime workers only read/write tile payloads of
-// existing entries, ordered by the task graph.  The container itself is
-// not a concurrency primitive.
+// existing entries, ordered by the task graph.  The containers themselves
+// are not concurrency primitives.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "dist/communicator.hpp"
 #include "dist/process_grid.hpp"
@@ -117,13 +120,14 @@ class DistSymmetricTileMatrix {
   double tlr_max_rank_frac_ = 0.5;
 };
 
-/// Rectangular m x n tiled matrix, sharded block-cyclically — the
-/// distributed twin of TileMatrix (the Predict-phase cross-kernel).
+/// Rectangular m x n tiled matrix sharded by tile row — the distributed
+/// twin of TileMatrix (the Predict-phase cross-kernel).  Row block ti,
+/// every tile of it, lives on row_owner(ti), the rank that sums that
+/// prediction row block; no tile of it is ever shipped.
 class DistTileMatrix {
  public:
   DistTileMatrix(std::size_t rows, std::size_t cols, std::size_t tile_size,
-                 const ProcessGrid& grid, int my_rank,
-                 Precision precision = Precision::kFp32);
+                 int ranks, int my_rank);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -133,42 +137,28 @@ class DistTileMatrix {
   std::size_t tile_height(std::size_t ti) const;
   std::size_t tile_width(std::size_t tj) const;
 
-  const ProcessGrid& grid() const noexcept { return grid_; }
+  int ranks() const noexcept { return ranks_; }
   int rank() const noexcept { return rank_; }
-  int owner(std::size_t ti, std::size_t tj) const noexcept {
-    return grid_.owner(ti, tj);
-  }
-  bool is_local(std::size_t ti, std::size_t tj) const noexcept {
-    return owner(ti, tj) == rank_;
-  }
-  /// Rank responsible for assembling output row block ti (1D cyclic over
-  /// the whole world, independent of the 2D tile grid).
+  /// Rank that stores tile row ti (1D cyclic over the world).
   int row_owner(std::size_t ti) const noexcept {
-    return static_cast<int>(ti % static_cast<std::size_t>(grid_.ranks()));
+    return static_cast<int>(ti % static_cast<std::size_t>(ranks_));
+  }
+  bool is_local(std::size_t ti, std::size_t /*tj*/) const noexcept {
+    return row_owner(ti) == rank_;
   }
 
+  /// Locally-owned tile (requires is_local).
   Tile& tile(std::size_t ti, std::size_t tj);
   const Tile& tile(std::size_t ti, std::size_t tj) const;
 
-  /// Remote-tile cache holds TileSlots (the drained wire format); local
-  /// tiles of the rectangular cross-kernel stay dense.  `cached` is the
-  /// dense shorthand over the slot.
-  TileSlot& cache_slot(std::uint64_t tag);
-  const Tile& cached(std::uint64_t tag) const;
-  void clear_cache();
-
  private:
-  static std::uint64_t key(std::size_t ti, std::size_t tj) {
-    return (static_cast<std::uint64_t>(ti) << 32) |
-           static_cast<std::uint64_t>(tj);
-  }
+  std::size_t index(std::size_t ti, std::size_t tj) const;
 
   std::size_t rows_ = 0, cols_ = 0, tile_size_ = 0;
   std::size_t tile_rows_ = 0, tile_cols_ = 0;
-  ProcessGrid grid_{1};
+  int ranks_ = 1;
   int rank_ = 0;
-  std::unordered_map<std::uint64_t, Tile> local_;
-  std::unordered_map<std::uint64_t, TileSlot> cache_;
+  std::vector<Tile> local_;  ///< owned tile rows in order, tj fastest
 };
 
 }  // namespace kgwas::dist

@@ -42,9 +42,8 @@ enum class Phase : std::uint64_t {
   kSolveForward = 3, ///< RHS blocks, forward sweep (post trsm_fwd)
   kSolveBackward = 4,///< RHS blocks, backward sweep (post trsm_bwd)
   kSolveGather = 5,  ///< final solution blocks, allgather
-  kPredictTile = 6,  ///< cross-kernel tiles shipped to row owners
   kPredictGather = 7,///< prediction row blocks, allgather
-  kGatherFull = 8,   ///< DistTileMatrix -> root full-matrix gather
+  kGatherFull = 8,   ///< DistSymmetricTileMatrix -> root full-matrix gather
   kBreakdown = 9,    ///< factorization-breakdown wake-up (recovery protocol)
   kCheckpoint = 10,       ///< factor-state replica frames (buddy exchange)
   kCheckpointSource = 11, ///< escalation-source replica frames
@@ -90,8 +89,8 @@ void send_slot(Communicator& comm, int dest, std::uint64_t tag,
                const TileSlot& slot);
 
 /// Sends a dense tile wrapped in a slot frame, without constructing a
-/// TileSlot: the wrapper for replicated dense operands (RHS row blocks,
-/// predict tiles, allgathered row blocks).
+/// TileSlot: the wrapper for replicated dense operands (RHS row blocks
+/// and the allgathered solution and prediction row blocks).
 void send_dense_slot(Communicator& comm, int dest, std::uint64_t tag,
                      const Tile& tile);
 

@@ -120,6 +120,12 @@ KernelTileGenerator::KernelTileGenerator(const GenotypeMatrix& genotypes_rows,
     : config_(config) {
   KGWAS_CHECK_ARG(genotypes_rows.snps() == genotypes_cols.snps(),
                   "row/col SNP layout mismatch");
+  KGWAS_CHECK_ARG(conf_rows.rows() == genotypes_rows.patients() ||
+                      conf_rows.rows() == 0,
+                  "row-side confounder row count mismatch");
+  KGWAS_CHECK_ARG(conf_cols.rows() == genotypes_cols.patients() ||
+                      conf_cols.rows() == 0,
+                  "column-side confounder row count mismatch");
   KGWAS_CHECK_ARG(config.gamma > 0.0, "gamma must be positive");
   // INT32 overflow guard: max entry of the dosage Gram is 4 * NS.
   KGWAS_CHECK_ARG(genotypes_rows.snps() < (1u << 28),
@@ -254,36 +260,12 @@ SymmetricTileMatrix build_kernel_matrix(Runtime& runtime,
                                         const GenotypeMatrix& genotypes,
                                         const Matrix<float>& confounders,
                                         const BuildConfig& config) {
-  const std::size_t np = genotypes.patients();
-  KGWAS_CHECK_ARG(np > 0, "empty cohort");
-  KGWAS_CHECK_ARG(confounders.rows() == np || confounders.rows() == 0,
-                  "confounder row count mismatch");
-
-  SymmetricTileMatrix k(np, config.tile_size);
+  KGWAS_CHECK_ARG(genotypes.patients() > 0, "empty cohort");
   const KernelTileGenerator generator(genotypes, confounders, genotypes,
                                       confounders, config);
-
-  const std::size_t nt = k.tile_count();
-  for (std::size_t tj = 0; tj < nt; ++tj) {
-    for (std::size_t ti = tj; ti < nt; ++ti) {
-      DataHandle h = runtime.register_data();
-      // Tiles are independent, but the factorization that typically
-      // follows consumes panel columns left to right with the diagonal
-      // first — generate them in that order.
-      const int priority = (static_cast<int>(nt - tj) << 1) +
-                           (ti == tj ? 1 : 0);
-      const Tile& out = k.tile(ti, tj);
-      runtime.submit(
-          TaskDesc{"build_k",
-                   {{h, Access::kWrite}},
-                   priority,
-                   generator.tile_op_count(out.rows(), out.cols())},
-          [&generator, &k, ti, tj, ts = config.tile_size] {
-            generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
-          });
-    }
-  }
-  runtime.wait();
+  SymmetricTileMatrix k(genotypes.patients(), config.tile_size);
+  generate_kernel_tiles(runtime, generator, k,
+                        [](std::size_t, std::size_t) { return true; });
   return k;
 }
 
@@ -293,32 +275,13 @@ TileMatrix build_cross_kernel(Runtime& runtime,
                               const GenotypeMatrix& train_genotypes,
                               const Matrix<float>& train_confounders,
                               const BuildConfig& config) {
-  KGWAS_CHECK_ARG(test_genotypes.snps() == train_genotypes.snps(),
-                  "test/train SNP layout mismatch");
-  const std::size_t np2 = test_genotypes.patients();
-  const std::size_t np1 = train_genotypes.patients();
-  TileMatrix k(np2, np1, config.tile_size);
-
   const KernelTileGenerator generator(test_genotypes, test_confounders,
                                       train_genotypes, train_confounders,
                                       config);
-
-  for (std::size_t tj = 0; tj < k.tile_cols(); ++tj) {
-    for (std::size_t ti = 0; ti < k.tile_rows(); ++ti) {
-      DataHandle h = runtime.register_data();
-      const Tile& out = k.tile(ti, tj);
-      // Earlier tile columns feed the prediction row chains first.
-      runtime.submit(
-          TaskDesc{"build_kx",
-                   {{h, Access::kWrite}},
-                   static_cast<int>(k.tile_cols() - tj),
-                   generator.tile_op_count(out.rows(), out.cols())},
-          [&generator, &k, ti, tj, ts = config.tile_size] {
-            generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
-          });
-    }
-  }
-  runtime.wait();
+  TileMatrix k(test_genotypes.patients(), train_genotypes.patients(),
+               config.tile_size);
+  generate_cross_tiles(runtime, generator, k,
+                       [](std::size_t, std::size_t) { return true; });
   return k;
 }
 

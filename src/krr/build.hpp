@@ -24,7 +24,11 @@
 //
 // Every output tile is an independent task; the runtime runs them all in
 // parallel (the Build DAG is embarrassingly parallel, which is why it
-// weak-scales essentially perfectly in the paper's Fig. 7).
+// weak-scales essentially perfectly in the paper's Fig. 7).  The two tile
+// loops (generate_kernel_tiles, generate_cross_tiles) are written once
+// over a tile store and an ownership predicate: shared memory owns every
+// tile, a rank of the distributed Build (src/dist/dist_krr.hpp) the tiles
+// it stores.
 #pragma once
 
 #include <memory>
@@ -54,12 +58,13 @@ struct BuildConfig {
 ///
 /// The referenced genotype/confounder matrices must outlive the
 /// generator.  For the symmetric train kernel pass the same cohort for
-/// both sides.  The constructor throws InvalidArgument naming the patient
-/// and SNP of any dosage outside {0, 1, 2} on either side.  Each tile's
-/// integer Grams run on the packed engine's INT8 path (gemm_i8_i32) into
-/// pooled i32 scratch, and the epilogue writes the kernel values straight
-/// into the tile (Gaussian: FP64 exponents through the engine's exact
-/// exp_to_f32).
+/// both sides.  The constructor throws InvalidArgument when a side's
+/// confounders have neither its patient count of rows nor none, and names
+/// the patient and SNP of any dosage outside {0, 1, 2} on either side.
+/// Each tile's integer Grams run on the packed engine's INT8 path
+/// (gemm_i8_i32) into pooled i32 scratch, and the epilogue writes the
+/// kernel values straight into the tile (Gaussian: FP64 exponents through
+/// the engine's exact exp_to_f32).
 class KernelTileGenerator {
  public:
   KernelTileGenerator(const GenotypeMatrix& genotypes_rows,
@@ -86,6 +91,55 @@ class KernelTileGenerator {
   std::shared_ptr<const Inputs> inputs_;
   BuildConfig config_;
 };
+
+/// Generates the lower tiles (ti >= tj) of the symmetric kernel `k` that
+/// `owns(ti, tj)` selects, one "build_k" task each, in panel-column order
+/// with the diagonal tile first (the order the factorization that
+/// typically follows consumes them), then waits.
+template <class Tiles, class Owns>
+void generate_kernel_tiles(Runtime& runtime,
+                           const KernelTileGenerator& generator, Tiles& k,
+                           Owns owns) {
+  const std::size_t nt = k.tile_count();
+  const std::size_t ts = k.tile_size();
+  for (std::size_t tj = 0; tj < nt; ++tj) {
+    for (std::size_t ti = tj; ti < nt; ++ti) {
+      if (!owns(ti, tj)) continue;
+      const Tile& out = k.tile(ti, tj);
+      runtime.submit(
+          TaskDesc{"build_k", {},
+                   (static_cast<int>(nt - tj) << 1) + (ti == tj ? 1 : 0),
+                   generator.tile_op_count(out.rows(), out.cols())},
+          [&generator, &k, ti, tj, ts] {
+            generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
+          });
+    }
+  }
+  runtime.wait();
+}
+
+/// Generates the tiles of the rectangular cross-kernel `k` that
+/// `owns(ti, tj)` selects, one "build_kx" task each; earlier tile columns
+/// go first, since they feed the prediction row chains first.  Waits.
+template <class Tiles, class Owns>
+void generate_cross_tiles(Runtime& runtime,
+                          const KernelTileGenerator& generator, Tiles& k,
+                          Owns owns) {
+  const std::size_t ts = k.tile_size();
+  for (std::size_t tj = 0; tj < k.tile_cols(); ++tj) {
+    for (std::size_t ti = 0; ti < k.tile_rows(); ++ti) {
+      if (!owns(ti, tj)) continue;
+      const Tile& out = k.tile(ti, tj);
+      runtime.submit(
+          TaskDesc{"build_kx", {}, static_cast<int>(k.tile_cols() - tj),
+                   generator.tile_op_count(out.rows(), out.cols())},
+          [&generator, &k, ti, tj, ts] {
+            generator.compute(ti * ts, tj * ts, k.tile(ti, tj));
+          });
+    }
+  }
+  runtime.wait();
+}
 
 /// Builds the symmetric train x train kernel matrix K (FP32 tiles).
 /// `confounders` may be empty (0 columns); otherwise its squared distances

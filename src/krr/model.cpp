@@ -10,16 +10,9 @@ namespace kgwas {
 void KrrModel::fit(Runtime& runtime, const GwasDataset& train,
                    const KrrConfig& config) {
   config_ = config;
+  config_.build.gamma = resolve_gamma(config, train.genotypes);
   train_genotypes_ = train.genotypes;
   train_confounders_ = train.confounders;
-
-  if (config.auto_gamma_scale.has_value()) {
-    const auto& g = train_genotypes_.matrix();
-    config_.build.gamma =
-        *config.auto_gamma_scale *
-        suggest_gamma(std::span<const std::int8_t>(g.data(), g.size()),
-                      train.patients(), train.snps());
-  }
 
   SymmetricTileMatrix kernel = build_kernel_matrix(
       runtime, train_genotypes_, train_confounders_, config_.build);
@@ -39,6 +32,15 @@ Matrix<float> KrrModel::predict(Runtime& runtime,
       build_cross_kernel(runtime, test.genotypes, test.confounders,
                          train_genotypes_, train_confounders_, config_.build);
   return predict_from_cross_kernel(runtime, cross, weights_);
+}
+
+double resolve_gamma(const KrrConfig& config,
+                     const GenotypeMatrix& train_genotypes) {
+  if (!config.auto_gamma_scale.has_value()) return config.build.gamma;
+  const auto& g = train_genotypes.matrix();
+  return *config.auto_gamma_scale *
+         suggest_gamma(std::span<const std::int8_t>(g.data(), g.size()),
+                       train_genotypes.patients(), train_genotypes.snps());
 }
 
 std::vector<PhenotypeMetrics> evaluate_predictions(

@@ -24,6 +24,12 @@ struct KrrConfig {
   std::optional<double> auto_gamma_scale;
 };
 
+/// The Gaussian bandwidth a fit of `config` on `train_genotypes` uses —
+/// KrrModel::fit and dist::run_dist_krr both call this: auto_gamma_scale
+/// times the median heuristic (suggest_gamma) when set, else build.gamma.
+double resolve_gamma(const KrrConfig& config,
+                     const GenotypeMatrix& train_genotypes);
+
 /// Per-phenotype prediction quality (the paper's reporting set).
 struct PhenotypeMetrics {
   std::string name;

@@ -89,6 +89,13 @@ PrecisionMap band_precision_map(std::size_t tile_count, double fp32_fraction,
   return map;
 }
 
+namespace {
+
+/// One step up the breakdown-escalation precision ladder
+/// (fp4 -> fp8 -> fp16 -> fp32 -> fp64; bf16 and int8 promote straight to
+/// fp32), capped at `working`.  Returns `p` unchanged when `p` is already
+/// at or above the working precision — the ladder never overshoots the
+/// factorization's compute width.
 Precision escalate_precision(Precision p, Precision working) {
   // "At or above working" in accuracy terms: smaller unit roundoff.
   if (unit_roundoff(p) <= unit_roundoff(working)) return p;
@@ -116,6 +123,14 @@ Precision escalate_precision(Precision p, Precision working) {
   return unit_roundoff(next) < unit_roundoff(working) ? working : next;
 }
 
+/// Promotes the row/column tile band of diagonal tile `t` — tiles (t, j)
+/// for j <= t and (i, t) for i >= t — one step up the ladder, capped at
+/// `working`.  This is the Higham–Mary-guided recovery move: the band of
+/// tile t is exactly the set whose storage roundoff enters tile t's
+/// leading-minor backward error, so promoting it first is the cheapest
+/// map change that can fix the failing pivot.  Returns the number of
+/// tiles whose precision actually changed (0 means the band is already at
+/// working precision and escalation cannot help).
 std::size_t escalate_band(PrecisionMap& map, std::size_t t,
                           Precision working) {
   const std::size_t nt = map.tile_count();
@@ -134,6 +149,12 @@ std::size_t escalate_band(PrecisionMap& map, std::size_t t,
   return promoted;
 }
 
+/// Promotes every tile of the leading (t+1) x (t+1) sub-triangle one step
+/// up the ladder.  Fallback move when breakdown persists at tile t with
+/// its own band already saturated: the failing leading minor is fed by
+/// *every* panel above it (an fp8 L(i,k) with i, k < t re-enters the
+/// pivot through the trailing Schur updates), so the remaining candidates
+/// to promote are exactly this sub-triangle.  Returns tiles changed.
 std::size_t escalate_leading_block(PrecisionMap& map, std::size_t t,
                                    Precision working) {
   const std::size_t nt = map.tile_count();
@@ -151,6 +172,8 @@ std::size_t escalate_leading_block(PrecisionMap& map, std::size_t t,
   }
   return promoted;
 }
+
+}  // namespace
 
 std::size_t escalate_step(PrecisionMap& map, std::size_t t,
                           Precision working) {

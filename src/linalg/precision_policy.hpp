@@ -76,32 +76,6 @@ PrecisionMap band_precision_map(std::size_t tile_count, double fp32_fraction,
 std::size_t map_storage_bytes(const PrecisionMap& map, std::size_t n,
                               std::size_t tile_size);
 
-/// One step up the breakdown-escalation precision ladder
-/// (fp4 -> fp8 -> fp16 -> fp32 -> fp64; bf16 and int8 promote straight to
-/// fp32), capped at `working`.  Returns `p` unchanged when `p` is already
-/// at or above the working precision — the ladder never overshoots the
-/// factorization's compute width.
-Precision escalate_precision(Precision p, Precision working);
-
-/// Promotes the row/column tile band of diagonal tile `t` — tiles (t, j)
-/// for j <= t and (i, t) for i >= t — one step up the ladder, capped at
-/// `working`.  This is the Higham–Mary-guided recovery move: the band of
-/// tile t is exactly the set whose storage roundoff enters tile t's
-/// leading-minor backward error, so promoting it first is the cheapest
-/// map change that can fix the failing pivot.  Returns the number of
-/// tiles whose precision actually changed (0 means the band is already at
-/// working precision and escalation cannot help).
-std::size_t escalate_band(PrecisionMap& map, std::size_t t, Precision working);
-
-/// Promotes every tile of the leading (t+1) x (t+1) sub-triangle one step
-/// up the ladder.  Fallback move when breakdown persists at tile t with
-/// its own band already saturated: the failing leading minor is fed by
-/// *every* panel above it (an fp8 L(i,k) with i, k < t re-enters the
-/// pivot through the trailing Schur updates), so the remaining candidates
-/// to promote are exactly this sub-triangle.  Returns tiles changed.
-std::size_t escalate_leading_block(PrecisionMap& map, std::size_t t,
-                                   Precision working);
-
 /// One full escalation step for a breakdown at diagonal tile `t`: the
 /// failing band first, the leading sub-triangle once the band is
 /// saturated.  Shared by the shared-memory and distributed retry loops

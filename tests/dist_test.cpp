@@ -386,6 +386,32 @@ TEST(DistTileMatrix, OwnershipPartitionsTiles) {
   }
   const std::size_t nt = 3;
   EXPECT_EQ(owned_total, nt * (nt + 1) / 2);  // every tile owned exactly once
+
+  // The rectangular cross-kernel is sharded by tile row: every tile is
+  // owned exactly once, all of row ti on row_owner(ti), also in a world
+  // with more ranks than row blocks (rank 3 of 4 owns none of 3).
+  const std::size_t rows = 70, cols = 96;  // 3 x 3 tiles, edge row of 6
+  for (const int ranks : {1, 2, 4}) {
+    std::vector<int> owned(3 * 3, 0);
+    for (int r = 0; r < ranks; ++r) {
+      const dist::DistTileMatrix m(rows, cols, ts, ranks, r);
+      ASSERT_EQ(m.tile_rows(), 3u);
+      ASSERT_EQ(m.tile_cols(), 3u);
+      for (std::size_t ti = 0; ti < m.tile_rows(); ++ti) {
+        for (std::size_t tj = 0; tj < m.tile_cols(); ++tj) {
+          if (!m.is_local(ti, tj)) {
+            EXPECT_THROW((void)m.tile(ti, tj), InvalidArgument);
+            continue;
+          }
+          ++owned[ti * 3 + tj];
+          EXPECT_EQ(m.row_owner(ti), r) << ti << "," << tj;
+          EXPECT_EQ(m.tile(ti, tj).rows(), m.tile_height(ti));
+          EXPECT_EQ(m.tile(ti, tj).cols(), m.tile_width(tj));
+        }
+      }
+    }
+    for (const int count : owned) EXPECT_EQ(count, 1) << ranks << " ranks";
+  }
 }
 
 // ------------------------------------------------- rank-count invariance
@@ -612,16 +638,32 @@ TEST(DistKrr, BuildAndPredictTaskFlopsSumToSharedMemoryCounts) {
     predict_from_cross_kernel(rt, cross, weights);
     shared = rt.profiler().stats();
   }
+  // Each rank's tile bytes sent by Build and by Predict.  Build ships
+  // nothing; Predict ships exactly the prediction allgather — each row
+  // block's FP32 bytes from its row owner to the 3 peers — and no
+  // cross-kernel tile.
+  constexpr int kRanks = 4;
+  std::vector<std::uint64_t> build_bytes(kRanks), predict_bytes(kRanks),
+      predict_fp32_bytes(kRanks);
   std::mutex mutex;
   std::map<std::string, double> dist_flops;
-  run_ranks(4, [&](Communicator& comm) {
+  run_ranks(kRanks, [&](Communicator& comm) {
     Runtime rt(1, /*enable_profiling=*/true);
-    const ProcessGrid grid(4);
+    const ProcessGrid grid(kRanks);
+    const WireVolume start = comm.wire_volume();
     dist::dist_build_kernel_matrix(rt, comm, grid, train, train_conf, config);
     dist::DistTileMatrix cross = dist::dist_build_cross_kernel(
         rt, comm, grid, test, test_conf, train, train_conf, config);
+    const WireVolume built = comm.wire_volume();
     dist::dist_predict(rt, comm, cross, weights);
+    const WireVolume predicted = comm.wire_volume();
     std::lock_guard<std::mutex> lock(mutex);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    build_bytes[r] = built.total_tile_bytes() - start.total_tile_bytes();
+    predict_bytes[r] =
+        predicted.total_tile_bytes() - built.total_tile_bytes();
+    predict_fp32_bytes[r] = predicted.tile_bytes(Precision::kFp32) -
+                            built.tile_bytes(Precision::kFp32);
     for (const auto& [name, stats] : rt.profiler().stats()) {
       dist_flops[name] += stats.flops;
     }
@@ -632,6 +674,19 @@ TEST(DistKrr, BuildAndPredictTaskFlopsSumToSharedMemoryCounts) {
     EXPECT_NEAR(dist_flops[cls], shared.at(cls).flops,
                 1e-12 * shared.at(cls).flops)
         << cls;
+  }
+  const std::size_t ts = config.tile_size;
+  const std::size_t row_blocks = (test.patients() + ts - 1) / ts;
+  std::vector<std::uint64_t> gather_bytes(kRanks, 0);
+  for (std::size_t ti = 0; ti < row_blocks; ++ti) {
+    const std::size_t height = std::min(ts, test.patients() - ti * ts);
+    gather_bytes[ti % kRanks] +=
+        height * weights.cols() * sizeof(float) * (kRanks - 1);
+  }
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(build_bytes[r], 0u) << "rank " << r;
+    EXPECT_EQ(predict_bytes[r], gather_bytes[r]) << "rank " << r;
+    EXPECT_EQ(predict_fp32_bytes[r], gather_bytes[r]) << "rank " << r;
   }
 }
 

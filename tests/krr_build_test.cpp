@@ -353,6 +353,29 @@ TEST(Build, RejectsOutOfRangeDosage) {
   }
 }
 
+TEST(Build, RejectsConfounderRowMismatch) {
+  // Each side's confounders have one row per patient of that side, or
+  // none; any other count would read past the matrix.  Checked once, in
+  // KernelTileGenerator, for every Build entry point and both sides.
+  const GenotypeMatrix train = simulate_random_genotypes(20, 30, 5);
+  const GenotypeMatrix test = simulate_random_genotypes(12, 30, 6);
+  const Matrix<float> train_conf(20, 2, 0.5f), test_conf(12, 2, 0.5f);
+  const Matrix<float> short_conf(10, 2, 0.5f);
+  BuildConfig config;
+  config.tile_size = 8;
+  Runtime rt(2);
+  EXPECT_THROW(build_kernel_matrix(rt, train, short_conf, config),
+               InvalidArgument);
+  EXPECT_THROW(
+      build_cross_kernel(rt, test, short_conf, train, train_conf, config),
+      InvalidArgument);
+  EXPECT_THROW(
+      build_cross_kernel(rt, test, test_conf, train, short_conf, config),
+      InvalidArgument);
+  EXPECT_NO_THROW(
+      build_cross_kernel(rt, test, test_conf, train, train_conf, config));
+}
+
 TEST(Build, IbsSelfSimilarityIsOne) {
   CohortConfig cc;
   cc.n_patients = 30;
