@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include <string>
@@ -694,4 +696,23 @@ BENCHMARK(BM_Quantize)
 }  // namespace
 }  // namespace kgwas
 
-BENCHMARK_MAIN();
+// google-benchmark's CSV reporter aborts on a CHECK as soon as two
+// selected rows carry different user counters (flops, exp_fallbacks,
+// mc/kc/nc here), so CSV output is refused before anything runs.
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--benchmark_format=csv" ||
+        arg == "--benchmark_out_format=csv") {
+      std::cerr << "bench_micro_kernels: CSV output is not supported (rows "
+                   "carry different counters); use --benchmark_format=json "
+                   "or the console reporter\n";
+      return 2;
+    }
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -22,7 +22,6 @@ enum CollectiveKind : std::uint64_t {
   kBarrierRelease = 2,
   kReduceContribution = 3,
   kReduceResult = 4,
-  kBroadcastFrame = 5,
 };
 
 constexpr std::uint64_t collective_tag(CollectiveKind kind,
@@ -65,21 +64,6 @@ void Communicator::send(int dest, std::uint64_t tag,
 Message Communicator::recv(std::uint64_t tag) { return do_recv(tag); }
 
 Message Communicator::recv_any() { return do_recv_any(); }
-
-std::size_t Communicator::discard_pending() {
-  std::size_t discarded = do_discard_pending();
-  // Queued frames and already-adopted cache entries are the same stale
-  // state at two points of the pipeline — drop both or the flush is
-  // incomplete (a tile adopted just before the fault would survive).
-  for (const auto& hook : discard_hooks_) discarded += hook();
-  return discarded;
-}
-
-void Communicator::add_discard_hook(std::function<std::size_t()> hook) {
-  discard_hooks_.push_back(std::move(hook));
-}
-
-void Communicator::clear_discard_hooks() { discard_hooks_.clear(); }
 
 void Communicator::absorb_wire_volume(const WireVolume& v) noexcept {
   messages_.fetch_add(v.messages, std::memory_order_relaxed);
@@ -136,19 +120,6 @@ void Communicator::allreduce_sum(double* values, std::size_t n) {
     const Message m = do_recv(collective_tag(kReduceResult, epoch, 0));
     KGWAS_CHECK_ARG(m.payload.size() == bytes, "allreduce result size mismatch");
     std::memcpy(values, m.payload.data(), bytes);
-  }
-}
-
-void Communicator::broadcast(int root, std::vector<std::byte>& data) {
-  KGWAS_CHECK_ARG(root >= 0 && root < size(), "broadcast root out of range");
-  const std::uint64_t epoch = collective_epoch_++;
-  if (size() == 1) return;
-  if (rank() == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r != root) send(r, collective_tag(kBroadcastFrame, epoch, root), data);
-    }
-  } else {
-    data = do_recv(collective_tag(kBroadcastFrame, epoch, root)).payload;
   }
 }
 

@@ -2,7 +2,9 @@
 // execution layer.
 //
 // `Communicator` is the per-rank endpoint: rank/size, tagged asynchronous
-// send, blocking tag-matched receive, barrier and allreduce.  The
+// send, blocking tag-matched receive, barrier and allreduce.  It holds
+// frames, never received tiles: those belong to the algorithm round that
+// expected them (dist/progress.hpp).  The
 // interface is deliberately MPI-shaped (tags ~ MPI tags, collectives ~
 // MPI_Barrier/MPI_Allreduce) so an MPI backend can drop in behind the same
 // calls later; the backend shipped here is `InProcessWorld`, which runs N
@@ -121,30 +123,17 @@ class Communicator {
   /// result is bitwise identical on every rank and across repeated runs.
   void allreduce_sum(double* values, std::size_t n);
 
-  /// Replicates `data` from `root` to every rank.
-  void broadcast(int root, std::vector<std::byte>& data);
-
   /// Discards every *application* frame currently queued or pending at
-  /// this endpoint (reserved collective-protocol frames are preserved)
-  /// plus everything registered discard hooks drop (remote-tile caches
-  /// keyed by wire tag — see add_discard_hook); returns the total number
-  /// discarded.  Single-consumer, like recv.  The breakdown-recovery
-  /// protocol calls this between two barriers to flush stale tile frames
-  /// of an aborted factorization attempt: after the first barrier every
-  /// rank has drained its runtime (so every frame of the attempt is
-  /// already delivered), and no rank re-enters the factorization (and
-  /// re-sends) until after the second.
-  std::size_t discard_pending();
-
-  /// Registers an auxiliary discard target for discard_pending(): a
-  /// callable that drops already-adopted stale state (e.g. a dist
-  /// matrix's remote-tile cache, keyed by the same wire tags as the
-  /// frames discard_pending drops from the queue) and returns how many
-  /// entries it dropped.  Without this, a frame adopted into a cache
-  /// just before a fault survives the queue flush and a post-recovery
-  /// resume could read a stale pre-fault tile.  Driving thread only.
-  void add_discard_hook(std::function<std::size_t()> hook);
-  void clear_discard_hooks();
+  /// this endpoint (reserved collective-protocol frames are preserved);
+  /// returns the number discarded.  Single-consumer, like recv.  The
+  /// breakdown-recovery protocol calls this between two barriers to flush
+  /// stale tile frames of an aborted factorization attempt: after the
+  /// first barrier every rank has drained its runtime (so every frame of
+  /// the attempt is already delivered), and no rank re-enters the
+  /// factorization (and re-sends) until after the second.  Frames are all
+  /// there is to flush: a tile already received belongs to the aborted
+  /// round and died with it.
+  std::size_t discard_pending() { return do_discard_pending(); }
 
   // --- Fault-tolerance surface (backend-dependent; defaults are the
   // --- fault-free behavior so non-injected backends pay nothing).
@@ -255,7 +244,6 @@ class Communicator {
   std::vector<telemetry::CommEvent> events_;
 
   std::atomic<const char*> phase_label_{"startup"};
-  std::vector<std::function<std::size_t()>> discard_hooks_;
 };
 
 /// In-process world: N ranks as N endpoints over lock-free mailboxes.

@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/env.hpp"
@@ -23,26 +22,9 @@ namespace kgwas::dist {
 namespace {
 
 using detail::ExpectedMap;
+using detail::Received;
 using detail::drain_expected;
 using detail::rows_as_tile;
-
-/// Lazily-registered data handles for locally-owned tiles / row blocks.
-class HandleMap {
- public:
-  explicit HandleMap(Runtime& runtime) : runtime_(runtime) {}
-
-  DataHandle operator()(std::size_t ti, std::size_t tj) {
-    const std::uint64_t k =
-        (static_cast<std::uint64_t>(ti) << 32) | static_cast<std::uint64_t>(tj);
-    auto [it, inserted] = handles_.try_emplace(k);
-    if (inserted) it->second = runtime_.register_data();
-    return it->second;
-  }
-
- private:
-  Runtime& runtime_;
-  std::unordered_map<std::uint64_t, DataHandle> handles_;
-};
 
 /// Wake-up tag of the breakdown-recovery protocol (payload-free; the
 /// authoritative verdict travels through the status allreduce).
@@ -53,19 +35,20 @@ constexpr std::uint64_t breakdown_wakeup_tag() {
 /// Owner-computes factorization policy (see linalg/cholesky_dag.hpp):
 /// this rank runs the tasks writing its owned tiles, ships every finished
 /// panel tile it owns to the distinct ranks whose tasks read it, and
-/// wires the panel tiles it reads from other ranks as receive events.
+/// receives the panel tiles it reads from other ranks.
 class DistPotrfExec {
  public:
   DistPotrfExec(Runtime& runtime, Communicator& comm,
                 DistSymmetricTileMatrix& a)
-      : runtime_(runtime), comm_(comm), a_(a), local_(runtime) {}
+      : runtime_(runtime), comm_(comm), a_(a) {}
 
   DistSymmetricTileMatrix& matrix() { return a_; }
   bool owns(std::size_t ti, std::size_t tj) const {
     return a_.is_local(ti, tj);
   }
-  DataHandle handle(std::size_t ti, std::size_t tj) {
-    return a_.is_local(ti, tj) ? local_(ti, tj) : remote_.at(tag(ti, tj));
+  const TileSlot& slot(std::size_t ti, std::size_t tj) const {
+    return a_.is_local(ti, tj) ? a_.slot(ti, tj)
+                               : received_.slot(tag(ti, tj));
   }
 
   void panel_done(std::size_t m, std::size_t k) {
@@ -78,28 +61,23 @@ class DistPotrfExec {
     if (a_.is_local(m, k)) {
       const std::vector<int> dests = excluding(consumers, me);
       if (dests.empty()) return;
+      const TileSlot& slot = a_.slot(m, k);
       runtime_.submit(
           TaskDesc{m == k ? "send_diag" : "send_panel",
-                   {{local_(m, k), Access::kRead}},
+                   {{&slot, Access::kRead}},
                    potrf_task_priority(nt, k, PotrfKernel::kTrsm)},
-          [&a = a_, &comm = comm_, dests, t, m, k] {
-            for (const int d : dests) send_slot(comm, d, t, a.slot(m, k));
+          [&slot, &comm = comm_, dests, t] {
+            for (const int d : dests) send_slot(comm, d, t, slot);
           });
     } else if (contains(consumers, me)) {
-      detail::expect_tile(
-          runtime_, a_.cache_slot(t), remote_, expected_, t,
-          potrf_task_priority(nt, k,
-                              m == k ? PotrfKernel::kPotrf
-                                     : PotrfKernel::kTrsm));
+      received_.expect(runtime_, t,
+                       potrf_task_priority(nt, k,
+                                           m == k ? PotrfKernel::kPotrf
+                                                  : PotrfKernel::kTrsm));
     }
   }
 
-  static const TileSlot& operand(const DistSymmetricTileMatrix& a,
-                                 std::size_t ti, std::size_t tj) {
-    return a.is_local(ti, tj) ? a.slot(ti, tj) : a.cached_slot(tag(ti, tj));
-  }
-
-  ExpectedMap& expected() { return expected_; }
+  ExpectedMap& expected() { return received_.expected(); }
 
  private:
   static std::uint64_t tag(std::size_t ti, std::size_t tj) {
@@ -109,9 +87,7 @@ class DistPotrfExec {
   Runtime& runtime_;
   Communicator& comm_;
   DistSymmetricTileMatrix& a_;
-  HandleMap local_;
-  std::unordered_map<std::uint64_t, DataHandle> remote_;
-  ExpectedMap expected_;
+  Received received_;
 };
 
 /// Owner-computes solve policy: RHS row block t lives with the owner of
@@ -122,13 +98,14 @@ class DistSolveExec {
  public:
   DistSolveExec(Runtime& runtime, Communicator& comm,
                 const DistSymmetricTileMatrix& l, Matrix<float>& b)
-      : runtime_(runtime), comm_(comm), l_(l), b_(b), local_(runtime) {}
+      : runtime_(runtime), comm_(comm), l_(l), b_(b) {}
 
   const DistSymmetricTileMatrix& matrix() const { return l_; }
   Matrix<float>& rhs() { return b_; }
   bool owns_rhs(std::size_t t) const { return owner(l_, t) == l_.rank(); }
-  DataHandle rhs_handle(std::size_t t, bool backward) {
-    return owns_rhs(t) ? local_(t, 0) : remote_.at(rhs_tag(t, backward));
+  const void* rhs_datum(std::size_t t, bool backward) const {
+    if (owns_rhs(t)) return &b_(t * l_.tile_size(), 0);
+    return &received_.slot(rhs_tag(t, backward));
   }
 
   void rhs_done(std::size_t k, bool backward, int priority) {
@@ -145,26 +122,25 @@ class DistSolveExec {
       if (remote.empty()) return;
       runtime_.submit(
           TaskDesc{backward ? "send_x_bwd" : "send_x_fwd",
-                   {{local_(k, 0), Access::kRead}},
+                   {{rhs_datum(k, backward), Access::kRead}},
                    priority},
           [&b = b_, &comm = comm_, &l = l_, remote, tag, k] {
             const Tile t = rows_as_tile(b, k * l.tile_size(), l.tile_dim(k));
             for (const int d : remote) send_dense_slot(comm, d, tag, t);
           });
     } else if (contains(dests, me)) {
-      expect(tag, priority);
+      received_.expect(runtime_, tag, priority);
     }
   }
 
-  void factor_deps(std::size_t ta, std::size_t tb, std::vector<Dep>& deps) {
-    if (!l_.is_local(ta, tb)) {
-      deps.push_back({remote_.at(factor_tag(ta, tb)), Access::kRead});
-    }
+  const TileSlot& factor(std::size_t ta, std::size_t tb) const {
+    return l_.is_local(ta, tb) ? l_.slot(ta, tb)
+                               : received_.slot(factor_tag(ta, tb));
   }
 
   /// Factor-tile transport.  The factor is final before the solve starts,
   /// so owners push each off-diagonal tile to its (at most two) solve
-  /// consumers synchronously; receivers wire arrivals as events.
+  /// consumers synchronously; receivers expect the arrivals.
   /// Consumers of L(a, b), a > b: the forward GEMM on owner(a) and the
   /// backward GEMM on owner(b).
   void ship_factor(int priority) {
@@ -182,37 +158,37 @@ class DistSolveExec {
             send_slot(comm_, d, tag, l_.slot(ta, tb));
           }
         } else if (contains(consumers, me)) {
-          expect(tag, priority);
+          received_.expect(runtime_, tag, priority);
         }
       }
     }
   }
 
-  /// X_i -= op(L) X_k.  A remote RHS block decodes from its cached
-  /// transport tile into pooled scratch (exact for FP32 payloads); the
-  /// factor operand stays a slot, so a compressed tile applies through
-  /// its factors bitwise identically to the shared-memory path.
-  static void gemm_rhs(const DistSymmetricTileMatrix& l, Matrix<float>& b,
-                       std::size_t i, std::size_t k, bool backward) {
-    const std::size_t ta = backward ? k : i;
-    const std::size_t tb = backward ? i : k;
-    const TileSlot& f = l.is_local(ta, tb)
-                            ? l.slot(ta, tb)
-                            : l.cached_slot(factor_tag(ta, tb));
-    const std::size_t ts = l.tile_size();
-    float* xi = &b(i * ts, 0);
-    if (owner(l, k) == l.rank()) {
-      tlr_gemm_rhs(f, backward, &b(k * ts, 0), b.ld(), xi, b.ld(), b.cols());
-      return;
-    }
-    const Tile& xk = l.cached(rhs_tag(k, backward));
-    PooledF32 scratch(TilePool::global(), xk.elements());
-    xk.decode_to(scratch.data());
-    tlr_gemm_rhs(f, backward, scratch.data(), xk.rows(), xi, b.ld(),
-                 b.cols());
+  /// X_i -= op(f) X_k.  A received RHS block decodes into pooled scratch
+  /// (exact for FP32 payloads); the factor operand stays a slot, so a
+  /// compressed tile applies through its factors bitwise identically to
+  /// the shared-memory path.
+  auto gemm_rhs(const TileSlot& f, std::size_t i, std::size_t k,
+                bool backward) {
+    const std::size_t ts = l_.tile_size();
+    const TileSlot* xk =
+        owns_rhs(k) ? nullptr : &received_.slot(rhs_tag(k, backward));
+    return [&f, xk, &b = b_, i, k, ts, backward] {
+      float* xi = &b(i * ts, 0);
+      if (xk == nullptr) {
+        tlr_gemm_rhs(f, backward, &b(k * ts, 0), b.ld(), xi, b.ld(),
+                     b.cols());
+        return;
+      }
+      const Tile& block = xk->dense();
+      PooledF32 scratch(TilePool::global(), block.elements());
+      block.decode_to(scratch.data());
+      tlr_gemm_rhs(f, backward, scratch.data(), block.rows(), xi, b.ld(),
+                   b.cols());
+    };
   }
 
-  ExpectedMap& expected() { return expected_; }
+  ExpectedMap& expected() { return received_.expected(); }
 
  private:
   static int owner(const DistSymmetricTileMatrix& l, std::size_t t) {
@@ -225,18 +201,12 @@ class DistSolveExec {
   static std::uint64_t factor_tag(std::size_t ta, std::size_t tb) {
     return make_tile_tag(Phase::kSolveFactor, ta, tb);
   }
-  void expect(std::uint64_t tag, int priority) {
-    detail::expect_tile(runtime_, l_.cache_slot(tag), remote_, expected_, tag,
-                        priority);
-  }
 
   Runtime& runtime_;
   Communicator& comm_;
   const DistSymmetricTileMatrix& l_;
   Matrix<float>& b_;
-  HandleMap local_;
-  std::unordered_map<std::uint64_t, DataHandle> remote_;
-  ExpectedMap expected_;
+  Received received_;
 };
 
 /// Deterministic world-wide breakdown verdict of one round: each diagonal
@@ -266,10 +236,9 @@ long agree_on_breakdown(Communicator& comm, long local_failing,
 /// next round's frames exist yet, so the flush never eats live traffic —
 /// and stale wake-up/tile frames cannot poison a later protocol on this
 /// communicator (a retry, or the caller's next factorization after a
-/// throw).
-void flush_round(Communicator& comm, const DistSymmetricTileMatrix& a) {
+/// throw).  The tiles the round did receive died with its policy.
+void flush_round(Communicator& comm) {
   comm.barrier();
-  a.clear_cache();
   comm.discard_pending();
   comm.barrier();
 }
@@ -283,26 +252,6 @@ void replicate_lr_plan(Communicator& comm, std::vector<bool>& plan) {
   comm.allreduce_sum(votes.data(), votes.size());
   for (std::size_t i = 0; i < plan.size(); ++i) plan[i] = votes[i] != 0.0;
 }
-
-/// RAII registration of a matrix-cache discard hook: discard_pending()
-/// must drop wire-tag-keyed remote-tile caches along with the queued
-/// frames, or a tile adopted just before a fault survives the flush and a
-/// post-recovery resume reads stale pre-fault data.
-class DiscardHookGuard {
- public:
-  DiscardHookGuard(Communicator& comm, DistSymmetricTileMatrix** mat)
-      : comm_(comm) {
-    comm_.add_discard_hook([mat]() {
-      const std::size_t n = (*mat)->cache_tiles();
-      (*mat)->clear_cache();
-      return n;
-    });
-  }
-  ~DiscardHookGuard() { comm_.clear_discard_hooks(); }
-
- private:
-  Communicator& comm_;
-};
 
 }  // namespace
 
@@ -372,8 +321,6 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
   TileCheckpoint store;
   TileCheckpoint source_store;
   std::size_t counted_dead = 0;
-
-  DiscardHookGuard hook_guard(comm, &mat);
 
   // Any task failure wakes every rank's progress loop; the frames carry
   // no authority (the status allreduce does), they only unpark recv_any.
@@ -554,7 +501,7 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
         }
         // Every rank is here, so the flush barriers align whether the
         // verdict is a retry or a throw.
-        flush_round(*active, *mat);
+        flush_round(*active);
         // One factorization of the world: logical rank 0 records it.
         escalate_or_throw(active->rank() == 0 ? &runtime.profiler() : nullptr,
                           report, escalate ? &current : nullptr,
@@ -604,10 +551,6 @@ DistFtResult dist_tiled_potrf(Runtime& runtime, Communicator& comm,
     result.restored_tiles = static_cast<std::uint64_t>(io[2]);
     result.restored_bytes = static_cast<std::uint64_t>(io[3]);
   }
-  // Every consumer of a cached panel tile has completed; drop the cache
-  // so peak memory stays bounded to one phase's working set (the solve
-  // re-ships the factor tiles it needs under its own tags).
-  mat->clear_cache();
   active->set_phase_label("factorize");
   active->barrier();
   return result;
@@ -623,13 +566,14 @@ void dist_tiled_potrs(Runtime& runtime, Communicator& comm,
   }
   KGWAS_CHECK_ARG(l.grid().ranks() == comm.size(),
                   "matrix grid does not match the communicator world");
-  DistSolveExec x(runtime, comm, l, b);
-  // Factor tiles arrive above every sweep task's priority.
-  x.ship_factor((static_cast<int>(nt) << 1) + 2);
-  submit_potrs_sweeps(runtime, x);
-  drain_expected(runtime, comm, x.expected());
-  runtime.wait();
-  l.clear_cache();  // factor/RHS copies are dead once the tasks drained
+  {
+    DistSolveExec x(runtime, comm, l, b);
+    // Factor tiles arrive above every sweep task's priority.
+    x.ship_factor((static_cast<int>(nt) << 1) + 2);
+    submit_potrs_sweeps(runtime, x);
+    drain_expected(runtime, comm, x.expected());
+    runtime.wait();
+  }  // the received factor and RHS copies die with the drained graph
   // Every rank must be past its progress loop before any gather frame is
   // posted: recv_any in a still-draining rank must never see them.
   comm.barrier();

@@ -71,22 +71,6 @@ const TileSlot& DistSymmetricTileMatrix::slot(std::size_t ti,
   return it->second;
 }
 
-TileSlot& DistSymmetricTileMatrix::cache_slot(std::uint64_t tag) const {
-  return cache_[tag];
-}
-
-const Tile& DistSymmetricTileMatrix::cached(std::uint64_t tag) const {
-  return cached_slot(tag).dense();
-}
-
-const TileSlot& DistSymmetricTileMatrix::cached_slot(std::uint64_t tag) const {
-  auto it = cache_.find(tag);
-  KGWAS_CHECK_ARG(it != cache_.end(), "remote tile missing from the cache");
-  return it->second;
-}
-
-void DistSymmetricTileMatrix::clear_cache() const { cache_.clear(); }
-
 std::size_t DistSymmetricTileMatrix::local_storage_bytes() const {
   std::size_t total = 0;
   for (const auto& [k, s] : local_) total += s.storage_bytes();

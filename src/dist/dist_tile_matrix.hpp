@@ -1,21 +1,20 @@
 // Distributed tiled matrices over the existing tile containers.
 //
 // DistSymmetricTileMatrix (the kernel the Cholesky factors) is sharded 2D
-// block-cyclically (ProcessGrid decides ownership); tiles received from
-// other ranks land in a per-matrix cache keyed by their wire tag, where
-// the distributed algorithms' tasks read them exactly as they would local
-// tiles.  DistTileMatrix (the Predict cross-kernel) is sharded by tile
-// row: each rank builds and sums exactly its own row blocks, so it needs
-// no cache.  Tile payloads come from the global TilePool either way, so
-// the distributed path inherits the pooled zero-steady-state-allocation
-// behavior of the shared-memory path.
+// block-cyclically (ProcessGrid decides ownership) and holds only the
+// tiles this rank owns: a tile received from another rank belongs to the
+// round of the algorithm that expected it (dist/progress.hpp), not to the
+// matrix.  DistTileMatrix (the Predict cross-kernel) is sharded by tile
+// row: each rank builds and sums exactly its own row blocks.  Tile
+// payloads come from the global TilePool either way, so the distributed
+// path inherits the pooled zero-steady-state-allocation behavior of the
+// shared-memory path.
 //
 // Threading contract (matches how the distributed algorithms run): the
-// rank's driving thread creates local tiles and cache slots while
-// submitting the task graph, then only *fills* existing slots during the
-// progress loop; runtime workers only read/write tile payloads of
-// existing entries, ordered by the task graph.  The containers themselves
-// are not concurrency primitives.
+// rank's driving thread creates local tiles before submitting a task
+// graph; runtime workers only read/write tile payloads of existing
+// entries, ordered by the task graph.  The containers themselves are not
+// concurrency primitives.
 #pragma once
 
 #include <cstddef>
@@ -64,20 +63,6 @@ class DistSymmetricTileMatrix {
   TileSlot& slot(std::size_t ti, std::size_t tj);
   const TileSlot& slot(std::size_t ti, std::size_t tj) const;
 
-  /// Remote-tile cache, keyed by wire tag.  `cache_slot` creates (or
-  /// returns) the slot; the progress loop fills it via decode_slot, so a
-  /// cached entry holds whatever representation its owner shipped.
-  /// `cached` is the dense shorthand (throws on a TLR entry);
-  /// `cached_slot` is the representation-agnostic read.  The cache is
-  /// mutable state of a logically read-only matrix: the distributed
-  /// solve fetches remote factor tiles through it without the factor
-  /// itself changing.
-  TileSlot& cache_slot(std::uint64_t tag) const;
-  const Tile& cached(std::uint64_t tag) const;
-  const TileSlot& cached_slot(std::uint64_t tag) const;
-  void clear_cache() const;
-  std::size_t cache_tiles() const noexcept { return cache_.size(); }
-
   /// Bytes of locally-owned tile payloads (dense or factor bytes).
   std::size_t local_storage_bytes() const;
 
@@ -115,7 +100,6 @@ class DistSymmetricTileMatrix {
   ProcessGrid grid_{1};
   int rank_ = 0;
   std::unordered_map<std::uint64_t, TileSlot> local_;
-  mutable std::unordered_map<std::uint64_t, TileSlot> cache_;
   double tlr_tol_ = 0.0;
   double tlr_max_rank_frac_ = 0.5;
 };

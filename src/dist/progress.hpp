@@ -1,6 +1,7 @@
 // Internal helpers shared by the distributed algorithms: the expected-
-// receive bookkeeping that wires message arrival into the task graph, and
-// the FP32 row-block transport of replicated dense operands (RHS blocks,
+// receive bookkeeping that wires message arrival into the task graph
+// (one round's received tiles, owned by the round's policy), and the FP32
+// row-block transport of replicated dense operands (RHS blocks,
 // prediction blocks).
 #pragma once
 
@@ -44,8 +45,8 @@ inline Message recv_any_timed(Communicator& comm) {
   return msg;
 }
 
-/// One expected remote tile: the cache slot the payload decodes into and
-/// the runtime event whose completion releases the consuming tasks.  The
+/// One expected remote tile: the received slot the payload decodes into
+/// and the runtime event whose completion releases the consuming tasks.  The
 /// slot adopts whatever representation the frame carries (dense or TLR),
 /// so one progress loop serves both.
 struct PendingRecv {
@@ -56,7 +57,7 @@ struct PendingRecv {
 using ExpectedMap = std::unordered_map<std::uint64_t, PendingRecv>;
 
 /// The rank's progress engine: consume every expected frame (any arrival
-/// order), adopt the payload into its cache slot, and complete the recv
+/// order), adopt the payload into its received slot, and complete the recv
 /// event so dependent tasks release.  Runs on the driving thread while
 /// the runtime's workers execute whatever is already unblocked — workers
 /// never block on communication, which is what makes the protocol
@@ -102,12 +103,12 @@ inline bool drain_expected(Runtime& runtime, Communicator& comm,
   } catch (...) {
     // Abort path (e.g. WorldAborted after a peer failure): quiesce the
     // runtime before the exception leaves.  Workers may still be running
-    // tasks that read remote-tile cache slots, and the unwinding caller
-    // is about to destroy the matrix owning them.  Cancel what has not
-    // started, signal every remaining event so the graph can drain
-    // instead of waiting forever on receives that will never happen, and
-    // wait — tasks reading unfilled (0 x 0) cache slots fail their own
-    // shape checks, and those task errors are collateral of the abort.
+    // tasks that read received slots, and the unwinding caller is about
+    // to destroy the policy owning them.  Cancel what has not started,
+    // signal every remaining event so the graph can drain instead of
+    // waiting forever on receives that will never happen, and wait —
+    // tasks reading unfilled (0 x 0) slots fail their own shape checks,
+    // and those task errors are collateral of the abort.
     runtime.cancel();
     for (auto& [tag, pending] : expected) {
       runtime.signal_external(pending.event);
@@ -122,22 +123,34 @@ inline bool drain_expected(Runtime& runtime, Communicator& comm,
   return false;
 }
 
-/// Registers one expected remote tile: creates the recv event (the
-/// writer of `slot`'s cache handle, completed by drain_expected when the
-/// frame arrives) and records the handle so consumer tasks can declare a
-/// Read dependency on it.  The producer side mirrors this with one
-/// send_slot per (tag, consumer rank).
-inline void expect_tile(Runtime& runtime, TileSlot& slot,
-                        std::unordered_map<std::uint64_t, DataHandle>&
-                            cache_handles,
-                        ExpectedMap& expected, std::uint64_t tag,
-                        int priority) {
-  const DataHandle h = runtime.register_data();
-  cache_handles.emplace(tag, h);
-  const ExternalEvent event = runtime.submit_external(
-      TaskDesc{"recv_tile", {{h, Access::kWrite}}, priority});
-  expected.emplace(tag, PendingRecv{&slot, event});
-}
+/// The tiles one round of a distributed algorithm receives, keyed by wire
+/// tag, and the receive events that fill them.  A received tile belongs
+/// to the round, not to the matrix: it dies with the policy that expected
+/// it, so nothing received survives into a retry or a later phase.  The
+/// producer side mirrors `expect` with one send_slot per (tag, consumer
+/// rank).
+class Received {
+ public:
+  /// The slot the tile `tag` is received into.
+  const TileSlot& slot(std::uint64_t tag) const { return slots_.at(tag); }
+
+  /// Expects the tile `tag`: the writer of its slot is a receive event,
+  /// completed by drain_expected when the frame arrives, so consumer
+  /// tasks declare a Read on the slot.
+  void expect(Runtime& runtime, std::uint64_t tag, int priority) {
+    TileSlot& slot = slots_[tag];
+    const ExternalEvent event = runtime.submit_external(
+        TaskDesc{"recv_tile", {{&slot, Access::kWrite}}, priority});
+    expected_.emplace(tag, PendingRecv{&slot, event});
+  }
+
+  ExpectedMap& expected() { return expected_; }
+
+ private:
+  // Node-based: a slot keeps its address while later tiles are expected.
+  std::unordered_map<std::uint64_t, TileSlot> slots_;
+  ExpectedMap expected_;
+};
 
 /// Wraps rows [r0, r0 + rows) of a dense FP32 matrix as a transport tile
 /// (FP32 storage: the encode is exact).

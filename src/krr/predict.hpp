@@ -23,8 +23,9 @@ void predict_link(const Tile& tile, const Matrix<float>& weights,
 /// Accumulates prediction row block ti += sum over tj of
 /// cross(ti, tj) * weights block tj for every row block `owns_row(ti)`
 /// selects: one serial chain of "predict_gemm" tasks per row block, in
-/// tile-column order, then waits.  Each chain's next link outranks the
-/// trailing links of the others, so finished row blocks retire early.
+/// tile-column order, keyed on the block's first prediction element, then
+/// waits.  Each chain's next link outranks the trailing links of the
+/// others, so finished row blocks retire early.
 template <class Tiles, class OwnsRow>
 void submit_predict_rows(Runtime& runtime, const Tiles& cross,
                          const Matrix<float>& weights,
@@ -37,7 +38,7 @@ void submit_predict_rows(Runtime& runtime, const Tiles& cross,
   const std::size_t ts = cross.tile_size();
   for (std::size_t ti = 0; ti < cross.tile_rows(); ++ti) {
     if (!owns_row(ti)) continue;
-    const DataHandle row = runtime.register_data();
+    const float* row = &predictions(ti * ts, 0);
     for (std::size_t tj = 0; tj < cross.tile_cols(); ++tj) {
       const Tile& tile = cross.tile(ti, tj);
       runtime.submit(

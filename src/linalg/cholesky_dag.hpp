@@ -5,39 +5,43 @@
 // dist::dist_tiled_potrs (owner-computes over a process grid) submit the
 // same tasks — kernels, per-tile update order, DPLASMA-style critical-
 // path priorities and FLOP counts.  They differ only in the
-// policy: which tiles this executor owns, which runtime handle a task
-// reads an operand through, and what happens once a panel tile or an RHS
-// row block is final (nothing in shared memory; sends and expected
-// receives on a rank).  One loop is what keeps the distributed factor
-// and solution bitwise identical to the shared-memory ones.
+// policy: which tiles this executor owns, where a task finds an operand
+// it reads, and what happens once a panel tile or an RHS row block is
+// final (nothing in shared memory; sends and expected receives on a
+// rank).  One loop is what keeps the distributed factor and solution
+// bitwise identical to the shared-memory ones.
+//
+// A task names each datum by address (runtime/runtime.hpp), and an
+// operand's accessor serves as both the operand and its dependency key:
+// a tile is keyed by its TileSlot, never by the Tile inside it, so a
+// reader and the writer of the same tile always agree.
 //
 // Factorization policy (`Exec` of submit_potrf_steps):
 //   matrix()            the tile store (SymmetricTileMatrix or
 //                       dist::DistSymmetricTileMatrix)
 //   owns(i, j)          tasks writing tile (i, j) run on this executor
-//   handle(i, j)        dependency handle of tile (i, j): an owned tile's,
-//                       or the receive event of a remote panel tile read
-//                       here
+//   slot(i, j)          panel tile (i, j) as this executor reads it: an
+//                       owned slot, or the slot a remote tile is received
+//                       into
 //   panel_done(i, k)    called once per panel tile (i, k), i >= k, right
 //                       after its step-k producer was (or, when not owned,
 //                       would have been) submitted: ship or expect it
-//   static operand(a, i, j)
-//                       execution-time read of panel tile (i, j) of `a`
 //
 // Solve policy (`Exec` of submit_potrs_sweeps):
 //   matrix(), rhs()     the factor and the FP32 right-hand sides
 //   owns_rhs(t)         RHS row block t is computed on this executor
-//   rhs_handle(t, bwd)  dependency handle of row block t in that sweep
-//                       (owned, or the receive event of a remote block)
+//   rhs_datum(t, bwd)   dependency key of row block t in that sweep: its
+//                       first element when owned, else its received slot
 //   rhs_done(k, bwd, p) called after the sweep TRSM of block k (submitted
 //                       or not): ship or expect the block
-//   factor_deps(i, j, deps)
-//                       appends the read of a remote factor tile (i, j)
-//   static gemm_rhs(l, b, i, k, bwd)
-//                       execution-time X_i -= op(L) X_k
+//   factor(i, j)        factor tile (i, j): owned or received slot
+//   gemm_rhs(f, i, k, bwd)
+//                       the task body X_i -= op(f) X_k
 //
-// Task bodies only capture the matrices and tile coordinates, never the
-// policy object: the policy is submit-time state.
+// Task bodies capture the slots and row blocks resolved at submit time,
+// never the policy object.  What a policy receives lives in the policy,
+// so a policy outlives the graph it submits: every driver waits for the
+// graph before the policy goes out of scope.
 //
 // The breakdown-recovery pieces both drivers share live here too: the
 // one escalate-or-throw decision and the slot rollback.
@@ -170,52 +174,54 @@ void submit_potrf_steps(Runtime& runtime, Exec& x, std::size_t k_begin,
 
   for (std::size_t k = k_begin; k < k_end; ++k) {
     if (x.owns(k, k)) {
+      TileSlot& akk = a.slot(k, k);
       runtime.submit(TaskDesc{"potrf",
-                              {{x.handle(k, k), Access::kReadWrite}},
+                              {{&akk, Access::kReadWrite}},
                               prio(k, PotrfKernel::kPotrf),
                               potrf_op_count(a.tile_dim(k))},
-                     [&a, k, ts] { tile_potrf(a.tile(k, k), k * ts); });
+                     [&akk, k, ts] { tile_potrf(akk.dense(), k * ts); });
     }
     x.panel_done(k, k);
     for (std::size_t i = k + 1; i < nt; ++i) {
       if (x.owns(i, k)) {
+        const TileSlot& lkk = x.slot(k, k);
+        TileSlot& aik = a.slot(i, k);
         runtime.submit(TaskDesc{"trsm",
-                                {{x.handle(k, k), Access::kRead},
-                                 {x.handle(i, k), Access::kReadWrite}},
+                                {{&lkk, Access::kRead},
+                                 {&aik, Access::kReadWrite}},
                                 prio(k, PotrfKernel::kTrsm),
                                 trsm_op_count(a.tile_dim(k), a.tile_dim(i))},
-                       [&a, i, k] {
-                         tlr_trsm(Exec::operand(a, k, k).dense(),
-                                  a.slot(i, k));
-                       });
+                       [&lkk, &aik] { tlr_trsm(lkk.dense(), aik); });
       }
       x.panel_done(i, k);
     }
     for (std::size_t j = k + 1; j < nt; ++j) {
       if (x.owns(j, j)) {
+        const TileSlot& ljk = x.slot(j, k);
+        TileSlot& ajj = a.slot(j, j);
         // tile_syrk updates the lower triangle only: SYRK flops.
         runtime.submit(TaskDesc{"syrk",
-                                {{x.handle(j, k), Access::kRead},
-                                 {x.handle(j, j), Access::kReadWrite}},
+                                {{&ljk, Access::kRead},
+                                 {&ajj, Access::kReadWrite}},
                                 prio(k, PotrfKernel::kSyrk),
                                 syrk_op_count(a.tile_dim(j), a.tile_dim(k))},
-                       [&a, j, k] {
-                         tlr_syrk(Exec::operand(a, j, k), a.tile(j, j));
-                       });
+                       [&ljk, &ajj] { tlr_syrk(ljk, ajj.dense()); });
       }
       for (std::size_t i = j + 1; i < nt; ++i) {
         if (!x.owns(i, j)) continue;
+        const TileSlot& lik = x.slot(i, k);
+        const TileSlot& ljk = x.slot(j, k);
+        TileSlot& aij = a.slot(i, j);
         runtime.submit(TaskDesc{"gemm",
-                                {{x.handle(i, k), Access::kRead},
-                                 {x.handle(j, k), Access::kRead},
-                                 {x.handle(i, j), Access::kReadWrite}},
+                                {{&lik, Access::kRead},
+                                 {&ljk, Access::kRead},
+                                 {&aij, Access::kReadWrite}},
                                 prio(k, PotrfKernel::kGemm),
                                 gemm_op_count(a.tile_dim(i), a.tile_dim(j),
                                               a.tile_dim(k))},
-                       [&a, i, j, k] {
-                         tlr_gemm(Exec::operand(a, i, k),
-                                  Exec::operand(a, j, k), a.slot(i, j),
-                                  a.tlr_tol(), a.tlr_max_rank_fraction());
+                       [&lik, &ljk, &aij, &a] {
+                         tlr_gemm(lik, ljk, aij, a.tlr_tol(),
+                                  a.tlr_max_rank_fraction());
                        });
       }
     }
@@ -238,7 +244,7 @@ void submit_potrs_sweeps(Runtime& runtime, Exec& x) {
     const int level = static_cast<int>(backward ? k + 1 : nt - k) << 1;
     if (x.owns_rhs(k)) {
       runtime.submit(TaskDesc{backward ? "trsm_bwd" : "trsm_fwd",
-                              {{x.rhs_handle(k, backward), Access::kReadWrite}},
+                              {{x.rhs_datum(k, backward), Access::kReadWrite}},
                               level + 1,
                               trsm_op_count(l.tile_dim(k), nrhs)},
                      [&l, &b, k, ts, backward] {
@@ -249,22 +255,17 @@ void submit_potrs_sweeps(Runtime& runtime, Exec& x) {
     x.rhs_done(k, backward, level + 1);
     const auto update = [&](std::size_t i) {
       if (!x.owns_rhs(i)) return;
-      std::vector<Dep> deps{{x.rhs_handle(k, backward), Access::kRead},
-                            {x.rhs_handle(i, backward), Access::kReadWrite}};
       // Forward: X_i -= L(i, k) X_k; backward: X_i -= L(k, i)^T X_k
       // (lower storage: the factor tile of the pair has row > column).
-      if (backward) {
-        x.factor_deps(k, i, deps);
-      } else {
-        x.factor_deps(i, k, deps);
-      }
+      const TileSlot& f = backward ? x.factor(k, i) : x.factor(i, k);
       runtime.submit(TaskDesc{backward ? "gemm_bwd" : "gemm_fwd",
-                              std::move(deps), level,
+                              {{x.rhs_datum(k, backward), Access::kRead},
+                               {x.rhs_datum(i, backward), Access::kReadWrite},
+                               {&f, Access::kRead}},
+                              level,
                               gemm_op_count(l.tile_dim(i), nrhs,
                                             l.tile_dim(k))},
-                     [&l, &b, i, k, backward] {
-                       Exec::gemm_rhs(l, b, i, k, backward);
-                     });
+                     x.gemm_rhs(f, i, k, backward));
     };
     if (backward) {
       for (std::size_t i = k; i-- > 0;) update(i);

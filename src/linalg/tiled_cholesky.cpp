@@ -16,78 +16,50 @@ namespace kgwas {
 
 namespace {
 
-/// One runtime data handle per lower tile of a symmetric tile matrix.
-/// Handles are registered anonymously: building "A(i,j)" strings per tile
-/// put O(nt^2) allocations on the hot path for zero benefit (traces key on
-/// task names, not handle names).
-class TileHandles {
- public:
-  TileHandles(Runtime& runtime, std::size_t nt)
-      : nt_(nt), handles_(nt * (nt + 1) / 2) {
-    for (DataHandle& h : handles_) h = runtime.register_data();
-  }
-
-  DataHandle operator()(std::size_t ti, std::size_t tj) const {
-    return handles_[index(ti, tj)];
-  }
-
- private:
-  std::size_t index(std::size_t ti, std::size_t tj) const {
-    KGWAS_ASSERT(ti < nt_ && tj <= ti);
-    return tj * nt_ - tj * (tj - 1) / 2 + (ti - tj);
-  }
-  std::size_t nt_;
-  std::vector<DataHandle> handles_;
-};
-
 /// Shared-memory factorization policy (see linalg/cholesky_dag.hpp): one
 /// executor owns every tile, so panel tiles need no transport.
 class LocalPotrf {
  public:
-  LocalPotrf(Runtime& runtime, SymmetricTileMatrix& a)
-      : a_(a), handles_(runtime, a.tile_count()) {}
+  explicit LocalPotrf(SymmetricTileMatrix& a) : a_(a) {}
 
   SymmetricTileMatrix& matrix() { return a_; }
   bool owns(std::size_t, std::size_t) const { return true; }
-  DataHandle handle(std::size_t ti, std::size_t tj) const {
-    return handles_(ti, tj);
+  const TileSlot& slot(std::size_t ti, std::size_t tj) const {
+    return a_.slot(ti, tj);
   }
   void panel_done(std::size_t, std::size_t) {}
-  static const TileSlot& operand(const SymmetricTileMatrix& a, std::size_t ti,
-                                 std::size_t tj) {
-    return a.slot(ti, tj);
-  }
 
  private:
   SymmetricTileMatrix& a_;
-  TileHandles handles_;
 };
 
 /// Shared-memory solve policy: every RHS row block is local.
 class LocalSolve {
  public:
-  LocalSolve(Runtime& runtime, const SymmetricTileMatrix& l, Matrix<float>& b)
-      : l_(l), b_(b), handles_(l.tile_count()) {
-    for (DataHandle& h : handles_) h = runtime.register_data();
-  }
+  LocalSolve(const SymmetricTileMatrix& l, Matrix<float>& b) : l_(l), b_(b) {}
 
   const SymmetricTileMatrix& matrix() const { return l_; }
   Matrix<float>& rhs() { return b_; }
   bool owns_rhs(std::size_t) const { return true; }
-  DataHandle rhs_handle(std::size_t t, bool) const { return handles_[t]; }
+  const void* rhs_datum(std::size_t t, bool) const {
+    return &b_(t * l_.tile_size(), 0);
+  }
   void rhs_done(std::size_t, bool, int) {}
-  void factor_deps(std::size_t, std::size_t, std::vector<Dep>&) {}
-  static void gemm_rhs(const SymmetricTileMatrix& l, Matrix<float>& b,
-                       std::size_t i, std::size_t k, bool backward) {
-    const std::size_t ts = l.tile_size();
-    tlr_gemm_rhs(backward ? l.slot(k, i) : l.slot(i, k), backward,
-                 &b(k * ts, 0), b.ld(), &b(i * ts, 0), b.ld(), b.cols());
+  const TileSlot& factor(std::size_t ti, std::size_t tj) const {
+    return l_.slot(ti, tj);
+  }
+  auto gemm_rhs(const TileSlot& f, std::size_t i, std::size_t k,
+                bool backward) {
+    const std::size_t ts = l_.tile_size();
+    return [&f, &b = b_, i, k, ts, backward] {
+      tlr_gemm_rhs(f, backward, &b(k * ts, 0), b.ld(), &b(i * ts, 0), b.ld(),
+                   b.cols());
+    };
   }
 
  private:
   const SymmetricTileMatrix& l_;
   Matrix<float>& b_;
-  std::vector<DataHandle> handles_;
 };
 
 }  // namespace
@@ -199,7 +171,7 @@ void tiled_potrf(Runtime& runtime, SymmetricTileMatrix& a,
     report.attempts = report.escalations() + 1;
     try {
       if (nt != 0) {
-        LocalPotrf x(runtime, a);
+        LocalPotrf x(a);
         submit_potrf_steps(runtime, x, 0, nt);
         // Throws the NumericalError of a failed pivot (the runtime
         // cancels the rest of the DAG first).
@@ -224,7 +196,7 @@ void tiled_potrs(Runtime& runtime, const SymmetricTileMatrix& l,
                  Matrix<float>& b) {
   KGWAS_CHECK_ARG(b.rows() == l.n(), "solve RHS row count mismatch");
   if (l.tile_count() == 0 || b.cols() == 0) return;
-  LocalSolve x(runtime, l, b);
+  LocalSolve x(l, b);
   submit_potrs_sweeps(runtime, x);
   runtime.wait();
 }

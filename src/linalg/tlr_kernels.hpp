@@ -8,9 +8,10 @@
 // dense — so a matrix with no compressed slots runs the dense pipeline
 // bit for bit.  Because the cores take slots rather than a matrix, the
 // shared-memory path (slots of a SymmetricTileMatrix) and the distributed
-// path (owned slots and remote-cache slots of a DistSymmetricTileMatrix)
-// run the exact same code, which is what makes the dist TLR factorization
-// bitwise identical to the shared-memory one.
+// path (owned slots of a DistSymmetricTileMatrix and the slots a round
+// receives remote tiles into) run the exact same code, which is what
+// makes the dist TLR factorization bitwise identical to the shared-memory
+// one.
 //
 // The factored algebra (HiCMA-style, U m x r / V n x r, tile = U * V^T):
 //

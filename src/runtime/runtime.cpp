@@ -22,21 +22,14 @@ struct Runtime::TaskNode {
   bool finished = false;
 };
 
-struct Runtime::HandleState {
-  // Superscalar tracking: last task that wrote the datum, and every reader
-  // submitted since that write.
-  TaskNode* last_writer = nullptr;
-  std::vector<TaskNode*> readers_since_write;
-};
-
 Runtime::Runtime(std::size_t workers, bool enable_profiling)
-    : scheduler_(workers),
-      // KGWAS_TRACE turns on span recording without an API change at the
+    : // KGWAS_TRACE turns on span recording without an API change at the
       // call site: trace output is useless without spans, so asking for a
       // trace directory implies asking for profiling.
       profiler_(enable_profiling ||
                     telemetry::telemetry_config().trace_enabled(),
-                &scheduler_) {}
+                &scheduler_),
+      scheduler_(workers) {}
 
 Runtime::~Runtime() {
   // Drain outstanding work so tasks never outlive the graph state.
@@ -45,16 +38,6 @@ Runtime::~Runtime() {
   } catch (...) {
     // Destructor must not throw; errors were already visible via wait().
   }
-}
-
-DataHandle Runtime::register_data() {
-  const std::uint64_t id = next_handle_id_.fetch_add(1);
-  auto state = std::make_unique<HandleState>();
-  {
-    std::lock_guard<std::mutex> lock(graph_mutex_);
-    handles_.emplace(id, std::move(state));
-  }
-  return DataHandle{id};
 }
 
 void Runtime::submit(TaskDesc desc, std::function<void()> fn) {
@@ -99,20 +82,13 @@ std::uint64_t Runtime::submit_impl(TaskDesc desc, std::function<void()> fn,
   std::vector<TaskNode*> predecessors;
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
-    // Validate every handle before mutating any tracking state, so a bad
-    // dependency leaves the runtime fully consistent (and the destructor's
-    // wait() is not poisoned by a phantom pending task).
-    for (const Dep& dep : desc.deps) {
-      KGWAS_CHECK_ARG(handles_.count(dep.handle.id) != 0,
-                      "task depends on an unregistered data handle");
-    }
     node->id = next_task_id_.fetch_add(1) + 1;
     pending_tasks_.fetch_add(1);
     for (const Dep& dep : desc.deps) {
-      HandleState& hs = *handles_.at(dep.handle.id);
+      HandleState& hs = data_[dep.datum];
       const bool reads = dep.access != Access::kWrite;
       const bool writes = dep.access != Access::kRead;
-      // A task may declare the same handle several times (e.g. ReadWrite
+      // A task may declare the same datum several times (e.g. ReadWrite
       // on its output plus Read as an input): it must never become its own
       // predecessor, hence the `!= raw` guards throughout.
       if (reads && hs.last_writer != nullptr && hs.last_writer != raw) {
@@ -192,7 +168,7 @@ void Runtime::run_task(TaskNode* node) {
   }
   release_successors(node);
 
-  // Nodes are retired in bulk by wait(): handle states may still hold
+  // Nodes are retired in bulk by wait(): the tracked data may still hold
   // pointers to finished tasks, so per-task deletion would dangle.
   if (pending_tasks_.fetch_sub(1) == 1) {
     std::lock_guard<std::mutex> lock(done_mutex_);
@@ -248,16 +224,14 @@ void Runtime::wait() {
     std::unique_lock<std::mutex> lock(done_mutex_);
     all_done_.wait(lock, [this] { return pending_tasks_.load() == 0; });
   }
-  // The graph has drained: retire every node and reset handle tracking so
-  // the next algorithm starts from a clean slate.
+  // The graph has drained: retire every node and forget every address,
+  // so the next graph starts from a clean slate and an address may name
+  // a different datum there.
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     if (pending_tasks_.load() == 0) {
       live_tasks_.clear();
-      for (auto& [id, state] : handles_) {
-        state->last_writer = nullptr;
-        state->readers_since_write.clear();
-      }
+      data_.clear();
     }
   }
   // The drained graph is gone: clear the cancellation so tasks submitted

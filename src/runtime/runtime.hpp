@@ -6,12 +6,18 @@
 // consumer disagree.  This runtime reproduces the same *semantics* on a
 // shared-memory node:
 //
-//  * `DataHandle` names a logical datum (a tile, a vector, ...).
+//  * A task names each datum it touches by address (a tile slot, the
+//    first element of a row block, ...), as OpenMP `depend` clauses and
+//    QUARK do.  Nothing is registered: the first task that names an
+//    address starts its tracking, and `wait()` forgets every address, so
+//    dependency state lives exactly as long as one task graph.
 //  * `submit(desc, fn)` registers a task.  The runtime infers dependencies
 //    from access modes with the usual superscalar rules — a reader waits
 //    for the last writer, a writer waits for the last writer and every
 //    reader since — which yields the identical DAG a dataflow description
-//    would for our algorithms.
+//    would for our algorithms.  Within one graph an address must name one
+//    datum: whoever submits a graph keeps the data it names alive until
+//    the graph has drained.
 //  * Ready tasks execute on a priority-aware work-stealing Scheduler
 //    (common/scheduler.hpp).  A task's integer priority (higher first)
 //    decides which ready task a worker picks next; the tiled solvers use
@@ -32,8 +38,8 @@
 // skipped instead of running on garbage, while the dependency graph still
 // resolves so `wait()` always drains.  `wait()` rethrows the first
 // captured exception and resets the cancellation state, leaving the
-// Runtime fully reusable: handles stay registered and new submissions run
-// normally.  External events must still be signalled even under
+// Runtime fully reusable: the next graph starts from no tracked data and
+// runs normally.  External events must still be signalled even under
 // cancellation (the distributed layer's recovery protocol force-signals
 // the events of receives that can no longer happen).
 #pragma once
@@ -55,15 +61,10 @@ namespace kgwas {
 /// How a task touches a datum.
 enum class Access : unsigned char { kRead, kWrite, kReadWrite };
 
-/// Opaque identifier of a logical datum registered with the runtime.
-struct DataHandle {
-  std::uint64_t id = 0;
-  bool valid() const noexcept { return id != 0; }
-};
-
-/// One dependency declaration of a task.
+/// One dependency declaration of a task: the address that names the
+/// datum within the current graph, and how the task touches it.
 struct Dep {
-  DataHandle handle;
+  const void* datum = nullptr;
   Access access = Access::kRead;
 };
 
@@ -109,11 +110,9 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Registers a datum (one handle per tile in the tiled algorithms).
-  DataHandle register_data();
-
-  /// Submits a task.  Dependencies are inferred from previously submitted
-  /// tasks touching the same handles.  Never blocks.
+  /// Submits a task.  Dependencies are inferred from the tasks of the
+  /// current graph submitted earlier that touch the same addresses.
+  /// Never blocks.
   void submit(TaskDesc desc, std::function<void()> fn);
 
   /// Registers an external completion as a task: dependencies are
@@ -121,8 +120,9 @@ class Runtime {
   /// body — it completes (releasing its successors) only once both its
   /// dependencies are satisfied and `signal_external` has been called.
   /// The distributed layer uses this to wire message arrival into the
-  /// task graph: a recv-completion event is the writer of a remote tile's
-  /// cache slot, and consumer tasks simply declare a Read on that handle.
+  /// task graph: a recv-completion event is the writer of the slot a
+  /// received tile decodes into, and consumer tasks simply declare a Read
+  /// on that slot.
   ///
   /// Contract: every submitted event must be signalled exactly once
   /// before `wait()` can return (an unsignalled event counts as a pending
@@ -138,7 +138,8 @@ class Runtime {
   /// The zero BatchStats view (see BatchStats).
   BatchStats batch_stats() const noexcept { return {}; }
 
-  /// Blocks until every submitted task (and tasks they submitted) is done.
+  /// Blocks until every submitted task (and tasks they submitted) is done,
+  /// then forgets the graph: every task and every tracked address.
   /// Rethrows the first task exception, if any — a task exception cancels
   /// every not-yet-started task of the current graph (see the error
   /// contract above), so wait() returns promptly after a failure and the
@@ -153,12 +154,6 @@ class Runtime {
   /// a breakdown: local tasks must stop without manufacturing a local
   /// error.  Cleared by wait().
   void cancel() noexcept;
-
-  /// True once a task exception or cancel() has poisoned the current
-  /// graph (cleared by wait()).
-  bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_acquire);
-  }
 
   /// Task bodies skipped by cancellation so far (monotonic, like
   /// tasks_submitted); diff around a drain to count one graph's skips.
@@ -189,7 +184,12 @@ class Runtime {
 
  private:
   struct TaskNode;
-  struct HandleState;
+  // Superscalar tracking of one datum: the last task that wrote it, and
+  // every reader submitted since that write.
+  struct HandleState {
+    TaskNode* last_writer = nullptr;
+    std::vector<TaskNode*> readers_since_write;
+  };
 
   void release_successors(TaskNode* node);
   void enqueue_ready(TaskNode* node);
@@ -198,13 +198,12 @@ class Runtime {
   std::uint64_t submit_impl(TaskDesc desc, std::function<void()> fn,
                             bool external = false);
 
-  Scheduler scheduler_;
   Profiler profiler_;
 
   std::mutex graph_mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<HandleState>> handles_;
+  // Dependency state of the current graph, keyed by datum address.
+  std::unordered_map<const void*, HandleState> data_;
   std::unordered_map<std::uint64_t, std::unique_ptr<TaskNode>> live_tasks_;
-  std::atomic<std::uint64_t> next_handle_id_{1};
   std::atomic<std::uint64_t> next_task_id_{0};
   std::atomic<std::uint64_t> pending_tasks_{0};
 
@@ -215,6 +214,12 @@ class Runtime {
   std::mutex error_mutex_;
   std::atomic<bool> cancelled_{false};
   std::atomic<std::uint64_t> tasks_cancelled_{0};
+
+  // Declared last, so destroyed first: its destructor joins the workers
+  // while everything a finishing task touches (the profiler, the graph,
+  // the done signal) is still alive.  A worker may still be notifying
+  // all_done_ when wait() has already seen the last task finish.
+  Scheduler scheduler_;
 };
 
 }  // namespace kgwas

@@ -2,7 +2,7 @@
 // a dense `Tile` or a low-rank `TlrTile` factor pair.
 //
 // Every layer that stores tiles (SymmetricTileMatrix, the distributed
-// owner maps and remote-tile caches, the checkpoint store) holds TileSlots
+// owner maps and received tiles, the checkpoint store) holds TileSlots
 // instead of dispatching on an is_low_rank sidecar: the slot itself knows
 // its representation, its shape, its storage precision and its payload
 // bytes, so representation-generic code (byte accounting, precision
@@ -14,7 +14,7 @@
 // Both payloads are pool-backed (Tile and TlrTile draw from the global
 // TilePool), so slots inherit the zero-steady-state-allocation behavior.
 // A default-constructed slot is dense and empty (0 x 0) — the state of a
-// cache slot before its wire frame arrives.
+// received slot before its wire frame arrives.
 #pragma once
 
 #include <cstddef>

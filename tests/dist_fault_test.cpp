@@ -236,39 +236,6 @@ TEST(Communicator, WorldAbortedCarriesOriginRankAndPhase) {
   EXPECT_EQ(seen_phase, "checkpoint");
 }
 
-// ------------------------------------------- discard hooks (regression)
-
-TEST(Communicator, DiscardPendingDrainsRegisteredTileCaches) {
-  // Regression: discard_pending used to drop only the queued frames; a
-  // tile a progress loop had already moved into a matrix's wire-tag-keyed
-  // cache survived the flush and could be adopted by the *retried*
-  // factorization as stale data.  The discard hook makes the caches part
-  // of the flush domain.
-  run_ranks(2, [](Communicator& comm) {
-    const std::size_t n = 64, ts = 32;
-    const ProcessGrid grid(2);
-    dist::DistSymmetricTileMatrix mat(n, ts, grid, comm.rank());
-    const std::uint64_t tag = make_tile_tag(Phase::kPotrfPanel, 1, 0);
-    mat.cache_slot(tag);  // a remote tile already consumed from the wire
-    ASSERT_EQ(mat.cache_tiles(), 1u);
-    const int peer = 1 - comm.rank();
-    comm.send(peer, make_tile_tag(Phase::kPotrfPanel, 2, 0), {std::byte{5}});
-    comm.barrier();  // both unconsumed frames are queued behind the barrier
-    comm.add_discard_hook([&mat] {
-      const std::size_t cached = mat.cache_tiles();
-      mat.clear_cache();
-      return cached;
-    });
-    const std::size_t discarded = comm.discard_pending();
-    comm.clear_discard_hooks();
-    // One queued frame + one cached tile; without the hook this is 1 and
-    // the stale cache entry leaks into the next attempt.
-    EXPECT_EQ(discarded, 2u);
-    EXPECT_EQ(mat.cache_tiles(), 0u);
-    comm.barrier();
-  });
-}
-
 // ----------------------------------------------------- factorization rigs
 
 /// Deterministic SPD matrix (same construction as the dist tests).

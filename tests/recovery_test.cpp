@@ -131,11 +131,12 @@ TEST(BreakdownOffset, GlobalIndexInMiddleTile) {
 
 TEST(RuntimeRecovery, ThrowingTaskCancelsDependents) {
   Runtime rt(4, /*enable_profiling=*/true);
-  DataHandle h = rt.register_data();
+  const int datum = 0;
   std::atomic<bool> dependent_ran{false};
-  rt.submit({"boom", {{h, Access::kWrite}}},
+  rt.submit({"boom", {{&datum, Access::kWrite}}},
             [] { throw NumericalError("synthetic", 1); });
-  rt.submit(TaskDesc{"dependent", {{h, Access::kRead}}, 0, /*flops=*/1e9},
+  rt.submit(TaskDesc{"dependent", {{&datum, Access::kRead}}, 0,
+                     /*flops=*/1e9},
             [&] { dependent_ran = true; });
   EXPECT_THROW(rt.wait(), NumericalError);
   EXPECT_FALSE(dependent_ran.load());  // never ran on garbage
@@ -149,36 +150,36 @@ TEST(RuntimeRecovery, RuntimeReusableAfterThrowingChain) {
   // submit -> throw -> wait rethrows -> submit again succeeds; the whole
   // sequence must drain promptly (no hang under the ctest timeout).
   Runtime rt(2);
-  DataHandle h = rt.register_data();
   std::atomic<int> ran{0};
-  rt.submit({"a", {{h, Access::kWrite}}}, [&] { ran.fetch_add(1); });
-  rt.submit({"boom", {{h, Access::kReadWrite}}},
+  rt.submit({"a", {{&ran, Access::kWrite}}}, [&] { ran.fetch_add(1); });
+  rt.submit({"boom", {{&ran, Access::kReadWrite}}},
             [] { throw NumericalError("synthetic", 2); });
   for (int i = 0; i < 8; ++i) {
-    rt.submit({"after", {{h, Access::kReadWrite}}}, [&] { ran.fetch_add(1); });
+    rt.submit({"after", {{&ran, Access::kReadWrite}}},
+              [&] { ran.fetch_add(1); });
   }
   EXPECT_THROW(rt.wait(), NumericalError);
   EXPECT_EQ(ran.load(), 1);  // only the pre-failure task ran
-  // Reusable: a fresh graph over the same handle runs normally.
+  // Reusable: a fresh graph over the same datum runs normally.
   std::atomic<int> again{0};
-  rt.submit({"fresh", {{h, Access::kReadWrite}}}, [&] { again = 1; });
+  rt.submit({"fresh", {{&ran, Access::kReadWrite}}}, [&] { again = 1; });
   rt.wait();
   EXPECT_EQ(again.load(), 1);
 }
 
 TEST(RuntimeRecovery, ExplicitCancelSkipsPendingWithoutError) {
   Runtime rt(2);
-  DataHandle h = rt.register_data();
   std::atomic<int> ran{0};
-  rt.submit({"canceller", {{h, Access::kWrite}}}, [&] { rt.cancel(); });
+  rt.submit({"canceller", {{&ran, Access::kWrite}}}, [&] { rt.cancel(); });
   for (int i = 0; i < 8; ++i) {
-    rt.submit({"skipped", {{h, Access::kReadWrite}}},
+    rt.submit({"skipped", {{&ran, Access::kReadWrite}}},
               [&] { ran.fetch_add(1); });
   }
   rt.wait();  // no exception: explicit cancel records no error
   EXPECT_EQ(ran.load(), 0);
   // The flag clears at wait(): new work runs.
-  rt.submit({"fresh", {{h, Access::kReadWrite}}}, [&] { ran.fetch_add(1); });
+  rt.submit({"fresh", {{&ran, Access::kReadWrite}}},
+            [&] { ran.fetch_add(1); });
   rt.wait();
   EXPECT_EQ(ran.load(), 1);
 }
@@ -187,10 +188,10 @@ TEST(RuntimeRecovery, ErrorCallbackFiresOnceOnFirstError) {
   Runtime rt(2);
   std::atomic<int> fired{0};
   rt.set_error_callback([&](const std::exception_ptr&) { fired.fetch_add(1); });
-  DataHandle h = rt.register_data();
-  rt.submit({"boom1", {{h, Access::kWrite}}},
+  const int datum = 0;
+  rt.submit({"boom1", {{&datum, Access::kWrite}}},
             [] { throw NumericalError("first", 1); });
-  rt.submit({"boom2", {{h, Access::kReadWrite}}},
+  rt.submit({"boom2", {{&datum, Access::kReadWrite}}},
             [] { throw NumericalError("second", 2); });
   EXPECT_THROW(rt.wait(), NumericalError);
   EXPECT_EQ(fired.load(), 1);
@@ -203,16 +204,15 @@ TEST(RuntimeRecovery, ExternalEventsCompleteUnderCancellation) {
   // standing in for the dist recovery protocol), dependents are skipped,
   // and wait() rethrows.
   Runtime rt(2);
-  DataHandle he = rt.register_data();
-  DataHandle hb = rt.register_data();
+  const int he = 0, hb = 0;
   ExternalEvent event = rt.submit_external(
-      TaskDesc{"recv", {{he, Access::kWrite}}, 0});
+      TaskDesc{"recv", {{&he, Access::kWrite}}, 0});
   std::atomic<bool> consumer_ran{false};
-  rt.submit({"boom", {{hb, Access::kWrite}}},
+  rt.submit({"boom", {{&hb, Access::kWrite}}},
             [] { throw NumericalError("synthetic", 3); });
   // Ordered after the throwing task (Read on hb) so the skip is
   // deterministic; also gated on the external event like a dist consumer.
-  rt.submit({"consumer", {{he, Access::kRead}, {hb, Access::kRead}}},
+  rt.submit({"consumer", {{&he, Access::kRead}, {&hb, Access::kRead}}},
             [&] { consumer_ran = true; });
   rt.signal_external(event);
   EXPECT_THROW(rt.wait(), NumericalError);
@@ -231,9 +231,8 @@ TEST(Escalation, ThrowModePropagatesBreakdown) {
   config.on_breakdown = BreakdownAction::kThrow;
   EXPECT_THROW(associate(rt, k, ph, config), NumericalError);
   // The runtime survived the mid-DAG failure (contract check).
-  DataHandle h = rt.register_data();
   std::atomic<int> ok{0};
-  rt.submit({"fine", {{h, Access::kWrite}}}, [&] { ok = 1; });
+  rt.submit({"fine", {{&ok, Access::kWrite}}}, [&] { ok = 1; });
   rt.wait();
   EXPECT_EQ(ok.load(), 1);
 }

@@ -101,19 +101,18 @@ TEST(Scheduler, StealsFromBlockedWorkerDeque) {
 /// releasing its deque lock, so the pop or steal that took the task could
 /// decrement first, and a concurrent depth sample recorded 2^64 - 1 as
 /// max_queue_depth (about one trial in ten on 4 workers).  Chains of
-/// write -> read -> read-write tasks on independent handles make every
+/// write -> read -> read-write tasks on independent data make every
 /// completion push a successor that an idle worker steals at once.
 TEST(Scheduler, QueueDepthNeverExceedsTasksSubmitted) {
   constexpr int kTrials = 100;
   constexpr int kChains = 1500;
   for (int trial = 0; trial < kTrials; ++trial) {
     Runtime rt(4);
-    std::vector<DataHandle> handles(kChains);
-    for (DataHandle& h : handles) h = rt.register_data();
-    for (const DataHandle h : handles) {
-      rt.submit({"write", {{h, Access::kWrite}}}, [] {});
-      rt.submit({"read", {{h, Access::kRead}}}, [] {});
-      rt.submit({"update", {{h, Access::kReadWrite}}}, [] {});
+    const std::vector<int> chains(kChains);
+    for (const int& h : chains) {
+      rt.submit({"write", {{&h, Access::kWrite}}}, [] {});
+      rt.submit({"read", {{&h, Access::kRead}}}, [] {});
+      rt.submit({"update", {{&h, Access::kReadWrite}}}, [] {});
     }
     rt.wait();
     const SchedulerStats stats = rt.profiler().scheduler_stats();
@@ -183,9 +182,9 @@ TEST(Scheduler, FanOutCoversAllIndicesExactlyOnce) {
 
 TEST(Runtime, PrioritySubmitOverloadsObserveOrder) {
   Runtime rt(1);
-  DataHandle blocker_handle = rt.register_data();
+  const int blocker_datum = 0;
   SpinLatch started, release;
-  rt.submit({"blocker", {{blocker_handle, Access::kWrite}}}, [&] {
+  rt.submit({"blocker", {{&blocker_datum, Access::kWrite}}}, [&] {
     started.release();
     release.await();
   });
@@ -197,16 +196,14 @@ TEST(Runtime, PrioritySubmitOverloadsObserveOrder) {
     std::lock_guard<std::mutex> lock(order_mutex);
     order.push_back(std::move(tag));
   };
-  // Independent handles, so the scheduler's priority order fully
+  // Independent data, so the scheduler's priority order fully
   // determines execution order; the first TaskDesc leaves the priority at
   // its default of 0.
-  DataHandle ha = rt.register_data();
-  DataHandle hb = rt.register_data();
-  DataHandle hc = rt.register_data();
-  rt.submit({"low", {{ha, Access::kWrite}}}, [&] { record("low"); });
-  rt.submit(TaskDesc{"high", {{hb, Access::kWrite}}, 20},
+  const int ha = 0, hb = 0, hc = 0;
+  rt.submit({"low", {{&ha, Access::kWrite}}}, [&] { record("low"); });
+  rt.submit(TaskDesc{"high", {{&hb, Access::kWrite}}, 20},
             [&] { record("high"); });
-  rt.submit(TaskDesc{"mid", {{hc, Access::kWrite}}, 10},
+  rt.submit(TaskDesc{"mid", {{&hc, Access::kWrite}}, 10},
             [&] { record("mid"); });
   release.release();
   rt.wait();
@@ -219,9 +216,9 @@ TEST(Runtime, PrioritySubmitOverloadsObserveOrder) {
 
 TEST(Runtime, SchedulerStatsExposedViaProfiler) {
   Runtime rt(2);
-  DataHandle h = rt.register_data();
+  const int datum = 0;
   for (int i = 0; i < 10; ++i) {
-    rt.submit({"t", {{h, Access::kReadWrite}}}, [] {});
+    rt.submit({"t", {{&datum, Access::kReadWrite}}}, [] {});
   }
   rt.wait();
   const SchedulerStats stats = rt.profiler().scheduler_stats();
@@ -272,11 +269,9 @@ TEST(Runtime, RandomizedStressDagMatchesSerialExecution) {
   std::vector<long> cells(kCells);
   std::iota(cells.begin(), cells.end(), 1);
   Runtime rt(4);
-  std::vector<DataHandle> handles(kCells);
-  for (int c = 0; c < kCells; ++c) handles[c] = rt.register_data();
   for (const Op& op : program) {
-    std::vector<Dep> deps{{handles[op.target], Access::kReadWrite}};
-    for (int s : op.sources) deps.push_back({handles[s], Access::kRead});
+    std::vector<Dep> deps{{&cells[op.target], Access::kReadWrite}};
+    for (int s : op.sources) deps.push_back({&cells[s], Access::kRead});
     rt.submit(TaskDesc{"op", std::move(deps), op.priority},
               [&cells, &apply, &op] { apply(cells, op); });
   }
@@ -288,18 +283,19 @@ TEST(Runtime, RandomizedStressDagMatchesSerialExecution) {
 /// even for deep chains interleaved with fan-out.
 TEST(Runtime, WaitDrainsNestedSubmits) {
   Runtime rt(2);
-  DataHandle h = rt.register_data();
+  const int chain = 0;
+  std::vector<int> sides(100);
   std::atomic<int> executed{0};
   std::function<void(int)> spawn = [&](int depth) {
     executed.fetch_add(1);
     if (depth == 0) return;
-    rt.submit(TaskDesc{"chain", {{h, Access::kReadWrite}}, depth},
+    rt.submit(TaskDesc{"chain", {{&chain, Access::kReadWrite}}, depth},
               [&spawn, depth] { spawn(depth - 1); });
-    DataHandle side = rt.register_data();
-    rt.submit({"side", {{side, Access::kWrite}}},
+    rt.submit({"side", {{&sides[depth - 1], Access::kWrite}}},
               [&executed] { executed.fetch_add(1); });
   };
-  rt.submit({"root", {{h, Access::kReadWrite}}}, [&spawn] { spawn(100); });
+  rt.submit({"root", {{&chain, Access::kReadWrite}}},
+            [&spawn] { spawn(100); });
   rt.wait();
   // Chain: root + 100 links = 101; each of the 100 spawning levels also
   // fires one side task.

@@ -402,9 +402,9 @@ TEST(CrossRankTrace, FourRankPotrfProducesFlowsAndExactWireReport) {
 TEST(RunReport, SerializesSchemaSchedulerAndMetrics) {
   tel::MetricRegistry::global().reset();
   Runtime runtime(2, /*enable_profiling=*/true);
-  DataHandle h = runtime.register_data();
+  const int datum = 0;
   for (int i = 0; i < 4; ++i) {
-    runtime.submit({"noop", {{h, Access::kReadWrite}}}, [] {});
+    runtime.submit({"noop", {{&datum, Access::kReadWrite}}}, [] {});
   }
   runtime.wait();
   tel::Histogram& hist =
