@@ -236,6 +236,29 @@ TEST(Communicator, WorldAbortedCarriesOriginRankAndPhase) {
   EXPECT_EQ(seen_phase, "checkpoint");
 }
 
+TEST(Communicator, DiscardPendingDropsQueuedApplicationFramesOnly) {
+  // A retried round starts from an empty wire: discard_pending drops and
+  // counts every application frame already delivered.  Collective frames
+  // stay: a peer may already be in the next barrier while this rank
+  // discards, and that barrier must still pair up.
+  run_ranks(2, [](Communicator& comm) {
+    const int peer = 1 - comm.rank();
+    comm.send(peer, make_tile_tag(Phase::kPotrfPanel, 1, 0), {std::byte{5}});
+    comm.send(peer, make_tile_tag(Phase::kPotrfPanel, 2, 0), {std::byte{6}});
+    comm.barrier();  // both frames are queued behind the barrier
+    EXPECT_EQ(comm.discard_pending(), 2u);
+    EXPECT_EQ(comm.discard_pending(), 0u);
+    comm.barrier();
+    // The wire still carries the frames sent after the discard.
+    const std::uint64_t tag = make_tile_tag(Phase::kPotrfPanel, 1, 0);
+    comm.send(peer, tag, {std::byte{7}});
+    const Message m = comm.recv(tag);
+    EXPECT_EQ(m.src, peer);
+    ASSERT_EQ(m.payload.size(), 1u);
+    EXPECT_EQ(static_cast<int>(m.payload[0]), 7);
+  });
+}
+
 // ----------------------------------------------------- factorization rigs
 
 /// Deterministic SPD matrix (same construction as the dist tests).

@@ -324,6 +324,26 @@ TEST(Runtime, DestroyRightAfterTheLastTaskFinishes) {
   }
 }
 
+TEST(Runtime, AddressNamedTwiceByOneTaskIsNotItsOwnPredecessor) {
+  // A task may name one address more than once, in any order of access
+  // modes (an output it also reads as an input).  It must not wait for
+  // itself, and it must still be ordered after the earlier writer and
+  // before the later reader of that address.
+  Runtime rt(2);
+  int value = 0;
+  rt.submit({"init", {{&value, Access::kWrite}}}, [&] { value = 1; });
+  rt.submit({"twice",
+             {{&value, Access::kWrite},
+              {&value, Access::kRead},
+              {&value, Access::kReadWrite},
+              {&value, Access::kRead}}},
+            [&] { value = value * 10 + 2; });
+  int seen = -1;
+  rt.submit({"read", {{&value, Access::kRead}}}, [&] { seen = value; });
+  rt.wait();
+  EXPECT_EQ(seen, 12);
+}
+
 TEST(Runtime, WaitIsReentrant) {
   Runtime rt(2);
   rt.wait();  // empty graph
